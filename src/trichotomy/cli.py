@@ -7,8 +7,7 @@ loads the problem, runs one pipeline, writes CSV/JSON artifacts into the
 --out directory and prints a short summary.  Exit codes are scriptable:
 0 on success, 2 when the run completed but certified a negative finding
 (no dichotomy, incompatible half-line projectors, contraction refusal),
-1 on errors.  The environment variable TRICHOTOMY_THREADS caps internal
-parallelism.
+1 on errors.
 """
 
 from __future__ import annotations
@@ -46,6 +45,10 @@ from .solvers import (
     ContractionError,
     LipschitzSpec,
     SolverError,
+    _deviation_bound,
+    _grid_values,
+    _sampled_lipschitz_ratio,
+    _tail_horizon,
     epsilon_continuation,
     example_c1_probe,
     ode_residual,
@@ -286,10 +289,6 @@ def _window(spec, flags) -> float:
     return flags.window if flags.window is not None else spec.window
 
 
-def _tail(N, nu, fnorm, tol) -> float:
-    return max(1.0, math.log(max(1.0, 2.0 * N * fnorm / (nu * tol))) / nu)
-
-
 def _certificate_args(spec):
     if spec.certificate is None:
         return {}
@@ -322,23 +321,23 @@ def _rough_forcing_norm(spec, S) -> float:
 def _solve_pipeline(spec, flags, margin_factor=1.0):
     """Shared two-pass solve: size windows, build kernel, sample forcing.
 
-    Returns (kernel, cert, f, phi) with phi restricted to the problem
-    window.  ``margin_factor`` is 1 for the linear solve and 2 for Picard
-    (whose restriction step consumes twice the tail horizon).
+    Returns (kernel, cert, f); kernel is None when the half-line projectors
+    are incompatible.  ``margin_factor`` is 1 for the linear solve and 2
+    for Picard (whose restriction step consumes twice the tail horizon).
     """
     tol = _tol(spec, flags)
     S_out = _window(spec, flags)
     kernel, cert = _build_kernel(spec, max(S_out, 12.0))
     if kernel is None:
-        return None, cert, None, None
+        return None, cert, None
     fnorm = _rough_forcing_norm(spec, S_out)
-    Tc = _tail(cert.N, cert.nu, fnorm, tol)
+    Tc = _tail_horizon(cert.N, cert.nu, fnorm, tol)
     W = S_out + margin_factor * Tc + 1.0
     W = math.ceil(W / OUTPUT_STEP - 1e-9) * OUTPUT_STEP
     if W > kernel.window[1]:
         kernel, cert = _build_kernel_grown(spec, cert, W + 0.5)
     f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
-    return kernel, cert, f, None
+    return kernel, cert, f
 
 
 def _build_kernel_grown(spec, cert, S):
@@ -370,34 +369,12 @@ def _lipschitz_spec(spec) -> LipschitzSpec:
         )
     L = spec.L
     if L is None:
-        L = _sampled_lipschitz(spec)
+        worst = _sampled_lipschitz_ratio(spec.F_exprs, draws=12, seed=1)
+        if worst == 0.0:
+            raise ProblemError("nonlinearity sampled as identically zero")
+        L = 1.05 * worst
         print(f"note: no declared L; sampled estimate L = {L:.6g}")
     return LipschitzSpec(spec.F_strings, L)
-
-
-def _sampled_lipschitz(spec) -> float:
-    rng = np.random.default_rng(1)
-    exprs = [parse(s) for s in spec.F_strings]
-    n = spec.dim
-
-    def F(t, x):
-        env = {"t": t}
-        for i in range(n):
-            env[f"x{i + 1}"] = x[i]
-        return np.array([eval_expr(e, env) for e in exprs], dtype=float)
-
-    worst = 0.0
-    for t in np.linspace(-10, 10, 21):
-        for _ in range(12):
-            x = rng.uniform(-2, 2, n)
-            y = rng.uniform(-2, 2, n)
-            d = float(np.linalg.norm(x - y))
-            if d < 1e-12:
-                continue
-            worst = max(worst, float(np.linalg.norm(F(t, x) - F(t, y))) / d)
-    if worst == 0.0:
-        raise ProblemError("nonlinearity sampled as identically zero")
-    return 1.05 * worst
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +441,7 @@ def _cmd_solve_linear(spec, flags) -> int:
         raise ProblemError("problem declares no forcing f")
     tol = _tol(spec, flags)
     S_out = _window(spec, flags)
-    kernel, cert, f, _ = _solve_pipeline(spec, flags)
+    kernel, cert, f = _solve_pipeline(spec, flags)
     if kernel is None:
         return _incompatibility_exit(flags.out, cert)
     phi = solve_linear_bounded(kernel, f, tol=tol).restrict(-S_out, S_out)
@@ -497,7 +474,7 @@ def _cmd_solve_semilinear(spec, flags) -> int:
     tol = _tol(spec, flags)
     S_out = _window(spec, flags)
     Fspec = _lipschitz_spec(spec)
-    kernel, cert, f, _ = _solve_pipeline(spec, flags, margin_factor=2.0)
+    kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
     if kernel is None:
         return _incompatibility_exit(flags.out, cert)
     phi, report = picard_solve(kernel, f, Fspec, tol=tol)
@@ -522,7 +499,7 @@ def _cmd_continue_epsilon(spec, flags) -> int:
     S_out = _window(spec, flags)
     Fspec = _lipschitz_spec(spec)
     eps_list = flags.eps if flags.eps else [0.4, 0.2, 0.1, 0.05]
-    kernel, cert, f, _ = _solve_pipeline(spec, flags, margin_factor=2.0)
+    kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
     if kernel is None:
         return _incompatibility_exit(flags.out, cert)
     results = epsilon_continuation(kernel, f, Fspec, eps_list, tol=tol)
@@ -531,8 +508,7 @@ def _cmd_continue_epsilon(spec, flags) -> int:
     print("eps continuation: deviation from the linear solution")
     for i, (eps, phi_eps, dev) in enumerate(results):
         phi_r = phi_eps.restrict(-S_out, S_out)
-        denom = nu - 2.0 * N * Fspec.L * abs(eps)
-        bound = 4.0 * abs(eps) * N * N * Fspec.L * f.sup_norm / (nu * denom)
+        bound = _deviation_bound(N, nu, abs(eps) * Fspec.L, f.sup_norm)
         rows.append({
             "eps": eps,
             "deviation": dev,
@@ -581,14 +557,14 @@ def _cmd_probe_c1(spec, flags) -> int:
 def _solve_for_scan(spec, flags):
     if spec.F_exprs is not None and spec.L is not None:
         Fspec = _lipschitz_spec(spec)
-        kernel, cert, f, _ = _solve_pipeline(spec, flags, margin_factor=2.0)
+        kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
         if kernel is None:
             return None, cert, None
         phi, _ = picard_solve(kernel, f, Fspec, tol=_tol(spec, flags))
     else:
         if spec.f_exprs is None:
             raise ProblemError("problem declares no forcing f to solve with")
-        kernel, cert, f, _ = _solve_pipeline(spec, flags)
+        kernel, cert, f = _solve_pipeline(spec, flags)
         if kernel is None:
             return None, cert, None
         phi = solve_linear_bounded(kernel, f, tol=_tol(spec, flags))
@@ -629,36 +605,24 @@ def _cmd_audit(spec, flags) -> int:
     phi, cert, f = _solve_for_scan(spec, flags)
     if phi is None:
         return _incompatibility_exit(flags.out, cert)
-    h = phi.h
     times = phi.times
 
+    def sampled(exprs, env):
+        return GridFunction(phi.a, phi.b, _grid_values(exprs, env, times.shape))
+
     inputs = {}
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            vals = eval_expr(spec.A.entries[i][j], {"t": times})
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), times.shape)
-            inputs[f"A[{i + 1}][{j + 1}]"] = GridFunction(
-                phi.a, phi.b, vals[:, None].copy()
-            )
+    for i, row in enumerate(spec.A.entries):
+        for j, e in enumerate(row):
+            inputs[f"A[{i + 1}][{j + 1}]"] = sampled([e], {"t": times})
     if spec.f_exprs is not None:
-        for i, e in enumerate(spec.f_exprs):
-            vals = eval_expr(e, {"t": times})
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), times.shape)
-            inputs[f"f[{i + 1}]"] = GridFunction(phi.a, phi.b, vals[:, None].copy())
+        f_vals = spec.forcing_fn()(times)
+        for i in range(spec.dim):
+            inputs[f"f[{i + 1}]"] = GridFunction(phi.a, phi.b, f_vals[:, [i]])
     if spec.F_exprs is not None:
-        for k in range(spec.dim):
-            x = np.zeros(spec.dim)
-            x[k] = 1.0
-            env = {"t": times}
-            for i in range(spec.dim):
-                env[f"x{i + 1}"] = x[i]
-            cols = []
-            for e in spec.F_exprs:
-                v = eval_expr(e, env)
-                cols.append(np.broadcast_to(np.asarray(v, dtype=float), times.shape))
-            inputs[f"F(.,e{k + 1})"] = GridFunction(
-                phi.a, phi.b, np.column_stack(cols)
-            )
+        # F along each unit vector e_k, with the state entries as scalars
+        for k, x in enumerate(np.eye(spec.dim)):
+            env = {"t": times, **{f"x{i + 1}": x[i] for i in range(spec.dim)}}
+            inputs[f"F(.,e{k + 1})"] = sampled(spec.F_exprs, env)
 
     eps_ladder = flags.eps if flags.eps else [0.1, 0.05]
     lo, hi, step = flags.tau_range
@@ -750,8 +714,7 @@ def main(argv=None) -> int:
             "nonautonomous linear and semilinear ODE systems."
         ),
         epilog=(
-            "Exit codes: 0 success, 2 certified negative finding, 1 error. "
-            "Set TRICHOTOMY_THREADS to cap internal parallelism."
+            "Exit codes: 0 success, 2 certified negative finding, 1 error."
         ),
     )
     parser.add_argument("command", choices=COMMANDS)

@@ -48,7 +48,6 @@ __all__ = [
     "WindowTooSmall",
     "SubspaceEstimate",
     "DichotomyCertificate",
-    "DichotomyFailure",
     "TrichotomyCertificate",
     "TrichotomyIncompatibility",
     "GreenKernel",
@@ -170,12 +169,13 @@ class SubspaceEstimate:
     gap_ratio: float
     log_singular_values: tuple
     trivial: Optional[str]  # "stable", "unstable" or None
+    span: float = 1.0  # length of the estimation interval
 
     @property
     def rate_hint(self) -> float:
         """Crude decay-rate guess per unit time from the singular ladder."""
         logs = np.asarray(self.log_singular_values)
-        span = max(1.0, float(getattr(self, "_span", 1.0)))
+        span = max(1.0, float(self.span))
         candidates = []
         grow = logs[logs > 0]
         decay = logs[logs <= 0]
@@ -234,15 +234,14 @@ def estimate_stable_projector(
             log_singular_values=tuple(logs),
             gap_ratio=gap,
         )
-    est = SubspaceEstimate(
+    return SubspaceEstimate(
         P=P,
         rank=rank,
         gap_ratio=gap,
         log_singular_values=tuple(logs),
         trivial=trivial,
+        span=hi - lo,
     )
-    object.__setattr__(est, "_span", hi - lo)
-    return est
 
 
 class ProjectorFamily:
@@ -515,22 +514,14 @@ def estimate_constants(A, P, interval, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
 
 @dataclass
 class DichotomyCertificate:
+    """Dichotomy data ``(P, N, nu)`` on ``interval``; ``ok`` is False when a check failed."""
+
     interval: tuple
     P: np.ndarray
     N: float
     nu: float
     report: dict = field(default_factory=dict)
     ok: bool = True
-
-
-@dataclass
-class DichotomyFailure:
-    interval: tuple
-    P: np.ndarray
-    N: float
-    nu: float
-    report: dict = field(default_factory=dict)
-    ok: bool = False
 
 
 def _bound_violations(samples, N, nu, kind):
@@ -553,9 +544,8 @@ def verify_dichotomy(
     decay branches on all anchor pairs (long separations via projected
     chains, short separations additionally via direct unprojected products
     so that a wrong ``P`` cannot hide behind the stabilizing projections),
-    and returns a :class:`DichotomyCertificate` when the measured slack is
-    within 1e-6, otherwise a :class:`DichotomyFailure` naming the worst
-    (t, tau) pair.
+    and returns a :class:`DichotomyCertificate`, with ``ok`` true when the
+    measured slack is within 1e-6; its report names the worst (t, tau) pair.
     """
     P = np.asarray(P, dtype=float)
     if np.linalg.norm(P @ P - P, 2) > 1e-10:
@@ -638,8 +628,9 @@ def verify_dichotomy(
         ),
     }
     ok = max_slack <= SLACK_TOL and seed_res <= 1e-5
-    cls = DichotomyCertificate if ok else DichotomyFailure
-    return cls(interval=(lo, hi), P=P, N=float(N), nu=float(nu), report=report)
+    return DichotomyCertificate(
+        interval=(lo, hi), P=P, N=float(N), nu=float(nu), report=report, ok=ok
+    )
 
 
 @dataclass
@@ -661,6 +652,9 @@ class TrichotomyCertificate:
     nu: float
     report: dict = field(default_factory=dict)
     ok: bool = True
+    # the sweeps of build_trichotomy, reused by GreenKernel; None when read from JSON
+    families: Optional[tuple] = field(default=None, compare=False, repr=False)
+    op: Optional[TransitionOperator] = field(default=None, compare=False, repr=False)
 
     @property
     def P1(self) -> np.ndarray:
@@ -798,17 +792,16 @@ def build_trichotomy(
 
     report["seed_residual_plus"] = fam_plus.seed_residual
     report["seed_residual_minus"] = fam_minus.seed_residual
-    cert = TrichotomyCertificate(
+    return TrichotomyCertificate(
         interval=(-T, T),
         P=P_plus,
         Q=Q_mat,
         N=N_hat,
         nu=nu_hat,
         report=report,
+        families=(fam_plus, fam_minus),
+        op=op,
     )
-    cert._families = (fam_plus, fam_minus)
-    cert._op = op
-    return cert
 
 
 class GreenKernel:
@@ -828,9 +821,8 @@ class GreenKernel:
         self.cert = cert
         if isinstance(cert, TrichotomyCertificate):
             self.mode = "line"
-            op = getattr(cert, "_op", None)
-            self.op = op if op is not None else _as_operator(A, rtol, atol)
-            fams = getattr(cert, "_families", None)
+            self.op = cert.op if cert.op is not None else _as_operator(A, rtol, atol)
+            fams = cert.families
             if fams is None:
                 T = cert.interval[1]
                 hint = max(0.2, min(5.0, cert.nu))
@@ -842,6 +834,12 @@ class GreenKernel:
                 )
             self.fam_plus, self.fam_minus = fams
         elif isinstance(cert, DichotomyCertificate):
+            if not cert.ok:
+                rep = cert.report
+                raise ValueError(
+                    f"uncertified dichotomy (max_slack = {rep.get('max_slack', math.nan):.3g}, "
+                    f"seed_residual = {rep.get('seed_residual', math.nan):.3g}): no Green kernel"
+                )
             lo, hi = cert.interval
             if lo < 0:
                 raise ValueError(
@@ -1036,7 +1034,7 @@ def _matrix_list(M) -> list:
 
 def certificate_to_json(cert) -> dict:
     """Serialize a certificate (or failure report) to plain JSON data."""
-    if isinstance(cert, DichotomyCertificate) or isinstance(cert, DichotomyFailure):
+    if isinstance(cert, DichotomyCertificate):
         return {
             "type": "dichotomy",
             "ok": cert.ok,
@@ -1077,13 +1075,13 @@ def certificate_from_json(data) -> object:
         data = json.loads(data)
     kind = data.get("type")
     if kind == "dichotomy":
-        cls = DichotomyCertificate if data.get("ok", True) else DichotomyFailure
-        return cls(
+        return DichotomyCertificate(
             interval=tuple(data["interval"]),
             P=np.asarray(data["P"], dtype=float),
             N=float(data["N"]),
             nu=float(data["nu"]),
             report=data.get("report", {}),
+            ok=bool(data.get("ok", True)),
         )
     if kind == "trichotomy":
         if data.get("ok", True):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .grid import GridFunction
 from .hyperbolicity import WindowTooSmall
-from .util import thread_map
 
 __all__ = [
     "RapReport",
@@ -179,7 +178,7 @@ def almost_period_scan(
                 break
         return row
 
-    residuals = np.array(thread_map(scan_one, list(taus)))
+    residuals = np.array([scan_one(tau) for tau in taus])
     accepted = []
     L_hat = {}
     for i, tau in enumerate(taus):

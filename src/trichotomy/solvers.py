@@ -12,6 +12,7 @@ rate alpha = 2*N*L/nu when the Lipschitz constant L of F is below nu/(2*N).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,6 @@ from .hyperbolicity import (
     TrichotomyCertificate,
     WindowTooSmall,
 )
-from .util import thread_map
 
 __all__ = [
     "SolverError",
@@ -65,10 +65,22 @@ def _tail_horizon(N: float, nu: float, fnorm: float, tol: float) -> float:
     return max(1.0, math.log(max(1.0, 2.0 * N * fnorm / (nu * tol))) / nu)
 
 
+def _deviation_bound(N: float, nu: float, L: float, fnorm: float) -> float:
+    """Bound 4 N^2 L ||f|| / (nu (nu - 2 N L)) on the Picard deviation |phi - phi_0|."""
+    return 4.0 * N * N * L * fnorm / (nu * (nu - 2.0 * N * L))
+
+
 def _snap(x: float, a: float, h: float, up: bool) -> float:
     k = (x - a) / h
     k = math.ceil(k - 1e-9) if up else math.floor(k + 1e-9)
     return a + k * h
+
+
+def _picard_window(phi0: GridFunction, Tc: float):
+    """Picard output window: phi0's window shrunk by 2*Tc, snapped to its grid."""
+    lo = _snap(phi0.a + 2.0 * Tc, phi0.a, phi0.h, up=True)
+    hi = _snap(phi0.b - 2.0 * Tc, phi0.a, phi0.h, up=False)
+    return lo, hi
 
 
 def ode_residual(A, phi: GridFunction, f=None, F=None) -> np.ndarray:
@@ -273,6 +285,40 @@ def solve_linear_bounded(
     return phi
 
 
+def _point_value(exprs, t, x) -> np.ndarray:
+    """F(t, x) for one time t and one state vector x."""
+    env = {"t": t}
+    for i in range(len(exprs)):
+        env[f"x{i + 1}"] = x[i]
+    return np.array([eval_expr(e, env) for e in exprs], dtype=float)
+
+
+def _grid_values(exprs, env, shape) -> np.ndarray:
+    """The expressions evaluated under ``env`` as float columns broadcast to ``shape``."""
+    return np.column_stack(
+        [np.broadcast_to(np.asarray(eval_expr(e, env), dtype=float), shape) for e in exprs]
+    )
+
+
+def _sampled_lipschitz_ratio(exprs, draws, seed, t_range=(-10.0, 10.0), radius=2.0):
+    """Largest |F(t, x) - F(t, y)| / |x - y| over ``draws`` random pairs per time,
+    drawn from the cube of half-width ``radius`` at 21 times spanning ``t_range``.
+    """
+    n = len(exprs)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for t in np.linspace(t_range[0], t_range[1], 21):
+        for _ in range(draws):
+            x = rng.uniform(-radius, radius, n)
+            y = rng.uniform(-radius, radius, n)
+            dxy = float(np.linalg.norm(x - y))
+            if dxy < 1e-12:
+                continue
+            diff = _point_value(exprs, t, x) - _point_value(exprs, t, y)
+            worst = max(worst, float(np.linalg.norm(diff)) / dxy)
+    return worst
+
+
 class LipschitzSpec:
     """Nonlinearity F(t, x) with a declared global Lipschitz constant.
 
@@ -280,6 +326,7 @@ class LipschitzSpec:
     constructor validates the declaration by sampling: random point pairs in
     a ball must give difference ratios at most L*(1+1e-3), and F(t, 0) must
     vanish within 1e-12 (the solvers build on nonlinearities anchored at 0).
+    Evaluation returns ``factor`` times F; ``scaled`` sets the factor.
     """
 
     def __init__(self, exprs, L, t_range=(-10.0, 10.0), radius=2.0, seed=0):
@@ -288,6 +335,7 @@ class LipschitzSpec:
         self.exprs = [parse(e) if isinstance(e, str) else e for e in exprs]
         self.n = len(self.exprs)
         self.L = float(L)
+        self.factor = 1.0
         allowed = {"t"} | {f"x{i + 1}" for i in range(self.n)}
         for i, e in enumerate(self.exprs):
             extra = free_vars(e) - allowed
@@ -298,21 +346,11 @@ class LipschitzSpec:
         self.report = self._validate(t_range, radius, seed)
 
     def _validate(self, t_range, radius, seed):
-        rng = np.random.default_rng(seed)
-        ts = np.linspace(t_range[0], t_range[1], 21)
-        worst_ratio = 0.0
         worst_zero = 0.0
-        for t in ts:
+        for t in np.linspace(t_range[0], t_range[1], 21):
             z = self(t, np.zeros(self.n))
             worst_zero = max(worst_zero, float(np.linalg.norm(z)))
-            for _ in range(8):
-                x = rng.uniform(-radius, radius, self.n)
-                y = rng.uniform(-radius, radius, self.n)
-                dxy = float(np.linalg.norm(x - y))
-                if dxy < 1e-12:
-                    continue
-                ratio = float(np.linalg.norm(self(t, x) - self(t, y))) / dxy
-                worst_ratio = max(worst_ratio, ratio)
+        worst_ratio = _sampled_lipschitz_ratio(self.exprs, 8, seed, t_range, radius)
         if worst_zero > 1e-12:
             raise ValueError(
                 f"F(t, 0) must vanish; sampled norm {worst_zero:.3g}"
@@ -325,40 +363,22 @@ class LipschitzSpec:
         return {"max_sampled_ratio": worst_ratio, "max_zero_norm": worst_zero}
 
     def __call__(self, t, x):
-        env = {"t": t}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = x[i]
-        return np.array([eval_expr(e, env) for e in self.exprs], dtype=float)
+        return self.factor * _point_value(self.exprs, t, x)
 
     def on_grid(self, times, values):
         """Vectorized evaluation over a grid: values has shape (m, n)."""
         env = {"t": times}
         for i in range(self.n):
             env[f"x{i + 1}"] = values[:, i]
-        cols = []
-        for e in self.exprs:
-            v = eval_expr(e, env)
-            cols.append(np.broadcast_to(v, times.shape).astype(float))
-        return np.column_stack(cols)
+        return self.factor * _grid_values(self.exprs, env, times.shape)
 
     def scaled(self, factor):
-        """The nonlinearity factor*F with Lipschitz constant |factor|*L."""
-        out = object.__new__(LipschitzSpec)
-        out.exprs = self.exprs
-        out.n = self.n
+        """The nonlinearity factor*F with Lipschitz constant |factor|*L (not re-sampled)."""
+        out = copy.copy(self)
         out.L = abs(factor) * self.L
         out.report = dict(self.report)
-        out._factor = factor * getattr(self, "_factor", 1.0)
+        out.factor = factor * self.factor
         return out
-
-    @property
-    def factor(self):
-        return getattr(self, "_factor", 1.0)
-
-
-def _apply_F(Fspec, times, values):
-    vals = Fspec.on_grid(times, values)
-    return Fspec.factor * vals if Fspec.factor != 1.0 else vals
 
 
 @dataclass
@@ -426,7 +446,7 @@ def picard_solve(
     converged = False
     final_residual = math.inf
     for _ in range(max_iter):
-        g_vals = _apply_F(Fspec, times, psi + phi0.values)
+        g_vals = Fspec.on_grid(times, psi + phi0.values)
         g = GridFunction(phi0.a, phi0.b, g_vals)
         psi_next = solve_linear_bounded(
             K, g, tol=tol, clamp_edges=True, check_residual=False
@@ -448,8 +468,7 @@ def picard_solve(
         )
 
     full = GridFunction(phi0.a, phi0.b, psi + phi0.values)
-    out_lo = _snap(phi0.a + 2.0 * Tc, phi0.a, phi0.h, up=True)
-    out_hi = _snap(phi0.b - 2.0 * Tc, phi0.a, phi0.h, up=False)
+    out_lo, out_hi = _picard_window(phi0, Tc)
     if out_hi <= out_lo:
         raise WindowTooSmall(
             "forcing window too small for the Picard restriction",
@@ -459,24 +478,18 @@ def picard_solve(
     phi0_r = phi0.restrict(out_lo, out_hi)
 
     fr = f.restrict(out_lo, out_hi)
-
-    def F_eval(t, x):
-        return Fspec.factor * Fspec(t, x)
-
-    res = float(ode_residual(K.A, phi, fr, F_eval).max())
+    res = float(ode_residual(K.A, phi, fr, Fspec).max())
     if res > 10.0 * tol:
         raise AccuracyError(
             f"semilinear solve residual {res:.3g} exceeds 10*tol"
         )
     measured = float(np.linalg.norm(phi.values - phi0_r.values, axis=1).max())
-    denom = nu - 2.0 * N * Fspec.L
-    r_bound = 4.0 * N * N * Fspec.L * fnorm / (nu * denom)
     report = PicardReport(
         iterations=len(ratios) + 1,
         ratios=ratios,
         final_residual=final_residual,
         alpha=alpha,
-        r_bound=r_bound,
+        r_bound=_deviation_bound(N, nu, Fspec.L, fnorm),
         measured_deviation=measured,
         ode_residual=res,
         forcing_norm=fnorm,
@@ -489,8 +502,7 @@ def epsilon_continuation(K, f, Fspec, eps_list, tol: float = 1e-6):
 
     Every |eps|*L must be strictly below nu/(2N).  Returns a list of
     (eps, phi_eps, ||phi_eps - phi_0||) tuples, where phi_0 is the linear
-    bounded solution; independent runs share the kernel and phi_0 and may
-    execute in parallel under the thread cap.
+    bounded solution; the runs share the kernel and phi_0.
     """
     N, nu = K.cert.N, K.cert.nu
     limit = nu / (2.0 * N)
@@ -505,15 +517,13 @@ def epsilon_continuation(K, f, Fspec, eps_list, tol: float = 1e-6):
     def one(e):
         if e == 0.0:
             Tc = _tail_horizon(N, nu, f.sup_norm, tol)
-            lo = _snap(phi0_full.a + 2.0 * Tc, phi0_full.a, phi0_full.h, up=True)
-            hi = _snap(phi0_full.b - 2.0 * Tc, phi0_full.a, phi0_full.h, up=False)
-            return e, phi0_full.restrict(lo, hi), 0.0
+            return e, phi0_full.restrict(*_picard_window(phi0_full, Tc)), 0.0
         phi, _ = picard_solve(K, f, Fspec.scaled(e), tol=tol, _phi0=phi0_full)
         phi0_r = phi0_full.restrict(phi.a, phi.b)
         dev = float(np.linalg.norm(phi.values - phi0_r.values, axis=1).max())
         return e, phi, dev
 
-    return thread_map(one, list(eps_list))
+    return [one(e) for e in eps_list]
 
 
 @dataclass

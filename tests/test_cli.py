@@ -183,6 +183,37 @@ class TestSemilinearCommand:
         rc = run_cli(["solve-semilinear", problem_path("diag_cos"), "--out", out])
         assert rc == 1
 
+    @pytest.mark.parametrize("F, L", [
+        (["0.1*sin(x1)"], 0.1048890319250809),
+        (["0.1*sin(x1)", "0.05*tanh(x2) + 0.02*x1"], 0.10185031620888463),
+    ])
+    def test_sampled_lipschitz_constant(self, F, L):
+        # pinned values: the estimate keeps its own draws (seed 1, 12 pairs
+        # per time), separate from LipschitzSpec validation (seed 0, 8 pairs)
+        n = len(F)
+        A = [["-1" if i == j else "0" for j in range(n)] for i in range(n)]
+        spec = load_problem({"dim": n, "A": A, "F": F, "window": 6.0})
+        assert trichotomy.cli._lipschitz_spec(spec).L == pytest.approx(L, rel=1e-12)
+
+    def test_undeclared_constant_is_sampled(self, tmp_path):
+        data = json.loads(Path(problem_path("scalar_sin")).read_text())
+        del data["L"]
+        prob = tmp_path / "no_L.json"
+        prob.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert run_cli(["solve-semilinear", prob, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["alpha"] == pytest.approx(2.0 * 0.1048890319250809, rel=1e-12)
+        phi = read_solution_csv(out / "sol.csv")
+        assert np.max(np.abs(phi.values - 0.5524799869065703)) <= 1e-5
+
+    def test_identically_zero_nonlinearity_rejected(self, tmp_path, capsys):
+        prob = tmp_path / "zero.json"
+        prob.write_text(json.dumps(minimal(f=["0.5"], F=["0*x1"])))
+        rc = run_cli(["solve-semilinear", prob, "--out", tmp_path / "out"])
+        assert rc == 1
+        assert "identically zero" in capsys.readouterr().err
+
 
 class TestCheckCommands:
     def test_dichotomy_certified(self, tmp_path):

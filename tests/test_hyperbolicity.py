@@ -1,11 +1,12 @@
 """Dichotomy/trichotomy estimation, verification and the Green kernel."""
 
+import json
+
 import numpy as np
 import pytest
 
 from trichotomy.hyperbolicity import (
     DichotomyCertificate,
-    DichotomyFailure,
     GreenKernel,
     NoDichotomyDetected,
     NonHyperbolicError,
@@ -79,7 +80,7 @@ class TestVerifyDichotomy:
 
     def test_rotation_fails_any_rate(self, rotor_A):
         out = verify_dichotomy(rotor_A, np.diag([1.0, 0.0]), (0.0, 20.0), 1.0, 0.5)
-        assert isinstance(out, DichotomyFailure)
+        assert isinstance(out, DichotomyCertificate)
         assert not out.ok
         assert out.report["max_slack"] > 0.1
         assert out.report["worst_pair"] is not None
@@ -88,7 +89,8 @@ class TestVerifyDichotomy:
         # P = I claims the growing coordinate decays; the direct
         # unprojected products must expose it
         out = verify_dichotomy(saddle_A, np.eye(2), (0.0, 12.0), 1.0, 0.9)
-        assert isinstance(out, DichotomyFailure)
+        assert isinstance(out, DichotomyCertificate)
+        assert not out.ok
 
     def test_non_idempotent_candidate_rejected(self, saddle_A):
         with pytest.raises(ValueError):
@@ -215,6 +217,12 @@ class TestGreenKernel:
         with pytest.raises(ValueError, match="half-line"):
             GreenKernel(saddle_A, cert)
 
+    def test_failed_dichotomy_certificate_refused(self, rotor_A):
+        out = verify_dichotomy(rotor_A, np.diag([1.0, 0.0]), (0.0, 20.0), 1.0, 0.5)
+        assert not out.ok
+        with pytest.raises(ValueError, match="max_slack"):
+            GreenKernel(rotor_A, out)
+
     def test_shift_invariance_autonomous(self, saddle_kernel):
         assert green_shift_check(saddle_kernel, 1.0) <= 1e-8
 
@@ -242,6 +250,22 @@ class TestSerialization:
         assert isinstance(back, DichotomyCertificate)
         assert back.ok
         assert np.max(np.abs(back.P - cert.P)) <= 1e-15
+
+    def test_failed_dichotomy_round_trip(self, rotor_A):
+        cert = verify_dichotomy(rotor_A, np.diag([1.0, 0.0]), (0.0, 20.0), 1.0, 0.5)
+        data = certificate_to_json(cert)
+        assert data["ok"] is False
+        back = certificate_from_json(json.dumps(data))
+        assert isinstance(back, DichotomyCertificate)
+        assert back.ok is False
+        assert back.report == json.loads(json.dumps(cert.report))
+        assert back.report["max_slack"] == cert.report["max_slack"] > 0.1
+        assert back.report["worst_pair"] == cert.report["worst_pair"]
+        assert back.interval == cert.interval
+        assert np.array_equal(back.P, cert.P)
+        assert (back.N, back.nu) == (cert.N, cert.nu)
+        with pytest.raises(ValueError, match="max_slack"):
+            GreenKernel(rotor_A, back)
 
     def test_incompatibility_serializes_both_projectors(self):
         A = CoefficientMatrix.from_strings([["atan(t)"]])

@@ -138,6 +138,27 @@ class TestLipschitzSpec:
         assert sc.factor == -0.5
         assert sc.scaled(2.0).factor == -1.0
 
+    def test_scaled_evaluation_applies_factor(self):
+        spec = LipschitzSpec(["0.1*sin(x1)", "0.05*tanh(x2) + 0.02*x1"], L=0.2)
+        sc = spec.scaled(-0.5)
+        x = np.array([0.7, -1.3])
+        assert np.array_equal(sc(1.5, x), -0.5 * spec(1.5, x))
+        times = np.linspace(-1.0, 1.0, 7)
+        vals = np.stack([np.cos(times), np.sin(times)], axis=-1)
+        assert np.array_equal(sc.on_grid(times, vals), -0.5 * spec.on_grid(times, vals))
+        assert np.array_equal(sc.scaled(-2.0)(1.5, x), spec(1.5, x))
+
+    def test_scaling_does_not_revalidate(self, monkeypatch):
+        spec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
+
+        def fail(*args):
+            raise AssertionError("scaled() re-ran the validation")
+
+        monkeypatch.setattr(LipschitzSpec, "_validate", fail)
+        big = spec.scaled(10.0)
+        assert big.L == pytest.approx(1.0)
+        assert big.report == spec.report
+
     def test_grid_evaluation_matches_pointwise(self):
         spec = LipschitzSpec(["0.1*sin(x1)", "0.05*tanh(x2) + 0.02*x1"], L=0.2)
         times = np.linspace(-1.0, 1.0, 7)
