@@ -555,7 +555,7 @@ def _cmd_probe_c1(spec, flags) -> int:
 
 
 def _solve_for_scan(spec, flags):
-    if spec.F_exprs is not None and spec.L is not None:
+    if spec.F_exprs is not None:
         Fspec = _lipschitz_spec(spec)
         kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
         if kernel is None:

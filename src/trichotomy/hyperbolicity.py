@@ -854,6 +854,9 @@ class GreenKernel:
             raise TypeError("cert must be a dichotomy or trichotomy certificate")
         self.A = self.op.A
         self.window = tuple(float(x) for x in cert.interval)
+        # Green-quadrature plans of the solver sweeps, built on first use:
+        # (a0, a1, s0, s1, grid origin, grid step) -> plan of that clipped leg
+        self.plans = {}
 
     @property
     def n(self) -> int:

@@ -5,9 +5,13 @@ trichotomy is the Green-kernel integral phi(t) = int G(t, tau) f(tau) dtau.
 It is computed here by two exponential-weight sweeps (one per decay
 direction) with composite Gauss-Legendre panels, in the local coordinates of
 the cached unit propagation legs, so no quantity is ever propagated in its
-growing direction.  The semilinear equation x' = A(t)x + f(t) + F(t, x) is
-solved by Picard iteration around the linear solution, which contracts at
-rate alpha = 2*N*L/nu when the Lipschitz constant L of F is below nu/(2*N).
+growing direction.  What the quadrature needs of a leg besides the forcing
+(node times, inverse leg values, projectors, grid indices) is built once per
+kernel, leg clip and grid, and reused by every later solve on that kernel:
+both sweeps, each Picard iterate and each eps of a continuation.  The
+semilinear equation x' = A(t)x + f(t) + F(t, x) is solved by Picard
+iteration around the linear solution, which contracts at rate
+alpha = 2*N*L/nu when the Lipschitz constant L of F is below nu/(2*N).
 """
 
 from __future__ import annotations
@@ -70,10 +74,14 @@ def _deviation_bound(N: float, nu: float, L: float, fnorm: float) -> float:
     return 4.0 * N * N * L * fnorm / (nu * (nu - 2.0 * N * L))
 
 
-def _snap(x: float, a: float, h: float, up: bool) -> float:
+def _snap_index(x: float, a: float, h: float, up: bool) -> int:
+    """Index k of the grid point a + k*h at or above (``up``) or below x."""
     k = (x - a) / h
-    k = math.ceil(k - 1e-9) if up else math.floor(k + 1e-9)
-    return a + k * h
+    return math.ceil(k - 1e-9) if up else math.floor(k + 1e-9)
+
+
+def _snap(x: float, a: float, h: float, up: bool) -> float:
+    return a + _snap_index(x, a, h, up) * h
 
 
 def _picard_window(phi0: GridFunction, Tc: float):
@@ -125,10 +133,56 @@ def _panel_points(s0, s1, grid_a, h):
     return np.concatenate([[s0], inner, [s1]])
 
 
-def _grid_key(x, grid_a, h):
-    """Global grid index of x, or None if x is not a grid point."""
-    k = int(round((x - grid_a) / h))
-    return k if abs(grid_a + k * h - x) < 1e-9 else None
+@dataclass
+class _LegPlan:
+    """What the Green quadrature on one clipped leg needs besides the forcing.
+
+    ``nodes`` are the Gauss-Legendre node times of the panels between grid
+    points; ``weighted_inv`` holds weight * D(node)^{-1} per node, shape
+    (panels, 16, n, n), with D the leg solution; ``D_pts`` is D at the panel
+    points.  ``proj`` maps each sweep direction to its (panel, crossing)
+    projectors, and the panel points ``rows`` are the grid points ``idx``.
+    """
+
+    nodes: np.ndarray
+    weighted_inv: np.ndarray
+    D_pts: np.ndarray
+    proj: dict
+    rows: np.ndarray
+    idx: np.ndarray
+
+
+def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
+    """The kernel's plan of leg (a0, a1) clipped to (s0, s1) on f's grid."""
+    key = (a0, a1, s0, s1, f.a, f.h)
+    plan = kernel.plans.get(key)
+    if plan is not None:
+        return plan
+    n = kernel.n
+    sol = kernel.op.solve_leg(a0, a1)
+    pts = _panel_points(s0, s1, f.a, f.h)
+    widths = np.diff(pts)
+    nodes = (pts[:-1, None] + np.outer(widths, (_GL_NODES + 1.0) / 2.0)).ravel()
+    wts = np.outer(widths, _GL_WEIGHTS / 2.0).ravel()
+    # one dense-output call for nodes and panel points: the leg's per-step
+    # interpolants are visited once
+    D = sol(np.concatenate([nodes, pts])).T.reshape(-1, n, n)
+    D_inv = np.linalg.inv(D[: nodes.size])
+    k = np.rint((pts - f.a) / f.h)
+    rows = np.flatnonzero(np.abs(f.a + k * f.h - pts) < 1e-9)
+    U0 = kernel.unstable_projector(a0)
+    plan = kernel.plans[key] = _LegPlan(
+        nodes=nodes,
+        weighted_inv=(wts[:, None, None] * D_inv).reshape(len(widths), 16, n, n),
+        D_pts=D[nodes.size :].copy(),  # a copy, so the node values are freed
+        proj={
+            "up": (kernel.stable_projector(a0), kernel.stable_projector(a1)),
+            "down": (U0, U0),
+        },
+        rows=rows,
+        idx=k[rows].astype(int),
+    )
+    return plan
 
 
 def _sweep(kernel: GreenKernel, f: GridFunction, lo, hi, direction):
@@ -139,51 +193,30 @@ def _sweep(kernel: GreenKernel, f: GridFunction, lo, hi, direction):
     int_t^hi Phi(t,tau) Pi_u(tau) f(tau) dtau for t decreasing.  Working in
     the local coordinates of each unit leg turns the projected integrand
     into a constant projector times a backward-solved forcing sample, and
-    the running value is re-projected at every anchor crossing.  Values at
-    grid points are returned keyed by global grid index.
+    the running value is re-projected at every anchor crossing.  Returns
+    the values on f's whole grid, zero at the grid points outside [lo, hi].
     """
-    n = kernel.n
-    op = kernel.op
-    anchors = kernel._family_anchors()
-    legs = _leg_ranges(anchors, lo, hi)
-    out = {}
-    Y = np.zeros(n)
-    if direction == "up":
-        proj_at = kernel.stable_projector
-        ordered = legs
-    else:
-        proj_at = kernel.unstable_projector
-        ordered = legs[::-1]
-    for a0, a1, s0, s1 in ordered:
-        sol = op.solve_leg(a0, a1)
-        pts = _panel_points(s0, s1, f.a, f.h)
-        widths = np.diff(pts)
-        nodes = pts[:-1, None] + np.outer(widths, (_GL_NODES + 1.0) / 2.0)
-        wts = np.outer(widths, _GL_WEIGHTS / 2.0)
-        flat = nodes.ravel()
-        D_nodes = sol(flat).T.reshape(-1, n, n)
-        f_nodes = f(flat)
-        local = np.linalg.solve(D_nodes, f_nodes[..., None])[..., 0]
-        local = local.reshape(nodes.shape[0], 16, n)
-        panel = np.einsum("kj,kjn->kn", wts, local)
-        P_leg = proj_at(a0)
-        panel = panel @ P_leg.T
-        D_pts = sol(pts).T.reshape(-1, n, n)
+    legs = _leg_ranges(kernel._family_anchors(), lo, hi)
+    out = np.zeros_like(f.values)
+    Y = np.zeros(kernel.n)
+    for a0, a1, s0, s1 in legs if direction == "up" else legs[::-1]:
+        plan = _leg_plan(kernel, f, a0, a1, s0, s1)
+        P_panel, P_cross = plan.proj[direction]
+        f_nodes = f(plan.nodes).reshape(plan.weighted_inv.shape[:3])
+        panel = np.einsum("kjab,kjb->ka", plan.weighted_inv, f_nodes) @ P_panel.T
+        D_pts = plan.D_pts
         if direction == "up":
             Z = np.linalg.solve(D_pts[0], Y)
             acc = np.vstack([Z, Z + np.cumsum(panel, axis=0)])
             vals = np.einsum("kij,kj->ki", D_pts, acc)
-            Y = proj_at(a1) @ vals[-1] if s1 >= a1 - 1e-12 else vals[-1]
+            Y = P_cross @ vals[-1] if s1 >= a1 - 1e-12 else vals[-1]
         else:
             Z = np.linalg.solve(D_pts[-1], Y)
             back = np.cumsum(panel[::-1], axis=0)[::-1]
             acc = np.vstack([Z + back, Z])
             vals = np.einsum("kij,kj->ki", D_pts, acc)
-            Y = proj_at(a0) @ vals[0] if s0 <= a0 + 1e-12 else vals[0]
-        for x, v in zip(pts, vals):
-            key = _grid_key(x, f.a, f.h)
-            if key is not None:
-                out[key] = v
+            Y = P_cross @ vals[0] if s0 <= a0 + 1e-12 else vals[0]
+        out[plan.idx] = vals[plan.rows]
     return out
 
 
@@ -223,16 +256,16 @@ def solve_linear_bounded(
     if clamp_edges:
         default_out = (f.a, f.b)
     out_lo, out_hi = out_window if out_window is not None else default_out
-    out_lo = _snap(max(out_lo, f.a), f.a, h, up=True)
-    out_hi = _snap(min(out_hi, f.b), f.a, h, up=False)
-    if out_hi < out_lo:
+    i_lo = _snap_index(max(out_lo, f.a), f.a, h, up=True)
+    i_hi = _snap_index(min(out_hi, f.b), f.a, h, up=False)
+    out_lo, out_hi = f.a + i_lo * h, f.a + i_hi * h
+    if i_hi < i_lo:
         raise WindowTooSmall(
             "forcing window too small for any output after tail truncation",
             2 * Tc,
         )
     if fnorm == 0.0:
-        m = int(round((out_hi - out_lo) / h))
-        return GridFunction(out_lo, out_hi, np.zeros((m + 1, f.dim)))
+        return GridFunction(out_lo, out_hi, np.zeros((i_hi - i_lo + 1, f.dim)))
 
     if K.mode == "halfline":
         lo_need = lo_int
@@ -255,14 +288,7 @@ def solve_linear_bounded(
     sweep_hi = min(hi_need, k_hi)
     up = _sweep(K, f, sweep_lo, out_hi, "up")
     down = _sweep(K, f, out_lo, sweep_hi, "down")
-
-    m = int(round((out_hi - out_lo) / h))
-    base = _grid_key(out_lo, f.a, h)
-    vals = np.zeros((m + 1, f.dim))
-    zero = np.zeros(f.dim)
-    for i in range(m + 1):
-        vals[i] = up.get(base + i, zero) - down.get(base + i, zero)
-    phi = GridFunction(out_lo, out_hi, vals)
+    phi = GridFunction(out_lo, out_hi, up[i_lo : i_hi + 1] - down[i_lo : i_hi + 1])
 
     if check_residual:
         fr = f.restrict(out_lo, out_hi)

@@ -298,6 +298,23 @@ class TestScanCommands:
         assert rap["side"] == "+"
         assert rap["two_sided"] is False
 
+    def test_scan_solves_semilinear_without_declared_L(self, tmp_path):
+        # with F declared and L left out, the scan must still solve the
+        # semilinear equation (sampling L), not the linear one
+        data = json.loads(Path(problem_path("scalar_sin")).read_text())
+        del data["L"]
+        prob = tmp_path / "no_L.json"
+        prob.write_text(json.dumps(data))
+        scan, semi = tmp_path / "scan", tmp_path / "semi"
+        assert run_cli(["rap-scan", prob, "--out", scan, "--tau-range", "6:6.5:0.25"]) == 0
+        assert run_cli(["solve-semilinear", prob, "--out", semi]) == 0
+        phi_scan = read_solution_csv(scan / "sol.csv")
+        phi_semi = read_solution_csv(semi / "sol.csv")
+        t = phi_semi.times
+        t = t[(t >= phi_scan.a - 1e-9) & (t <= phi_scan.b + 1e-9)]
+        assert t.size > 100
+        assert np.max(np.abs(phi_scan(t) - phi_semi(t))) <= 10 * data["tol"]
+
 
 class TestMainInterface:
     def test_unknown_command_rejected_by_argparse(self):

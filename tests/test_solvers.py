@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
 from trichotomy.grid import GridFunction
-from trichotomy.hyperbolicity import WindowTooSmall
+from trichotomy.hyperbolicity import GreenKernel, WindowTooSmall
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
@@ -255,6 +256,59 @@ class TestContinuation:
         Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
         with pytest.raises(ContractionError):
             epsilon_continuation(scalar_kernel, scalar_forcing, Fspec, [5.0])
+
+
+def fresh(K):
+    """A kernel on K's certificate with no quadrature plans yet."""
+    return GreenKernel(K.A, K.cert)
+
+
+class TestQuadraturePlan:
+    def test_second_solve_makes_no_dense_evaluations(
+        self, scalar_kernel, scalar_forcing, monkeypatch
+    ):
+        K = fresh(scalar_kernel)
+        f1 = GridFunction.from_callable(
+            lambda t: 0.5 * np.cos(0.3 * t) + 0.2, scalar_forcing.a, scalar_forcing.b, 0.02
+        )
+        # same grid, other values, equal sup-norm (so the same tail horizon)
+        f2 = GridFunction(f1.a, f1.b, f1.values[::-1])
+        calls = []
+        orig = OdeSolution.__call__
+
+        def counted(sol, t):
+            calls.append(np.size(t))
+            return orig(sol, t)
+
+        monkeypatch.setattr(OdeSolution, "__call__", counted)
+        solve_linear_bounded(K, f1)
+        assert sum(calls) > 0
+        calls.clear()
+        phi = solve_linear_bounded(K, f2)
+        assert calls == []
+        ref = solve_linear_bounded(fresh(K), f2)
+        assert np.max(np.abs(phi.values - ref.values)) <= 1e-13
+
+    def test_plan_never_used_for_another_grid(self, saddle_kernel):
+        W = 26.7
+        grids = [(-W, W, 0.02), (-W, W, 0.05), (-W + 0.01, W + 0.01, 0.02)]
+        for a, b, h in grids:
+            f = cos_pair(a, b, h)
+            phi = solve_linear_bounded(saddle_kernel, f, out_window=(-10.0, 10.0))
+            assert phi.h == pytest.approx(h)
+            err = np.max(np.abs(phi.values - saddle_solution(phi.times)))
+            assert err <= 1e-6
+            ref = solve_linear_bounded(fresh(saddle_kernel), f, out_window=(-10.0, 10.0))
+            assert np.max(np.abs(phi.values - ref.values)) <= 1e-13
+
+    def test_eps_ladder_matches_fresh_picard(self, scalar_kernel, scalar_forcing):
+        Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
+        eps = [0.4, 0.2, 0.1]
+        out = epsilon_continuation(scalar_kernel, scalar_forcing, Fspec, eps)
+        for e, phi, _ in out:
+            ref, _ = picard_solve(fresh(scalar_kernel), scalar_forcing, Fspec.scaled(e))
+            assert (phi.a, phi.b) == (ref.a, ref.b)
+            assert np.max(np.abs(phi.values - ref.values)) <= 1e-12
 
 
 class TestCubicProbe:
