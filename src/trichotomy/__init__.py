@@ -5,7 +5,8 @@ x' = A(t) x on finite windows, builds the associated Green kernel, computes
 bounded solutions of linear and semilinear problems by exponentially
 weighted quadrature and Picard iteration, and runs finite-horizon
 diagnostics for remote almost periodicity.  The ``trichotomy`` console
-script drives everything from JSON problem files.
+script drives everything from JSON problem files; the problem-file API
+(``load_problem``, ``save_problem``) lives in ``trichotomy.cli``.
 """
 
 from .expr import (
@@ -23,12 +24,7 @@ from .grid import GridFunction, write_csv
 from .propagator import (
     CoefficientMatrix,
     PropagationError,
-    ProjectorPath,
-    ProjectorTransportError,
     TransitionOperator,
-    propagate,
-    transition_matrix,
-    transport_projector,
 )
 from .hyperbolicity import (
     DichotomyCertificate,
@@ -45,8 +41,6 @@ from .hyperbolicity import (
     certificate_to_json,
     estimate_constants,
     estimate_stable_projector,
-    green_eval,
-    green_matrix,
     green_shift_check,
     verify_dichotomy,
 )
@@ -73,7 +67,6 @@ from .rap import (
     remote_period_residual,
     solution_rap_audit,
 )
-from .cli import ProblemError, ProblemSpec, load_problem, save_problem
 
 __version__ = "0.1.0"
 
@@ -91,12 +84,7 @@ __all__ = [
     "write_csv",
     "CoefficientMatrix",
     "PropagationError",
-    "ProjectorPath",
-    "ProjectorTransportError",
     "TransitionOperator",
-    "propagate",
-    "transition_matrix",
-    "transport_projector",
     "DichotomyCertificate",
     "GreenKernel",
     "HyperbolicityError",
@@ -111,8 +99,6 @@ __all__ = [
     "certificate_to_json",
     "estimate_constants",
     "estimate_stable_projector",
-    "green_eval",
-    "green_matrix",
     "green_shift_check",
     "verify_dichotomy",
     "AccuracyError",
@@ -134,9 +120,5 @@ __all__ = [
     "lagrange_report",
     "remote_period_residual",
     "solution_rap_audit",
-    "ProblemError",
-    "ProblemSpec",
-    "load_problem",
-    "save_problem",
     "__version__",
 ]

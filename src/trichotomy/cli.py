@@ -26,7 +26,7 @@ import jsonschema
 
 from .expr import ExprError, eval_expr, free_vars, parse
 from .grid import GridFunction, write_csv
-from .propagator import CoefficientMatrix, PropagationError
+from .propagator import CoefficientMatrix, PropagationError, TransitionOperator
 from .hyperbolicity import (
     GreenKernel,
     HyperbolicityError,
@@ -384,15 +384,16 @@ def _lipschitz_spec(spec) -> LipschitzSpec:
 def _cmd_check_dichotomy(spec, flags) -> int:
     T = _window(spec, flags)
     interval = (-T, T)
+    op = TransitionOperator(spec.A)
     try:
         if spec.certificate is not None:
             P = np.asarray(spec.certificate["P"], dtype=float)
             N = float(spec.certificate["N"])
             nu = float(spec.certificate["nu"])
         else:
-            P = estimate_stable_projector(spec.A, interval).P
-            N, nu = estimate_constants(spec.A, P, interval)
-        result = verify_dichotomy(spec.A, P, interval, N, nu)
+            P = estimate_stable_projector(op, interval).P
+            N, nu = estimate_constants(op, P, interval)
+        result = verify_dichotomy(op, P, interval, N, nu)
     except (NoDichotomyDetected, NonHyperbolicError) as exc:
         data = {
             "type": "dichotomy",

@@ -35,11 +35,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .propagator import (
-    TransitionOperator,
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-)
+from .propagator import TransitionOperator
 
 __all__ = [
     "HyperbolicityError",
@@ -55,8 +51,6 @@ __all__ = [
     "estimate_constants",
     "verify_dichotomy",
     "build_trichotomy",
-    "green_eval",
-    "green_matrix",
     "green_shift_check",
     "certificate_to_json",
     "certificate_from_json",
@@ -119,10 +113,10 @@ def _oblique_projector(range_basis: np.ndarray, kernel_basis: np.ndarray) -> np.
     return range_basis @ np.linalg.inv(X)[:k, :]
 
 
-def _as_operator(A, rtol, atol) -> TransitionOperator:
+def _as_operator(A) -> TransitionOperator:
     if isinstance(A, TransitionOperator):
         return A
-    return TransitionOperator(A, rtol=rtol, atol=atol)
+    return TransitionOperator(A)
 
 
 def _anchor_times(lo: float, hi: float) -> np.ndarray:
@@ -187,9 +181,7 @@ class SubspaceEstimate:
         return min(5.0, max(0.2, rate))
 
 
-def estimate_stable_projector(
-    A, interval, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL
-) -> SubspaceEstimate:
+def estimate_stable_projector(A, interval) -> SubspaceEstimate:
     """Estimate the stable projector of x' = A(t)x on ``interval`` = [a, b].
 
     Takes the SVD of the transition matrix over the window (computed as a
@@ -206,7 +198,7 @@ def estimate_stable_projector(
     lo, hi = float(interval[0]), float(interval[1])
     if hi - lo < 10.0:
         raise ValueError("estimation interval must be at least 10 time units")
-    op = _as_operator(A, rtol, atol)
+    op = _as_operator(A)
     n = op.A.n
     anchors = _anchor_times(lo, hi)
     _, logs, Vt = _scaled_product_svd(_leg_matrices(op, anchors))
@@ -301,9 +293,6 @@ class ProjectorFamily:
         D = self._leg_value(i, s)
         # P(s) = D P_i D^{-1} solved as P(s) D = D P_i
         return np.linalg.solve(D.T, (D @ self.projectors[i]).T).T
-
-    def complement(self, s: float) -> np.ndarray:
-        return np.eye(self.op.A.n) - self.projector(s)
 
 
 def _sweep_forward(legs, B0):
@@ -488,7 +477,7 @@ def _envelope_fit(sample_groups):
     return float(math.exp(log_N)), float(nu_hat)
 
 
-def estimate_constants(A, P, interval, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def estimate_constants(A, P, interval):
     """Fit dichotomy constants (N, nu) for projector ``P`` on ``interval``.
 
     Measures both decay branches on anchor pairs, fits a log-linear envelope
@@ -496,7 +485,7 @@ def estimate_constants(A, P, interval, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     constant for the shrunk rate.  Raises :class:`NonHyperbolicError` when
     the fitted rate is not positive (e.g. a rotation).
     """
-    op = _as_operator(A, rtol, atol)
+    op = _as_operator(A)
     lo, hi = float(interval[0]), float(interval[1])
     P = np.asarray(P, dtype=float)
     data_end = "lo" if abs(lo) <= abs(hi) else "hi"
@@ -535,9 +524,7 @@ def _bound_violations(samples, N, nu, kind):
     return max_slack, worst
 
 
-def verify_dichotomy(
-    A, P, interval, N, nu, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL
-):
+def verify_dichotomy(A, P, interval, N, nu):
     """Check the two dichotomy inequalities for ``(P, N, nu)`` on a grid.
 
     Builds the projector family seeded by the given ``P``, measures both
@@ -557,7 +544,7 @@ def verify_dichotomy(
         raise ValueError(
             f"interval length {hi - lo:.3g} is below 10/nu = {10.0 / nu:.3g}"
         )
-    op = _as_operator(A, rtol, atol)
+    op = _as_operator(A)
     n = op.A.n
     data_end = "lo" if abs(lo) <= abs(hi) else "hi"
     family = _build_half_family(op, lo, hi, P, data_end, max(0.2, min(5.0, nu)))
@@ -704,16 +691,7 @@ class TrichotomyIncompatibility:
     ok: bool = False
 
 
-def build_trichotomy(
-    A,
-    T,
-    P=None,
-    Q=None,
-    N=None,
-    nu=None,
-    rtol=DEFAULT_RTOL,
-    atol=DEFAULT_ATOL,
-):
+def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     """Assemble a trichotomy certificate on [-T, T] from two half dichotomies.
 
     Estimates the stable projector P+ of the forward half on [0, T] and the
@@ -730,7 +708,7 @@ def build_trichotomy(
         If either half-line system has no singular-value gap.
     """
     T = float(T)
-    op = _as_operator(A, rtol, atol)
+    op = _as_operator(A)
     n = op.A.n
     eye = np.eye(n)
 
@@ -743,9 +721,9 @@ def build_trichotomy(
         rate_hint = float(nu) if nu else 1.0
         estimated = False
     else:
-        est_plus = estimate_stable_projector(op, (0.0, T), rtol=rtol, atol=atol)
-        rev_op = TransitionOperator(op.A.reversed(), rtol=rtol, atol=atol)
-        est_minus = estimate_stable_projector(rev_op, (0.0, T), rtol=rtol, atol=atol)
+        est_plus = estimate_stable_projector(op, (0.0, T))
+        rev_op = TransitionOperator(op.A.reversed())
+        est_minus = estimate_stable_projector(rev_op, (0.0, T))
         P_plus = est_plus.P
         # the reversed system's stable class at 0 is the class decaying
         # backward in original time, i.e. the range of Q; P- = I - Q
@@ -817,11 +795,11 @@ class GreenKernel:
     branches exist.
     """
 
-    def __init__(self, A, cert, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    def __init__(self, A, cert):
         self.cert = cert
         if isinstance(cert, TrichotomyCertificate):
             self.mode = "line"
-            self.op = cert.op if cert.op is not None else _as_operator(A, rtol, atol)
+            self.op = cert.op if cert.op is not None else _as_operator(A)
             fams = cert.families
             if fams is None:
                 T = cert.interval[1]
@@ -846,7 +824,7 @@ class GreenKernel:
                     "dichotomy kernels expect a forward half-line interval"
                 )
             self.mode = "halfline"
-            self.op = _as_operator(A, rtol, atol)
+            self.op = _as_operator(A)
             hint = max(0.2, min(5.0, cert.nu))
             self.fam_plus = _build_half_family(self.op, lo, hi, cert.P, "lo", hint)
             self.fam_minus = None
@@ -990,16 +968,6 @@ def _shifted_projector(op, P, h, base=0.0):
     n = op.A.n
     M = op.matrix(base, base + h)
     return M @ P @ np.linalg.inv(M)
-
-
-def green_matrix(kernel: GreenKernel, t, tau, side=None) -> np.ndarray:
-    """Green matrix G(t, tau) of the certified kernel."""
-    return kernel.matrix(t, tau, side=side)
-
-
-def green_eval(kernel: GreenKernel, t, tau, v, side=None) -> np.ndarray:
-    """Apply the Green matrix to a vector: G(t, tau) @ v."""
-    return kernel.matrix(t, tau, side=side) @ np.asarray(v, dtype=float)
 
 
 def green_shift_check(kernel: GreenKernel, h: float, pairs=None) -> float:

@@ -1,7 +1,7 @@
-"""Transition (Cauchy) operator of x' = A(t) x and projector transport.
+"""Transition (Cauchy) operator of x' = A(t) x.
 
 The integrator is scipy's embedded Runge-Kutta 5(4) pair (Dormand-Prince)
-with dense output, run at rel tol 1e-9 / abs tol 1e-12 by default.  Transition
+with dense output, run at rel tol 1e-9 / abs tol 1e-12.  Transition
 matrices over long windows are never assembled as a single product chain in
 the growing direction; higher-level code (hyperbolicity module) always works
 leg by leg and projects onto decaying directions.
@@ -10,23 +10,18 @@ leg by leg and projects onto decaying directions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .expr import compile_expr, free_vars, parse, substitute, Bin, Num, Var
 
 __all__ = [
     "CoefficientMatrix",
     "TransitionOperator",
-    "ProjectorPath",
     "PropagationError",
-    "ProjectorTransportError",
-    "propagate",
-    "transition_matrix",
-    "transport_projector",
 ]
 
-DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-12
+RTOL = 1e-9
+ATOL = 1e-12
 
 
 class PropagationError(Exception):
@@ -35,10 +30,6 @@ class PropagationError(Exception):
     def __init__(self, message: str, at_time: float):
         super().__init__(f"{message} (near t = {at_time:.6g})")
         self.at_time = at_time
-
-
-class ProjectorTransportError(Exception):
-    """Idempotency restoration diverged while transporting a projector."""
 
 
 class CoefficientMatrix:
@@ -87,14 +78,11 @@ class TransitionOperator:
     """Dense-output solution operator Phi(t, tau) with leg caching.
 
     Cached legs map (t0, t1) to the dense solution of the matrix equation
-    Y' = A(t) Y, Y(t0) = I on [t0, t1].  Cache fills are idempotent (the
-    integrator is deterministic), so concurrent duplicate fills are harmless.
+    Y' = A(t) Y, Y(t0) = I on [t0, t1].
     """
 
-    def __init__(self, A: CoefficientMatrix, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    def __init__(self, A: CoefficientMatrix):
         self.A = A
-        self.rtol = rtol
-        self.atol = atol
         self._legs = {}
 
     def _matrix_rhs(self, t, y):
@@ -114,8 +102,8 @@ class TransitionOperator:
             (t0, t1),
             y0,
             method="RK45",
-            rtol=self.rtol,
-            atol=self.atol,
+            rtol=RTOL,
+            atol=ATOL,
             dense_output=True,
         )
         if not sol.success:
@@ -129,143 +117,3 @@ class TransitionOperator:
         if t0 == t1:
             return np.eye(n)
         return self.solve_leg(t0, t1)(t1).reshape(n, n)
-
-    def propagate(self, t0: float, t1: float, v) -> np.ndarray:
-        """Solve x' = A(t)x, x(t0) = v, and return x(t1)."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape[0] != self.A.n:
-            raise ValueError("vector dimension mismatch")
-        if t0 == t1:
-            return v.copy()
-        sol = solve_ivp(
-            lambda t, y: self.A.value(t) @ y,
-            (t0, t1),
-            v,
-            method="RK45",
-            rtol=self.rtol,
-            atol=self.atol,
-        )
-        if not sol.success:
-            raise PropagationError(f"propagation failed: {sol.message}", sol.t[-1])
-        return sol.y[:, -1]
-
-
-def propagate(A: CoefficientMatrix, t_from, t_to, v, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Propagate the vector ``v`` from ``t_from`` to ``t_to`` (either direction)."""
-    return TransitionOperator(A, rtol, atol).propagate(t_from, t_to, v)
-
-
-def transition_matrix(A: CoefficientMatrix, t_from, t_to, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Transition matrix Phi(t_to, t_from), computed column-wise."""
-    return TransitionOperator(A, rtol, atol).matrix(t_from, t_to)
-
-
-def _restore(P: np.ndarray) -> np.ndarray:
-    # one Newton-like sweep toward the idempotent manifold
-    return 3.0 * (P @ P) - 2.0 * (P @ P @ P)
-
-
-class ProjectorPath:
-    """Samples of a projector transported along the flow of x' = A(t)x."""
-
-    def __init__(self, base: np.ndarray, grid: np.ndarray, samples: np.ndarray):
-        self.base = base
-        self.grid = grid
-        self.samples = samples
-
-    @property
-    def max_idempotency_drift(self) -> float:
-        return max(
-            float(np.linalg.norm(P @ P - P, 2)) for P in self.samples
-        )
-
-    @property
-    def max_norm(self) -> float:
-        """Max of ||P(t)|| along the path, the boundedness surrogate."""
-        return max(float(np.linalg.norm(P, 2)) for P in self.samples)
-
-    def intertwining_residual(self, op: TransitionOperator, index: int) -> float:
-        """|| Phi(t,t0) P0 - P(t) Phi(t,t0) || at grid point ``index``."""
-        t0, t = self.grid[0], self.grid[index]
-        M = op.matrix(t0, t)
-        return float(np.linalg.norm(M @ self.base - self.samples[index] @ M, 2))
-
-
-def transport_projector(
-    A: CoefficientMatrix,
-    P0,
-    grid,
-    rtol=DEFAULT_RTOL,
-    atol=DEFAULT_ATOL,
-    restore_every: int = 10,
-) -> ProjectorPath:
-    """Transport ``P0`` along the flow by the commutator equation.
-
-    Integrates P' = A(t)P - PA(t) from ``grid[0]`` with the idempotency
-    restoration P <- 3P^2 - 2P^3 applied every ``restore_every`` accepted
-    steps.  Raises :class:`ProjectorTransportError` when restoration diverges.
-    """
-    P0 = np.asarray(P0, dtype=float)
-    n = P0.shape[0]
-    if P0.shape != (n, n):
-        raise ValueError("projector must be square")
-    if np.linalg.norm(P0 @ P0 - P0, 2) > 1e-10:
-        raise ValueError("base projector is not idempotent within 1e-10")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.shape[0] < 1:
-        raise ValueError("grid must contain at least one time")
-    steps = np.diff(grid)
-    if not (np.all(steps > 0) or np.all(steps < 0)):
-        raise ValueError("grid must be strictly monotone")
-
-    def rhs(t, y):
-        P = y.reshape(n, n)
-        At = A.value(t)
-        return (At @ P - P @ At).reshape(-1)
-
-    samples = np.empty((grid.shape[0], n, n))
-    samples[0] = P0
-    if grid.shape[0] == 1:
-        return ProjectorPath(P0, grid, samples)
-
-    t_end = grid[-1]
-    direction = 1.0 if t_end > grid[0] else -1.0
-    rk = RK45(rhs, grid[0], P0.reshape(-1), t_end, rtol=rtol, atol=atol)
-    next_idx = 1
-    accepted = 0
-    while next_idx < grid.shape[0]:
-        if rk.status == "finished":
-            samples[next_idx:] = rk.y.reshape(n, n)
-            break
-        if rk.status == "failed":
-            raise PropagationError("projector transport failed", rk.t)
-        t_prev = rk.t
-        rk.step()
-        accepted += 1
-        dense = rk.dense_output()
-        while next_idx < grid.shape[0] and (
-            (grid[next_idx] - t_prev) * direction >= 0
-            and (rk.t - grid[next_idx]) * direction >= 0
-        ):
-            samples[next_idx] = dense(grid[next_idx]).reshape(n, n)
-            next_idx += 1
-        if accepted % restore_every == 0 and rk.status == "running":
-            P = rk.y.reshape(n, n)
-            drift = np.linalg.norm(P @ P - P, 2)
-            if drift > 0.25:
-                raise ProjectorTransportError(
-                    f"idempotency drift {drift:.3g} at t = {rk.t:.6g}; "
-                    "projector transport is diverging"
-                )
-            restored = _restore(P)
-            rk = RK45(rhs, rk.t, restored.reshape(-1), t_end, rtol=rtol, atol=atol)
-    # final safeguard restoration on the reported samples
-    for i in range(1, samples.shape[0]):
-        drift = np.linalg.norm(samples[i] @ samples[i] - samples[i], 2)
-        if drift > 0.25:
-            raise ProjectorTransportError(
-                f"idempotency drift {drift:.3g} at grid point {i}"
-            )
-        if drift > 1e-12:
-            samples[i] = _restore(samples[i])
-    return ProjectorPath(P0, grid, samples)

@@ -49,6 +49,13 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
+# Lipschitz sampling: 21 times on [-10, 10], point pairs in the cube of
+# half-width 2 around the origin
+_SAMPLE_TIMES = np.linspace(-10.0, 10.0, 21)
+_SAMPLE_RADIUS = 2.0
+
+_MAX_PICARD_ITER = 60
+
 
 class SolverError(Exception):
     """Base class for solver failures."""
@@ -67,6 +74,17 @@ def _tail_horizon(N: float, nu: float, fnorm: float, tol: float) -> float:
     if fnorm <= 0.0:
         return 1.0
     return max(1.0, math.log(max(1.0, 2.0 * N * fnorm / (nu * tol))) / nu)
+
+
+def _contraction_ratio(N: float, nu: float, L: float, label: str) -> float:
+    """Contraction ratio alpha = 2 N L / nu of the Picard map; alpha >= 1 is refused."""
+    alpha = 2.0 * N * L / nu
+    if alpha >= 1.0:
+        raise ContractionError(
+            f"contraction requires L < nu/(2N) = {nu / (2 * N):.6g}; "
+            f"{label} = {L:.6g} gives alpha = {alpha:.6g} >= 1"
+        )
+    return alpha
 
 
 def _deviation_bound(N: float, nu: float, L: float, fnorm: float) -> float:
@@ -326,17 +344,17 @@ def _grid_values(exprs, env, shape) -> np.ndarray:
     )
 
 
-def _sampled_lipschitz_ratio(exprs, draws, seed, t_range=(-10.0, 10.0), radius=2.0):
-    """Largest |F(t, x) - F(t, y)| / |x - y| over ``draws`` random pairs per time,
-    drawn from the cube of half-width ``radius`` at 21 times spanning ``t_range``.
+def _sampled_lipschitz_ratio(exprs, draws, seed):
+    """Largest |F(t, x) - F(t, y)| / |x - y| over ``draws`` random pairs per
+    sample time, drawn from the cube of half-width ``_SAMPLE_RADIUS``.
     """
     n = len(exprs)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t in np.linspace(t_range[0], t_range[1], 21):
+    for t in _SAMPLE_TIMES:
         for _ in range(draws):
-            x = rng.uniform(-radius, radius, n)
-            y = rng.uniform(-radius, radius, n)
+            x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, n)
+            y = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, n)
             dxy = float(np.linalg.norm(x - y))
             if dxy < 1e-12:
                 continue
@@ -355,7 +373,7 @@ class LipschitzSpec:
     Evaluation returns ``factor`` times F; ``scaled`` sets the factor.
     """
 
-    def __init__(self, exprs, L, t_range=(-10.0, 10.0), radius=2.0, seed=0):
+    def __init__(self, exprs, L):
         if L <= 0.0:
             raise ValueError("Lipschitz constant must be positive")
         self.exprs = [parse(e) if isinstance(e, str) else e for e in exprs]
@@ -369,14 +387,14 @@ class LipschitzSpec:
                 raise ValueError(
                     f"component {i + 1} uses unknown variables {sorted(extra)}"
                 )
-        self.report = self._validate(t_range, radius, seed)
+        self.report = self._validate()
 
-    def _validate(self, t_range, radius, seed):
+    def _validate(self):
         worst_zero = 0.0
-        for t in np.linspace(t_range[0], t_range[1], 21):
+        for t in _SAMPLE_TIMES:
             z = self(t, np.zeros(self.n))
             worst_zero = max(worst_zero, float(np.linalg.norm(z)))
-        worst_ratio = _sampled_lipschitz_ratio(self.exprs, 8, seed, t_range, radius)
+        worst_ratio = _sampled_lipschitz_ratio(self.exprs, 8, seed=0)
         if worst_zero > 1e-12:
             raise ValueError(
                 f"F(t, 0) must vanish; sampled norm {worst_zero:.3g}"
@@ -436,7 +454,6 @@ def picard_solve(
     f: GridFunction,
     Fspec: LipschitzSpec,
     tol: float = 1e-6,
-    max_iter: int = 60,
     initial: Optional[GridFunction] = None,
     _phi0: Optional[GridFunction] = None,
 ):
@@ -451,12 +468,7 @@ def picard_solve(
     are far below tolerance.  Returns (phi, PicardReport).
     """
     N, nu = K.cert.N, K.cert.nu
-    alpha = 2.0 * N * Fspec.L / nu
-    if alpha >= 1.0:
-        raise ContractionError(
-            f"contraction requires L < nu/(2N) = {nu / (2 * N):.6g}; "
-            f"declared L = {Fspec.L:.6g} gives alpha = {alpha:.6g} >= 1"
-        )
+    alpha = _contraction_ratio(N, nu, Fspec.L, "declared L")
     fnorm = f.sup_norm
     Tc = _tail_horizon(N, nu, fnorm, tol)
     phi0 = _phi0
@@ -471,7 +483,7 @@ def picard_solve(
     last_delta = None
     converged = False
     final_residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_PICARD_ITER):
         g_vals = Fspec.on_grid(times, psi + phi0.values)
         g = GridFunction(phi0.a, phi0.b, g_vals)
         psi_next = solve_linear_bounded(
@@ -489,7 +501,7 @@ def picard_solve(
     if not converged:
         last = ratios[-1] if ratios else math.nan
         raise SolverError(
-            f"Picard iteration did not converge in {max_iter} steps "
+            f"Picard iteration did not converge in {_MAX_PICARD_ITER} steps "
             f"(last contraction ratio {last:.4g})"
         )
 
@@ -531,13 +543,8 @@ def epsilon_continuation(K, f, Fspec, eps_list, tol: float = 1e-6):
     bounded solution; the runs share the kernel and phi_0.
     """
     N, nu = K.cert.N, K.cert.nu
-    limit = nu / (2.0 * N)
     for e in eps_list:
-        if abs(e) * Fspec.L >= limit:
-            raise ContractionError(
-                f"eps = {e:.6g} puts |eps|*L = {abs(e) * Fspec.L:.6g} at or "
-                f"above nu/(2N) = {limit:.6g}"
-            )
+        _contraction_ratio(N, nu, abs(e) * Fspec.L, f"at eps = {e:.6g}, |eps|*L")
     phi0_full = solve_linear_bounded(K, f, tol=tol, clamp_edges=True)
 
     def one(e):
@@ -577,12 +584,7 @@ class C1ProbeReport:
         }
 
 
-def example_c1_probe(
-    eps: float,
-    T: float = 20.0,
-    h: float = 0.01,
-    crosscheck_window: float = 5.0,
-) -> C1ProbeReport:
+def example_c1_probe(eps: float, T: float = 20.0) -> C1ProbeReport:
     """Probe the scalar cubic equation x' = x - eps e^{-|t|} x^3.
 
     Besides x = 0 the equation has the pair x = +-q_eps with
@@ -598,6 +600,8 @@ def example_c1_probe(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     T = float(T)
+    h = 0.01
+    crosscheck_window = 5.0
     m = int(round(2 * T / h))
     times = -T + h * np.arange(m + 1)
 

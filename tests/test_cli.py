@@ -14,6 +14,7 @@ from conftest import problem_path, read_solution_csv, run_cli
 
 import trichotomy.cli
 from trichotomy.cli import ProblemError, load_problem, save_problem
+from trichotomy.propagator import TransitionOperator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -237,6 +238,19 @@ class TestCheckCommands:
         assert data["ok"] is False
         assert "reason" in data
 
+    def test_dichotomy_stages_share_one_operator(self, tmp_path, monkeypatch):
+        built = []
+        init = TransitionOperator.__init__
+
+        def counting_init(self, A):
+            built.append(A)
+            init(self, A)
+
+        monkeypatch.setattr(TransitionOperator, "__init__", counting_init)
+        rc = run_cli(["check-dichotomy", problem_path("diag_cos"), "--out", tmp_path])
+        assert rc == 0
+        assert len(built) == 1
+
     def test_trichotomy_certified(self, tmp_path):
         out = tmp_path / "out"
         rc = run_cli(["check-trichotomy", problem_path("trich_tanh"), "--out", out])
@@ -347,6 +361,20 @@ class TestMainInterface:
         assert rc == 0
         phi = read_solution_csv(out / "sol.csv")
         assert (phi.a, phi.b) == (-4.0, 4.0)
+
+    def test_module_run_raises_no_runtime_warning(self):
+        package_dir = Path(trichotomy.__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_dir.parent), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "trichotomy.cli",
+             "--help"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "check-dichotomy" in proc.stdout
 
     def test_console_script_is_installed(self, tmp_path):
         """The declared ``trichotomy`` script runs ``main`` and exits with its code.

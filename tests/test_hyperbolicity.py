@@ -18,8 +18,6 @@ from trichotomy.hyperbolicity import (
     certificate_to_json,
     estimate_constants,
     estimate_stable_projector,
-    green_eval,
-    green_matrix,
     green_shift_check,
     verify_dichotomy,
 )
@@ -151,19 +149,19 @@ class TestGreenKernel:
             assert np.max(np.abs(G - saddle_green(t, tau))) <= 1e-8
 
     def test_unit_vector_images(self, saddle_kernel):
-        out = green_eval(saddle_kernel, 1.0, 0.0, [1.0, 0.0])
+        out = saddle_kernel.matrix(1.0, 0.0) @ [1.0, 0.0]
         assert np.allclose(out, [np.exp(-1.0), 0.0], atol=1e-9)
-        out = green_eval(saddle_kernel, 0.0, 1.0, [0.0, 1.0])
+        out = saddle_kernel.matrix(0.0, 1.0) @ [0.0, 1.0]
         assert np.allclose(out, [0.0, -np.exp(-1.0)], atol=1e-9)
 
     def test_center_branch_tanh(self, trich_kernel):
-        out = green_eval(trich_kernel, 2.0, 1.0, [0.0, 0.0, 1.0])
+        out = trich_kernel.matrix(2.0, 1.0) @ [0.0, 0.0, 1.0]
         ratio = np.cosh(1.0) / np.cosh(2.0)
         assert out[2] == pytest.approx(ratio, abs=1e-8)
         assert abs(out[0]) <= 1e-9 and abs(out[1]) <= 1e-9
 
     def test_tanh_closed_form_across_branches(self, trich_kernel):
-        G = green_matrix(trich_kernel, 5.0, 2.0)
+        G = trich_kernel.matrix(5.0, 2.0)
         expect = np.diag([np.exp(-3.0), 0.0, np.cosh(2.0) / np.cosh(5.0)])
         assert np.max(np.abs(G - expect)) <= 1e-8
 

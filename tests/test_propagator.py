@@ -1,47 +1,38 @@
-"""Transition operators and projector transport for x' = A(t) x."""
+"""Transition operators for x' = A(t) x."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trichotomy.propagator import (
-    CoefficientMatrix,
-    TransitionOperator,
-    propagate,
-    transition_matrix,
-    transport_projector,
-)
+from trichotomy.propagator import CoefficientMatrix, TransitionOperator
 
 
 class TestPropagate:
     def test_quarter_turn(self, rotor_A):
-        out = propagate(rotor_A, 0.0, np.pi / 2, [1.0, 0.0])
+        out = TransitionOperator(rotor_A).matrix(0.0, np.pi / 2) @ [1.0, 0.0]
         assert np.allclose(out, [0.0, -1.0], atol=1e-8)
 
     def test_zero_length_is_identity(self, rotor_A):
         v = np.array([0.3, -1.2])
-        assert np.array_equal(propagate(rotor_A, 1.5, 1.5, v), v)
+        assert np.array_equal(TransitionOperator(rotor_A).matrix(1.5, 1.5) @ v, v)
 
     def test_scalar_decay(self):
         A = CoefficientMatrix.from_strings([["-1"]])
-        out = propagate(A, 0.0, 1.0, [1.0])
+        out = TransitionOperator(A).matrix(0.0, 1.0) @ [1.0]
         assert out[0] == pytest.approx(0.3678794412, abs=1e-9)
 
     def test_backward_inverts_forward(self, rotation_A):
+        op = TransitionOperator(rotation_A)
         v = np.array([1.0, 2.0])
-        there = propagate(rotation_A, 0.0, 3.0, v)
-        back = propagate(rotation_A, 3.0, 0.0, there)
+        there = op.matrix(0.0, 3.0) @ v
+        back = op.matrix(3.0, 0.0) @ there
         assert np.linalg.norm(back - v) < 1e-7
-
-    def test_dimension_mismatch_rejected(self, rotor_A):
-        with pytest.raises(ValueError):
-            propagate(rotor_A, 0.0, 1.0, [1.0, 0.0, 0.0])
 
 
 class TestTransitionMatrix:
     def test_diagonal_saddle(self, saddle_A):
-        M = transition_matrix(saddle_A, 0.0, 1.0)
+        M = TransitionOperator(saddle_A).matrix(0.0, 1.0)
         assert np.allclose(
             M, np.diag([np.exp(-1.0), np.exp(1.0)]), rtol=1e-8, atol=1e-10
         )
@@ -58,56 +49,22 @@ class TestTransitionMatrix:
 
         tr = lambda s: np.trace(rotation_A.value(s))
         t = 2.5
-        M = transition_matrix(rotation_A, 0.0, t)
+        M = TransitionOperator(rotation_A).matrix(0.0, t)
         expected = np.exp(quad(tr, 0.0, t, epsabs=1e-12)[0])
         assert abs(np.linalg.det(M) - expected) <= 1e-6 * abs(expected)
 
     def test_shifted_coefficient(self, rotation_A):
         sh = rotation_A.shifted(0.7)
         assert np.allclose(sh.value(1.0), rotation_A.value(1.7), atol=1e-14)
-        M1 = transition_matrix(sh, 0.0, 1.0)
-        M2 = transition_matrix(rotation_A, 0.7, 1.7)
+        M1 = TransitionOperator(sh).matrix(0.0, 1.0)
+        M2 = TransitionOperator(rotation_A).matrix(0.7, 1.7)
         assert np.linalg.norm(M1 - M2, 2) < 1e-7
 
     def test_reversed_coefficient(self, saddle_A):
         rev = saddle_A.reversed()
         assert np.allclose(rev.value(2.0), -saddle_A.value(-2.0))
-        M = transition_matrix(rev, 0.0, 1.0)
+        M = TransitionOperator(rev).matrix(0.0, 1.0)
         assert np.allclose(M, np.diag([np.exp(1.0), np.exp(-1.0)]), rtol=1e-7)
-
-
-class TestProjectorTransport:
-    def test_constant_diagonal_projector_is_fixed(self, saddle_A):
-        grid = np.linspace(0.0, 5.0, 26)
-        path = transport_projector(saddle_A, np.diag([1.0, 0.0]), grid)
-        assert path.max_idempotency_drift < 1e-8
-        assert max(
-            np.linalg.norm(P - np.diag([1.0, 0.0]), 2) for P in path.samples
-        ) < 1e-7
-
-    def test_intertwining_with_flow(self, rotation_A):
-        grid = np.linspace(0.0, 1.0, 11)
-        path = transport_projector(rotation_A, np.diag([1.0, 0.0]), grid)
-        op = TransitionOperator(rotation_A)
-        assert path.intertwining_residual(op, 10) < 1e-7
-
-    def test_identity_projector_transports_to_identity(self, rotation_A):
-        grid = np.linspace(0.0, 4.0, 9)
-        path = transport_projector(rotation_A, np.eye(2), grid)
-        assert max(np.linalg.norm(P - np.eye(2), 2) for P in path.samples) < 1e-9
-
-    def test_backward_grid(self, rotation_A):
-        grid = np.linspace(0.0, -2.0, 11)
-        path = transport_projector(rotation_A, np.diag([1.0, 0.0]), grid)
-        assert path.max_idempotency_drift < 1e-8
-
-    def test_non_idempotent_base_rejected(self, rotation_A):
-        with pytest.raises(ValueError):
-            transport_projector(rotation_A, [[0.5, 0.0], [0.0, 0.0]], [0.0, 1.0])
-
-    def test_non_monotone_grid_rejected(self, rotation_A):
-        with pytest.raises(ValueError):
-            transport_projector(rotation_A, np.diag([1.0, 0.0]), [0.0, 2.0, 1.0])
 
 
 class TestCoefficientMatrix:
@@ -122,25 +79,6 @@ class TestCoefficientMatrix:
     def test_value_at_time(self, trich_A):
         V = trich_A.value(0.5)
         assert V[2, 2] == pytest.approx(-np.tanh(0.5), abs=1e-15)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.floats(-2, 2),
-    st.floats(-2, 2),
-    st.floats(-2, 2),
-    st.floats(-2, 2),
-    st.floats(-3, 3),
-    st.floats(-3, 3),
-)
-def test_propagation_is_linear(rotation_A, u1, u2, v1, v2, al, be):
-    op = TransitionOperator(rotation_A)
-    u = np.array([u1, u2])
-    v = np.array([v1, v2])
-    combined = op.propagate(0.0, 1.5, al * u + be * v)
-    separate = al * op.propagate(0.0, 1.5, u) + be * op.propagate(0.0, 1.5, v)
-    scale = max(1.0, np.linalg.norm(combined))
-    assert np.linalg.norm(combined - separate) <= 1e-8 * scale
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
 
+import trichotomy.solvers
 from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import GreenKernel, WindowTooSmall
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
+    _contraction_ratio,
     epsilon_continuation,
     example_c1_probe,
     ode_residual,
@@ -256,6 +258,30 @@ class TestContinuation:
         Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
         with pytest.raises(ContractionError):
             epsilon_continuation(scalar_kernel, scalar_forcing, Fspec, [5.0])
+
+    def test_ladder_refused_before_any_solve(
+        self, scalar_kernel, scalar_forcing, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            trichotomy.solvers, "solve_linear_bounded",
+            lambda *args, **kwargs: calls.append(args),
+        )
+        Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
+        refusal = r"nu/\(2N\).*eps = 5.*\|eps\|\*L = 0\.5.*alpha"
+        with pytest.raises(ContractionError, match=refusal):
+            epsilon_continuation(scalar_kernel, scalar_forcing, Fspec, [0.1, 5.0])
+        assert calls == []
+
+
+def test_contraction_ratio_and_refusal_message():
+    assert _contraction_ratio(2.0, 1.0, 0.1, "declared L") == pytest.approx(0.4)
+    with pytest.raises(ContractionError) as exc:
+        _contraction_ratio(1.0, 1.0, 0.6, "declared L")
+    assert str(exc.value) == (
+        "contraction requires L < nu/(2N) = 0.5; "
+        "declared L = 0.6 gives alpha = 1.2 >= 1"
+    )
 
 
 def fresh(K):
