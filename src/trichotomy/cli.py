@@ -308,7 +308,7 @@ def _build_kernel(spec, S):
     cert = build_trichotomy(spec.A, S, **_certificate_args(spec))
     if isinstance(cert, TrichotomyIncompatibility):
         return None, cert
-    return GreenKernel(spec.A, cert), cert
+    return GreenKernel(cert), cert
 
 
 def _rough_forcing_norm(spec, S) -> float:
@@ -349,7 +349,7 @@ def _build_kernel_grown(spec, cert, S):
         raise NonHyperbolicError(
             "certified projectors fail compatibility on the grown window"
         )
-    return GreenKernel(spec.A, grown), grown
+    return GreenKernel(grown), grown
 
 
 def _incompatibility_exit(out_dir, cert) -> int:

@@ -162,7 +162,6 @@ class SubspaceEstimate:
     rank: int
     gap_ratio: float
     log_singular_values: tuple
-    trivial: Optional[str]  # "stable", "unstable" or None
     span: float = 1.0  # length of the estimation interval
 
     @property
@@ -206,17 +205,14 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
 
     if k_grow == 0:
         gap = math.exp(min(700.0, -logs[0]))
-        trivial = "stable"
         P = np.eye(n)
         rank = n
     elif k_grow == n:
         gap = math.exp(min(700.0, logs[-1]))
-        trivial = "unstable"
         P = np.zeros((n, n))
         rank = 0
     else:
         gap = math.exp(min(700.0, logs[k_grow - 1] - logs[k_grow]))
-        trivial = None
         V_stable = Vt[k_grow:].T
         P = V_stable @ V_stable.T
         rank = n - k_grow
@@ -231,7 +227,6 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
         rank=rank,
         gap_ratio=gap,
         log_singular_values=tuple(logs),
-        trivial=trivial,
         span=hi - lo,
     )
 
@@ -246,11 +241,10 @@ class ProjectorFamily:
     for a stable-type projector, "backward" for an unstable-type one.
     """
 
-    def __init__(self, op, anchors, projectors, rank, t_ref, seed_residual, orientation):
+    def __init__(self, op, anchors, projectors, t_ref, seed_residual, orientation):
         self.op = op
         self.anchors = np.asarray(anchors, dtype=float)
         self.projectors = projectors
-        self.rank = rank
         self.t_ref = float(t_ref)
         self.seed_residual = seed_residual
         self.orientation = orientation
@@ -313,7 +307,6 @@ def _sweep_backward(legs, Bm):
 def _sweep_family(
     op: TransitionOperator,
     anchors: np.ndarray,
-    rank: int,
     seed_basis: np.ndarray,
     data_end: str,
     orientation: str,
@@ -328,7 +321,7 @@ def _sweep_family(
     end where exact projector data is available; the basis whose sweep
     starts there is seeded with ``seed_basis`` and the other basis starts
     at the opposite end as the orthogonal complement of the first sweep's
-    final value.
+    final value.  A backward-decaying range is only seeded at ``"hi"``.
     """
     m = len(anchors) - 1
     legs = _leg_matrices(op, anchors)
@@ -340,16 +333,14 @@ def _sweep_family(
         else:
             R = _sweep_backward(legs, _orth(seed_basis) if seed_basis.size else seed_basis)
             K = _sweep_forward(legs, _orth_complement(R[0]))
-    elif orientation == "backward":
+    elif orientation == "backward" and data_end == "hi":
         # kernel sweeps backward (starts at hi), range forward (starts at lo)
-        if data_end == "hi":
-            K = _sweep_backward(legs, _orth(seed_basis) if seed_basis.size else seed_basis)
-            R = _sweep_forward(legs, _orth_complement(K[0]))
-        else:
-            R = _sweep_forward(legs, _orth(seed_basis) if seed_basis.size else seed_basis)
-            K = _sweep_backward(legs, _orth_complement(R[m]))
+        K = _sweep_backward(legs, _orth(seed_basis) if seed_basis.size else seed_basis)
+        R = _sweep_forward(legs, _orth_complement(K[0]))
     else:
-        raise ValueError("orientation must be 'forward' or 'backward'")
+        raise ValueError(
+            "orientation must be 'forward', or 'backward' with data_end 'hi'"
+        )
 
     projectors = [_oblique_projector(R[i], K[i]) for i in range(m + 1)]
     t_ref = anchors[0] if data_end == "lo" else anchors[-1]
@@ -357,7 +348,7 @@ def _sweep_family(
     if seed_P is not None:
         ref_idx = 0 if data_end == "lo" else m
         seed_residual = float(np.linalg.norm(projectors[ref_idx] - seed_P, 2))
-    return ProjectorFamily(op, anchors, projectors, rank, t_ref, seed_residual, orientation)
+    return ProjectorFamily(op, anchors, projectors, t_ref, seed_residual, orientation)
 
 
 def _range_basis(P: np.ndarray, rank: int) -> np.ndarray:
@@ -389,7 +380,7 @@ def _build_half_family(
             seed = U[:, sig < 0.5]
     else:
         seed = _range_basis(P_seed, rank)
-    return _sweep_family(op, anchors, rank, seed, data_end, orientation, seed_P=P_seed)
+    return _sweep_family(op, anchors, seed, data_end, orientation, seed_P=P_seed)
 
 
 def _chain_norm_samples(family: ProjectorFamily, lo, hi, direction: str):
@@ -791,46 +782,22 @@ class GreenKernel:
     -Phi(t, tau) Q(tau) for t < tau and Phi(t, tau) (I - Q)(tau) for t > tau.
     Every branch propagates its projected content in the direction where it
     decays, re-projecting at unit anchors, so evaluation stays stable over
-    arbitrarily long windows.  For a half-line dichotomy only the first two
-    branches exist.
+    arbitrarily long windows.  ``cert`` must be the certificate that
+    :func:`build_trichotomy` returned: the kernel runs on its operator and
+    projector families.
     """
 
-    def __init__(self, A, cert):
+    def __init__(self, cert):
+        if not isinstance(cert, TrichotomyCertificate) or cert.families is None:
+            raise ValueError(
+                "a Green kernel needs the certificate build_trichotomy returns; "
+                f"got a {type(cert).__name__} with no projector families"
+            )
         self.cert = cert
-        if isinstance(cert, TrichotomyCertificate):
-            self.mode = "line"
-            self.op = cert.op if cert.op is not None else _as_operator(A)
-            fams = cert.families
-            if fams is None:
-                T = cert.interval[1]
-                hint = max(0.2, min(5.0, cert.nu))
-                fams = (
-                    _build_half_family(self.op, 0.0, T, cert.P, "lo", hint),
-                    _build_half_family(
-                        self.op, -T, 0.0, cert.Q, "hi", hint, orientation="backward"
-                    ),
-                )
-            self.fam_plus, self.fam_minus = fams
-        elif isinstance(cert, DichotomyCertificate):
-            if not cert.ok:
-                rep = cert.report
-                raise ValueError(
-                    f"uncertified dichotomy (max_slack = {rep.get('max_slack', math.nan):.3g}, "
-                    f"seed_residual = {rep.get('seed_residual', math.nan):.3g}): no Green kernel"
-                )
-            lo, hi = cert.interval
-            if lo < 0:
-                raise ValueError(
-                    "dichotomy kernels expect a forward half-line interval"
-                )
-            self.mode = "halfline"
-            self.op = _as_operator(A)
-            hint = max(0.2, min(5.0, cert.nu))
-            self.fam_plus = _build_half_family(self.op, lo, hi, cert.P, "lo", hint)
-            self.fam_minus = None
-        else:
-            raise TypeError("cert must be a dichotomy or trichotomy certificate")
+        self.op = cert.op
         self.A = self.op.A
+        self.fam_plus, self.fam_minus = cert.families
+        self.anchors = np.concatenate([self.fam_minus.anchors[:-1], self.fam_plus.anchors])
         self.window = tuple(float(x) for x in cert.interval)
         # Green-quadrature plans of the solver sweeps, built on first use:
         # (a0, a1, s0, s1, grid origin, grid step) -> plan of that clipped leg
@@ -842,13 +809,13 @@ class GreenKernel:
 
     def stable_projector(self, s: float) -> np.ndarray:
         """Projector whose image decays forward at time s (sweep map)."""
-        if self.mode == "halfline" or s >= 0.0:
+        if s >= 0.0:
             return self.fam_plus.projector(s)
         return np.eye(self.n) - self.fam_minus.projector(s)
 
     def unstable_projector(self, s: float) -> np.ndarray:
         """Projector whose image decays backward at time s."""
-        if self.mode == "halfline" or s >= 0.0:
+        if s >= 0.0:
             return np.eye(self.n) - self.fam_plus.projector(s)
         return self.fam_minus.projector(s)
 
@@ -861,12 +828,6 @@ class GreenKernel:
                     abs(x),
                 )
 
-    def _family_anchors(self):
-        a = list(self.fam_plus.anchors)
-        if self.fam_minus is not None:
-            a = list(self.fam_minus.anchors[:-1]) + a
-        return np.asarray(a)
-
     def _transport(self, Z, tau, t, proj_at):
         """Carry Z from tau to t leg by leg, re-projecting at anchors.
 
@@ -874,7 +835,7 @@ class GreenKernel:
         identity on the transported content; it strips the error component
         that grows in the direction of travel.
         """
-        anchors = self._family_anchors()
+        anchors = self.anchors
         op = self.op
         n = self.n
         if t == tau:
@@ -914,7 +875,7 @@ class GreenKernel:
         if t == tau and side is None:
             raise ValueError("G(t, t) is two-valued; pass side='+' or side='-'")
         upper = t > tau or (t == tau and side == "+")
-        if self.mode == "halfline" or tau >= 0.0:
+        if tau >= 0.0:
             if upper:
                 Z0, sign, proj = self.fam_plus.projector(tau), 1.0, self.stable_projector
             else:
@@ -938,35 +899,25 @@ class GreenKernel:
         """Kernel of the time-shifted system A(t + h) on the same window."""
         A_h = self.A.shifted(h)
         cert = self.cert
-        if isinstance(cert, TrichotomyCertificate):
-            if cert.report.get("estimated", False):
-                new = build_trichotomy(A_h, cert.interval[1])
-            else:
-                new = build_trichotomy(
-                    A_h,
-                    cert.interval[1],
-                    P=_shifted_projector(self.op, cert.P, h),
-                    Q=_shifted_projector(self.op, cert.Q, h),
-                    N=cert.N,
-                    nu=cert.nu,
-                )
-            if not new.ok:
-                raise HyperbolicityError(
-                    "shifted system lost its trichotomy; shift too large?"
-                )
-            return GreenKernel(A_h, new)
-        lo, hi = cert.interval
-        P_h = _shifted_projector(self.op, cert.P, h, base=lo)
-        new = DichotomyCertificate(
-            interval=(lo, hi), P=P_h, N=cert.N, nu=cert.nu, report=dict(cert.report)
-        )
-        return GreenKernel(A_h, new)
+        if cert.report.get("estimated", False):
+            new = build_trichotomy(A_h, cert.interval[1])
+        else:
+            new = build_trichotomy(
+                A_h,
+                cert.interval[1],
+                P=_shifted_projector(self.op, cert.P, h),
+                Q=_shifted_projector(self.op, cert.Q, h),
+                N=cert.N,
+                nu=cert.nu,
+            )
+        if not new.ok:
+            raise HyperbolicityError("shifted system lost its trichotomy; shift too large?")
+        return GreenKernel(new)
 
 
-def _shifted_projector(op, P, h, base=0.0):
-    """Projector of the shifted system at its time origin: P(base + h)."""
-    n = op.A.n
-    M = op.matrix(base, base + h)
+def _shifted_projector(op, P, h):
+    """Projector of the shifted system at its time origin: P(h)."""
+    M = op.matrix(0.0, h)
     return M @ P @ np.linalg.inv(M)
 
 

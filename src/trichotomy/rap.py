@@ -76,7 +76,7 @@ def remote_period_residual(phi: GridFunction, tau: float, T: float, side: str = 
         need = T + abs(tau)
         raise WindowTooSmall(
             f"no grid samples beyond horizon T = {T:g} with t + tau in "
-            f"window [{phi.a:g}, {phi.b:g}] (increase window T to >= {need:g})",
+            f"window [{phi.a:g}, {phi.b:g}]",
             need,
         )
     return worst

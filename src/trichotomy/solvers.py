@@ -27,11 +27,7 @@ from scipy.integrate import solve_ivp
 
 from .expr import eval_expr, free_vars, parse
 from .grid import GridFunction
-from .hyperbolicity import (
-    GreenKernel,
-    TrichotomyCertificate,
-    WindowTooSmall,
-)
+from .hyperbolicity import GreenKernel, WindowTooSmall
 
 __all__ = [
     "SolverError",
@@ -214,7 +210,7 @@ def _sweep(kernel: GreenKernel, f: GridFunction, lo, hi, direction):
     the running value is re-projected at every anchor crossing.  Returns
     the values on f's whole grid, zero at the grid points outside [lo, hi].
     """
-    legs = _leg_ranges(kernel._family_anchors(), lo, hi)
+    legs = _leg_ranges(kernel.anchors, lo, hi)
     out = np.zeros_like(f.values)
     Y = np.zeros(kernel.n)
     for a0, a1, s0, s1 in legs if direction == "up" else legs[::-1]:
@@ -255,8 +251,9 @@ def solve_linear_bounded(
     ``clamp_edges=True`` instead keeps the full forcing window and lets the
     truncation degrade toward the edges (used by the Picard iteration, whose
     restriction step absorbs the edge error).  A fourth-order residual check
-    |phi' - A phi - f| <= 10*tol guards the result, and in trichotomy mode
-    the center-component pin R phi(0) = 0 is enforced within tol.
+    |phi' - A phi - f| <= 10*tol guards the result, and when the output
+    window contains 0 the center-component pin R phi(0) = 0 is enforced
+    within tol.
     """
     cert = K.cert
     N, nu = cert.N, cert.nu
@@ -265,35 +262,28 @@ def solve_linear_bounded(
     Tc = _tail_horizon(N, nu, fnorm, tol)
     k_lo, k_hi = K.window
 
-    if K.mode == "halfline":
-        lo_int = max(k_lo, f.a)
-        default_out = (max(f.a, k_lo), f.b - Tc)
-    else:
-        lo_int = None
-        default_out = (f.a + Tc, f.b - Tc)
-    if clamp_edges:
-        default_out = (f.a, f.b)
+    default_out = (f.a, f.b) if clamp_edges else (f.a + Tc, f.b - Tc)
     out_lo, out_hi = out_window if out_window is not None else default_out
     i_lo = _snap_index(max(out_lo, f.a), f.a, h, up=True)
     i_hi = _snap_index(min(out_hi, f.b), f.a, h, up=False)
     out_lo, out_hi = f.a + i_lo * h, f.a + i_hi * h
-    if i_hi < i_lo:
+    if i_hi <= i_lo:
+        # an output needs two grid points; a forcing window [-Tc - h, Tc + h]
+        # keeps 0 and one neighbour on each side
         raise WindowTooSmall(
-            "forcing window too small for any output after tail truncation",
-            2 * Tc,
+            "forcing window too small for any output after tail truncation", Tc + h
         )
     if fnorm == 0.0:
         return GridFunction(out_lo, out_hi, np.zeros((i_hi - i_lo + 1, f.dim)))
 
-    if K.mode == "halfline":
-        lo_need = lo_int
-        hi_need = out_hi + Tc
-    else:
-        lo_need = out_lo - Tc
-        hi_need = out_hi + Tc
+    lo_need = out_lo - Tc
+    hi_need = out_hi + Tc
     if not clamp_edges:
         if lo_need < f.a - 1e-9 or hi_need > f.b + 1e-9:
-            raise WindowTooSmall("forcing window too small for the tail horizon", Tc)
+            raise WindowTooSmall(
+                "forcing window too small for the tail horizon",
+                max(abs(lo_need), abs(hi_need)),
+            )
     # the sweeps never leave the forcing window, so the certificate only
     # has to cover the clipped ranges
     lo_need = max(lo_need, f.a)
@@ -316,11 +306,7 @@ def solve_linear_bounded(
             raise AccuracyError(
                 f"linear solve residual {worst:.3g} exceeds 10*tol = {10 * tol:.3g}"
             )
-    if (
-        K.mode == "line"
-        and isinstance(cert, TrichotomyCertificate)
-        and out_lo <= 0.0 <= out_hi
-    ):
+    if out_lo <= 0.0 <= out_hi:
         pin = float(np.linalg.norm(cert.R @ phi(0.0)))
         if pin > tol:
             raise AccuracyError(

@@ -13,7 +13,6 @@ from trichotomy import (
     GreenKernel,
     GridFunction,
     build_trichotomy,
-    verify_dichotomy,
 )
 from trichotomy.cli import bundled_problem_path, main as cli_main
 
@@ -50,27 +49,19 @@ def rotor_A():
 def saddle_kernel(saddle_A):
     """Kernel on a window wide enough to solve out to [-10, 10] at 1e-6."""
     cert = build_trichotomy(saddle_A, 28.0)
-    return GreenKernel(saddle_A, cert)
+    return GreenKernel(cert)
 
 
 @pytest.fixture(scope="session")
 def trich_kernel(trich_A):
     cert = build_trichotomy(trich_A, 14.0)
-    return GreenKernel(trich_A, cert)
+    return GreenKernel(cert)
 
 
 @pytest.fixture(scope="session")
 def rotation_kernel(rotation_A):
     cert = build_trichotomy(rotation_A, 14.0)
-    return GreenKernel(rotation_A, cert)
-
-
-@pytest.fixture(scope="session")
-def halfline_kernel(saddle_A):
-    """Half-line dichotomy kernel on [0, 30] with the exact saddle data."""
-    cert = verify_dichotomy(saddle_A, np.diag([1.0, 0.0]), (0.0, 30.0), 1.0, 0.95)
-    assert cert.ok
-    return GreenKernel(saddle_A, cert)
+    return GreenKernel(cert)
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +69,7 @@ def scalar_kernel():
     """A = -1 with the exact certificate P=1, Q=0, N=1, nu=1."""
     A = CoefficientMatrix.from_strings([["-1"]])
     cert = build_trichotomy(A, 36.0, P=[[1.0]], Q=[[0.0]], N=1.0, nu=1.0)
-    return GreenKernel(A, cert)
+    return GreenKernel(cert)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ def test_kernel_jump_identity_across_problems():
     for name in ("diag_cos", "trich_tanh", "rotation"):
         spec = load_problem(problem_path(name))
         cert = build_trichotomy(spec.A, 12.0)
-        kernel = GreenKernel(spec.A, cert)
+        kernel = GreenKernel(cert)
         eye = np.eye(spec.dim)
         for tau in rng.uniform(-11.0, 11.0, 20):
             jump = kernel.matrix(tau, tau, side="+") - kernel.matrix(
@@ -51,7 +51,7 @@ def test_linear_solver_matches_closed_form():
     start = time.monotonic()
     spec = load_problem(problem_path("diag_cos"))
     cert = build_trichotomy(spec.A, 26.5)
-    kernel = GreenKernel(spec.A, cert)
+    kernel = GreenKernel(cert)
     f = GridFunction.from_callable(spec.forcing_fn(), -26.0, 26.0, 0.02)
     phi = solve_linear_bounded(kernel, f, tol=1e-6, out_window=(-10.0, 10.0))
     t = phi.times

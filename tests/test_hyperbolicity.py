@@ -201,25 +201,32 @@ class TestGreenKernel:
         with pytest.raises(WindowTooSmall):
             trich_kernel.matrix(20.0, 0.0)
 
-    def test_halfline_mode_from_dichotomy_certificate(self, halfline_kernel):
-        assert halfline_kernel.mode == "halfline"
-        assert isinstance(halfline_kernel.cert, DichotomyCertificate)
-        for t, tau in [(2.0, 1.0), (1.0, 2.0), (10.0, 3.0)]:
-            G = halfline_kernel.matrix(t, tau)
-            assert np.max(np.abs(G - saddle_green(t, tau))) <= 1e-8
-
-    def test_whole_line_dichotomy_certificate_rejected(self, saddle_A):
-        cert = DichotomyCertificate(
-            interval=(-10.0, 10.0), P=np.diag([1.0, 0.0]), N=1.0, nu=0.95
-        )
-        with pytest.raises(ValueError, match="half-line"):
-            GreenKernel(saddle_A, cert)
-
-    def test_failed_dichotomy_certificate_refused(self, rotor_A):
-        out = verify_dichotomy(rotor_A, np.diag([1.0, 0.0]), (0.0, 20.0), 1.0, 0.5)
-        assert not out.ok
-        with pytest.raises(ValueError, match="max_slack"):
-            GreenKernel(rotor_A, out)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            "ok_dichotomy",
+            "failed_dichotomy",
+            "trichotomy_from_json",
+            "incompatibility",
+        ],
+    )
+    def test_only_a_built_trichotomy_certificate_is_accepted(
+        self, make, saddle_A, rotor_A, trich_kernel
+    ):
+        if make == "ok_dichotomy":
+            cert = verify_dichotomy(saddle_A, np.diag([1.0, 0.0]), (0.0, 30.0), 1.0, 0.95)
+            assert cert.ok
+        elif make == "failed_dichotomy":
+            cert = verify_dichotomy(rotor_A, np.diag([1.0, 0.0]), (0.0, 20.0), 1.0, 0.5)
+            assert not cert.ok
+        elif make == "trichotomy_from_json":
+            cert = certificate_from_json(certificate_to_json(trich_kernel.cert))
+            assert isinstance(cert, TrichotomyCertificate) and cert.families is None
+        else:
+            cert = build_trichotomy(CoefficientMatrix.from_strings([["atan(t)"]]), 12.0)
+            assert isinstance(cert, TrichotomyIncompatibility)
+        with pytest.raises(ValueError, match="build_trichotomy"):
+            GreenKernel(cert)
 
     def test_shift_invariance_autonomous(self, saddle_kernel):
         assert green_shift_check(saddle_kernel, 1.0) <= 1e-8
@@ -262,8 +269,6 @@ class TestSerialization:
         assert back.interval == cert.interval
         assert np.array_equal(back.P, cert.P)
         assert (back.N, back.nu) == (cert.N, cert.nu)
-        with pytest.raises(ValueError, match="max_slack"):
-            GreenKernel(rotor_A, back)
 
     def test_incompatibility_serializes_both_projectors(self):
         A = CoefficientMatrix.from_strings([["atan(t)"]])

@@ -67,8 +67,9 @@ class TestResidual:
         assert minus > plus  # arctan flattens slower on the side it came from
 
     def test_window_must_reach_past_horizon(self, sine):
-        with pytest.raises(WindowTooSmall, match="increase window"):
+        with pytest.raises(WindowTooSmall, match="increase window") as exc:
             remote_period_residual(sine, 45.0, 10.0, side="+")
+        assert str(exc.value).count("increase window T to >= 55") == 1
 
     def test_negative_horizon_rejected(self, sine):
         with pytest.raises(ValueError):

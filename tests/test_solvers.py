@@ -34,6 +34,22 @@ def saddle_solution(t):
     )
 
 
+def assert_hint_is_least_half_width(kernel, W, out_window):
+    """Forcing 0.5 on [-W, W] raises; the hinted half-width works and 0.95x of it not."""
+
+    def forcing(W):
+        return GridFunction.from_callable(lambda t: 0.5 + 0.0 * t, -W, W, 0.02)
+
+    with pytest.raises(WindowTooSmall) as exc:
+        solve_linear_bounded(kernel, forcing(W), out_window=out_window)
+    need = exc.value.required
+    assert str(exc.value).count("increase window") == 1
+    phi = solve_linear_bounded(kernel, forcing(need), out_window=out_window)
+    assert np.max(np.abs(phi.values - 0.5)) <= 1e-6
+    with pytest.raises(WindowTooSmall):
+        solve_linear_bounded(kernel, forcing(0.95 * need), out_window=out_window)
+
+
 class TestLinearSolve:
     def test_matches_closed_form(self, saddle_kernel, saddle_cos_forcing):
         phi = solve_linear_bounded(
@@ -78,29 +94,11 @@ class TestLinearSolve:
         pin = np.linalg.norm(trich_kernel.cert.R @ phi(0.0))
         assert pin <= 1e-4
 
-    def test_halfline_closed_form(self, halfline_kernel):
-        f = cos_pair(0.0, 30.0)
-        phi = solve_linear_bounded(halfline_kernel, f)
-        t = phi.times
-        expect = np.stack(
-            [
-                (np.cos(t) + np.sin(t) - np.exp(-t)) / 2.0,
-                (np.sin(t) - np.cos(t)) / 2.0,
-            ],
-            axis=-1,
-        )
-        assert phi.a == pytest.approx(0.0)
-        assert np.max(np.abs(phi.values - expect)) <= 1e-6
-
     def test_window_too_small_for_tail(self, scalar_kernel):
-        f = GridFunction.from_callable(lambda t: 0.5 + 0.0 * t, -3.0, 3.0, 0.02)
-        with pytest.raises(WindowTooSmall):
-            solve_linear_bounded(scalar_kernel, f)
+        assert_hint_is_least_half_width(scalar_kernel, 3.0, None)
 
     def test_explicit_window_needs_margin(self, scalar_kernel):
-        f = GridFunction.from_callable(lambda t: 0.5 + 0.0 * t, -20.0, 20.0, 0.02)
-        with pytest.raises(WindowTooSmall):
-            solve_linear_bounded(scalar_kernel, f, out_window=(-18.0, 18.0))
+        assert_hint_is_least_half_width(scalar_kernel, 20.0, (-18.0, 18.0))
 
     def test_operator_norm_bound(self, saddle_kernel, saddle_cos_forcing):
         cert = saddle_kernel.cert
@@ -286,7 +284,7 @@ def test_contraction_ratio_and_refusal_message():
 
 def fresh(K):
     """A kernel on K's certificate with no quadrature plans yet."""
-    return GreenKernel(K.A, K.cert)
+    return GreenKernel(K.cert)
 
 
 class TestQuadraturePlan:
