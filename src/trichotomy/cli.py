@@ -531,12 +531,20 @@ def _cmd_continue_epsilon(spec, flags) -> int:
     return 0
 
 
+def _single_eps(command, flags, default) -> float:
+    """The one --eps value of a command that takes no eps ladder."""
+    if not flags.eps:
+        return default
+    if len(flags.eps) > 1:
+        raise ValueError(
+            f"{command} takes one --eps value, got {len(flags.eps)}; "
+            "the audit command takes an eps ladder"
+        )
+    return flags.eps[0]
+
+
 def _cmd_probe_c1(spec, flags) -> int:
-    eps = spec.eps
-    if flags.eps:
-        eps = flags.eps[0]
-    if eps is None:
-        eps = 1.0
+    eps = _single_eps("probe-c1", flags, 1.0 if spec.eps is None else spec.eps)
     T = _window(spec, flags)
     report = example_c1_probe(eps, T=T)
     _write_json(flags.out, "probe.json", report.to_json())
@@ -576,10 +584,10 @@ def _solve_for_scan(spec, flags):
 
 
 def _cmd_rap_scan(spec, flags) -> int:
+    eps = _single_eps("rap-scan", flags, 0.1)
     phi, cert, _ = _solve_for_scan(spec, flags)
     if phi is None:
         return _incompatibility_exit(flags.out, cert)
-    eps = flags.eps[0] if flags.eps else 0.1
     lo, hi, step = flags.tau_range
     report = almost_period_scan(phi, eps, (lo, hi), step, side=flags.side)
     _write_json(flags.out, "rap_report.json", report.to_json())
@@ -685,11 +693,25 @@ def run(command: str, spec: ProblemSpec, flags: Flags) -> int:
         return 1
 
 
-def _parse_eps(text: str) -> list:
+def _finite(text: str) -> float:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad eps list {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
+def _parse_eps(text: str) -> list:
+    return [_finite(x) for x in text.split(",") if x.strip()]
 
 
 def _parse_tau_range(text: str) -> tuple:
@@ -698,17 +720,22 @@ def _parse_tau_range(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"tau range must be A:B:STEP, got {text!r}"
         )
-    try:
-        lo, hi, step = (float(x) for x in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tau range {text!r}") from exc
+    lo, hi, step = (_finite(x) for x in parts)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad tau range {text!r}")
     return lo, hi, step
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, since exit code 2 means a certified negative."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trichotomy",
         description=(
             "Bounded-solution and almost-periodicity toolkit for "
@@ -723,9 +750,9 @@ def main(argv=None) -> int:
                         help="path to a JSON problem file, or the name of "
                              "a bundled problem (e.g. diag_cos)")
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--window", type=float, default=None,
+    parser.add_argument("--window", type=_positive, default=None,
                         help="override the problem window half-width T")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_positive, default=None,
                         help="override the problem tolerance")
     parser.add_argument("--eps", type=_parse_eps, default=None,
                         metavar="LIST", help="comma-separated values")

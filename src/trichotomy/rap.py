@@ -7,6 +7,11 @@ relatively dense set.  These are statements about limits at infinity, so a
 finite window can only gather evidence up to a horizon T; every report in
 this module carries its horizons explicitly and claims nothing beyond them.
 
+Every report reads one residual table per function: the sup of
+|phi(t + tau) - phi(t)| beyond each horizon, for every scanned tau, built
+once.  The residuals do not depend on eps, so each eps of a scan or of an
+audit's ladder is only a threshold on that table.
+
 The module also provides the Bebutov shift-space distance (sup over a
 ladder of L of min(local sup difference, 1/L)), an empirical Lagrange
 stability report (boundedness plus modulus of continuity), and a
@@ -40,16 +45,39 @@ __all__ = [
 DEFAULT_T_SCHEDULE = (5.0, 10.0, 20.0, 40.0)
 
 
-def _side_samples(phi: GridFunction, tau: float, T: float, side: str):
-    """Grid times beyond the horizon on one side, with t + tau in window."""
-    t = phi.times
-    if side == "+":
-        mask = (t >= T - 1e-12) & (t + tau <= phi.b + 1e-12) & (t + tau >= phi.a - 1e-12)
-    elif side == "-":
-        mask = (t <= -T + 1e-12) & (t + tau <= phi.b + 1e-12) & (t + tau >= phi.a - 1e-12)
-    else:
+def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
+    """Sup of |phi(t + tau) - phi(t)| beyond each horizon, one row per tau.
+
+    Shape (len(taus), len(schedule)).  Per tau, phi is evaluated once at
+    t + tau for every grid time t whose shift stays in the window; a
+    reversed running max gives the sup over t >= T ('+'), a forward one the
+    sup over t <= -T ('-'), and each horizon is one index into them.  NaN
+    marks a horizon with no such sample; as T grows the sample sets shrink,
+    so the NaNs of a row fill its largest horizons.
+    """
+    if side not in ("+", "-", "both"):
         raise ValueError(f"side must be '+', '-' or 'both', got {side!r}")
-    return t[mask], mask
+    horizons = np.asarray(schedule, dtype=float)
+    if np.any(horizons < 0):
+        raise ValueError("horizon T must be nonnegative")
+    t = phi.times
+    table = np.full((len(taus), horizons.size), math.nan)
+    for row, tau in zip(table, taus):
+        shifted = t + tau
+        inside = (shifted <= phi.b + 1e-12) & (shifted >= phi.a - 1e-12)
+        ts = t[inside]
+        diff = np.linalg.norm(phi(shifted[inside]) - phi.values[inside], axis=1)
+        if side != "-":
+            first = np.searchsorted(ts, horizons - 1e-12)  # first t >= T
+            tail = np.maximum.accumulate(diff[::-1])[::-1]
+            has = first < ts.size
+            row[has] = tail[first[has]]
+        if side != "+":
+            count = np.searchsorted(ts, -horizons + 1e-12, side="right")  # t <= -T
+            head = np.maximum.accumulate(diff)
+            has = count > 0
+            row[has] = np.fmax(row[has], head[count[has] - 1])
+    return table
 
 
 def remote_period_residual(phi: GridFunction, tau: float, T: float, side: str = "both") -> float:
@@ -59,27 +87,14 @@ def remote_period_residual(phi: GridFunction, tau: float, T: float, side: str = 
     The shifted argument must stay inside the window, so the window has to
     reach at least T + tau past the horizon on each requested side.
     """
-    if T < 0:
-        raise ValueError("horizon T must be nonnegative")
-    sides = ["+", "-"] if side == "both" else [side]
-    worst = 0.0
-    any_samples = False
-    for s in sides:
-        ts, mask = _side_samples(phi, tau, T, s)
-        if ts.size == 0:
-            continue
-        any_samples = True
-        shifted = phi(ts + tau)
-        diff = shifted - phi.values[mask]
-        worst = max(worst, float(np.linalg.norm(diff, axis=1).max()))
-    if not any_samples:
-        need = T + abs(tau)
+    worst = _residual_table(phi, [tau], [T], side)[0, 0]
+    if math.isnan(worst):
         raise WindowTooSmall(
             f"no grid samples beyond horizon T = {T:g} with t + tau in "
             f"window [{phi.a:g}, {phi.b:g}]",
-            need,
+            T + abs(tau),
         )
-    return worst
+    return float(worst)
 
 
 @dataclass
@@ -138,6 +153,37 @@ class RapReport:
                 writer.writerow(row)
 
 
+def _scan_table(phi: GridFunction, tau_range: tuple, tau_step: float, schedule, side: str):
+    """The scanned taus, the sorted schedule and phi's residual table over them."""
+    if tau_step <= 0:
+        raise ValueError("tau step must be positive")
+    if phi.h > tau_step + 1e-12:
+        raise ValueError(
+            f"grid resolution {phi.h:g} is coarser than tau step {tau_step:g}"
+        )
+    lo, hi = float(tau_range[0]), float(tau_range[1])
+    if hi < lo:
+        raise ValueError("empty tau range")
+    count = int(math.floor((hi - lo) / tau_step + 1e-9)) + 1
+    taus = lo + tau_step * np.arange(count)
+    schedule = tuple(sorted(float(T) for T in schedule))
+    return taus, schedule, _residual_table(phi, taus, schedule, side)
+
+
+def _accepted(taus, residuals, schedule, eps: float):
+    """Taus whose residual beats eps at some horizon, and that least horizon.
+
+    NaN entries (unsupported horizons) never beat eps.
+    """
+    accepted = []
+    L_hat = {}
+    for tau, hits in zip(taus, residuals < eps):
+        if hits.any():
+            accepted.append(float(tau))
+            L_hat[float(tau)] = schedule[int(hits.argmax())]
+    return accepted, L_hat
+
+
 def almost_period_scan(
     phi: GridFunction,
     eps: float,
@@ -156,45 +202,10 @@ def almost_period_scan(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if tau_step <= 0:
-        raise ValueError("tau step must be positive")
-    if phi.h > tau_step + 1e-12:
-        raise ValueError(
-            f"grid resolution {phi.h:g} is coarser than tau step {tau_step:g}"
-        )
-    lo, hi = float(tau_range[0]), float(tau_range[1])
-    if hi < lo:
-        raise ValueError("empty tau range")
-    count = int(math.floor((hi - lo) / tau_step + 1e-9)) + 1
-    taus = lo + tau_step * np.arange(count)
-    schedule = tuple(sorted(float(T) for T in schedule))
-
-    def scan_one(tau):
-        row = np.full(len(schedule), math.nan)
-        for j, T in enumerate(schedule):
-            try:
-                row[j] = remote_period_residual(phi, tau, T, side)
-            except WindowTooSmall:
-                break
-        return row
-
-    residuals = np.array([scan_one(tau) for tau in taus])
-    accepted = []
-    L_hat = {}
-    for i, tau in enumerate(taus):
-        for j, T in enumerate(schedule):
-            v = residuals[i, j]
-            if not math.isnan(v) and v < eps:
-                accepted.append(float(tau))
-                L_hat[float(tau)] = T
-                break
-    if accepted:
-        knots = [lo] + accepted + [hi]
-        ell_hat = float(max(b - a for a, b in zip(knots, knots[1:])))
-        flag = False
-    else:
-        ell_hat = math.inf
-        flag = True
+    taus, schedule, residuals = _scan_table(phi, tau_range, tau_step, schedule, side)
+    accepted, L_hat = _accepted(taus, residuals, schedule, eps)
+    knots = [float(tau_range[0])] + accepted + [float(tau_range[1])]
+    ell_hat = float(max(b - a for a, b in zip(knots, knots[1:]))) if accepted else math.inf
     return RapReport(
         eps=eps,
         side=side,
@@ -204,7 +215,7 @@ def almost_period_scan(
         accepted=accepted,
         L_hat=L_hat,
         ell_hat=ell_hat,
-        not_relatively_dense=flag,
+        not_relatively_dense=not accepted,
         two_sided=(side == "both"),
     )
 
@@ -331,23 +342,7 @@ class AuditReport:
         return {
             "eps_ladder": self.eps_ladder,
             "scan_params": self.scan_params,
-            "per_eps": {
-                f"{eps:g}": {
-                    "input_accepted": {
-                        name: [float(t) for t in taus]
-                        for name, taus in entry["input_accepted"].items()
-                    },
-                    "common_input_accepted": [
-                        float(t) for t in entry["common_input_accepted"]
-                    ],
-                    "solution_accepted": [
-                        float(t) for t in entry["solution_accepted"]
-                    ],
-                    "missing": [float(t) for t in entry["missing"]],
-                    "compatible_evidence": entry["compatible_evidence"],
-                }
-                for eps, entry in self.entries.items()
-            },
+            "per_eps": {f"{eps:g}": entry for eps, entry in self.entries.items()},
         }
 
 
@@ -366,28 +361,31 @@ def solution_rap_audit(
     nonlinearity slices) to GridFunctions on the window of ``phi``.  For
     each eps in the ladder, every tau accepted by all inputs should be
     accepted for the solution; the ``missing`` list holds the exceptions.
+    Each input and the solution get one residual table; each eps is a
+    threshold on those tables.
     """
     for name, g in inputs.items():
         if (g.a, g.b) != (phi.a, phi.b):
             raise ValueError(f"input {name!r} does not share the solution window")
+    if any(eps <= 0 for eps in eps_ladder):
+        raise ValueError("eps must be positive")
+    scan = (tau_range, tau_step, schedule, side)
+    input_tables = {name: _scan_table(g, *scan)[2] for name, g in inputs.items()}
+    taus, sorted_schedule, sol_table = _scan_table(phi, *scan)
     entries = {}
     for eps in eps_ladder:
-        input_acc = {}
-        for name, g in inputs.items():
-            rep = almost_period_scan(g, eps, tau_range, tau_step, schedule, side)
-            input_acc[name] = rep.accepted
-        common = None
-        for taus in input_acc.values():
-            s = set(taus)
-            common = s if common is None else (common & s)
-        common = sorted(common) if common else []
-        sol_rep = almost_period_scan(phi, eps, tau_range, tau_step, schedule, side)
-        sol_set = set(sol_rep.accepted)
-        missing = [t for t in common if t not in sol_set]
+        input_acc = {
+            name: _accepted(taus, table, sorted_schedule, eps)[0]
+            for name, table in input_tables.items()
+        }
+        sets = [set(accepted) for accepted in input_acc.values()]
+        common = sorted(set.intersection(*sets)) if sets else []
+        sol_acc = _accepted(taus, sol_table, sorted_schedule, eps)[0]
+        missing = sorted(set(common) - set(sol_acc))
         entries[float(eps)] = {
             "input_accepted": input_acc,
             "common_input_accepted": common,
-            "solution_accepted": sol_rep.accepted,
+            "solution_accepted": sol_acc,
             "missing": missing,
             "compatible_evidence": not missing,
         }

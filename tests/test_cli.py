@@ -332,8 +332,9 @@ class TestScanCommands:
 
 class TestMainInterface:
     def test_unknown_command_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["frobnicate", problem_path("diag_cos")])
+        assert exc.value.code == 1
 
     def test_missing_problem_file_is_an_error(self, tmp_path):
         rc = run_cli(["solve-linear", tmp_path / "none.json", "--out", tmp_path])
@@ -346,11 +347,47 @@ class TestMainInterface:
         assert (out / "dichotomy.json").is_file()
 
     def test_bad_tau_range_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli(
                 ["rap-scan", problem_path("diag_cos"), "--tau-range", "3:1:0.5",
                  "--out", tmp_path]
             )
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("solve-linear", "--tol", "0"),
+            ("solve-linear", "--tol", "abc"),
+            ("solve-linear", "--tol", "-1e-6"),
+            ("solve-linear", "--window", "nan"),
+            ("solve-linear", "--window", "inf"),
+            ("rap-scan", "--tau-range", "0:inf:1"),
+            ("rap-scan", "--tau-range", "nan:1:0.1"),
+            ("rap-scan", "--tau-range", "0:1:nan"),
+            ("audit", "--eps", "0.1,nan"),
+            ("audit", "--eps", "inf"),
+        ],
+    )
+    def test_out_of_bounds_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        # the problem schema's bounds: window and tol finite and > 0, every
+        # tau-range part and eps value finite
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "diag_cos", flag, value, "--out", tmp_path])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, problem", [("rap-scan", "diag_cos"),
+                                                  ("probe-c1", "c1_cubic")])
+    def test_eps_ladder_only_for_audit(self, tmp_path, capsys, command, problem):
+        rc = run_cli([command, problem, "--eps", "0.1,0.05", "--out", tmp_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{command} takes one --eps value, got 2" in err
+        assert "audit" in err
 
     def test_window_override_changes_solution_extent(self, tmp_path):
         out = tmp_path / "out"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trichotomy import rap
 from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import WindowTooSmall
 from trichotomy.rap import (
@@ -78,6 +79,58 @@ class TestResidual:
     def test_unknown_side_rejected(self, sine):
         with pytest.raises(ValueError):
             remote_period_residual(sine, 1.0, 10.0, side="up")
+
+
+def _reference_residual(phi, tau, T, side):
+    """The residual formula as a masked loop over each side, one (tau, T) at a time."""
+    t = phi.times
+    worst, any_samples = 0.0, False
+    for s in (["+", "-"] if side == "both" else [side]):
+        beyond = (t >= T - 1e-12) if s == "+" else (t <= -T + 1e-12)
+        mask = beyond & (t + tau <= phi.b + 1e-12) & (t + tau >= phi.a - 1e-12)
+        if mask.any():
+            any_samples = True
+            diff = phi(t[mask] + tau) - phi.values[mask]
+            worst = max(worst, float(np.linalg.norm(diff, axis=1).max()))
+    return worst if any_samples else math.nan
+
+
+def _reference_table(phi, taus, schedule, side):
+    table = np.full((len(taus), len(schedule)), math.nan)
+    for i, tau in enumerate(taus):
+        for j, T in enumerate(schedule):
+            table[i, j] = _reference_residual(phi, tau, T, side)
+            if math.isnan(table[i, j]):
+                break  # larger horizons have fewer samples still
+    return table
+
+
+class TestResidualTable:
+    @pytest.fixture(scope="class")
+    def planar(self):
+        # two components, so the residual is a vector norm; window [-15, 15]
+        # is too short for the horizons 20 and 40 of the default schedule
+        return GridFunction.from_callable(
+            lambda t: np.stack([np.sin(1.3 * t), np.arctan(t)], axis=-1),
+            -15.0, 15.0, 0.02,
+        )
+
+    @pytest.mark.parametrize("side", ["+", "-", "both"])
+    def test_matches_masked_loop_bit_for_bit(self, planar, side):
+        # tau step 0.03 is not a multiple of h = 0.02; the range crosses 0
+        # and reaches shifts that leave no sample beyond T = 10
+        taus = -9.0 + 0.03 * np.arange(600)
+        table = rap._residual_table(planar, taus, DEFAULT_T_SCHEDULE, side)
+        ref = _reference_table(planar, taus, DEFAULT_T_SCHEDULE, side)
+        assert np.array_equal(table, ref, equal_nan=True)
+        assert np.isnan(table[:, 2:]).all()
+        assert not np.isnan(table[:, 0]).any()
+        if side != "both":  # one side alone runs out of samples at T = 10
+            assert np.isnan(table[:, 1]).any() and not np.isnan(table[:, 1]).all()
+
+    def test_shift_past_the_window_is_all_nan(self, planar):
+        table = rap._residual_table(planar, [40.0], (0.0, 5.0), "both")
+        assert np.isnan(table).all()
 
 
 class TestScan:
@@ -261,6 +314,37 @@ class TestAudit:
         assert entry["solution_accepted"] == []
         assert entry["missing"] == [1.0, 2.0, 3.0]
         assert entry["compatible_evidence"] is False
+
+    def test_eps_ladder_equals_separate_audits(self, sine, drift):
+        inputs = {
+            "f_1": sine,
+            "g": GridFunction.from_callable(
+                lambda t: np.sin(t) + 0.05 * np.cos(3.0 * t), -45.0, 45.0, 0.02
+            ),
+        }
+        phi = GridFunction(sine.a, sine.b, sine.values + 1e-2 * drift.values)
+        scan = ((0.5, 8.0), 0.05)
+        both = solution_rap_audit(phi, inputs, [0.1, 0.05], *scan)
+        for eps in (0.1, 0.05):
+            alone = solution_rap_audit(phi, inputs, [eps], *scan)
+            assert both.entries[eps] == alone.entries[eps]
+        # the two thresholds really differ on these tables
+        assert both.entries[0.1] != both.entries[0.05]
+        assert both.entries[0.05]["missing"]
+
+    def test_one_residual_table_per_function(self, sine, monkeypatch):
+        calls = []
+        table = rap._residual_table
+
+        def counted(phi, *args):
+            calls.append(phi)
+            return table(phi, *args)
+
+        monkeypatch.setattr(rap, "_residual_table", counted)
+        const = GridFunction.from_callable(lambda t: 0.0 * t - 1.0, -45.0, 45.0, 0.02)
+        inputs = {"A_0_0": const, "f_1": sine, "f_2": sine}
+        solution_rap_audit(sine, inputs, [0.1, 0.05], (0.5, 8.0), 0.25)
+        assert len(calls) == len(inputs) + 1
 
     def test_inputs_must_share_window(self, sine):
         small = GridFunction.from_callable(np.sin, -10.0, 10.0, 0.02)
