@@ -711,7 +711,11 @@ def _positive(text: str) -> float:
 
 
 def _parse_eps(text: str) -> list:
-    return [_finite(x) for x in text.split(",") if x.strip()]
+    values = [_finite(x) for x in text.split(",") if x.strip()]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"eps value {value:g} is repeated")
+    return values
 
 
 def _parse_tau_range(text: str) -> tuple:

@@ -1,10 +1,21 @@
 """Transition (Cauchy) operator of x' = A(t) x.
 
-The integrator is scipy's embedded Runge-Kutta 5(4) pair (Dormand-Prince)
-with dense output, run at rel tol 1e-9 / abs tol 1e-12.  Transition
-matrices over long windows are never assembled as a single product chain in
-the growing direction; higher-level code (hyperbolicity module) always works
-leg by leg and projects onto decaying directions.
+A leg is the dense solution s -> Phi(s, t0) of the matrix equation on
+[t0, t1].  Two kinds of leg share one calling convention (a scalar s gives
+the flattened n*n matrix, an array of k times gives shape (n*n, k)):
+
+* Exact legs, when no entry of A mentions ``t`` and A = V diag(lam) V^-1
+  with cond(V) <= ``EXACT_COND_MAX`` = 1e6: Phi(s, t0) = V exp(lam (s - t0))
+  V^-1, whose rounding error (about cond(V) * machine eps <= 2e-10) stays
+  below the integrator's tolerance.  One eigendecomposition per operator.
+* Integrated legs otherwise (time-dependent A, or a defective or
+  ill-conditioned constant A such as a Jordan block): scipy's embedded
+  Runge-Kutta 5(4) pair (Dormand-Prince) with dense output, run at rel tol
+  1e-9 / abs tol 1e-12.
+
+Transition matrices over long windows are never assembled as a single
+product chain in the growing direction; higher-level code (hyperbolicity
+module) always works leg by leg and projects onto decaying directions.
 """
 
 from __future__ import annotations
@@ -12,16 +23,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .expr import compile_expr, free_vars, parse, substitute, Bin, Num, Var
+from .expr import compile_expr, free_vars, parse, substitute, Bin, Neg, Num, Var
 
 __all__ = [
     "CoefficientMatrix",
+    "ExactLeg",
     "TransitionOperator",
     "PropagationError",
 ]
 
 RTOL = 1e-9
 ATOL = 1e-12
+# largest eigenvector-matrix condition number for which constant-A legs are
+# computed from the eigendecomposition instead of integrated
+EXACT_COND_MAX = 1e6
 
 
 class PropagationError(Exception):
@@ -67,23 +82,41 @@ class CoefficientMatrix:
     def reversed(self) -> "CoefficientMatrix":
         """Coefficient matrix -A(-t) of the time-reversed equation."""
         neg_t = Bin("-", Num(0.0), Var("t"))
-        from .expr import Neg
-
         return CoefficientMatrix(
             [[Neg(substitute(e, "t", neg_t)) for e in row] for row in self.entries]
         )
+
+
+class ExactLeg:
+    """Phi(s, t0) = V exp(lam (s - t0)) V^-1 of a diagonalizable constant A."""
+
+    def __init__(self, V, lam, V_inv, t0: float):
+        self.V, self.lam, self.V_inv, self.t0 = V, lam, V_inv, t0
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        E = np.exp(np.multiply.outer(s - self.t0, self.lam))
+        Y = ((self.V * E[..., None, :]) @ self.V_inv).real
+        n2 = self.lam.size ** 2
+        return Y.reshape(n2) if s.ndim == 0 else Y.reshape(-1, n2).T
 
 
 class TransitionOperator:
     """Dense-output solution operator Phi(t, tau) with leg caching.
 
     Cached legs map (t0, t1) to the dense solution of the matrix equation
-    Y' = A(t) Y, Y(t0) = I on [t0, t1].
+    Y' = A(t) Y, Y(t0) = I on [t0, t1]: an ``ExactLeg`` when A is constant
+    and well diagonalizable, an RK45 ``OdeSolution`` otherwise.
     """
 
     def __init__(self, A: CoefficientMatrix):
         self.A = A
         self._legs = {}
+        self._eig = None
+        if not any(free_vars(e) for row in A.entries for e in row):
+            lam, V = np.linalg.eig(A.value(0.0))
+            if np.linalg.cond(V) <= EXACT_COND_MAX:
+                self._eig = (V, lam, np.linalg.inv(V))
 
     def _matrix_rhs(self, t, y):
         n = self.A.n
@@ -95,6 +128,9 @@ class TransitionOperator:
         cached = self._legs.get(key)
         if cached is not None:
             return cached
+        if self._eig is not None:
+            leg = self._legs[key] = ExactLeg(*self._eig, key[0])
+            return leg
         n = self.A.n
         y0 = np.eye(n).reshape(-1)
         sol = solve_ivp(

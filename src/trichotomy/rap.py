@@ -369,6 +369,8 @@ def solution_rap_audit(
             raise ValueError(f"input {name!r} does not share the solution window")
     if any(eps <= 0 for eps in eps_ladder):
         raise ValueError("eps must be positive")
+    if len(set(map(float, eps_ladder))) < len(eps_ladder):
+        raise ValueError(f"eps ladder repeats a value: {list(eps_ladder)}")
     scan = (tau_range, tau_step, schedule, side)
     input_tables = {name: _scan_table(g, *scan)[2] for name, g in inputs.items()}
     taus, sorted_schedule, sol_table = _scan_table(phi, *scan)

@@ -380,6 +380,14 @@ class TestMainInterface:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    def test_repeated_eps_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["audit", "atan_forced", "--eps", "0.1,0.1", "--out", tmp_path])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --eps: eps value 0.1 is repeated" in err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, problem", [("rap-scan", "diag_cos"),
                                                   ("probe-c1", "c1_cubic")])
     def test_eps_ladder_only_for_audit(self, tmp_path, capsys, command, problem):

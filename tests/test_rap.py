@@ -346,6 +346,11 @@ class TestAudit:
         solution_rap_audit(sine, inputs, [0.1, 0.05], (0.5, 8.0), 0.25)
         assert len(calls) == len(inputs) + 1
 
+    def test_repeated_eps_rejected(self, sine):
+        # per-eps entries are keyed by eps, so a repeat would collapse them
+        with pytest.raises(ValueError, match="repeats"):
+            solution_rap_audit(sine, {"f_1": sine}, [0.1, 0.05, 0.1], (0.5, 2.0), 0.5)
+
     def test_inputs_must_share_window(self, sine):
         small = GridFunction.from_callable(np.sin, -10.0, 10.0, 0.02)
         with pytest.raises(ValueError, match="window"):

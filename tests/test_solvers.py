@@ -7,6 +7,7 @@ from scipy.integrate import OdeSolution
 import trichotomy.solvers
 from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import GreenKernel, WindowTooSmall
+from trichotomy.propagator import ExactLeg
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
@@ -298,13 +299,15 @@ class TestQuadraturePlan:
         # same grid, other values, equal sup-norm (so the same tail horizon)
         f2 = GridFunction(f1.a, f1.b, f1.values[::-1])
         calls = []
-        orig = OdeSolution.__call__
+        # count dense calls on either leg type solve_leg returns
+        for leg_type in (OdeSolution, ExactLeg):
+            orig = leg_type.__call__
 
-        def counted(sol, t):
-            calls.append(np.size(t))
-            return orig(sol, t)
+            def counted(sol, t, orig=orig):
+                calls.append(np.size(t))
+                return orig(sol, t)
 
-        monkeypatch.setattr(OdeSolution, "__call__", counted)
+            monkeypatch.setattr(leg_type, "__call__", counted)
         solve_linear_bounded(K, f1)
         assert sum(calls) > 0
         calls.clear()
