@@ -11,12 +11,14 @@ Numerics
 --------
 Transition matrices over long windows mix scales like exp(+nu*t) against
 exp(-nu*t), so the kernel is never evaluated by naked long products in the
-growing direction.  Instead each certificate carries projector families
-sampled on unit-spaced anchor times, built by two subspace sweeps:
+growing direction.  Instead each certificate carries, per half-line, a
+family of forward-decaying projectors sampled on unit-spaced anchor times,
+built by two subspace sweeps with QR re-orthonormalization:
 
-* the kernel (non-decaying class) of the projector is seeded where it is
-  known and swept in its attracting direction with QR re-orthonormalization;
-* the range is seeded at the far end of an extension margin and swept back.
+* the kernel (forward-dominant class) is swept forward, the range
+  (forward-decaying class) backward, each in its attracting direction;
+* the sweep that starts where the projector is known is seeded from it,
+  the other at the far end of an extension margin.
 
 Subspace errors contract exponentially along each sweep, so anchors inside
 the certified window are accurate even when the seed at the far end is crude.
@@ -176,8 +178,7 @@ class SubspaceEstimate:
             candidates.append(float(grow.min()) / span)
         if decay.size:
             candidates.append(float(-decay.max()) / span)
-        rate = min(candidates) if candidates else 1.0
-        return min(5.0, max(0.2, rate))
+        return min(candidates) if candidates else 1.0
 
 
 def estimate_stable_projector(A, interval) -> SubspaceEstimate:
@@ -232,22 +233,23 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
 
 
 class ProjectorFamily:
-    """Projector samples on anchor times, with leg-wise projected transport.
+    """Forward-decaying projector samples on anchor times, with leg-wise transport.
 
-    ``projectors[i]`` is the branch projector at ``anchors[i]``; between
-    anchors the projector is conjugated through the cached dense leg, a
-    short sandwich that cannot amplify error by more than exp(2*nu).
-    ``orientation`` records the decay direction of the range: "forward"
-    for a stable-type projector, "backward" for an unstable-type one.
+    ``projectors[i]`` is the projector at ``anchors[i]`` whose range decays
+    forward; its complement decays backward.  ``legs[i]`` is the transition
+    matrix from ``anchors[i]`` to ``anchors[i + 1]``.  Between anchors the
+    projector is conjugated through the cached dense leg, a short sandwich
+    that cannot amplify error by more than exp(2*nu).  ``seed_residual`` is
+    the distance, at the data end, between the swept projector and the one
+    the family was seeded with.
     """
 
-    def __init__(self, op, anchors, projectors, t_ref, seed_residual, orientation):
+    def __init__(self, op, anchors, projectors, legs, seed_residual):
         self.op = op
         self.anchors = np.asarray(anchors, dtype=float)
         self.projectors = projectors
-        self.t_ref = float(t_ref)
+        self.legs = legs
         self.seed_residual = seed_residual
-        self.orientation = orientation
 
     @property
     def lo(self) -> float:
@@ -256,17 +258,6 @@ class ProjectorFamily:
     @property
     def hi(self) -> float:
         return float(self.anchors[-1])
-
-    def forward_decaying(self, i: int) -> np.ndarray:
-        """Projector at anchor i whose image decays forward."""
-        if self.orientation == "forward":
-            return self.projectors[i]
-        return np.eye(self.op.A.n) - self.projectors[i]
-
-    def backward_decaying(self, i: int) -> np.ndarray:
-        if self.orientation == "forward":
-            return np.eye(self.op.A.n) - self.projectors[i]
-        return self.projectors[i]
 
     def _leg_index(self, s: float) -> int:
         i = int(np.searchsorted(self.anchors, s, side="right")) - 1
@@ -304,129 +295,100 @@ def _sweep_backward(legs, Bm):
     return out
 
 
-def _sweep_family(
-    op: TransitionOperator,
-    anchors: np.ndarray,
-    seed_basis: np.ndarray,
-    data_end: str,
-    orientation: str,
-    seed_P: Optional[np.ndarray] = None,
-) -> ProjectorFamily:
-    """Build a projector family by two attracting subspace sweeps.
+def _sweep_family(op: TransitionOperator, anchors, P_seed, data_end: str) -> ProjectorFamily:
+    """Build a forward-decaying projector family by two attracting sweeps.
 
-    The sweep directions are fixed by ``orientation``: for a forward-decaying
-    range the kernel is the forward-dominant class (swept forward, errors
-    contract) and the range is backward-dominant (swept backward); for a
-    backward-decaying range both directions flip.  ``data_end`` names the
-    end where exact projector data is available; the basis whose sweep
-    starts there is seeded with ``seed_basis`` and the other basis starts
-    at the opposite end as the orthogonal complement of the first sweep's
-    final value.  A backward-decaying range is only seeded at ``"hi"``.
+    The kernel is the forward-dominant class, so it is swept forward; the
+    range is backward-dominant and swept backward; along each sweep subspace
+    errors contract.  ``P_seed`` is the exact projector at ``data_end``: at
+    ``"lo"`` its kernel starts the forward sweep, at ``"hi"`` its range
+    starts the backward sweep.  The other sweep starts at the opposite end
+    from the orthogonal complement of the first sweep's final value.
     """
-    m = len(anchors) - 1
     legs = _leg_matrices(op, anchors)
-    if orientation == "forward":
-        # kernel sweeps forward (starts at lo), range backward (starts at hi)
-        if data_end == "lo":
-            K = _sweep_forward(legs, _orth(seed_basis) if seed_basis.size else seed_basis)
-            R = _sweep_backward(legs, _orth_complement(K[m]))
-        else:
-            R = _sweep_backward(legs, _orth(seed_basis) if seed_basis.size else seed_basis)
-            K = _sweep_forward(legs, _orth_complement(R[0]))
-    elif orientation == "backward" and data_end == "hi":
-        # kernel sweeps backward (starts at hi), range forward (starts at lo)
-        K = _sweep_backward(legs, _orth(seed_basis) if seed_basis.size else seed_basis)
-        R = _sweep_forward(legs, _orth_complement(K[0]))
-    else:
-        raise ValueError(
-            "orientation must be 'forward', or 'backward' with data_end 'hi'"
-        )
-
-    projectors = [_oblique_projector(R[i], K[i]) for i in range(m + 1)]
-    t_ref = anchors[0] if data_end == "lo" else anchors[-1]
-    seed_residual = None
-    if seed_P is not None:
-        ref_idx = 0 if data_end == "lo" else m
-        seed_residual = float(np.linalg.norm(projectors[ref_idx] - seed_P, 2))
-    return ProjectorFamily(op, anchors, projectors, t_ref, seed_residual, orientation)
-
-
-def _range_basis(P: np.ndarray, rank: int) -> np.ndarray:
-    U, sig, _ = np.linalg.svd(P)
-    return U[:, :rank]
-
-
-def _build_half_family(
-    op, lo, hi, P_seed, data_end, rate_hint, orientation="forward"
-) -> ProjectorFamily:
-    """Family for one half-line dichotomy, extended past the far end.
-
-    The extension margin gives the complement-seeded sweep room to converge
-    before it enters the certified window.
-    """
-    ext = float(min(30.0, max(6.0, 12.0 / rate_hint)))
     rank = int(round(np.trace(P_seed)))
     if data_end == "lo":
-        anchors = _anchor_times(lo, hi + ext)
-    else:
-        anchors = _anchor_times(lo - ext, hi)
-    # seed with whichever basis is exact at the data end: the one whose
-    # sweep starts there
-    kernel_starts_at_data = (orientation == "forward") == (data_end == "lo")
-    if kernel_starts_at_data:
         seed = null_space(P_seed)
         if seed.shape[1] != op.A.n - rank:
             U, sig, _ = np.linalg.svd(P_seed)
             seed = U[:, sig < 0.5]
+        K = _sweep_forward(legs, _orth(seed) if seed.size else seed)
+        R = _sweep_backward(legs, _orth_complement(K[-1]))
     else:
-        seed = _range_basis(P_seed, rank)
-    return _sweep_family(op, anchors, seed, data_end, orientation, seed_P=P_seed)
+        seed = np.linalg.svd(P_seed)[0][:, :rank]
+        R = _sweep_backward(legs, _orth(seed) if seed.size else seed)
+        K = _sweep_forward(legs, _orth_complement(R[0]))
+    projectors = [_oblique_projector(Ri, Ki) for Ri, Ki in zip(R, K)]
+    at_data = projectors[0 if data_end == "lo" else -1]
+    seed_residual = float(np.linalg.norm(at_data - P_seed, 2))
+    return ProjectorFamily(op, anchors, projectors, legs, seed_residual)
 
 
-def _chain_norm_samples(family: ProjectorFamily, lo, hi, direction: str):
-    """Norm samples ||Phi(t, tau) Pi(tau)|| on anchor pairs inside [lo, hi].
+def _build_half_family(op, lo, hi, P_seed, data_end, rate) -> ProjectorFamily:
+    """Family for one half-line dichotomy, extended past the far end.
 
-    ``direction="forward"`` transports the forward-decaying projector up in
-    time; ``direction="backward"`` transports the backward-decaying one down.
-    Mid-chain re-projection is an exact identity in exact arithmetic and
-    strips the exponentially growing numerical error component.
+    The extension margin, 12/rate clamped to [6, 30] (30 for a rate <= 0),
+    gives the complement-seeded sweep room to converge before it enters the
+    certified window.
+    """
+    ext = 30.0 if rate <= 0.0 else min(30.0, max(6.0, 12.0 / rate))
+    anchors = _anchor_times(lo, hi + ext) if data_end == "lo" else _anchor_times(lo - ext, hi)
+    return _sweep_family(op, anchors, P_seed, data_end)
+
+
+def _walk(family, start, step, act, Z, lo, hi, proj=None, cap=math.inf):
+    """Norm samples of ``Z`` carried from anchor ``start`` one leg at a time.
+
+    Each step moves one anchor up (``step=+1``) or down (``step=-1``) and
+    applies ``act(leg, Z)`` with the leg between the two anchors, then
+    ``proj[j]`` at the new anchor j when ``proj`` is given.  The walk stops
+    before the first anchor outside [lo, hi] or farther than ``cap`` from
+    the start.  Samples are (separation, ||Z||, anchor, start anchor).
     """
     anchors = family.anchors
-    inside = [i for i, s in enumerate(anchors) if lo - 1e-9 <= s <= hi + 1e-9]
-    legs = _leg_matrices(family.op, anchors)
     samples = []
-    for start in inside:
-        if direction == "forward":
-            Z = family.forward_decaying(start)
-            samples.append((0.0, float(np.linalg.norm(Z, 2)), anchors[start], anchors[start]))
-            for j in range(start, len(anchors) - 1):
-                if anchors[j + 1] > hi + 1e-9:
-                    break
-                Z = family.forward_decaying(j + 1) @ (legs[j] @ Z)
-                samples.append(
-                    (
-                        float(anchors[j + 1] - anchors[start]),
-                        float(np.linalg.norm(Z, 2)),
-                        anchors[j + 1],
-                        anchors[start],
-                    )
-                )
-        else:
-            Z = family.backward_decaying(start)
-            samples.append((0.0, float(np.linalg.norm(Z, 2)), anchors[start], anchors[start]))
-            for j in range(start - 1, -1, -1):
-                if anchors[j] < lo - 1e-9:
-                    break
-                Z = family.backward_decaying(j) @ np.linalg.solve(legs[j], Z)
-                samples.append(
-                    (
-                        float(anchors[start] - anchors[j]),
-                        float(np.linalg.norm(Z, 2)),
-                        anchors[j],
-                        anchors[start],
-                    )
-                )
+    j = start + step
+    while 0 <= j < len(anchors) and lo - 1e-9 <= anchors[j] <= hi + 1e-9:
+        sep = abs(float(anchors[j] - anchors[start]))
+        if sep > cap + 1e-9:
+            break
+        Z = act(family.legs[min(j, j - step)], Z)
+        if proj is not None:
+            Z = proj[j] @ Z
+        samples.append((sep, float(np.linalg.norm(Z, 2)), anchors[j], anchors[start]))
+        j += step
     return samples
+
+
+def _chain_samples(family: ProjectorFamily, lo, hi, step: int):
+    """Norm samples ||Phi(t, tau) Pi(tau)|| of chains from every anchor in [lo, hi].
+
+    ``step=+1`` transports the forward-decaying projector up in time,
+    ``step=-1`` its complement down.  Mid-chain re-projection is an exact
+    identity in exact arithmetic and strips the exponentially growing
+    numerical error component.
+    """
+    if step > 0:
+        proj, act = family.projectors, np.matmul
+    else:
+        eye = np.eye(family.op.A.n)
+        proj, act = [eye - Pk for Pk in family.projectors], np.linalg.solve
+    samples = []
+    for i, s in enumerate(family.anchors):
+        if lo - 1e-9 <= s <= hi + 1e-9:
+            samples.append((0.0, float(np.linalg.norm(proj[i], 2)), s, s))
+            samples += _walk(family, i, step, act, proj[i], lo, hi, proj=proj)
+    return samples
+
+
+def _half_samples(family: ProjectorFamily, lo, hi):
+    """Chain samples of both decay branches on [lo, hi] for an envelope fit.
+
+    A branch whose norms all vanish (a rank-0 or rank-n projector) carries
+    no rate and is dropped.
+    """
+    groups = [_chain_samples(family, lo, hi, +1), _chain_samples(family, lo, hi, -1)]
+    return [g for g in groups if any(v > 1e-300 for _, v, _, _ in g)]
 
 
 def _envelope_fit(sample_groups):
@@ -486,10 +448,7 @@ def estimate_constants(A, P, interval):
     except (HyperbolicityError, ValueError):
         pass
     family = _build_half_family(op, lo, hi, P, data_end, est_hint)
-    stable = _chain_norm_samples(family, lo, hi, "forward")
-    unstable = _chain_norm_samples(family, lo, hi, "backward")
-    groups = [s for s in (stable, unstable) if any(g > 1e-300 for _, g, _, _ in s)]
-    return _envelope_fit(groups)
+    return _envelope_fit(_half_samples(family, lo, hi))
 
 
 @dataclass
@@ -536,58 +495,29 @@ def verify_dichotomy(A, P, interval, N, nu):
             f"interval length {hi - lo:.3g} is below 10/nu = {10.0 / nu:.3g}"
         )
     op = _as_operator(A)
-    n = op.A.n
     data_end = "lo" if abs(lo) <= abs(hi) else "hi"
-    family = _build_half_family(op, lo, hi, P, data_end, max(0.2, min(5.0, nu)))
+    family = _build_half_family(op, lo, hi, P, data_end, nu)
 
-    stable = _chain_norm_samples(family, lo, hi, "forward")
-    unstable = _chain_norm_samples(family, lo, hi, "backward")
+    stable = _chain_samples(family, lo, hi, +1)
+    unstable = _chain_samples(family, lo, hi, -1)
     slack_s, worst_s = _bound_violations(stable, N, nu, "stable")
     slack_u, worst_u = _bound_violations(unstable, N, nu, "unstable")
 
-    # direct short-separation products anchored at the projector's reference
-    # time: these use the candidate P itself, no stabilizing projections
-    direct_cap = min(hi - lo, 4.6 / nu)
-    t_ref = family.t_ref
-    direct = []
-    anchors = family.anchors
-    legs = _leg_matrices(op, anchors)
-    ref_idx = int(np.argmin(np.abs(anchors - t_ref)))
-    fwd = P.copy()
-    sep = 0.0
-    i = ref_idx
-    while i < len(anchors) - 1 and sep + (anchors[i + 1] - anchors[i]) <= direct_cap + 1e-9:
-        fwd = legs[i] @ fwd
-        i += 1
-        sep = anchors[i] - t_ref
-        if anchors[i] <= hi + 1e-9:
-            direct.append((float(sep), float(np.linalg.norm(fwd, 2)), float(anchors[i]), float(t_ref)))
-    bwd = np.eye(n) - P
-    sep = 0.0
-    i = ref_idx
-    while i > 0 and sep + (anchors[i] - anchors[i - 1]) <= direct_cap + 1e-9:
-        bwd = np.linalg.solve(legs[i - 1], bwd)
-        i -= 1
-        sep = t_ref - anchors[i]
-        if anchors[i] >= lo - 1e-9:
-            direct.append((float(sep), float(np.linalg.norm(bwd, 2)), float(anchors[i]), float(t_ref)))
-    # mirrored direct check at the reference end: the second inequality
-    # evaluated at t = t_ref reads ||(I - P) Phi(t_ref, tau)||, computed by
-    # inverting the short forward product, again with the candidate P itself
+    # direct short-separation products from the data end: these use the
+    # candidate P itself, no stabilizing projections
+    cap = min(hi - lo, 4.6 / nu)
+    comp = np.eye(op.A.n) - P
     if data_end == "lo":
-        comp = np.eye(n) - P
-        prod = np.eye(n)
-        i = ref_idx
-        sep = 0.0
-        while i < len(anchors) - 1 and sep + (anchors[i + 1] - anchors[i]) <= direct_cap + 1e-9:
-            prod = legs[i] @ prod
-            i += 1
-            sep = anchors[i] - t_ref
-            back = np.linalg.solve(prod.T, comp.T).T  # comp @ prod^{-1}
-            direct.append(
-                (float(sep), float(np.linalg.norm(back, 2)), float(t_ref), float(anchors[i]))
-            )
-    slack_d, worst_d = _bound_violations(direct, N, nu, "direct") if direct else (-math.inf, None)
+        direct = _walk(family, 0, +1, np.matmul, P, lo, hi, cap=cap)
+        # mirrored check: the second inequality at t = lo reads
+        # ||(I - P) Phi(lo, tau)||, built by right-multiplying inverse legs
+        mirrored = _walk(
+            family, 0, +1, lambda M, Z: np.linalg.solve(M.T, Z.T).T, comp, lo, hi, cap=cap
+        )
+        direct += [(sep, g, tau, t) for sep, g, t, tau in mirrored]
+    else:
+        direct = _walk(family, len(family.anchors) - 1, -1, np.linalg.solve, comp, lo, hi, cap=cap)
+    slack_d, worst_d = _bound_violations(direct, N, nu, "direct")
 
     max_slack = max(slack_s, slack_u, slack_d)
     worst = max(
@@ -595,17 +525,16 @@ def verify_dichotomy(A, P, interval, N, nu):
         key=lambda w: w["norm"] - N * math.exp(-nu * abs(w["t"] - w["tau"])),
         default=None,
     )
-    seed_res = family.seed_residual if family.seed_residual is not None else 0.0
     report = {
         "max_slack": float(max_slack),
         "worst_pair": worst,
-        "seed_residual": float(seed_res),
+        "seed_residual": family.seed_residual,
         "pairs_checked": len(stable) + len(unstable) + len(direct),
         "projector_norm_max": float(
             max(np.linalg.norm(Pk, 2) for Pk in family.projectors)
         ),
     }
-    ok = max_slack <= SLACK_TOL and seed_res <= 1e-5
+    ok = max_slack <= SLACK_TOL and family.seed_residual <= 1e-5
     return DichotomyCertificate(
         interval=(lo, hi), P=P, N=float(N), nu=float(nu), report=report, ok=ok
     )
@@ -690,8 +619,10 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     backward-decaying class at 0, giving P- = I - Q).  If the compatibility
     products P+ P- and P- P+ differ from P- by more than 1e-6 the halves do
     not mesh and a :class:`TrichotomyIncompatibility` report is returned.
-    User-supplied ``P``/``Q`` (and constants) skip the estimation step and
-    are verified instead.
+    User-supplied ``P``/``Q`` skip the estimation step; only their
+    idempotence and compatibility are checked.  Supplied ``N``/``nu`` are
+    taken as given, with no slack check; without them the constants are
+    fitted to the chain norms of both half families.
 
     Raises
     ------
@@ -743,19 +674,12 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
 
     Q_mat = eye - P_minus
     fam_plus = _build_half_family(op, 0.0, T, P_plus, "lo", rate_hint)
-    fam_minus = _build_half_family(
-        op, -T, 0.0, Q_mat, "hi", rate_hint, orientation="backward"
-    )
+    fam_minus = _build_half_family(op, -T, 0.0, P_minus, "hi", rate_hint)
 
     if N is None or nu is None:
-        groups = [
-            _chain_norm_samples(fam_plus, 0.0, T, "forward"),
-            _chain_norm_samples(fam_plus, 0.0, T, "backward"),
-            _chain_norm_samples(fam_minus, -T, 0.0, "forward"),
-            _chain_norm_samples(fam_minus, -T, 0.0, "backward"),
-        ]
-        groups = [g for g in groups if any(v > 1e-300 for _, v, _, _ in g)]
-        N_hat, nu_hat = _envelope_fit(groups)
+        N_hat, nu_hat = _envelope_fit(
+            _half_samples(fam_plus, 0.0, T) + _half_samples(fam_minus, -T, 0.0)
+        )
     else:
         N_hat, nu_hat = float(N), float(nu)
 
@@ -809,15 +733,11 @@ class GreenKernel:
 
     def stable_projector(self, s: float) -> np.ndarray:
         """Projector whose image decays forward at time s (sweep map)."""
-        if s >= 0.0:
-            return self.fam_plus.projector(s)
-        return np.eye(self.n) - self.fam_minus.projector(s)
+        return (self.fam_plus if s >= 0.0 else self.fam_minus).projector(s)
 
     def unstable_projector(self, s: float) -> np.ndarray:
         """Projector whose image decays backward at time s."""
-        if s >= 0.0:
-            return np.eye(self.n) - self.fam_plus.projector(s)
-        return self.fam_minus.projector(s)
+        return np.eye(self.n) - self.stable_projector(s)
 
     def _check_window(self, *times):
         lo, hi = self.window
@@ -874,26 +794,9 @@ class GreenKernel:
         self._check_window(t, tau)
         if t == tau and side is None:
             raise ValueError("G(t, t) is two-valued; pass side='+' or side='-'")
-        upper = t > tau or (t == tau and side == "+")
-        if tau >= 0.0:
-            if upper:
-                Z0, sign, proj = self.fam_plus.projector(tau), 1.0, self.stable_projector
-            else:
-                Z0, sign, proj = (
-                    np.eye(self.n) - self.fam_plus.projector(tau),
-                    -1.0,
-                    self.unstable_projector,
-                )
-        else:
-            if upper:
-                Z0, sign, proj = (
-                    np.eye(self.n) - self.fam_minus.projector(tau),
-                    1.0,
-                    self.stable_projector,
-                )
-            else:
-                Z0, sign, proj = self.fam_minus.projector(tau), -1.0, self.unstable_projector
-        return sign * self._transport(Z0, tau, t, proj)
+        if t > tau or (t == tau and side == "+"):
+            return self._transport(self.stable_projector(tau), tau, t, self.stable_projector)
+        return self._transport(-self.unstable_projector(tau), tau, t, self.unstable_projector)
 
     def build_shifted(self, h: float):
         """Kernel of the time-shifted system A(t + h) on the same window."""

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from trichotomy.hyperbolicity import (
     DichotomyCertificate,
@@ -97,6 +98,18 @@ class TestVerifyDichotomy:
     def test_bad_constants_rejected(self, saddle_A):
         with pytest.raises(ValueError):
             verify_dichotomy(saddle_A, np.diag([1.0, 0.0]), (0.0, 50.0), 0.5, 1.0)
+
+    def test_left_half_line_saddle_certificate_holds(self, saddle_A):
+        out = verify_dichotomy(saddle_A, np.diag([1.0, 0.0]), (-50.0, 0.0), 1.0, 1.0)
+        assert out.ok
+        assert out.report["max_slack"] <= 1e-8
+
+    @pytest.mark.parametrize("P", [np.eye(2), np.zeros((2, 2))], ids=["identity", "zero"])
+    def test_left_half_line_wrong_projector_rejected(self, saddle_A, P):
+        # on (-12, 0) the data end is 0, so the direct products run backward
+        out = verify_dichotomy(saddle_A, P, (-12.0, 0.0), 1.0, 0.9)
+        assert not out.ok
+        assert out.report["max_slack"] > 1e3
 
     def test_interval_must_cover_ten_efoldings(self, saddle_A):
         with pytest.raises(ValueError, match="10/nu"):
@@ -196,6 +209,29 @@ class TestGreenKernel:
             Us = trich_kernel.unstable_projector(s)
             assert np.max(np.abs(Ps + Us - np.eye(3))) <= 1e-9
             assert np.linalg.norm(Ps @ Ps - Ps, 2) <= 1e-9
+
+    def test_projectors_are_invariant_on_time_dependent_system(self, rotation_kernel):
+        # P(s1) Phi(s1, s0) = Phi(s1, s0) P(s0) on each half-line and across 0
+        P = rotation_kernel.stable_projector
+        for s0, s1 in [(1.5, 4.0), (6.0, 2.2), (-6.2, -2.0), (-1.0, -5.5), (-3.0, 2.5), (2.5, -3.0)]:
+            Phi = rotation_kernel.op.matrix(s0, s1)
+            gap = P(s1) @ Phi - Phi @ P(s0)
+            assert np.linalg.norm(gap, 2) / max(1.0, np.linalg.norm(Phi, 2)) <= 1e-8
+
+    def test_oblique_projectors_closed_form(self):
+        # non-normal saddle: the spectral projector onto e1 along (1, 1) is oblique
+        A = np.array([[-1.0, 2.0], [0.0, 1.0]])
+        P_s = np.array([[1.0, -1.0], [0.0, 0.0]])
+        coeff = CoefficientMatrix.from_strings([["-1", "2"], ["0", "1"]])
+        kernel = GreenKernel(
+            build_trichotomy(coeff, 12.0, P=P_s, Q=np.eye(2) - P_s, N=3.0, nu=1.0)
+        )
+        # both sides of both half-lines, including a source time tau < 0
+        pairs = [(3.0, 1.0), (1.0, 3.0), (2.0, -3.0), (-3.0, 2.0), (-1.0, -4.0), (-4.0, -1.0)]
+        for t, tau in pairs:
+            E = expm(A * (t - tau))
+            expect = E @ P_s if t > tau else -E @ (np.eye(2) - P_s)
+            assert np.max(np.abs(kernel.matrix(t, tau) - expect)) <= 1e-10
 
     def test_outside_window_rejected(self, trich_kernel):
         with pytest.raises(WindowTooSmall):
