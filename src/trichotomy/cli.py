@@ -33,7 +33,6 @@ from .hyperbolicity import (
     NoDichotomyDetected,
     NonHyperbolicError,
     TrichotomyIncompatibility,
-    WindowTooSmall,
     build_trichotomy,
     certificate_to_json,
     estimate_constants,
@@ -41,13 +40,13 @@ from .hyperbolicity import (
     verify_dichotomy,
 )
 from .solvers import (
-    AccuracyError,
     ContractionError,
     LipschitzSpec,
     SolverError,
     _deviation_bound,
     _grid_values,
     _sampled_lipschitz_ratio,
+    _state_env,
     _tail_horizon,
     epsilon_continuation,
     example_c1_probe,
@@ -630,8 +629,7 @@ def _cmd_audit(spec, flags) -> int:
     if spec.F_exprs is not None:
         # F along each unit vector e_k, with the state entries as scalars
         for k, x in enumerate(np.eye(spec.dim)):
-            env = {"t": times, **{f"x{i + 1}": x[i] for i in range(spec.dim)}}
-            inputs[f"F(.,e{k + 1})"] = sampled(spec.F_exprs, env)
+            inputs[f"F(.,e{k + 1})"] = sampled(spec.F_exprs, _state_env(times, x))
 
     eps_ladder = flags.eps if flags.eps else [0.1, 0.05]
     lo, hi, step = flags.tau_range
@@ -684,11 +682,8 @@ def run(command: str, spec: ProblemSpec, flags: Flags) -> int:
                     {"ok": False, "certified_failure": str(exc)})
         print(f"certified refusal: {exc}")
         return 2
-    except WindowTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ProblemError, ExprError, PropagationError, SolverError,
-            AccuracyError, HyperbolicityError, ValueError) as exc:
+            HyperbolicityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

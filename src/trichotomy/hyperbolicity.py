@@ -126,12 +126,10 @@ def _anchor_times(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, m + 1)
 
 
-def _leg_matrices(op: TransitionOperator, anchors: np.ndarray) -> list:
+def _leg_matrices(op: TransitionOperator, anchors: np.ndarray) -> np.ndarray:
     n = op.A.n
-    mats = []
-    for s0, s1 in zip(anchors[:-1], anchors[1:]):
-        mats.append(op.solve_leg(s0, s1)(s1).reshape(n, n))
-    return mats
+    legs = [op.solve_leg(s0, s1)(s1).reshape(n, n) for s0, s1 in zip(anchors[:-1], anchors[1:])]
+    return np.array(legs)
 
 
 def _scaled_product_svd(mats):
@@ -235,9 +233,10 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
 class ProjectorFamily:
     """Forward-decaying projector samples on anchor times, with leg-wise transport.
 
-    ``projectors[i]`` is the projector at ``anchors[i]`` whose range decays
-    forward; its complement decays backward.  ``legs[i]`` is the transition
-    matrix from ``anchors[i]`` to ``anchors[i + 1]``.  Between anchors the
+    ``projectors`` is an (m, n, n) stack: ``projectors[i]`` is the projector
+    at ``anchors[i]`` whose range decays forward; its complement decays
+    backward.  ``legs`` is the (m - 1, n, n) stack of transition matrices
+    from ``anchors[i]`` to ``anchors[i + 1]``.  Between anchors the
     projector is conjugated through the cached dense leg, a short sandwich
     that cannot amplify error by more than exp(2*nu).  ``seed_residual`` is
     the distance, at the data end, between the swept projector and the one
@@ -307,18 +306,19 @@ def _sweep_family(op: TransitionOperator, anchors, P_seed, data_end: str) -> Pro
     """
     legs = _leg_matrices(op, anchors)
     rank = int(round(np.trace(P_seed)))
+    # one SVD gives both seeds: the right singular vectors past the rank span
+    # the kernel of P_seed, the leading left ones its range (for an oblique
+    # P_seed the trailing left ones span the range's orthogonal complement)
+    U, _, Vt = np.linalg.svd(P_seed)
+    seed = Vt[rank:].T if data_end == "lo" else U[:, :rank]
+    seed = _orth(seed) if seed.size else seed
     if data_end == "lo":
-        seed = null_space(P_seed)
-        if seed.shape[1] != op.A.n - rank:
-            U, sig, _ = np.linalg.svd(P_seed)
-            seed = U[:, sig < 0.5]
-        K = _sweep_forward(legs, _orth(seed) if seed.size else seed)
+        K = _sweep_forward(legs, seed)
         R = _sweep_backward(legs, _orth_complement(K[-1]))
     else:
-        seed = np.linalg.svd(P_seed)[0][:, :rank]
-        R = _sweep_backward(legs, _orth(seed) if seed.size else seed)
+        R = _sweep_backward(legs, seed)
         K = _sweep_forward(legs, _orth_complement(R[0]))
-    projectors = [_oblique_projector(Ri, Ki) for Ri, Ki in zip(R, K)]
+    projectors = np.array([_oblique_projector(Ri, Ki) for Ri, Ki in zip(R, K)])
     at_data = projectors[0 if data_end == "lo" else -1]
     seed_residual = float(np.linalg.norm(at_data - P_seed, 2))
     return ProjectorFamily(op, anchors, projectors, legs, seed_residual)
@@ -336,84 +336,78 @@ def _build_half_family(op, lo, hi, P_seed, data_end, rate) -> ProjectorFamily:
     return _sweep_family(op, anchors, P_seed, data_end)
 
 
-def _walk(family, start, step, act, Z, lo, hi, proj=None, cap=math.inf):
-    """Norm samples of ``Z`` carried from anchor ``start`` one leg at a time.
+def _walk(family, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf):
+    """Norm samples of the (k, n, n) stack ``Z0``, chain i carried from anchor ``starts[i]``.
 
-    Each step moves one anchor up (``step=+1``) or down (``step=-1``) and
-    applies ``act(leg, Z)`` with the leg between the two anchors, then
-    ``proj[j]`` at the new anchor j when ``proj`` is given.  The walk stops
-    before the first anchor outside [lo, hi] or farther than ``cap`` from
-    the start.  Samples are (separation, ||Z||, anchor, start anchor).
+    Each pass moves every live chain one anchor up (``step=+1``) or down
+    (``step=-1``) and applies ``act(legs, Z)`` to the stack, with each
+    chain's leg between its two anchors, then ``proj[j]`` at each chain's
+    new anchor j when the stack ``proj`` is given.  A chain drops out
+    before its first anchor outside [lo, hi] or farther than ``cap`` from
+    its start.  Returns an (r, 4) array of rows (separation, ||Z||, anchor,
+    start anchor), pass after pass.
     """
     anchors = family.anchors
-    samples = []
-    j = start + step
-    while 0 <= j < len(anchors) and lo - 1e-9 <= anchors[j] <= hi + 1e-9:
-        sep = abs(float(anchors[j] - anchors[start]))
-        if sep > cap + 1e-9:
-            break
-        Z = act(family.legs[min(j, j - step)], Z)
+    starts = np.asarray(starts)
+    j, Z = starts + step, Z0
+    rows = [np.empty((0, 4))]
+    while True:
+        live = (j >= 0) & (j < len(anchors))
+        t = anchors[np.where(live, j, 0)]
+        sep = np.abs(t - anchors[starts])
+        live &= (t >= lo - 1e-9) & (t <= hi + 1e-9) & (sep <= cap + 1e-9)
+        if not live.any():
+            return np.vstack(rows)
+        starts, j, Z, t, sep = starts[live], j[live], Z[live], t[live], sep[live]
+        Z = act(family.legs[np.minimum(j, j - step)], Z)
         if proj is not None:
             Z = proj[j] @ Z
-        samples.append((sep, float(np.linalg.norm(Z, 2)), anchors[j], anchors[start]))
-        j += step
-    return samples
+        rows.append(np.column_stack([sep, np.linalg.norm(Z, 2, axis=(1, 2)), t, anchors[starts]]))
+        j = j + step
 
 
-def _chain_samples(family: ProjectorFamily, lo, hi, step: int):
-    """Norm samples ||Phi(t, tau) Pi(tau)|| of chains from every anchor in [lo, hi].
+def _chain_samples(family: ProjectorFamily, lo, hi):
+    """Norm samples ||Phi(t, tau) Pi(tau)|| of the chains from every anchor in [lo, hi].
 
-    ``step=+1`` transports the forward-decaying projector up in time,
-    ``step=-1`` its complement down.  Mid-chain re-projection is an exact
-    identity in exact arithmetic and strips the exponentially growing
-    numerical error component.
+    Returns ``[up, down]``: ``up`` carries the forward-decaying projector up
+    in time, ``down`` its complement down, each from all start anchors in
+    one :func:`_walk`.  Rows are :func:`_walk`'s, separation 0 included,
+    ordered by start anchor, then by separation.  Mid-chain re-projection
+    is an exact identity in exact arithmetic and strips the exponentially
+    growing numerical error component.
     """
-    if step > 0:
-        proj, act = family.projectors, np.matmul
-    else:
-        eye = np.eye(family.op.A.n)
-        proj, act = [eye - Pk for Pk in family.projectors], np.linalg.solve
-    samples = []
-    for i, s in enumerate(family.anchors):
-        if lo - 1e-9 <= s <= hi + 1e-9:
-            samples.append((0.0, float(np.linalg.norm(proj[i], 2)), s, s))
-            samples += _walk(family, i, step, act, proj[i], lo, hi, proj=proj)
-    return samples
-
-
-def _half_samples(family: ProjectorFamily, lo, hi):
-    """Chain samples of both decay branches on [lo, hi] for an envelope fit.
-
-    A branch whose norms all vanish (a rank-0 or rank-n projector) carries
-    no rate and is dropped.
-    """
-    groups = [_chain_samples(family, lo, hi, +1), _chain_samples(family, lo, hi, -1)]
-    return [g for g in groups if any(v > 1e-300 for _, v, _, _ in g)]
+    anchors = family.anchors
+    starts = np.flatnonzero((anchors >= lo - 1e-9) & (anchors <= hi + 1e-9))
+    t0 = anchors[starts]
+    groups = []
+    for step, proj, act in (
+        (+1, family.projectors, np.matmul),
+        (-1, np.eye(family.op.A.n) - family.projectors, np.linalg.solve),
+    ):
+        Z0 = proj[starts]
+        at_start = np.column_stack([np.zeros_like(t0), np.linalg.norm(Z0, 2, axis=(1, 2)), t0, t0])
+        rows = np.vstack([at_start, _walk(family, starts, step, act, Z0, lo, hi, proj=proj)])
+        groups.append(rows[np.lexsort((rows[:, 0], rows[:, 3]))])
+    return groups
 
 
 def _envelope_fit(sample_groups):
-    """Least-squares log-linear envelope over (separation, norm) samples.
+    """Least-squares log-linear envelope over arrays of (separation, norm, ...) rows.
 
-    Fits ln g against separation for each group, takes the slowest decay
-    rate, shrinks it by the 5% safety margin, then picks the smallest
-    constant N >= 1 making every sample satisfy g <= N exp(-nu*sep).
+    Fits ln g against separation for each group, using the largest norm per
+    separation (rounded to 1e-9) and skipping non-positive norms, takes the
+    slowest decay rate, shrinks it by the 5% safety margin, then picks the
+    smallest constant N >= 1 making every sample satisfy g <= N exp(-nu*sep).
     """
+    groups = [rows[rows[:, 1] > 0.0] for rows in sample_groups]
     rates = []
-    for samples in sample_groups:
-        if not samples:
+    for rows in groups:
+        seps, bucket = np.unique(np.round(rows[:, 0], 9), return_inverse=True)
+        if seps.size < 2:
             continue
-        buckets = {}
-        for sep, g, _, _ in samples:
-            if g <= 0.0:
-                continue
-            key = round(sep, 9)
-            buckets[key] = max(buckets.get(key, 0.0), g)
-        if len(buckets) < 2:
-            continue
-        seps = np.array(sorted(buckets))
-        logs = np.log(np.array([buckets[s] for s in seps]))
-        slope = np.polyfit(seps, logs, 1)[0]
-        rates.append(-slope)
+        peaks = np.zeros(seps.size)
+        np.maximum.at(peaks, bucket, rows[:, 1])
+        rates.append(-np.polyfit(seps, np.log(peaks), 1)[0])
     if not rates:
         raise NonHyperbolicError("no decay samples available for the envelope fit")
     nu_fit = min(rates)
@@ -422,11 +416,8 @@ def _envelope_fit(sample_groups):
             f"fitted decay rate {nu_fit:.3g} is not positive: non-hyperbolic"
         )
     nu_hat = 0.95 * nu_fit
-    log_N = 0.0
-    for samples in sample_groups:
-        for sep, g, _, _ in samples:
-            if g > 0.0:
-                log_N = max(log_N, math.log(g) + nu_hat * sep)
+    rows = np.vstack(groups)
+    log_N = np.max(np.log(rows[:, 1]) + nu_hat * rows[:, 0], initial=0.0)
     return float(math.exp(log_N)), float(nu_hat)
 
 
@@ -448,7 +439,7 @@ def estimate_constants(A, P, interval):
     except (HyperbolicityError, ValueError):
         pass
     family = _build_half_family(op, lo, hi, P, data_end, est_hint)
-    return _envelope_fit(_half_samples(family, lo, hi))
+    return _envelope_fit(_chain_samples(family, lo, hi))
 
 
 @dataclass
@@ -464,14 +455,13 @@ class DichotomyCertificate:
 
 
 def _bound_violations(samples, N, nu, kind):
-    worst = None
-    max_slack = -math.inf
-    for sep, g, t, tau in samples:
-        slack = g - N * math.exp(-nu * sep)
-        if slack > max_slack:
-            max_slack = slack
-            worst = {"t": float(t), "tau": float(tau), "norm": g, "kind": kind}
-    return max_slack, worst
+    """Largest slack g - N exp(-nu*sep) over the sample rows, with its (t, tau) pair."""
+    if not len(samples):
+        return -math.inf, None
+    slack = samples[:, 1] - N * np.exp(-nu * samples[:, 0])
+    k = int(np.argmax(slack))
+    _, g, t, tau = samples[k]
+    return float(slack[k]), {"t": float(t), "tau": float(tau), "norm": float(g), "kind": kind}
 
 
 def verify_dichotomy(A, P, interval, N, nu):
@@ -498,41 +488,36 @@ def verify_dichotomy(A, P, interval, N, nu):
     data_end = "lo" if abs(lo) <= abs(hi) else "hi"
     family = _build_half_family(op, lo, hi, P, data_end, nu)
 
-    stable = _chain_samples(family, lo, hi, +1)
-    unstable = _chain_samples(family, lo, hi, -1)
-    slack_s, worst_s = _bound_violations(stable, N, nu, "stable")
-    slack_u, worst_u = _bound_violations(unstable, N, nu, "unstable")
+    stable, unstable = _chain_samples(family, lo, hi)
 
     # direct short-separation products from the data end: these use the
     # candidate P itself, no stabilizing projections
     cap = min(hi - lo, 4.6 / nu)
-    comp = np.eye(op.A.n) - P
+    comp = (np.eye(op.A.n) - P)[None]
     if data_end == "lo":
-        direct = _walk(family, 0, +1, np.matmul, P, lo, hi, cap=cap)
+        direct = _walk(family, [0], +1, np.matmul, P[None], lo, hi, cap=cap)
         # mirrored check: the second inequality at t = lo reads
         # ||(I - P) Phi(lo, tau)||, built by right-multiplying inverse legs
         mirrored = _walk(
-            family, 0, +1, lambda M, Z: np.linalg.solve(M.T, Z.T).T, comp, lo, hi, cap=cap
+            family, [0], +1,
+            lambda M, Z: np.linalg.solve(M.swapaxes(1, 2), Z.swapaxes(1, 2)).swapaxes(1, 2),
+            comp, lo, hi, cap=cap,
         )
-        direct += [(sep, g, tau, t) for sep, g, t, tau in mirrored]
+        direct = np.vstack([direct, mirrored[:, [0, 1, 3, 2]]])
     else:
-        direct = _walk(family, len(family.anchors) - 1, -1, np.linalg.solve, comp, lo, hi, cap=cap)
-    slack_d, worst_d = _bound_violations(direct, N, nu, "direct")
+        last = len(family.anchors) - 1
+        direct = _walk(family, [last], -1, np.linalg.solve, comp, lo, hi, cap=cap)
 
-    max_slack = max(slack_s, slack_u, slack_d)
-    worst = max(
-        [w for w in (worst_s, worst_u, worst_d) if w is not None],
-        key=lambda w: w["norm"] - N * math.exp(-nu * abs(w["t"] - w["tau"])),
-        default=None,
-    )
+    # the first group with the largest slack names the worst pair
+    groups = ((stable, "stable"), (unstable, "unstable"), (direct, "direct"))
+    checks = [_bound_violations(rows, N, nu, kind) for rows, kind in groups]
+    max_slack, worst = max(checks, key=lambda check: check[0])
     report = {
         "max_slack": float(max_slack),
         "worst_pair": worst,
         "seed_residual": family.seed_residual,
         "pairs_checked": len(stable) + len(unstable) + len(direct),
-        "projector_norm_max": float(
-            max(np.linalg.norm(Pk, 2) for Pk in family.projectors)
-        ),
+        "projector_norm_max": float(np.linalg.norm(family.projectors, 2, axis=(1, 2)).max()),
     }
     ok = max_slack <= SLACK_TOL and family.seed_residual <= 1e-5
     return DichotomyCertificate(
@@ -678,7 +663,7 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
 
     if N is None or nu is None:
         N_hat, nu_hat = _envelope_fit(
-            _half_samples(fam_plus, 0.0, T) + _half_samples(fam_minus, -T, 0.0)
+            _chain_samples(fam_plus, 0.0, T) + _chain_samples(fam_minus, -T, 0.0)
         )
     else:
         N_hat, nu_hat = float(N), float(nu)

@@ -108,20 +108,19 @@ def _picard_window(phi0: GridFunction, Tc: float):
 def ode_residual(A, phi: GridFunction, f=None, F=None) -> np.ndarray:
     """Max-norm residual |phi' - A phi - f - F(., phi)| at each grid point.
 
-    The derivative is the grid's fourth-order finite difference; ``f`` is a
-    GridFunction on the same grid or None; ``F`` maps (t, x) -> vector.
+    The derivative is the grid's fourth-order finite difference.  A's n^2
+    entries are evaluated over the whole grid in one call, and so is F.
+    ``f`` is a GridFunction on phi's grid or None; ``F`` is a
+    :class:`LipschitzSpec` or None.
     """
-    d = phi.derivative_grid()
-    times = phi.times
-    vals = phi.values
-    res = d.copy()
-    for i, t in enumerate(times):
-        res[i] -= A.value(t) @ vals[i]
+    times, vals = phi.times, phi.values
+    entries = [e for row in A.entries for e in row]
+    A_grid = _grid_values(entries, {"t": times}, times.shape).reshape(-1, A.n, A.n)
+    res = phi.derivative_grid() - np.einsum("kij,kj->ki", A_grid, vals)
     if f is not None:
-        res -= f.values if isinstance(f, GridFunction) else f
+        res -= f.values
     if F is not None:
-        for i, t in enumerate(times):
-            res[i] -= F(t, vals[i])
+        res -= F.on_grid(times, vals)
     return np.linalg.norm(res, axis=1)
 
 
@@ -315,14 +314,6 @@ def solve_linear_bounded(
     return phi
 
 
-def _point_value(exprs, t, x) -> np.ndarray:
-    """F(t, x) for one time t and one state vector x."""
-    env = {"t": t}
-    for i in range(len(exprs)):
-        env[f"x{i + 1}"] = x[i]
-    return np.array([eval_expr(e, env) for e in exprs], dtype=float)
-
-
 def _grid_values(exprs, env, shape) -> np.ndarray:
     """The expressions evaluated under ``env`` as float columns broadcast to ``shape``."""
     return np.column_stack(
@@ -330,23 +321,30 @@ def _grid_values(exprs, env, shape) -> np.ndarray:
     )
 
 
+def _state_env(times, values) -> dict:
+    """Variable bindings t, x1..xn for expressions evaluated at (times, values)."""
+    env = {"t": times}
+    for i in range(values.shape[-1]):
+        env[f"x{i + 1}"] = values[..., i]
+    return env
+
+
 def _sampled_lipschitz_ratio(exprs, draws, seed):
     """Largest |F(t, x) - F(t, y)| / |x - y| over ``draws`` random pairs per
     sample time, drawn from the cube of half-width ``_SAMPLE_RADIUS``.
+
+    All pairs come from one draw of shape (times * draws, 2, n), the same
+    random stream as drawing x then y pair by pair.
     """
-    n = len(exprs)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in _SAMPLE_TIMES:
-        for _ in range(draws):
-            x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, n)
-            y = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, n)
-            dxy = float(np.linalg.norm(x - y))
-            if dxy < 1e-12:
-                continue
-            diff = _point_value(exprs, t, x) - _point_value(exprs, t, y)
-            worst = max(worst, float(np.linalg.norm(diff)) / dxy)
-    return worst
+    pairs = np.random.default_rng(seed).uniform(
+        -_SAMPLE_RADIUS, _SAMPLE_RADIUS, (_SAMPLE_TIMES.size * draws, 2, len(exprs))
+    )
+    times = np.repeat(_SAMPLE_TIMES, draws)
+    x, y = pairs[:, 0], pairs[:, 1]
+    Fx, Fy = (_grid_values(exprs, _state_env(times, p), times.shape) for p in (x, y))
+    dxy = np.linalg.norm(x - y, axis=1)
+    keep = dxy >= 1e-12
+    return float(np.max(np.linalg.norm(Fx - Fy, axis=1)[keep] / dxy[keep], initial=0.0))
 
 
 class LipschitzSpec:
@@ -376,10 +374,8 @@ class LipschitzSpec:
         self.report = self._validate()
 
     def _validate(self):
-        worst_zero = 0.0
-        for t in _SAMPLE_TIMES:
-            z = self(t, np.zeros(self.n))
-            worst_zero = max(worst_zero, float(np.linalg.norm(z)))
+        zeros = self.on_grid(_SAMPLE_TIMES, np.zeros((_SAMPLE_TIMES.size, self.n)))
+        worst_zero = float(np.linalg.norm(zeros, axis=1).max())
         worst_ratio = _sampled_lipschitz_ratio(self.exprs, 8, seed=0)
         if worst_zero > 1e-12:
             raise ValueError(
@@ -393,14 +389,13 @@ class LipschitzSpec:
         return {"max_sampled_ratio": worst_ratio, "max_zero_norm": worst_zero}
 
     def __call__(self, t, x):
-        return self.factor * _point_value(self.exprs, t, x)
+        """F(t, x) for one time t and one state vector x (the pointwise reference)."""
+        env = _state_env(t, np.asarray(x))
+        return self.factor * np.array([eval_expr(e, env) for e in self.exprs], dtype=float)
 
     def on_grid(self, times, values):
         """Vectorized evaluation over a grid: values has shape (m, n)."""
-        env = {"t": times}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = values[:, i]
-        return self.factor * _grid_values(self.exprs, env, times.shape)
+        return self.factor * _grid_values(self.exprs, _state_env(times, values), times.shape)
 
     def scaled(self, factor):
         """The nonlinearity factor*F with Lipschitz constant |factor|*L (not re-sampled)."""

@@ -14,6 +14,7 @@ from conftest import problem_path, read_solution_csv, run_cli
 
 import trichotomy.cli
 from trichotomy.cli import ProblemError, load_problem, save_problem
+from trichotomy.hyperbolicity import WindowTooSmall
 from trichotomy.propagator import TransitionOperator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -396,6 +397,17 @@ class TestMainInterface:
         err = capsys.readouterr().err
         assert f"{command} takes one --eps value, got 2" in err
         assert "audit" in err
+
+    def test_window_too_small_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def too_small(spec, flags):
+            raise WindowTooSmall("certificate window too small", 42.0)
+
+        monkeypatch.setitem(trichotomy.cli._COMMANDS, "solve-linear", too_small)
+        out = tmp_path / "out"
+        rc = run_cli(["solve-linear", "diag_cos", "--out", out])
+        assert rc == 1
+        assert "increase window T" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_window_override_changes_solution_extent(self, tmp_path):
         out = tmp_path / "out"

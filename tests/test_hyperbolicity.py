@@ -115,6 +115,48 @@ class TestVerifyDichotomy:
         with pytest.raises(ValueError, match="10/nu"):
             verify_dichotomy(saddle_A, np.diag([1.0, 0.0]), (0.0, 5.0), 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "P", [[[1.0, -1.0], [0.0, 1e-11]], [[1.0, -1.0], [0.0, 0.0]]], ids=["near", "exact"]
+    )
+    def test_oblique_near_projector_seeds_its_kernel(self, P):
+        # the forward sweep starts from the kernel of P, (1, 1); a seed
+        # spanning the complement of its range instead, (0, 1), would leave
+        # a seed residual near 1 and reject a correct certificate
+        A = CoefficientMatrix.from_strings([["-1", "2"], ["0", "1"]])
+        out = verify_dichotomy(A, P, (0.0, 30.0), 3.0, 1.0)
+        assert out.ok
+        assert out.report["seed_residual"] <= 1e-10
+
+
+class TestNonNormalSaddleOracle:
+    """x' = [[-1, 2], [0, 1]] x: spectral projector P_s = [[1, -1], [0, 0]], rate 1.
+
+    Phi(t, tau) P_s = e^{-(t - tau)} P_s and Phi(t, tau)(I - P_s) =
+    e^{t - tau}(I - P_s), so the sharp constants are nu = 1 and
+    N* = max(||P_s||, ||I - P_s||) = sqrt(2), attained at separation 0.
+    """
+
+    A = CoefficientMatrix.from_strings([["-1", "2"], ["0", "1"]])
+    P_s = np.array([[1.0, -1.0], [0.0, 0.0]])
+    N_star = np.sqrt(2.0)
+
+    @pytest.mark.parametrize("interval, pairs", [((0.0, 20.0), 470), ((-20.0, 0.0), 466)])
+    def test_sharp_constants_accepted_and_no_smaller_n(self, interval, pairs):
+        ok = verify_dichotomy(self.A, self.P_s, interval, self.N_star, 1.0)
+        assert ok.ok
+        assert ok.report["max_slack"] <= 1e-12
+        assert ok.report["pairs_checked"] == pairs
+        low = verify_dichotomy(self.A, self.P_s, interval, 0.999 * self.N_star, 1.0)
+        assert not low.ok
+        assert low.report["max_slack"] == pytest.approx(0.001 * self.N_star, abs=1e-12)
+        assert low.report["pairs_checked"] == pairs
+
+    @pytest.mark.parametrize("interval", [(0.0, 20.0), (-20.0, 0.0)])
+    def test_fitted_constants(self, interval):
+        N, nu = estimate_constants(self.A, self.P_s, interval)
+        assert N == pytest.approx(self.N_star, abs=1e-12)
+        assert nu == pytest.approx(0.95, abs=1e-9)
+
 
 class TestBuildTrichotomy:
     def test_tanh_three_way_split(self, trich_kernel):
