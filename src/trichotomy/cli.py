@@ -366,14 +366,15 @@ def _lipschitz_spec(spec) -> LipschitzSpec:
         raise ProblemError(
             "problem declares no nonlinearity F; use solve-linear instead"
         )
-    L = spec.L
-    if L is None:
-        worst = _sampled_lipschitz_ratio(spec.F_exprs, draws=12, seed=1)
-        if worst == 0.0:
-            raise ProblemError("nonlinearity sampled as identically zero")
-        L = 1.05 * worst
-        print(f"note: no declared L; sampled estimate L = {L:.6g}")
-    return LipschitzSpec(spec.F_strings, L)
+    if spec.L is not None:
+        return LipschitzSpec(spec.F_strings, spec.L)
+    worst = _sampled_lipschitz_ratio(spec.F_exprs, draws=12, seed=1)
+    if worst == 0.0:
+        raise ProblemError("nonlinearity sampled as identically zero")
+    L = 1.05 * worst
+    print(f"note: no declared L; sampled estimate L = {L:.6g}")
+    # the spec's own sampling checks the estimate; a refusal names both ratios
+    return LipschitzSpec(spec.F_strings, L, label=f"sampled estimate L = 1.05 * {worst:.6g}")
 
 
 # ---------------------------------------------------------------------------

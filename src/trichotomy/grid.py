@@ -3,14 +3,28 @@
 GridFunction is the common currency of the solver and diagnostic modules: a
 window ``[a, b]``, a uniform step ``h`` and an array of samples, with cubic
 interpolation between samples and the sup-norm taken as the max over samples.
+
+The interpolant is the not-a-knot cubic spline (the one scipy's CubicSpline
+builds by default; two samples give the line, three the parabola).  On a
+uniform grid its slopes solve s[i-1] + 4 s[i] + s[i+1] = 3 (d[i-1] + d[i])
+with divided differences d.  The symbol z^-1 + 4 + z factors as
+(1 + rho z^-1)(1 + rho z) / rho with rho = 2 - sqrt(3), so a particular
+solution comes from one causal and one anti-causal geometric filter, each
+truncated at 32 taps (rho^32 < 1e-18); adding the two homogeneous solutions
+(-rho)^i and (-rho)^(m-i) with weights from a 2x2 solve meets the not-a-knot
+end rows.  The spline is stored as per-interval coefficients ``coeffs`` of
+shape (4, m, n): on interval k, x(a + k h + u) = sum_p coeffs[p, k] u^p.
+One row per power keeps every gather and Horner step of an evaluation on
+contiguous (points, n) arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = ["GridFunction", "write_csv"]
+
+_RHO = 2.0 - np.sqrt(3.0)
 
 
 class GridFunction:
@@ -37,7 +51,7 @@ class GridFunction:
         self.a = float(a)
         self.b = float(b)
         self.values = values
-        self._spline = None
+        self._coeffs = None
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, step: float) -> "GridFunction":
@@ -69,20 +83,43 @@ class GridFunction:
         """Max over samples of the euclidean vector norm."""
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
-    def _ensure_spline(self):
-        if self._spline is None:
-            self._spline = CubicSpline(self.times, self.values, axis=0)
-        return self._spline
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Spline coefficients, shape (4, m, n), in powers of u = t - (a + k h)."""
+        if self._coeffs is None:
+            self._coeffs = _spline_coeffs(self.values, self.h)
+        return self._coeffs
 
-    def __call__(self, t):
-        """Cubic interpolation at ``t`` (scalar or array), strict on bounds."""
-        t_arr = np.asarray(t, dtype=float)
+    def __call__(self, t, nu: int = 0):
+        """Spline value (``nu=0``) or first derivative (``nu=1``) at ``t``.
+
+        ``t`` is a scalar or an array; the result has shape ``t.shape + (n,)``.
+        Evaluation is strict on bounds, up to a relative slack of 1e-9.
+        """
+        if nu not in (0, 1):
+            raise ValueError("nu must be 0 or 1")
+        t = np.asarray(t, dtype=float)
         slack = 1e-9 * max(1.0, abs(self.a), abs(self.b))
-        if np.any(t_arr < self.a - slack) or np.any(t_arr > self.b + slack):
+        if t.size and (t.min() < self.a - slack or t.max() > self.b + slack):
             raise ValueError(
                 f"evaluation at t outside window [{self.a}, {self.b}]"
             )
-        out = self._ensure_spline()(np.clip(t_arr, self.a, self.b))
+        C, h = self.coeffs, self.h
+        k = np.clip((t - self.a) / h, 0, C.shape[1] - 1).astype(np.intp)
+        # u repeated per component, so that every step below is contiguous
+        u = np.clip(t, self.a, self.b) - (self.a + k * h)
+        u = np.repeat(u, self.dim).reshape(t.shape + (self.dim,))
+        if nu == 0:
+            out = C[3].take(k, axis=0) * u
+            for p in (2, 1):
+                out += C[p].take(k, axis=0)
+                out *= u
+            out += C[0].take(k, axis=0)
+        else:
+            out = 3.0 * C[3].take(k, axis=0) * u
+            out += 2.0 * C[2].take(k, axis=0)
+            out *= u
+            out += C[1].take(k, axis=0)
         return out
 
     def restrict(self, a2: float, b2: float) -> "GridFunction":
@@ -110,7 +147,7 @@ class GridFunction:
         h = self.h
         m = v.shape[0]
         if m < 5:
-            return self._ensure_spline()(self.times, 1)
+            return self(self.times, 1)
         d = np.empty_like(v)
         d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
         fwd = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
@@ -128,6 +165,44 @@ class GridFunction:
         ):
             raise ValueError("grid mismatch")
         return GridFunction(self.a, self.b, self.values - other.values)
+
+
+def _slopes(d: np.ndarray) -> np.ndarray:
+    """Not-a-knot spline slopes from the divided differences ``d`` (shape (m, n))."""
+    m = d.shape[0]
+    if m == 1:
+        return np.concatenate([d, d])
+    if m == 2:
+        return np.stack([1.5 * d[0] - 0.5 * d[1], 0.5 * (d[0] + d[1]),
+                         1.5 * d[1] - 0.5 * d[0]])
+    # particular solution p of p[i-1] + 4 p[i] + p[i+1] = r[i], i = 1..m-1:
+    # the causal filter sum_k (-rho)^k S^k, then the anti-causal one, each
+    # applied as five doublings of 1 + c S^j (2^5 = 32 taps)
+    r = np.zeros((m + 1, d.shape[1]))
+    r[1:-1] = 3.0 * (d[:-1] + d[1:])
+    for j in (1, 2, 4, 8, 16):
+        r[j:] = r[j:] + (-_RHO) ** j * r[:-j]
+    for j in (1, 2, 4, 8, 16):
+        r[:-j] = r[:-j] + (-_RHO) ** j * r[j:]
+    p = _RHO * r
+    # p + alpha g + beta g[::-1] with g[i] = (-rho)^i meets the end rows
+    # s[0] + 2 s[1] = (5 d[0] + d[1]) / 2 and its mirror image
+    g = (-_RHO) ** np.arange(m + 1.0)
+    diag, off = g[0] + 2.0 * g[1], g[-1] + 2.0 * g[-2]
+    e0 = 0.5 * (5.0 * d[0] + d[1]) - p[0] - 2.0 * p[1]
+    e1 = 0.5 * (5.0 * d[-1] + d[-2]) - p[-1] - 2.0 * p[-2]
+    det = diag * diag - off * off
+    alpha = (diag * e0 - off * e1) / det
+    beta = (diag * e1 - off * e0) / det
+    return p + np.outer(g, alpha) + np.outer(g[::-1], beta)
+
+
+def _spline_coeffs(y: np.ndarray, h: float) -> np.ndarray:
+    """Per-interval cubic coefficients of samples ``y``, shape (4, m, n), lowest power first."""
+    d = np.diff(y, axis=0) / h
+    s = _slopes(d)
+    t = (s[:-1] + s[1:] - 2.0 * d) / h
+    return np.stack([y[:-1], s[:-1], (d - s[:-1]) / h - t, t / h])
 
 
 def write_csv(path, gf: GridFunction) -> None:

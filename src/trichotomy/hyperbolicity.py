@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .propagator import TransitionOperator
 
@@ -98,7 +97,11 @@ def _orth_complement(basis: np.ndarray) -> np.ndarray:
         return np.eye(n)
     if k == n:
         return np.zeros((n, 0))
-    return null_space(basis.T)
+    # the trailing right singular vectors of basis^T, with null_space's rank
+    # rule: singular values above eps * max(n, k) * largest count
+    _, sv, vh = np.linalg.svd(basis.T)
+    rank = int(np.sum(sv > np.finfo(float).eps * max(n, k) * sv.max(initial=0.0)))
+    return vh[rank:].T
 
 
 def _oblique_projector(range_basis: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:

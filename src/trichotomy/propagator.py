@@ -11,7 +11,7 @@ the flattened n*n matrix, an array of k times gives shape (n*n, k)):
 * Integrated legs otherwise (time-dependent A, or a defective or
   ill-conditioned constant A such as a Jordan block): scipy's embedded
   Runge-Kutta 5(4) pair (Dormand-Prince) with dense output, run at rel tol
-  1e-9 / abs tol 1e-12.
+  1e-9 / abs tol 1e-12.  scipy is imported at the first such leg.
 
 Transition matrices over long windows are never assembled as a single
 product chain in the growing direction; higher-level code (hyperbolicity
@@ -21,7 +21,6 @@ module) always works leg by leg and projects onto decaying directions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expr import compile_expr, free_vars, parse, substitute, Bin, Neg, Num, Var
 
@@ -131,6 +130,9 @@ class TransitionOperator:
         if self._eig is not None:
             leg = self._legs[key] = ExactLeg(*self._eig, key[0])
             return leg
+        # scipy is imported here, so that runs with exact legs never load it
+        from scipy.integrate import solve_ivp
+
         n = self.A.n
         y0 = np.eye(n).reshape(-1)
         sol = solve_ivp(

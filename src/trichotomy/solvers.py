@@ -6,12 +6,13 @@ It is computed here by two exponential-weight sweeps (one per decay
 direction) with composite Gauss-Legendre panels, in the local coordinates of
 the cached unit propagation legs, so no quantity is ever propagated in its
 growing direction.  What the quadrature needs of a leg besides the forcing
-(node times, inverse leg values, projectors, grid indices) is built once per
-kernel, leg clip and grid, and reused by every later solve on that kernel:
-both sweeps, each Picard iterate and each eps of a continuation.  The
-semilinear equation x' = A(t)x + f(t) + F(t, x) is solved by Picard
-iteration around the linear solution, which contracts at rate
-alpha = 2*N*L/nu when the Lipschitz constant L of F is below nu/(2*N).
+(inverse leg values folded into per-panel moments of the forcing spline,
+projectors, grid indices) is built once per kernel, leg clip and grid, and
+reused by every later solve on that kernel: both sweeps, each Picard
+iterate and each eps of a continuation.  The semilinear equation
+x' = A(t)x + f(t) + F(t, x) is solved by Picard iteration around the linear
+solution, which contracts at rate alpha = 2*N*L/nu when the Lipschitz
+constant L of F is below nu/(2*N).
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
-from .expr import eval_expr, free_vars, parse
+from .expr import EvalError, eval_expr, free_vars, parse
 from .grid import GridFunction
 from .hyperbolicity import GreenKernel, WindowTooSmall
 
@@ -150,15 +150,17 @@ def _panel_points(s0, s1, grid_a, h):
 class _LegPlan:
     """What the Green quadrature on one clipped leg needs besides the forcing.
 
-    ``nodes`` are the Gauss-Legendre node times of the panels between grid
-    points; ``weighted_inv`` holds weight * D(node)^{-1} per node, shape
-    (panels, 16, n, n), with D the leg solution; ``D_pts`` is D at the panel
+    Each Gauss-Legendre panel lies in one grid interval, ``cell``, where the
+    forcing is the cubic sum_p c_p u^p of its spline (u = tau - t_cell), so
+    the panel sum of weight * D(node)^{-1} f(node) is sum_p W_p c_p with the
+    moments W_p = sum_j w_j u_j^p D(node_j)^{-1}; ``W`` has shape
+    (panels, 4, n, n), with D the leg solution.  ``D_pts`` is D at the panel
     points.  ``proj`` maps each sweep direction to its (panel, crossing)
     projectors, and the panel points ``rows`` are the grid points ``idx``.
     """
 
-    nodes: np.ndarray
-    weighted_inv: np.ndarray
+    W: np.ndarray
+    cell: np.ndarray
     D_pts: np.ndarray
     proj: dict
     rows: np.ndarray
@@ -175,18 +177,21 @@ def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
     sol = kernel.op.solve_leg(a0, a1)
     pts = _panel_points(s0, s1, f.a, f.h)
     widths = np.diff(pts)
-    nodes = (pts[:-1, None] + np.outer(widths, (_GL_NODES + 1.0) / 2.0)).ravel()
-    wts = np.outer(widths, _GL_WEIGHTS / 2.0).ravel()
+    nodes = pts[:-1, None] + np.outer(widths, (_GL_NODES + 1.0) / 2.0)
+    wts = np.outer(widths, _GL_WEIGHTS / 2.0)
     # one dense-output call for nodes and panel points: the leg's per-step
     # interpolants are visited once
-    D = sol(np.concatenate([nodes, pts])).T.reshape(-1, n, n)
-    D_inv = np.linalg.inv(D[: nodes.size])
+    D = sol(np.concatenate([nodes.ravel(), pts])).T.reshape(-1, n, n)
+    D_inv = np.linalg.inv(D[: nodes.size]).reshape(*nodes.shape, n, n)
+    cell = np.floor((pts[:-1] + 0.5 * widths - f.a) / f.h).astype(int)
+    u = nodes - (f.a + cell[:, None] * f.h)
+    moments = wts[..., None] * u[..., None] ** np.arange(4)
     k = np.rint((pts - f.a) / f.h)
     rows = np.flatnonzero(np.abs(f.a + k * f.h - pts) < 1e-9)
     U0 = kernel.unstable_projector(a0)
     plan = kernel.plans[key] = _LegPlan(
-        nodes=nodes,
-        weighted_inv=(wts[:, None, None] * D_inv).reshape(len(widths), 16, n, n),
+        W=np.einsum("kjp,kjab->kpab", moments, D_inv),
+        cell=cell,
         D_pts=D[nodes.size :].copy(),  # a copy, so the node values are freed
         proj={
             "up": (kernel.stable_projector(a0), kernel.stable_projector(a1)),
@@ -206,17 +211,20 @@ def _sweep(kernel: GreenKernel, f: GridFunction, lo, hi, direction):
     int_t^hi Phi(t,tau) Pi_u(tau) f(tau) dtau for t decreasing.  Working in
     the local coordinates of each unit leg turns the projected integrand
     into a constant projector times a backward-solved forcing sample, and
-    the running value is re-projected at every anchor crossing.  Returns
-    the values on f's whole grid, zero at the grid points outside [lo, hi].
+    the running value is re-projected at every anchor crossing.  The
+    forcing enters only through its spline coefficients, gathered per
+    panel.  Returns the values on f's whole grid, zero at the grid points
+    outside [lo, hi].
     """
     legs = _leg_ranges(kernel.anchors, lo, hi)
+    C = f.coeffs
     out = np.zeros_like(f.values)
     Y = np.zeros(kernel.n)
     for a0, a1, s0, s1 in legs if direction == "up" else legs[::-1]:
         plan = _leg_plan(kernel, f, a0, a1, s0, s1)
         P_panel, P_cross = plan.proj[direction]
-        f_nodes = f(plan.nodes).reshape(plan.weighted_inv.shape[:3])
-        panel = np.einsum("kjab,kjb->ka", plan.weighted_inv, f_nodes) @ P_panel.T
+        c = C.take(plan.cell, axis=1)
+        panel = np.einsum("kpab,pkb->ka", plan.W, c) @ P_panel.T
         D_pts = plan.D_pts
         if direction == "up":
             Z = np.linalg.solve(D_pts[0], Y)
@@ -355,9 +363,10 @@ class LipschitzSpec:
     a ball must give difference ratios at most L*(1+1e-3), and F(t, 0) must
     vanish within 1e-12 (the solvers build on nonlinearities anchored at 0).
     Evaluation returns ``factor`` times F; ``scaled`` sets the factor.
+    ``label`` names L in the refusal message ("declared L" by default).
     """
 
-    def __init__(self, exprs, L):
+    def __init__(self, exprs, L, label: str = "declared L"):
         if L <= 0.0:
             raise ValueError("Lipschitz constant must be positive")
         self.exprs = [parse(e) if isinstance(e, str) else e for e in exprs]
@@ -371,9 +380,9 @@ class LipschitzSpec:
                 raise ValueError(
                     f"component {i + 1} uses unknown variables {sorted(extra)}"
                 )
-        self.report = self._validate()
+        self.report = self._validate(label)
 
-    def _validate(self):
+    def _validate(self, label):
         zeros = self.on_grid(_SAMPLE_TIMES, np.zeros((_SAMPLE_TIMES.size, self.n)))
         worst_zero = float(np.linalg.norm(zeros, axis=1).max())
         worst_ratio = _sampled_lipschitz_ratio(self.exprs, 8, seed=0)
@@ -383,8 +392,8 @@ class LipschitzSpec:
             )
         if worst_ratio > self.L * (1.0 + 1e-3):
             raise ValueError(
-                f"sampled Lipschitz ratio {worst_ratio:.6g} exceeds declared "
-                f"L = {self.L:.6g}"
+                f"sampled Lipschitz ratio {worst_ratio:.6g} exceeds {label} "
+                f"= {self.L:.6g}"
             )
         return {"max_sampled_ratio": worst_ratio, "max_zero_norm": worst_zero}
 
@@ -430,6 +439,15 @@ class PicardReport:
         }
 
 
+def _divergence(k, last_delta, alpha, what) -> SolverError:
+    """The error for a Picard iterate psi_k that cannot be formed or measured."""
+    last = ("no earlier step" if last_delta is None else
+            f"last finite step sup|psi_{k - 1} - psi_{k - 2}| = {last_delta:.6g}")
+    return SolverError(
+        f"Picard iteration stopped at iterate {k}: {what}; {last}, alpha = {alpha:.6g}"
+    )
+
+
 def picard_solve(
     K: GreenKernel,
     f: GridFunction,
@@ -464,13 +482,20 @@ def picard_solve(
     last_delta = None
     converged = False
     final_residual = math.inf
-    for _ in range(_MAX_PICARD_ITER):
-        g_vals = Fspec.on_grid(times, psi + phi0.values)
-        g = GridFunction(phi0.a, phi0.b, g_vals)
-        psi_next = solve_linear_bounded(
-            K, g, tol=tol, clamp_edges=True, check_residual=False
-        ).values
-        delta = float(np.linalg.norm(psi_next - psi, axis=1).max())
+    for k in range(1, _MAX_PICARD_ITER + 1):
+        # a diverging iterate overflows; that is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                g_vals = Fspec.on_grid(times, psi + phi0.values)
+            except EvalError as exc:
+                raise _divergence(k, last_delta, alpha, f"F fails on psi_{k - 1} ({exc})") from exc
+            g = GridFunction(phi0.a, phi0.b, g_vals)
+            psi_next = solve_linear_bounded(
+                K, g, tol=tol, clamp_edges=True, check_residual=False
+            ).values
+            delta = float(np.linalg.norm(psi_next - psi, axis=1).max())
+        if not math.isfinite(delta):
+            raise _divergence(k, last_delta, alpha, f"sup|psi_{k} - psi_{k - 1}| is not finite")
         if last_delta is not None and last_delta > 1e-300:
             ratios.append(delta / last_delta)
         last_delta = delta
@@ -604,6 +629,8 @@ def example_c1_probe(eps: float, T: float = 20.0) -> C1ProbeReport:
     q = GridFunction(-T, T, q_vals)
 
     # cross-check: forward integration of the substituted linear equation
+    from scipy.integrate import solve_ivp
+
     ode = solve_ivp(
         lambda t, y: [-2.0 * y[0] + 2.0 * eps * math.exp(-abs(t))],
         (-T, T),

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,37 @@ class TestSemilinearCommand:
         assert report["alpha"] == pytest.approx(2.0 * 0.1048890319250809, rel=1e-12)
         phi = read_solution_csv(out / "sol.csv")
         assert np.max(np.abs(phi.values - 0.5524799869065703)) <= 1e-5
+
+    def test_refused_estimate_is_not_called_declared(self, tmp_path, capsys):
+        # x' = -x + 3 + 0.01 x^3: the validation sampling finds a larger
+        # ratio than the 1.05 * ratio estimate of the first sampling
+        prob = tmp_path / "cubic.json"
+        prob.write_text(json.dumps(minimal(f=["3"], F=["0.01*x1^3"], window=12.0)))
+        rc = run_cli(["solve-semilinear", prob, "--out", tmp_path / "out"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "note: no declared L; sampled estimate L = 0.104096" in captured.out
+        assert "declared" not in captured.err
+        assert captured.err.strip() == (
+            "error: sampled Lipschitz ratio 0.114799 exceeds "
+            "sampled estimate L = 1.05 * 0.0991388 = 0.104096"
+        )
+
+    def test_diverging_picard_iteration_names_its_step(self, tmp_path, capsys):
+        # x' = -x + 5 + 0.01 x^3 with the too-small declared L = 0.13 has no
+        # bounded solution near the linear one: the iterates blow up
+        prob = tmp_path / "cubic.json"
+        prob.write_text(json.dumps(minimal(f=["5"], F=["0.01*x1^3"], L=0.13, window=12.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["solve-semilinear", prob, "--out", tmp_path / "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err.startswith("error: Picard iteration stopped at iterate 11: "
+                              "sup|psi_11 - psi_10| is not finite; ")
+        assert "last finite step sup|psi_10 - psi_9| = " in err
+        assert err.strip().endswith("alpha = 0.273684")
 
     def test_identically_zero_nonlinearity_rejected(self, tmp_path, capsys):
         prob = tmp_path / "zero.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from trichotomy.grid import GridFunction, write_csv
 
@@ -59,6 +60,65 @@ class TestNormAndEval:
         gf = sine_pair()
         with pytest.raises(ValueError):
             gf(3.5)
+
+
+class TestSplineOracle:
+    """The grid's own not-a-knot spline against scipy's CubicSpline."""
+
+    @staticmethod
+    def rel_err(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 6, 2601])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_random_samples_on_exact_grid(self, points, n):
+        # a dyadic step makes the grid times exact, so scipy's per-interval
+        # steps are all equal to h and both splines solve the same system
+        rng = np.random.default_rng(points * 10 + n)
+        h = 2.0**-6
+        a = -h * (points // 2)
+        gf = GridFunction(a, a + (points - 1) * h, 1e4 * rng.normal(size=(points, n)))
+        ref = CubicSpline(gf.times, gf.values, axis=0)
+        t = np.concatenate([rng.uniform(gf.a, gf.b, 2000), gf.times])
+        for nu in (0, 1):
+            assert gf(t, nu).shape == (t.size, n)
+            assert self.rel_err(gf(t, nu), ref(t, nu)) <= 1e-12
+            scalar = gf(float(t[0]), nu)
+            assert scalar.shape == (n,)
+            assert self.rel_err(scalar, ref(t[0], nu)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_smooth_samples_on_rounded_grid(self, n):
+        # 2,601 samples of an amplitude-1e4 function on [-13, 13]
+        gf = GridFunction.from_callable(
+            lambda t: 1e4 * np.stack([np.sin(3 * t), t * np.cos(t), np.exp(-t * t)][:n], -1),
+            -13.0, 13.0, 0.01,
+        )
+        assert gf.values.shape[0] == 2601
+        ref = CubicSpline(gf.times, gf.values, axis=0)
+        t = np.random.default_rng(n).uniform(-13.0, 13.0, 20000)
+        for nu in (0, 1):
+            assert self.rel_err(gf(t, nu), ref(t, nu)) <= 1e-12
+
+    def test_two_points_give_the_line(self):
+        gf = GridFunction(1.0, 3.0, [[2.0, -1.0], [6.0, 3.0]])
+        t = np.linspace(1.0, 3.0, 9)
+        line = np.stack([2.0 * t, 2.0 * t - 3.0], axis=-1)
+        assert np.max(np.abs(gf(t) - line)) <= 1e-14
+        assert np.max(np.abs(gf(t, 1) - 2.0)) <= 1e-14
+
+    def test_three_points_give_the_parabola(self):
+        gf = GridFunction(-1.0, 1.0, [[3.0], [1.0], [7.0]])  # 1 + 2t + 4t^2 at -1, 0, 1
+        t = np.linspace(-1.0, 1.0, 17)
+        parabola = 1.0 + 2.0 * t + 4.0 * t**2
+        assert np.max(np.abs(gf(t)[:, 0] - parabola)) <= 1e-14
+        assert np.max(np.abs(gf(t, 1)[:, 0] - (2.0 + 8.0 * t))) <= 1e-13
+
+    def test_short_grid_derivative_uses_the_spline(self):
+        # m < 5 samples: derivative_grid returns the spline's slopes
+        gf = GridFunction(0.0, 1.5, [[0.0], [1.0], [0.5], [2.0]])
+        ref = CubicSpline(gf.times, gf.values, axis=0)
+        assert self.rel_err(gf.derivative_grid(), ref(gf.times, 1)) <= 1e-12
 
 
 class TestRestrict:

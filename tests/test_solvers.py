@@ -1,5 +1,7 @@
 """Bounded linear/semilinear solvers and the cubic probe."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
@@ -11,6 +13,7 @@ from trichotomy.propagator import ExactLeg
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
+    SolverError,
     _contraction_ratio,
     epsilon_continuation,
     example_c1_probe,
@@ -225,6 +228,21 @@ class TestPicard:
         assert report.measured_deviation == 0.0
         assert np.max(np.abs(phi.values - 0.5)) <= 1e-6
 
+    def test_overflowing_nonlinearity_stops_the_iteration(self, scalar_kernel):
+        # 0.01 (e^x - 1) passes the sampled L = 0.13 on the cube |x| <= 2,
+        # but around the linear solution 5 the iterates grow until F overflows
+        Fspec = LipschitzSpec(["0.01*(exp(x1) - 1)"], L=0.13)
+        f = GridFunction.from_callable(lambda t: np.full(np.shape(t) + (1,), 5.0), -35.0, 35.0, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as exc:
+                picard_solve(scalar_kernel, f, Fspec)
+        msg = str(exc.value)
+        assert msg.startswith("Picard iteration stopped at iterate 4: F fails on psi_3 "
+                              "(non-finite result from exp in array argument); ")
+        assert "last finite step sup|psi_3 - psi_2| = " in msg
+        assert msg.endswith("alpha = 0.26")
+
     def test_initial_guess_window_checked(self, scalar_kernel, scalar_forcing):
         Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
         guess = GridFunction(-1.0, 1.0, np.zeros((101, 1)))
@@ -315,6 +333,32 @@ class TestQuadraturePlan:
         assert calls == []
         ref = solve_linear_bounded(fresh(K), f2)
         assert np.max(np.abs(phi.values - ref.values)) <= 1e-13
+
+    def test_folded_panel_sums_match_per_node_sums(self, rotation_kernel):
+        """Moments W_p times spline coefficients equal sum_j w_j D^-1 f(node_j)."""
+        K = fresh(rotation_kernel)
+        f = GridFunction.from_callable(
+            lambda t: np.stack([np.cos(1.3 * t) + 0.2 * t, np.sin(t) ** 2], axis=-1),
+            -6.99, 6.97, 0.02,
+        )
+        i = int(np.searchsorted(K.anchors, 0.0, side="right")) - 1
+        a0, a1 = K.anchors[i], K.anchors[i + 1]
+        s0, s1 = a0 + 0.0137, a1 - 0.0071  # both ends off f's grid
+        plan = trichotomy.solvers._leg_plan(K, f, a0, a1, s0, s1)
+        folded = np.einsum("kpab,pkb->ka", plan.W, f.coeffs.take(plan.cell, axis=1))
+
+        pts = trichotomy.solvers._panel_points(s0, s1, f.a, f.h)
+        assert pts[0] == s0 and pts[-1] == s1
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+        widths = np.diff(pts)
+        nodes = pts[:-1, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
+        weights = np.outer(widths, gl_weights / 2.0)
+        D = K.op.solve_leg(a0, a1)(nodes.ravel()).T.reshape(*nodes.shape, 2, 2)
+        per_node = np.einsum(
+            "kj,kjab,kjb->ka", weights, np.linalg.inv(D), f(nodes.ravel()).reshape(*nodes.shape, 2)
+        )
+        assert folded.shape == per_node.shape == (pts.size - 1, 2)
+        assert np.max(np.abs(folded - per_node)) <= 1e-13 * np.max(np.abs(per_node))
 
     def test_plan_never_used_for_another_grid(self, saddle_kernel):
         W = 26.7
