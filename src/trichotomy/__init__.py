@@ -37,22 +37,18 @@ from .hyperbolicity import (
     TrichotomyIncompatibility,
     WindowTooSmall,
     build_trichotomy,
-    certificate_from_json,
     certificate_to_json,
     estimate_constants,
     estimate_stable_projector,
-    green_shift_check,
     verify_dichotomy,
 )
 from .solvers import (
     AccuracyError,
-    C1ProbeReport,
     ContractionError,
     LipschitzSpec,
     PicardReport,
     SolverError,
     epsilon_continuation,
-    example_c1_probe,
     ode_residual,
     picard_solve,
     solve_linear_bounded,
@@ -62,7 +58,6 @@ from .rap import (
     LagrangeReport,
     RapReport,
     almost_period_scan,
-    bebutov_distance,
     lagrange_report,
     remote_period_residual,
     solution_rap_audit,
@@ -95,20 +90,16 @@ __all__ = [
     "TrichotomyIncompatibility",
     "WindowTooSmall",
     "build_trichotomy",
-    "certificate_from_json",
     "certificate_to_json",
     "estimate_constants",
     "estimate_stable_projector",
-    "green_shift_check",
     "verify_dichotomy",
     "AccuracyError",
-    "C1ProbeReport",
     "ContractionError",
     "LipschitzSpec",
     "PicardReport",
     "SolverError",
     "epsilon_continuation",
-    "example_c1_probe",
     "ode_residual",
     "picard_solve",
     "solve_linear_bounded",
@@ -116,7 +107,6 @@ __all__ = [
     "LagrangeReport",
     "RapReport",
     "almost_period_scan",
-    "bebutov_distance",
     "lagrange_report",
     "remote_period_residual",
     "solution_rap_audit",

@@ -49,7 +49,6 @@ from .solvers import (
     _state_env,
     _tail_horizon,
     epsilon_continuation,
-    example_c1_probe,
     ode_residual,
     picard_solve,
     solve_linear_bounded,
@@ -72,7 +71,6 @@ COMMANDS = (
     "solve-linear",
     "solve-semilinear",
     "continue-epsilon",
-    "probe-c1",
     "rap-scan",
     "audit",
 )
@@ -387,9 +385,8 @@ def _cmd_check_dichotomy(spec, flags) -> int:
     op = TransitionOperator(spec.A)
     try:
         if spec.certificate is not None:
-            P = np.asarray(spec.certificate["P"], dtype=float)
-            N = float(spec.certificate["N"])
-            nu = float(spec.certificate["nu"])
+            given = _certificate_args(spec)
+            P, N, nu = given["P"], given["N"], given["nu"]
         else:
             P = estimate_stable_projector(op, interval).P
             N, nu = estimate_constants(op, P, interval)
@@ -543,26 +540,6 @@ def _single_eps(command, flags, default) -> float:
     return flags.eps[0]
 
 
-def _cmd_probe_c1(spec, flags) -> int:
-    eps = _single_eps("probe-c1", flags, 1.0 if spec.eps is None else spec.eps)
-    T = _window(spec, flags)
-    report = example_c1_probe(eps, T=T)
-    _write_json(flags.out, "probe.json", report.to_json())
-    write_csv(os.path.join(flags.out, "q.csv"), report.q)
-    print(f"cubic probe at eps = {eps:g} on [-{T:g}, {T:g}]")
-    print("  sup |q| over growing windows:")
-    for Tk in sorted(report.sup_table):
-        print(f"    T = {Tk:<4g} sup = {report.sup_table[Tk]:.8g}")
-    print(f"  growth rate of log sup per unit T = {report.growth_rate:.4f} "
-          f"(e^{{T/2}} reference: 0.5)")
-    print(f"  quadrature vs integrator on |t| <= {report.crosscheck_window:g}: "
-          f"max diff = {report.crosscheck_max:.3g}")
-    cf = report.closed_form_check
-    print(f"  q({cf['t']:g}) = {cf['quadrature']:.6g} "
-          f"(closed form {cf['closed_form']:.6g})")
-    return 0
-
-
 def _solve_for_scan(spec, flags):
     if spec.F_exprs is not None:
         Fspec = _lipschitz_spec(spec)
@@ -659,7 +636,6 @@ _COMMANDS = {
     "solve-linear": _cmd_solve_linear,
     "solve-semilinear": _cmd_solve_semilinear,
     "continue-epsilon": _cmd_continue_epsilon,
-    "probe-c1": _cmd_probe_c1,
     "rap-scan": _cmd_rap_scan,
     "audit": _cmd_audit,
 }

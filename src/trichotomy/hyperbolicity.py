@@ -29,7 +29,6 @@ strip the exponentially growing error component.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -52,9 +51,7 @@ __all__ = [
     "estimate_constants",
     "verify_dichotomy",
     "build_trichotomy",
-    "green_shift_check",
     "certificate_to_json",
-    "certificate_from_json",
 ]
 
 GAP_THRESHOLD = 10.0
@@ -547,7 +544,7 @@ class TrichotomyCertificate:
     nu: float
     report: dict = field(default_factory=dict)
     ok: bool = True
-    # the sweeps of build_trichotomy, reused by GreenKernel; None when read from JSON
+    # build_trichotomy's sweeps, reused by GreenKernel; None on a hand-built certificate
     families: Optional[tuple] = field(default=None, compare=False, repr=False)
     op: Optional[TransitionOperator] = field(default=None, compare=False, repr=False)
 
@@ -786,60 +783,6 @@ class GreenKernel:
             return self._transport(self.stable_projector(tau), tau, t, self.stable_projector)
         return self._transport(-self.unstable_projector(tau), tau, t, self.unstable_projector)
 
-    def build_shifted(self, h: float):
-        """Kernel of the time-shifted system A(t + h) on the same window."""
-        A_h = self.A.shifted(h)
-        cert = self.cert
-        if cert.report.get("estimated", False):
-            new = build_trichotomy(A_h, cert.interval[1])
-        else:
-            new = build_trichotomy(
-                A_h,
-                cert.interval[1],
-                P=_shifted_projector(self.op, cert.P, h),
-                Q=_shifted_projector(self.op, cert.Q, h),
-                N=cert.N,
-                nu=cert.nu,
-            )
-        if not new.ok:
-            raise HyperbolicityError("shifted system lost its trichotomy; shift too large?")
-        return GreenKernel(new)
-
-
-def _shifted_projector(op, P, h):
-    """Projector of the shifted system at its time origin: P(h)."""
-    M = op.matrix(0.0, h)
-    return M @ P @ np.linalg.inv(M)
-
-
-def green_shift_check(kernel: GreenKernel, h: float, pairs=None) -> float:
-    """Max residual of the shift identity G_h(t, tau) = G(t + h, tau + h).
-
-    Rebuilds the kernel for the shifted coefficient A(. + h) and compares it
-    against the original kernel on a grid of (t, tau) pairs (a default grid
-    spans the shrunk window when none is given).  Small residuals are strong
-    evidence both kernels were assembled consistently, since the two sides
-    go through entirely independent certificate constructions.
-    """
-    shifted = kernel.build_shifted(h)
-    lo, hi = kernel.window
-    s_lo, s_hi = lo + max(0.0, -h), hi - max(0.0, h)
-    if pairs is None:
-        taus = np.linspace(s_lo, s_hi, 7)
-        seps = [-4.0, -1.5, -0.5, 0.5, 1.5, 4.0]
-        pairs = []
-        for tau in taus:
-            for d in seps:
-                t = tau + d
-                if s_lo <= t <= s_hi:
-                    pairs.append((t, tau))
-    worst = 0.0
-    for t, tau in pairs:
-        Gh = shifted.matrix(t, tau)
-        G = kernel.matrix(t + h, tau + h)
-        worst = max(worst, float(np.linalg.norm(Gh - G, 2)))
-    return worst
-
 
 def _matrix_list(M) -> list:
     return [[float(x) for x in row] for row in np.asarray(M)]
@@ -880,37 +823,3 @@ def certificate_to_json(cert) -> dict:
             "report": cert.report,
         }
     raise TypeError(f"cannot serialize {type(cert).__name__}")
-
-
-def certificate_from_json(data) -> object:
-    """Rebuild a certificate object from :func:`certificate_to_json` output."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data.get("type")
-    if kind == "dichotomy":
-        return DichotomyCertificate(
-            interval=tuple(data["interval"]),
-            P=np.asarray(data["P"], dtype=float),
-            N=float(data["N"]),
-            nu=float(data["nu"]),
-            report=data.get("report", {}),
-            ok=bool(data.get("ok", True)),
-        )
-    if kind == "trichotomy":
-        if data.get("ok", True):
-            return TrichotomyCertificate(
-                interval=tuple(data["interval"]),
-                P=np.asarray(data["P"], dtype=float),
-                Q=np.asarray(data["Q"], dtype=float),
-                N=float(data["N"]),
-                nu=float(data["nu"]),
-                report=data.get("report", {}),
-            )
-        return TrichotomyIncompatibility(
-            interval=tuple(data["interval"]),
-            P_plus=np.asarray(data["P_plus"], dtype=float),
-            P_minus=np.asarray(data["P_minus"], dtype=float),
-            residual=float(data["compatibility_residual"]),
-            report=data.get("report", {}),
-        )
-    raise ValueError(f"unknown certificate type {kind!r}")

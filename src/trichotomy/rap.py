@@ -12,11 +12,10 @@ Every report reads one residual table per function: the sup of
 once.  The residuals do not depend on eps, so each eps of a scan or of an
 audit's ladder is only a threshold on that table.
 
-The module also provides the Bebutov shift-space distance (sup over a
-ladder of L of min(local sup difference, 1/L)), an empirical Lagrange
-stability report (boundedness plus modulus of continuity), and a
-compatibility audit comparing the almost periods of a solution with those
-of the problem data that produced it.
+The module also provides an empirical Lagrange stability report
+(boundedness plus modulus of continuity) and a compatibility audit
+comparing the almost periods of a solution with those of the problem data
+that produced it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "AuditReport",
     "remote_period_residual",
     "almost_period_scan",
-    "bebutov_distance",
     "lagrange_report",
     "solution_rap_audit",
     "DEFAULT_T_SCHEDULE",
@@ -218,33 +216,6 @@ def almost_period_scan(
         not_relatively_dense=not accepted,
         two_sided=(side == "both"),
     )
-
-
-def bebutov_distance(phi: GridFunction, psi: GridFunction, L_grid=None) -> float:
-    """Shift-space distance: sup over L of min(sup_{|t|<=L}|phi-psi|, 1/L).
-
-    The default L grid is logarithmic from 0.1 to the window half-width
-    (50 points).  Both functions must share the window and dimension.
-    """
-    if (phi.a, phi.b) != (psi.a, psi.b):
-        raise ValueError("functions must share the window")
-    if phi.dim != psi.dim:
-        raise ValueError("functions must share the dimension")
-    if L_grid is None:
-        half = (phi.b - phi.a) / 2.0
-        L_grid = np.geomspace(0.1, max(half, 0.1), 50)
-    if phi.values.shape == psi.values.shape:
-        diff = np.linalg.norm(phi.values - psi.values, axis=1)
-        t = phi.times
-    else:
-        t = phi.times if phi.h <= psi.h else psi.times
-        diff = np.linalg.norm(phi(t) - psi(t), axis=1)
-    best = 0.0
-    for L in L_grid:
-        mask = np.abs(t) <= L + 1e-12
-        local = float(diff[mask].max()) if mask.any() else 0.0
-        best = max(best, min(local, 1.0 / float(L)))
-    return best
 
 
 @dataclass

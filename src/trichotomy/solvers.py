@@ -35,11 +35,9 @@ __all__ = [
     "AccuracyError",
     "LipschitzSpec",
     "PicardReport",
-    "C1ProbeReport",
     "solve_linear_bounded",
     "picard_solve",
     "epsilon_continuation",
-    "example_c1_probe",
     "ode_residual",
 ]
 
@@ -363,7 +361,7 @@ class LipschitzSpec:
     a ball must give difference ratios at most L*(1+1e-3), and F(t, 0) must
     vanish within 1e-12 (the solvers build on nonlinearities anchored at 0).
     Evaluation returns ``factor`` times F; ``scaled`` sets the factor.
-    ``label`` names L in the refusal message ("declared L" by default).
+    ``label`` names L in refusal messages ("declared L" by default).
     """
 
     def __init__(self, exprs, L, label: str = "declared L"):
@@ -372,6 +370,7 @@ class LipschitzSpec:
         self.exprs = [parse(e) if isinstance(e, str) else e for e in exprs]
         self.n = len(self.exprs)
         self.L = float(L)
+        self.label = label
         self.factor = 1.0
         allowed = {"t"} | {f"x{i + 1}" for i in range(self.n)}
         for i, e in enumerate(self.exprs):
@@ -380,9 +379,9 @@ class LipschitzSpec:
                 raise ValueError(
                     f"component {i + 1} uses unknown variables {sorted(extra)}"
                 )
-        self.report = self._validate(label)
+        self.report = self._validate()
 
-    def _validate(self, label):
+    def _validate(self):
         zeros = self.on_grid(_SAMPLE_TIMES, np.zeros((_SAMPLE_TIMES.size, self.n)))
         worst_zero = float(np.linalg.norm(zeros, axis=1).max())
         worst_ratio = _sampled_lipschitz_ratio(self.exprs, 8, seed=0)
@@ -392,7 +391,7 @@ class LipschitzSpec:
             )
         if worst_ratio > self.L * (1.0 + 1e-3):
             raise ValueError(
-                f"sampled Lipschitz ratio {worst_ratio:.6g} exceeds {label} "
+                f"sampled Lipschitz ratio {worst_ratio:.6g} exceeds {self.label} "
                 f"= {self.L:.6g}"
             )
         return {"max_sampled_ratio": worst_ratio, "max_zero_norm": worst_zero}
@@ -467,7 +466,7 @@ def picard_solve(
     are far below tolerance.  Returns (phi, PicardReport).
     """
     N, nu = K.cert.N, K.cert.nu
-    alpha = _contraction_ratio(N, nu, Fspec.L, "declared L")
+    alpha = _contraction_ratio(N, nu, Fspec.L, Fspec.label)
     fnorm = f.sup_norm
     Tc = _tail_horizon(N, nu, fnorm, tol)
     phi0 = _phi0
@@ -563,134 +562,3 @@ def epsilon_continuation(K, f, Fspec, eps_list, tol: float = 1e-6):
         return e, phi, dev
 
     return [one(e) for e in eps_list]
-
-
-@dataclass
-class C1ProbeReport:
-    """Findings of the cubic-equation probe (bundled problem c1_cubic)."""
-
-    eps: float
-    q: GridFunction
-    sup_table: dict
-    crosscheck_max: float
-    crosscheck_window: float
-    closed_form_check: dict
-    residuals: dict
-    growth_rate: float
-
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "sup_table": {str(k): v for k, v in self.sup_table.items()},
-            "crosscheck_max": self.crosscheck_max,
-            "crosscheck_window": self.crosscheck_window,
-            "closed_form_check": self.closed_form_check,
-            "residuals": self.residuals,
-            "growth_rate_per_unit_T": self.growth_rate,
-        }
-
-
-def example_c1_probe(eps: float, T: float = 20.0) -> C1ProbeReport:
-    """Probe the scalar cubic equation x' = x - eps e^{-|t|} x^3.
-
-    Besides x = 0 the equation has the pair x = +-q_eps with
-    q_eps(t) = (2 eps int_{-inf}^t e^{-2(t-s)} e^{-|s|} ds)^{-1/2},
-    computed here by stable panel quadrature with an analytic tail and
-    cross-checked against forward integration of the substituted linear
-    equation w' = -2w + 2 eps e^{-|t|} (w = x^{-2}).  The report carries
-    the sup of q_eps over growing windows (it grows like e^{T/2}, so the
-    solution is unbounded in the sup norm; the probe measures the rate
-    rather than asserting boundedness) and verifies that 0 and +-q_eps
-    satisfy the equation on the grid away from the |t| kink.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    T = float(T)
-    h = 0.01
-    crosscheck_window = 5.0
-    m = int(round(2 * T / h))
-    times = -T + h * np.arange(m + 1)
-
-    # quadrature route for w(t) = 2 eps int_{-inf}^t e^{-2(t-s)} e^{-|s|} ds:
-    # exact tail w(-T) = (2 eps / 3) e^{-T}, then per-step Gauss-Legendre
-    # panels under the recurrence w(t+h) = e^{-2h} w(t) + (panel integral)
-    w = np.empty(m + 1)
-    w[0] = (2.0 * eps / 3.0) * math.exp(-T)
-    decay = math.exp(-2.0 * h)
-    half_nodes = (_GL_NODES + 1.0) / 2.0
-    for i in range(m):
-        t0, t1 = times[i], times[i + 1]
-        s = t0 + h * half_nodes
-        integrand = np.exp(-2.0 * (t1 - s)) * 2.0 * eps * np.exp(-np.abs(s))
-        w[i + 1] = decay * w[i] + (h / 2.0) * float(_GL_WEIGHTS @ integrand)
-    if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
-        raise SolverError("quadrature tail failure: w must stay positive")
-    q_vals = 1.0 / np.sqrt(w)
-    q = GridFunction(-T, T, q_vals)
-
-    # cross-check: forward integration of the substituted linear equation
-    from scipy.integrate import solve_ivp
-
-    ode = solve_ivp(
-        lambda t, y: [-2.0 * y[0] + 2.0 * eps * math.exp(-abs(t))],
-        (-T, T),
-        [w[0]],
-        method="RK45",
-        dense_output=True,
-        rtol=1e-11,
-        atol=1e-18,
-    )
-    if not ode.success:
-        raise SolverError(f"cross-check integration failed: {ode.message}")
-    mask = np.abs(times) <= crosscheck_window + 1e-12
-    w_ode = ode.sol(times[mask])[0]
-    q_ode = 1.0 / np.sqrt(w_ode)
-    crosscheck = float(np.abs(q_vals[mask] - q_ode).max())
-
-    sup_table = {}
-    for Tk in (5.0, 10.0, 20.0):
-        if Tk <= T + 1e-12:
-            sub = np.abs(times) <= Tk + 1e-12
-            sup_table[Tk] = float(q_vals[sub].max())
-    Ts = sorted(sup_table)
-    growth = 0.0
-    if len(Ts) >= 2:
-        growth = float(
-            np.polyfit(Ts, [math.log(sup_table[Tk]) for Tk in Ts], 1)[0]
-        )
-
-    # closed form for t <= 0: q_eps(t) = sqrt(3/(2 eps)) e^{-t/2}
-    t_check = -2.0
-    closed = math.sqrt(3.0 / (2.0 * eps)) * math.exp(-t_check / 2.0)
-    idx = int(round((t_check + T) / h))
-    closed_form_check = {
-        "t": t_check,
-        "quadrature": float(q_vals[idx]) if 0 <= idx <= m else math.nan,
-        "closed_form": closed,
-    }
-
-    # residuals of the three solutions, away from the kink of e^{-|t|}
-    # (the finite-difference stencil loses its order across t = 0)
-    def branch_residual(x_vals):
-        gf = GridFunction(-T, T, x_vals)
-        d = gf.derivative_grid()[:, 0]
-        rhs = x_vals - eps * np.exp(-np.abs(times)) * x_vals**3
-        res = np.abs(d - rhs)
-        keep = np.abs(times) > 2.5 * h
-        return float(res[keep].max())
-
-    residuals = {
-        "zero": branch_residual(np.zeros(m + 1)),
-        "plus_q": branch_residual(q_vals),
-        "minus_q": branch_residual(-q_vals),
-    }
-    return C1ProbeReport(
-        eps=eps,
-        q=q,
-        sup_table=sup_table,
-        crosscheck_max=crosscheck,
-        crosscheck_window=crosscheck_window,
-        closed_form_check=closed_form_check,
-        residuals=residuals,
-        growth_rate=growth,
-    )

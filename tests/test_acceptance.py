@@ -1,8 +1,8 @@
 """End-to-end acceptance checks at their stated tolerances.
 
 Each test exercises one contract of the toolkit: kernel algebra, solver
-accuracy and bounds, certified negative findings, contraction bookkeeping,
-probe numerics and almost-period reporting.
+accuracy and bounds, certified negative findings, contraction bookkeeping
+and almost-period reporting.
 """
 
 import json
@@ -19,7 +19,6 @@ from trichotomy import (
     LipschitzSpec,
     build_trichotomy,
     epsilon_continuation,
-    example_c1_probe,
     picard_solve,
     remote_period_residual,
     solve_linear_bounded,
@@ -135,21 +134,6 @@ def test_deviation_shrinks_with_the_nonlinearity(scalar_kernel, scalar_forcing):
     for (e, _, dev) in results:
         bound = 0.2 * e / (1.0 - 0.2 * e)  # 4 e N^2 L |f| / (nu (nu - 2 N L e))
         assert dev <= bound * (1 + 1e-3)
-
-
-def test_cubic_probe_quadrature_and_growth():
-    """Unbounded branch: quadrature vs integrator, closed form, rate."""
-    report = example_c1_probe(1.0, T=20.0)
-    assert report.crosscheck_window == 5.0
-    assert report.crosscheck_max <= 1e-5
-    for T in (5.0, 10.0, 20.0):
-        assert T in report.sup_table
-        assert report.sup_table[T] == pytest.approx(
-            np.sqrt(1.5) * np.exp(T / 2.0), rel=1e-3
-        )
-    chk = report.closed_form_check
-    assert chk["quadrature"] == pytest.approx(3.3292, abs=1e-3)
-    assert chk["quadrature"] == pytest.approx(chk["closed_form"], abs=1e-5)
 
 
 def test_remote_period_reports(tmp_path):

@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves; scipy loads only for RK45."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -22,6 +23,39 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def _scipy_import_scopes(tree):
+    """Dotted class/function scope of every absolute scipy import in a module."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                scopes.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return scopes
+
+
+def test_scipy_is_imported_only_by_rk45_legs():
+    package_dir = Path(trichotomy.__file__).resolve().parent
+    found = [
+        f"{path.stem}.{scope}"
+        for path in sorted(package_dir.glob("*.py"))
+        for scope in _scipy_import_scopes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == ["propagator.TransitionOperator.solve_leg"]
 
 
 SCIPY_PROBE = textwrap.dedent(

@@ -1,4 +1,4 @@
-"""Remote-almost-periodicity diagnostics, Bebutov distance, audits."""
+"""Remote-almost-periodicity diagnostics, Lagrange reports, audits."""
 
 import math
 
@@ -13,7 +13,6 @@ from trichotomy.hyperbolicity import WindowTooSmall
 from trichotomy.rap import (
     DEFAULT_T_SCHEDULE,
     almost_period_scan,
-    bebutov_distance,
     lagrange_report,
     remote_period_residual,
     solution_rap_audit,
@@ -198,51 +197,6 @@ class TestScan:
             almost_period_scan(coarse, 0.1, (0.5, 8.0), 0.1)
 
 
-class TestBebutov:
-    def test_identical_functions(self, sine):
-        assert bebutov_distance(sine, sine) == 0.0
-
-    def test_constant_offset(self):
-        a = GridFunction.from_callable(lambda t: 0.0 * t, -50.0, 50.0, 0.05)
-        b = GridFunction.from_callable(lambda t: 0.0 * t + 1.0, -50.0, 50.0, 0.05)
-        assert bebutov_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_growing_difference_balances_at_unit_scale(self):
-        a = GridFunction.from_callable(lambda t: 0.0 * t, -50.0, 50.0, 0.05)
-        b = GridFunction.from_callable(lambda t: np.abs(t), -50.0, 50.0, 0.05)
-        # min(L, 1/L) peaks at L = 1; the log grid lands close to it
-        d = bebutov_distance(a, b)
-        assert 0.9 <= d <= 1.0
-
-    def test_symmetry(self, sine, quasi):
-        f = GridFunction.from_callable(np.cos, -45.0, 45.0, 0.02)
-        assert bebutov_distance(sine, f) == bebutov_distance(f, sine)
-
-    def test_bounded_by_sup_difference_and_grid_cap(self):
-        rng = np.random.default_rng(3)
-        vals = rng.normal(size=(201, 2))
-        a = GridFunction(-10.0, 10.0, vals)
-        b = GridFunction(-10.0, 10.0, vals + rng.normal(size=(201, 2)))
-        d = bebutov_distance(a, b)
-        assert d <= (a - b).sup_norm + 1e-12
-        assert d <= 10.0  # 1 / L_min
-
-    def test_resolution_mismatch_is_interpolated(self):
-        a = GridFunction.from_callable(np.sin, -20.0, 20.0, 0.02)
-        b = GridFunction.from_callable(np.sin, -20.0, 20.0, 0.01)
-        assert bebutov_distance(a, b) <= 1e-6
-
-    def test_window_and_dim_must_match(self, sine):
-        other = GridFunction.from_callable(np.sin, -40.0, 40.0, 0.02)
-        with pytest.raises(ValueError, match="window"):
-            bebutov_distance(sine, other)
-        two = GridFunction.from_callable(
-            lambda t: np.stack([np.sin(t), np.cos(t)], axis=-1), -45.0, 45.0, 0.02
-        )
-        with pytest.raises(ValueError, match="dimension"):
-            bebutov_distance(sine, two)
-
-
 class TestLagrange:
     def test_sine_is_stable(self, sine):
         rep = lagrange_report(sine)
@@ -383,25 +337,3 @@ def test_residual_triangle_inequality(quasi, k1, k2):
         quasi, tau2, T - tau1
     )
     assert lhs <= rhs + 1e-9
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
-def test_bebutov_triangle_inequality(i, j):
-    fns = [
-        lambda t: np.sin(t),
-        lambda t: np.cos(0.7 * t),
-        lambda t: np.tanh(t),
-        lambda t: 0.0 * t + 0.3,
-        lambda t: np.sin(t) * np.exp(-np.abs(t) / 10.0),
-        lambda t: np.arctan(t),
-        lambda t: 0.1 * t,
-    ]
-    a = GridFunction.from_callable(fns[i], -20.0, 20.0, 0.05)
-    b = GridFunction.from_callable(fns[j], -20.0, 20.0, 0.05)
-    mid = GridFunction.from_callable(np.cos, -20.0, 20.0, 0.05)
-    d_ab = bebutov_distance(a, b)
-    assert d_ab <= bebutov_distance(a, mid) + bebutov_distance(mid, b) + 1e-12
-    assert d_ab == bebutov_distance(b, a)
-    if i == j:
-        assert d_ab == 0.0

@@ -1,4 +1,4 @@
-"""Bounded linear/semilinear solvers and the cubic probe."""
+"""Bounded linear/semilinear solvers, Picard iteration and eps continuation."""
 
 import warnings
 
@@ -16,7 +16,6 @@ from trichotomy.solvers import (
     SolverError,
     _contraction_ratio,
     epsilon_continuation,
-    example_c1_probe,
     ode_residual,
     picard_solve,
     solve_linear_bounded,
@@ -177,11 +176,6 @@ class TestLipschitzSpec:
 def sin_solution(scalar_kernel, scalar_forcing):
     Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
     return picard_solve(scalar_kernel, scalar_forcing, Fspec)
-
-
-@pytest.fixture(scope="module")
-def probe():
-    return example_c1_probe(1.0)
 
 
 class TestPicard:
@@ -380,39 +374,6 @@ class TestQuadraturePlan:
             ref, _ = picard_solve(fresh(scalar_kernel), scalar_forcing, Fspec.scaled(e))
             assert (phi.a, phi.b) == (ref.a, ref.b)
             assert np.max(np.abs(phi.values - ref.values)) <= 1e-12
-
-
-class TestCubicProbe:
-    def test_sup_norm_grows_exponentially(self, probe):
-        for T, sup in probe.sup_table.items():
-            assert sup == pytest.approx(np.sqrt(1.5) * np.exp(T / 2.0), rel=1e-3)
-        assert probe.growth_rate == pytest.approx(0.5, abs=0.01)
-
-    def test_quadrature_against_integrator(self, probe):
-        assert probe.crosscheck_window == 5.0
-        assert probe.crosscheck_max <= 1e-5
-
-    def test_closed_form_on_negative_axis(self, probe):
-        chk = probe.closed_form_check
-        assert chk["t"] == -2.0
-        assert chk["quadrature"] == pytest.approx(chk["closed_form"], abs=1e-6)
-        assert chk["quadrature"] == pytest.approx(3.3292, abs=1e-3)
-
-    def test_all_three_branches_satisfy_equation(self, probe):
-        assert probe.residuals["zero"] == 0.0
-        assert probe.residuals["plus_q"] <= 1e-5
-        assert probe.residuals["minus_q"] <= 1e-5
-
-    def test_scaling_of_amplitude_with_eps(self):
-        small = example_c1_probe(4.0, T=10.0)
-        # q scales like 1/sqrt(eps): doubling eps halves the amplitude
-        assert small.sup_table[5.0] == pytest.approx(
-            np.sqrt(1.5 / 4.0) * np.exp(2.5), rel=1e-3
-        )
-
-    def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError):
-            example_c1_probe(0.0)
 
 
 class TestOdeResidual:
