@@ -40,6 +40,7 @@ from .hyperbolicity import (
     verify_dichotomy,
 )
 from .solvers import (
+    AccuracyError,
     ContractionError,
     LipschitzSpec,
     SolverError,
@@ -445,12 +446,17 @@ def _cmd_solve_linear(spec, flags) -> int:
     phi = solve_linear_bounded(kernel, f, tol=tol).restrict(-S_out, S_out)
     residual = float(ode_residual(spec.A, phi, f.restrict(-S_out, S_out)).max())
     bound = 2.0 * cert.N / cert.nu * f.sup_norm
+    if not phi.sup_norm <= bound * (1.0 + 1e-6):
+        raise AccuracyError(
+            f"sup_norm = {phi.sup_norm:.8g} of the solution exceeds "
+            f"operator_bound = 2N/nu * ||f|| = {bound:.8g}"
+        )
     data = {
         "window": [phi.a, phi.b],
         "sup_norm": phi.sup_norm,
         "forcing_norm": f.sup_norm,
         "operator_bound": bound,
-        "bound_satisfied": bool(phi.sup_norm <= bound * (1.0 + 1e-6)),
+        "bound_satisfied": True,
         "ode_residual_max": residual,
         "N": cert.N,
         "nu": cert.nu,

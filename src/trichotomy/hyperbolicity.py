@@ -56,6 +56,9 @@ __all__ = [
 
 GAP_THRESHOLD = 10.0
 SLACK_TOL = 1e-6
+# relative distance within which a certificate's projectors count as the
+# spectral ones of a constant A (the gate of the eigen-coordinate quadrature)
+SPECTRAL_TOL = 1e-10
 
 
 class HyperbolicityError(Exception):
@@ -682,6 +685,32 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     )
 
 
+def _spectral_modes(op: TransitionOperator, cert: TrichotomyCertificate):
+    """(V, lam, V^-1, stable mask) when the certificate's projectors are spectral, else None.
+
+    For a constant A the projector family that P generates is
+    Phi(t, 0) P Phi(0, t), which equals P at every t when P commutes with
+    A.  So when A is hyperbolic with an exact eigendecomposition and both P
+    and I - Q equal its spectral stable projector V[:, s] V^-1[s, :] within
+    ``SPECTRAL_TOL`` relative, every kernel branch is diagonal in
+    y = V^-1 x.  The swept anchor projectors only approximate that family:
+    for a non-normal A their far-end seeds differ from it by O(1), so the
+    gate reads the projectors that define the family, not the sweeps.
+    """
+    if op.eig is None:
+        return None
+    V, lam, V_inv = op.eig
+    if np.any(lam.real == 0.0):
+        return None
+    stable = lam.real < 0.0
+    P_s = (V[:, stable] @ V_inv[stable]).real
+    limit = SPECTRAL_TOL * max(1.0, np.linalg.norm(P_s, 2))
+    for M in (cert.P, np.eye(lam.size) - cert.Q):
+        if np.linalg.norm(M - P_s, 2) > limit:
+            return None
+    return V, lam, V_inv, stable
+
+
 class GreenKernel:
     """Green function of x' = A(t)x + f on a certified window.
 
@@ -693,7 +722,9 @@ class GreenKernel:
     decays, re-projecting at unit anchors, so evaluation stays stable over
     arbitrarily long windows.  ``cert`` must be the certificate that
     :func:`build_trichotomy` returned: the kernel runs on its operator and
-    projector families.
+    projector families.  ``modes`` is (V, lam, V^-1, stable mask) when A is
+    constant and the certificate's projectors are its spectral ones (see
+    :func:`_spectral_modes`), else None.
     """
 
     def __init__(self, cert):
@@ -708,7 +739,9 @@ class GreenKernel:
         self.fam_plus, self.fam_minus = cert.families
         self.anchors = np.concatenate([self.fam_minus.anchors[:-1], self.fam_plus.anchors])
         self.window = tuple(float(x) for x in cert.interval)
-        # Green-quadrature plans of the solver sweeps, built on first use:
+        self.modes = _spectral_modes(self.op, cert)
+        # Green-quadrature plans of the solver sweeps, built on first use, only
+        # when ``modes`` is None (RK45 legs, or projectors that are not spectral):
         # (a0, a1, s0, s1, grid origin, grid step) -> plan of that clipped leg
         self.plans = {}
 

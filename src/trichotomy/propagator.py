@@ -105,17 +105,18 @@ class TransitionOperator:
 
     Cached legs map (t0, t1) to the dense solution of the matrix equation
     Y' = A(t) Y, Y(t0) = I on [t0, t1]: an ``ExactLeg`` when A is constant
-    and well diagonalizable, an RK45 ``OdeSolution`` otherwise.
+    and well diagonalizable, an RK45 ``OdeSolution`` otherwise.  ``eig`` is
+    the eigendecomposition (V, lam, V^-1) the exact legs use, or None.
     """
 
     def __init__(self, A: CoefficientMatrix):
         self.A = A
         self._legs = {}
-        self._eig = None
+        self.eig = None
         if not any(free_vars(e) for row in A.entries for e in row):
             lam, V = np.linalg.eig(A.value(0.0))
             if np.linalg.cond(V) <= EXACT_COND_MAX:
-                self._eig = (V, lam, np.linalg.inv(V))
+                self.eig = (V, lam, np.linalg.inv(V))
 
     def _matrix_rhs(self, t, y):
         n = self.A.n
@@ -127,8 +128,8 @@ class TransitionOperator:
         cached = self._legs.get(key)
         if cached is not None:
             return cached
-        if self._eig is not None:
-            leg = self._legs[key] = ExactLeg(*self._eig, key[0])
+        if self.eig is not None:
+            leg = self._legs[key] = ExactLeg(*self.eig, key[0])
             return leg
         # scipy is imported here, so that runs with exact legs never load it
         from scipy.integrate import solve_ivp

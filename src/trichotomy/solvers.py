@@ -3,13 +3,18 @@
 The bounded solution of x' = A(t)x + f(t) under a certified dichotomy or
 trichotomy is the Green-kernel integral phi(t) = int G(t, tau) f(tau) dtau.
 It is computed here by two exponential-weight sweeps (one per decay
-direction) with composite Gauss-Legendre panels, in the local coordinates of
-the cached unit propagation legs, so no quantity is ever propagated in its
-growing direction.  What the quadrature needs of a leg besides the forcing
-(inverse leg values folded into per-panel moments of the forcing spline,
-projectors, grid indices) is built once per kernel, leg clip and grid, and
-reused by every later solve on that kernel: both sweeps, each Picard
-iterate and each eps of a continuation.  The semilinear equation
+direction) with composite Gauss-Legendre panels, so no quantity is ever
+propagated in its growing direction.  When A is constant and the
+certificate's projectors are its spectral ones (``GreenKernel.modes``), the
+sweeps run in eigen-coordinates y = V^-1 x: each component is a scalar
+recurrence over the grid, with no legs and no per-node matrices.  Otherwise
+(RK45 legs, or projectors that fail the spectral gate) they run in the
+local coordinates of the cached unit propagation legs, and what the
+quadrature needs of a leg besides the forcing (inverse leg values folded
+into per-panel moments of the forcing spline, projectors, grid indices) is
+built once per kernel, leg clip and grid as a plan, and reused by every
+later solve on that kernel: both sweeps, each Picard iterate and each eps
+of a continuation.  The semilinear equation
 x' = A(t)x + f(t) + F(t, x) is solved by Picard iteration around the linear
 solution, which contracts at rate alpha = 2*N*L/nu when the Lipschitz
 constant L of F is below nu/(2*N).
@@ -148,7 +153,8 @@ def _panel_points(s0, s1, grid_a, h):
 class _LegPlan:
     """What the Green quadrature on one clipped leg needs besides the forcing.
 
-    Each Gauss-Legendre panel lies in one grid interval, ``cell``, where the
+    Plans serve only kernels without spectral ``modes``: RK45 legs, and
+    projectors that fail the spectral gate.  Each Gauss-Legendre panel lies in one grid interval, ``cell``, where the
     forcing is the cubic sum_p c_p u^p of its spline (u = tau - t_cell), so
     the panel sum of weight * D(node)^{-1} f(node) is sum_p W_p c_p with the
     moments W_p = sum_j w_j u_j^p D(node_j)^{-1}; ``W`` has shape
@@ -201,19 +207,93 @@ def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
     return plan
 
 
+def _exp_moments(lam, u, du, w):
+    """sum_j w_j u_j^p exp(lam du_j) for p = 0..3: shape (4, len(lam))."""
+    return np.einsum("j,jp,jl->pl", w, u[:, None] ** np.arange(4), np.exp(np.outer(du, lam)))
+
+
+def _scan(b, log_decay):
+    """y_k = exp(log_decay) y_{k-1} + b_k along axis 0, with y_0 = b_0.
+
+    Log-step doubling: after the pass with shift j, y_k sums the terms
+    b_i exp((k - i) log_decay) with k - i < 2j.  A pass whose factor has
+    underflowed to zero in every column adds nothing, so it ends the scan.
+    """
+    y = b.copy()
+    j = 1
+    while j < len(y):
+        factor = np.exp(j * log_decay)
+        if not factor.any():
+            break
+        y[j:] = y[j:] + factor * y[:-j]
+        j *= 2
+    return y
+
+
+def _modal_sweep(modes, f: GridFunction, lo, hi, direction):
+    """:func:`_sweep` for a kernel that is diagonal in y = V^-1 x.
+
+    Each kept component (stable ones up, unstable ones down) is the scalar
+    convolution of e^{lam (t - tau)} with the component of V^-1 f.  A
+    whole grid panel adds sum_p c_p psi_p(lam), with the forcing's spline
+    coefficients c_p and psi_p taken by the 16-node Gauss-Legendre rule of
+    the leg panels; a first panel cut by ``lo`` (up) or ``hi`` (down) gets
+    its own 16-node sum.  The recurrence y_k = e^{lam h} y_{k-1} + b_k
+    (e^{-lam h} downward) has |factor| < 1 in its direction of travel and
+    runs as one :func:`_scan` over the grid.
+    """
+    V, lam, V_inv, stable = modes
+    keep = stable if direction == "up" else ~stable
+    out = np.zeros_like(f.values)
+    if not keep.any():
+        return out
+    lam = lam[keep]
+    a, h = f.a, f.h
+    G = f.coeffs @ V_inv[keep].T  # (4, m, k) modal spline coefficients
+    i0 = max(_snap_index(lo, a, h, up=True), 0)
+    i1 = min(_snap_index(hi, a, h, up=False), G.shape[1])
+    if i1 < i0:
+        return out
+    # the Gauss-Legendre rule on [0, 1]
+    x, gw = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
+    b = np.zeros((i1 - i0 + 1, lam.size), dtype=complex)
+    if direction == "up":
+        # b_k: panel [t_{k-1}, t_k] carried to t_k; b_{i0}: the cut panel [lo, t_{i0}]
+        psi = _exp_moments(lam, h * x, h - h * x, h * gw)
+        b[1:] = np.einsum("pkl,pl->kl", G[:, i0:i1], psi)
+        cut = a + i0 * h - lo
+        if cut > 1e-12:
+            u = h - cut + cut * x
+            b[0] = np.einsum("pl,pl->l", G[:, i0 - 1], _exp_moments(lam, u, h - u, cut * gw))
+        y = _scan(b, lam * h)
+    else:
+        # b_k: panel [t_k, t_{k+1}] carried to t_k; b_{i1}: the cut panel [t_{i1}, hi]
+        psi = _exp_moments(lam, h * x, -h * x, h * gw)
+        b[:-1] = np.einsum("pkl,pl->kl", G[:, i0:i1], psi)
+        cut = hi - (a + i1 * h)
+        if cut > 1e-12:
+            b[-1] = np.einsum("pl,pl->l", G[:, i1], _exp_moments(lam, cut * x, -cut * x, cut * gw))
+        y = _scan(b[::-1], -lam * h)[::-1]
+    out[i0 : i1 + 1] = (y @ V[:, keep].T).real
+    return out
+
+
 def _sweep(kernel: GreenKernel, f: GridFunction, lo, hi, direction):
     """One decay-direction half of the Green integral on [lo, hi].
 
     ``direction='up'`` accumulates int_lo^t Phi(t,tau) Pi_s(tau) f(tau) dtau
     for t increasing; ``direction='down'`` accumulates
-    int_t^hi Phi(t,tau) Pi_u(tau) f(tau) dtau for t decreasing.  Working in
-    the local coordinates of each unit leg turns the projected integrand
+    int_t^hi Phi(t,tau) Pi_u(tau) f(tau) dtau for t decreasing.  A kernel
+    with spectral ``modes`` takes :func:`_modal_sweep`.  Otherwise, working
+    in the local coordinates of each unit leg turns the projected integrand
     into a constant projector times a backward-solved forcing sample, and
     the running value is re-projected at every anchor crossing.  The
     forcing enters only through its spline coefficients, gathered per
     panel.  Returns the values on f's whole grid, zero at the grid points
     outside [lo, hi].
     """
+    if kernel.modes is not None:
+        return _modal_sweep(kernel.modes, f, lo, hi, direction)
     legs = _leg_ranges(kernel.anchors, lo, hi)
     C = f.coeffs
     out = np.zeros_like(f.values)

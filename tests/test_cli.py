@@ -151,6 +151,21 @@ class TestSolveLinearCommand:
         P = np.asarray(cert["P"])
         assert np.max(np.abs(P - np.diag([1.0, 0.0]))) <= 1e-6
 
+    def test_violated_operator_bound_is_an_error(self, tmp_path, capsys):
+        # supplied nu = 50 against the true rate 1: the solution is fine, the bound is not
+        data = json.loads(Path(problem_path("diag_cos")).read_text())
+        data["certificate"] = {"P": [[1, 0], [0, 0]], "Q": [[0, 0], [0, 1]], "N": 1, "nu": 50}
+        prob = tmp_path / "fast.json"
+        prob.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        rc = run_cli(["solve-linear", prob, "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: sup_norm = 0.74529762 of the solution exceeds "
+            "operator_bound = 2N/nu * ||f|| = 0.056568542\n"
+        )
+        assert not (out / "sol.csv").exists()
+
     def test_forcing_required(self, tmp_path):
         prob = tmp_path / "nof.json"
         prob.write_text(json.dumps(minimal()))

@@ -4,13 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import OdeSolution
 
 import trichotomy.solvers
 from trichotomy.grid import GridFunction
-from trichotomy.hyperbolicity import GreenKernel, WindowTooSmall
-from trichotomy.propagator import ExactLeg
+from trichotomy.hyperbolicity import GreenKernel, WindowTooSmall, build_trichotomy
+from trichotomy.propagator import CoefficientMatrix, ExactLeg
 from trichotomy.solvers import (
+    AccuracyError,
     ContractionError,
     LipschitzSpec,
     SolverError,
@@ -300,33 +303,54 @@ def fresh(K):
     return GreenKernel(K.cert)
 
 
+def count_dense_calls(monkeypatch):
+    """A list that collects the point count of every dense call on either leg type."""
+    calls = []
+    for leg_type in (OdeSolution, ExactLeg):
+        orig = leg_type.__call__
+
+        def counted(sol, t, orig=orig):
+            calls.append(np.size(t))
+            return orig(sol, t)
+
+        monkeypatch.setattr(leg_type, "__call__", counted)
+    return calls
+
+
 class TestQuadraturePlan:
-    def test_second_solve_makes_no_dense_evaluations(
-        self, scalar_kernel, scalar_forcing, monkeypatch
-    ):
-        K = fresh(scalar_kernel)
+    def test_second_solve_makes_no_dense_evaluations(self, rotation_kernel, monkeypatch):
+        # a time-dependent A has RK45 legs, so its sweeps run on plans
+        K = fresh(rotation_kernel)
+        assert K.modes is None
         f1 = GridFunction.from_callable(
-            lambda t: 0.5 * np.cos(0.3 * t) + 0.2, scalar_forcing.a, scalar_forcing.b, 0.02
+            lambda t: np.stack([0.5 * np.cos(0.3 * t) + 0.2, 0.3 * np.sin(0.5 * t)], axis=-1),
+            -14.0, 14.0, 0.02,
         )
         # same grid, other values, equal sup-norm (so the same tail horizon)
         f2 = GridFunction(f1.a, f1.b, f1.values[::-1])
-        calls = []
-        # count dense calls on either leg type solve_leg returns
-        for leg_type in (OdeSolution, ExactLeg):
-            orig = leg_type.__call__
-
-            def counted(sol, t, orig=orig):
-                calls.append(np.size(t))
-                return orig(sol, t)
-
-            monkeypatch.setattr(leg_type, "__call__", counted)
-        solve_linear_bounded(K, f1)
+        calls = count_dense_calls(monkeypatch)
+        solve_linear_bounded(K, f1, tol=1e-4)
         assert sum(calls) > 0
         calls.clear()
-        phi = solve_linear_bounded(K, f2)
+        phi = solve_linear_bounded(K, f2, tol=1e-4)
         assert calls == []
-        ref = solve_linear_bounded(fresh(K), f2)
+        ref = solve_linear_bounded(fresh(K), f2, tol=1e-4)
         assert np.max(np.abs(phi.values - ref.values)) <= 1e-13
+
+    def test_constant_A_solves_without_plans_or_dense_evaluations(
+        self, scalar_kernel, scalar_forcing, monkeypatch
+    ):
+        K = fresh(scalar_kernel)
+        assert K.modes is not None
+        f1 = GridFunction.from_callable(
+            lambda t: 0.5 * np.cos(0.3 * t) + 0.2, scalar_forcing.a, scalar_forcing.b, 0.02
+        )
+        f2 = GridFunction(f1.a, f1.b, f1.values[::-1])
+        calls = count_dense_calls(monkeypatch)
+        for f in (f1, f2):
+            solve_linear_bounded(K, f)
+        assert calls == []
+        assert K.plans == {}
 
     def test_folded_panel_sums_match_per_node_sums(self, rotation_kernel):
         """Moments W_p times spline coefficients equal sum_j w_j D^-1 f(node_j)."""
@@ -374,6 +398,103 @@ class TestQuadraturePlan:
             ref, _ = picard_solve(fresh(scalar_kernel), scalar_forcing, Fspec.scaled(e))
             assert (phi.a, phi.b) == (ref.a, ref.b)
             assert np.max(np.abs(phi.values - ref.values)) <= 1e-12
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+# seed, log10 cond(W), three log10 rates, imaginary part, pair?, sign choice, omega
+def modal_cases(max_log_cond, max_rate):
+    log_rate = st.floats(np.log10(0.2), np.log10(max_rate))
+    return st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, max_log_cond),
+        st.tuples(log_rate, log_rate, log_rate),
+        st.floats(0.2, 5.0),
+        st.booleans(),
+        st.integers(0, 1),
+        st.floats(0.2, 1.5),
+    )
+
+
+def modal_problem(case, tol):
+    """A = W B W^-1 with its spectral certificate and trigonometric forcing.
+
+    ``W`` has condition number 10**log_cond.  ``B`` is diagonal with one or
+    two stable rates and the rest unstable, or (``pair``) a 2x2 block
+    re +- i im of one sign beside a real rate of the other sign.  For such
+    B, ||e^{Bt} P_B|| = e^{-nu t}, so N = cond(W) and nu = min |Re lam|
+    certify the spectral projector.  The largest stable and unstable rates
+    sum to at most 28: unit legs across a wider spread are numerically
+    singular for the certificate sweeps.  The forcing window leaves the
+    output window (-2, 2) its tail horizon.  Returns the kernel, the
+    forcing and the exact bounded solution Re((i omega I - A)^-1 (a - i b)
+    e^{i omega t}) as a function of t.
+    """
+    seed, log_cond, log_rates, im, pair, k, omega = case
+    rates = 10.0 ** np.asarray(log_rates)
+    if pair:
+        s = -1.0 if k else 1.0
+        B = np.array([[s * rates[0], im, 0.0], [-im, s * rates[0], 0.0], [0.0, 0.0, -s * rates[1]]])
+    else:
+        B = np.diag(np.where(np.arange(3) <= k, -1.0, 1.0) * rates)
+    d = np.diag(B)
+    assume(-d.min() + d.max() <= 28.0)
+    rng = np.random.default_rng(seed)
+    W = _orthogonal(rng, 3) @ np.diag(np.geomspace(1.0, 10.0**log_cond, 3)) @ _orthogonal(rng, 3)
+    W_inv = np.linalg.inv(W)
+    A = W @ B @ W_inv
+    P = W @ np.diag((d < 0).astype(float)) @ W_inv
+    N, nu = float(np.linalg.cond(W)), float(np.min(np.abs(d)))
+    a, b = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
+    Tc = trichotomy.solvers._tail_horizon(N, nu, float(np.sqrt(np.sum(a * a + b * b))), tol)
+    window = float(np.ceil(Tc + 3.0))
+    coeff = CoefficientMatrix.from_strings([[f"{x:.17g}" for x in row] for row in A])
+    cert = build_trichotomy(coeff, window + 0.5, P=P, Q=np.eye(3) - P, N=N, nu=nu)
+    f = GridFunction.from_callable(
+        lambda t: np.multiply.outer(np.cos(omega * t), a) + np.multiply.outer(np.sin(omega * t), b),
+        -window, window, 0.02,
+    )
+    c = np.linalg.solve(1j * omega * np.eye(3) - A, a - 1j * b)
+    return GreenKernel(cert), f, lambda t: (np.exp(1j * omega * t)[:, None] * c).real
+
+
+class TestModalQuadrature:
+    """The eigen-coordinate Green sweeps of a constant A against two references."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(modal_cases(max_log_cond=3.0, max_rate=20.0))
+    def test_matches_closed_form(self, case):
+        K, f, exact = modal_problem(case, tol=1e-9)
+        assert K.modes is not None
+        # the 4th-order residual gate cannot resolve 10*tol = 1e-8 here; the
+        # closed form is the stronger check
+        phi = solve_linear_bounded(K, f, tol=1e-9, out_window=(-2.0, 2.0), check_residual=False)
+        assert np.max(np.abs(phi.values - exact(phi.times))) <= 1e-8 * max(1.0, phi.sup_norm)
+        assert K.plans == {}
+
+    # the plan path's rounding grows like cond(V) eps e^{|lam|} over a unit
+    # leg, so it resolves 1e-12 only for moderate rates and conditioning
+    @settings(max_examples=8, deadline=None)
+    @given(modal_cases(max_log_cond=1.5, max_rate=3.0))
+    def test_matches_plan_path(self, case):
+        K, f, _ = modal_problem(case, tol=1e-6)
+        assert K.modes is not None
+        phi = solve_linear_bounded(K, f)
+        plan_kernel = fresh(K)
+        plan_kernel.modes = None
+        ref = solve_linear_bounded(plan_kernel, f)
+        assert (phi.a, phi.b) == (ref.a, ref.b)
+        assert np.max(np.abs(phi.values - ref.values)) <= 1e-12 * max(1.0, phi.sup_norm)
+
+    def test_non_spectral_certificate_keeps_plan_path_and_refusal(self, saddle_A, saddle_cos_forcing):
+        P = np.array([[1.0, 0.5], [0.0, 0.0]])
+        K = GreenKernel(build_trichotomy(saddle_A, 28.0, P=P, Q=np.eye(2) - P))
+        assert K.modes is None
+        with pytest.raises(AccuracyError, match="linear solve residual 19.8 exceeds"):
+            solve_linear_bounded(K, saddle_cos_forcing, out_window=(-10.0, 10.0))
 
 
 class TestOdeResidual:
