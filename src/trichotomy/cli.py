@@ -77,6 +77,8 @@ COMMANDS = (
 )
 
 OUTPUT_STEP = 0.02
+# most forcing-grid values (points times dimension) a solve may allocate
+MAX_GRID_VALUES = 2_000_000
 
 
 class ProblemError(Exception):
@@ -309,32 +311,36 @@ def _build_kernel(spec, S):
     return GreenKernel(cert), cert
 
 
-def _rough_forcing_norm(spec, S) -> float:
-    if spec.f_exprs is None:
-        return 0.0
-    probe = GridFunction.from_callable(spec.forcing_fn(), -S, S, 0.1)
-    return probe.sup_norm
-
-
 def _solve_pipeline(spec, flags, margin_factor=1.0):
     """Shared two-pass solve: size windows, build kernel, sample forcing.
 
     Returns (kernel, cert, f); kernel is None when the half-line projectors
     are incompatible.  ``margin_factor`` is 1 for the linear solve and 2
     for Picard (whose restriction step consumes twice the tail horizon).
+    The tail horizon Tc starts from a rough sup of f on the output window;
+    f is resampled on a wider [-W, W] while its sup there makes
+    S_out + margin_factor * Tc exceed W.
     """
     tol = _tol(spec, flags)
     S_out = _window(spec, flags)
     kernel, cert = _build_kernel(spec, max(S_out, 12.0))
     if kernel is None:
         return None, cert, None
-    fnorm = _rough_forcing_norm(spec, S_out)
-    Tc = _tail_horizon(cert.N, cert.nu, fnorm, tol)
-    W = S_out + margin_factor * Tc + 1.0
-    W = math.ceil(W / OUTPUT_STEP - 1e-9) * OUTPUT_STEP
+    fnorm, W = 0.0, 0.0
+    if spec.f_exprs is not None:
+        fnorm = GridFunction.from_callable(spec.forcing_fn(), -S_out, S_out, 0.1).sup_norm
+    while True:
+        Tc = _tail_horizon(cert.N, cert.nu, fnorm, tol)
+        if S_out + margin_factor * Tc <= W:
+            break
+        W = math.ceil((S_out + margin_factor * Tc + 1.0) / OUTPUT_STEP - 1e-9) * OUTPUT_STEP
+        if 2.0 * W / OUTPUT_STEP * spec.dim > MAX_GRID_VALUES:
+            raise SolverError(f"forcing window [-{W:.6g}, {W:.6g}] (tail horizon {Tc:.6g}) needs "
+                              f"over {MAX_GRID_VALUES:.4g} grid values at step {OUTPUT_STEP:g}")
+        f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
+        fnorm = max(fnorm, f.sup_norm)
     if W > kernel.window[1]:
         kernel, cert = _build_kernel_grown(spec, cert, W + 0.5)
-    f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
     return kernel, cert, f
 
 
@@ -389,8 +395,9 @@ def _cmd_check_dichotomy(spec, flags) -> int:
             given = _certificate_args(spec)
             P, N, nu = given["P"], given["N"], given["nu"]
         else:
-            P = estimate_stable_projector(op, interval).P
-            N, nu = estimate_constants(op, P, interval)
+            est = estimate_stable_projector(op, interval)
+            P = est.P
+            N, nu = estimate_constants(op, P, interval, est.rate_hint)
         result = verify_dichotomy(op, P, interval, N, nu)
     except (NoDichotomyDetected, NonHyperbolicError) as exc:
         data = {

@@ -9,6 +9,11 @@ on the whole line.
 
 Numerics
 --------
+A constant A with an eigendecomposition (``TransitionOperator.eig``) and no
+eigenvalue on the imaginary axis is certified in closed form (Coppel,
+Dichotomies in Stability Theory, LNM 629, 1978; see :func:`build_trichotomy`);
+every other A is estimated and swept.
+
 Transition matrices over long windows mix scales like exp(+nu*t) against
 exp(-nu*t), so the kernel is never evaluated by naked long products in the
 growing direction.  Instead each certificate carries, per half-line, a
@@ -22,7 +27,7 @@ built by two subspace sweeps with QR re-orthonormalization:
 
 Subspace errors contract exponentially along each sweep, so anchors inside
 the certified window are accurate even when the seed at the far end is crude.
-Green-function evaluation applies the branch projector at the source time and
+The Green quadrature on such a certificate applies the branch projectors and
 propagates leg by leg in the decaying direction, re-projecting at anchors to
 strip the exponentially growing error component.
 """
@@ -56,9 +61,10 @@ __all__ = [
 
 GAP_THRESHOLD = 10.0
 SLACK_TOL = 1e-6
-# relative distance within which a certificate's projectors count as the
-# spectral ones of a constant A (the gate of the eigen-coordinate quadrature)
+# relative distance within which supplied projectors count as spectral
 SPECTRAL_TOL = 1e-10
+# |Re lam| <= AXIS_TOL * max(1, ||A||_2) counts as on the imaginary axis
+AXIS_TOL = 1e-8
 
 
 class HyperbolicityError(Exception):
@@ -75,7 +81,7 @@ class NoDichotomyDetected(HyperbolicityError):
 
 
 class NonHyperbolicError(HyperbolicityError):
-    """Envelope fit produced a non-positive decay rate."""
+    """Certified negative: no decay rate, degenerate subspaces, or a rejected certificate."""
 
 
 class WindowTooSmall(HyperbolicityError):
@@ -424,24 +430,20 @@ def _envelope_fit(sample_groups):
     return float(math.exp(log_N)), float(nu_hat)
 
 
-def estimate_constants(A, P, interval):
+def estimate_constants(A, P, interval, rate_hint=1.0):
     """Fit dichotomy constants (N, nu) for projector ``P`` on ``interval``.
 
     Measures both decay branches on anchor pairs, fits a log-linear envelope
     per branch, shrinks the rate by 5% and returns the smallest admissible
-    constant for the shrunk rate.  Raises :class:`NonHyperbolicError` when
-    the fitted rate is not positive (e.g. a rotation).
+    constant for the shrunk rate.  ``rate_hint`` (``P``'s estimate's, say)
+    sizes the sweep's extension margin.  Raises :class:`NonHyperbolicError`
+    when the fitted rate is not positive (e.g. a rotation).
     """
     op = _as_operator(A)
     lo, hi = float(interval[0]), float(interval[1])
     P = np.asarray(P, dtype=float)
     data_end = "lo" if abs(lo) <= abs(hi) else "hi"
-    est_hint = 1.0
-    try:
-        est_hint = estimate_stable_projector(op, (lo, hi)).rate_hint
-    except (HyperbolicityError, ValueError):
-        pass
-    family = _build_half_family(op, lo, hi, P, data_end, est_hint)
+    family = _build_half_family(op, lo, hi, P, data_end, rate_hint)
     return _envelope_fit(_chain_samples(family, lo, hi))
 
 
@@ -537,7 +539,8 @@ class TrichotomyCertificate:
     projectors split the space into the three invariant classes:
     ``P1 = I - Q`` (decaying both ways is impossible, so this is the class
     decaying forward), ``P2 = I - P`` (growing forward), and the center
-    ``P3 = R = P @ Q`` bounded both ways.
+    ``P3 = R = P @ Q`` bounded both ways.  The closed form of a constant A
+    carries ``modes`` (V, lam, V^-1, stable mask), a swept one ``families``.
     """
 
     interval: tuple
@@ -547,7 +550,8 @@ class TrichotomyCertificate:
     nu: float
     report: dict = field(default_factory=dict)
     ok: bool = True
-    # build_trichotomy's sweeps, reused by GreenKernel; None on a hand-built certificate
+    # build_trichotomy's eigen-coordinates or sweeps, used by GreenKernel
+    modes: Optional[tuple] = field(default=None, compare=False, repr=False)
     families: Optional[tuple] = field(default=None, compare=False, repr=False)
     op: Optional[TransitionOperator] = field(default=None, compare=False, repr=False)
 
@@ -599,18 +603,53 @@ class TrichotomyIncompatibility:
     ok: bool = False
 
 
-def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
-    """Assemble a trichotomy certificate on [-T, T] from two half dichotomies.
+def _check_spectral_constants(op, modes, rate, N, nu, T):
+    """Reject supplied (N, nu) that a constant A's exact decay violates.
 
-    Estimates the stable projector P+ of the forward half on [0, T] and the
-    stable projector of the time-reversed system on [0, T] (equivalently the
-    backward-decaying class at 0, giving P- = I - Q).  If the compatibility
-    products P+ P- and P- P+ differ from P- by more than 1e-6 the halves do
-    not mesh and a :class:`TrichotomyIncompatibility` report is returned.
-    User-supplied ``P``/``Q`` skip the estimation step; only their
-    idempotence and compatibility are checked.  Supplied ``N``/``nu`` are
-    taken as given, with no slack check; without them the constants are
-    fitted to the chain norms of both half families.
+    nu may exceed the spectral rate by at most cond(V) * delta, the
+    Bauer-Fike radius of the numerical eigenvalues.  N must bound
+    ||e^{At} P|| e^{nu t} and ||e^{-At} (I - P)|| e^{nu t} within SLACK_TOL
+    at 2001 times on [0, 2T], geometrically spaced to resolve the transient.
+    """
+    V, lam, V_inv, stable = modes
+    radius = op.eig_health["cond_V"] * op.eig_health["eig_residual"]
+    if nu > rate + radius:
+        raise NonHyperbolicError(
+            f"supplied certificate rejected: nu = {nu:.6g} exceeds the spectral "
+            f"rate min |Re lam| = {rate:.6g} (eigenvalue radius {radius:.3g})"
+        )
+    t = np.concatenate([[0.0], np.geomspace(1e-3, 2.0 * T, 2000)])
+    sup = 0.0
+    for keep, sign in ((stable, 1.0), (~stable, -1.0)):
+        E = np.exp(np.multiply.outer(t, sign * lam[keep] + nu))
+        M = ((V[:, keep] * E[:, None, :]) @ V_inv[keep]).real
+        sup = max(sup, float(np.linalg.norm(M, 2, axis=(1, 2)).max()))
+    if sup > N + SLACK_TOL:
+        raise NonHyperbolicError(
+            f"supplied certificate rejected: N = {N:.6g} is below the sampled "
+            f"sup of ||Phi(t, 0) P|| e^(nu t) = {sup:.6g} on [0, {2.0 * T:.6g}]"
+        )
+
+
+def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
+    """Assemble a trichotomy certificate on [-T, T].
+
+    A constant A with ``op.eig`` and no |Re lam| <= AXIS_TOL * max(1, ||A||_2)
+    gets the closed form P = V[:, s] V^-1[s, :], Q = I - P, nu = min |Re lam|,
+    N = max over classes c of ||V[:, c]|| ||V^-1[c, :]||.  Supplied ``P``/``Q``
+    must be spectral within ``SPECTRAL_TOL`` relative and supplied ``N``/``nu``
+    pass :func:`_check_spectral_constants`, else :class:`NonHyperbolicError`.
+
+    Every other A is swept.  The stable projector P+ of the forward half on
+    [0, T] and the stable projector of the time-reversed system on [0, T]
+    (equivalently the backward-decaying class at 0, giving P- = I - Q) are
+    estimated.  If the compatibility products P+ P- and P- P+ differ from
+    P- by more than 1e-6 the halves do not mesh and a
+    :class:`TrichotomyIncompatibility` report is returned.  User-supplied
+    ``P``/``Q`` skip the estimation step; only their idempotence and
+    compatibility are checked.  Supplied ``N``/``nu`` are taken as given,
+    with no slack check; without them the constants are fitted to the chain
+    norms of both half families.
 
     Raises
     ------
@@ -621,15 +660,33 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     op = _as_operator(A)
     n = op.A.n
     eye = np.eye(n)
-
-    if P is not None and Q is not None:
+    supplied = P is not None and Q is not None
+    if supplied:
         P_plus = np.asarray(P, dtype=float)
         P_minus = eye - np.asarray(Q, dtype=float)
         for M, name in ((P_plus, "P"), (eye - P_minus, "Q")):
             if np.linalg.norm(M @ M - M, 2) > 1e-10:
                 raise ValueError(f"candidate projector {name} is not idempotent")
+
+    modes = None
+    if op.eig is not None:
+        V, lam, V_inv = op.eig
+        stable, rate = lam.real < 0.0, float(np.min(np.abs(lam.real)))
+        if rate > AXIS_TOL * max(1.0, op.eig_health["norm_A"]):
+            modes = (V, lam, V_inv, stable)
+    if modes is not None:
+        P_s = (V[:, stable] @ V_inv[stable]).real
+        if not supplied:
+            P_plus = P_minus = P_s
+        dist = max(float(np.linalg.norm(M - P_s, 2)) for M in (P_plus, P_minus))
+        limit = SPECTRAL_TOL * max(1.0, float(np.linalg.norm(P_s, 2)))
+        if dist > limit:
+            raise NonHyperbolicError(
+                "supplied certificate rejected: P or I - Q lies at distance "
+                f"{dist:.6g} from the spectral stable projector of A (limit {limit:.3g})"
+            )
+    elif supplied:
         rate_hint = float(nu) if nu else 1.0
-        estimated = False
     else:
         est_plus = estimate_stable_projector(op, (0.0, T))
         rev_op = TransitionOperator(op.A.reversed())
@@ -639,7 +696,6 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
         # backward in original time, i.e. the range of Q; P- = I - Q
         P_minus = eye - est_minus.P
         rate_hint = min(est_plus.rate_hint, est_minus.rate_hint)
-        estimated = True
 
     residual = max(
         float(np.linalg.norm(P_plus @ P_minus - P_minus, 2)),
@@ -647,7 +703,7 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     )
     report = {
         "compatibility_residual": residual,
-        "estimated": estimated,
+        "estimated": not supplied,
         "rank_plus": int(round(np.trace(P_plus))),
         "rank_minus": int(round(np.trace(P_minus))),
     }
@@ -659,8 +715,19 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
             residual=residual,
             report=report,
         )
-
     Q_mat = eye - P_minus
+
+    if modes is not None:
+        if N is None or nu is None:
+            N = max(float(np.linalg.norm(V[:, c], 2) * np.linalg.norm(V_inv[c], 2))
+                    for c in (stable, ~stable) if c.any())
+            nu = rate
+        else:
+            _check_spectral_constants(op, modes, rate, float(N), float(nu), T)
+        report.update({key: op.eig_health[key] for key in ("eig_residual", "cond_V")})
+        return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=float(N),
+                                     nu=float(nu), report=report, modes=modes, op=op)
+
     fam_plus = _build_half_family(op, 0.0, T, P_plus, "lo", rate_hint)
     fam_minus = _build_half_family(op, -T, 0.0, P_minus, "hi", rate_hint)
 
@@ -685,32 +752,6 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     )
 
 
-def _spectral_modes(op: TransitionOperator, cert: TrichotomyCertificate):
-    """(V, lam, V^-1, stable mask) when the certificate's projectors are spectral, else None.
-
-    For a constant A the projector family that P generates is
-    Phi(t, 0) P Phi(0, t), which equals P at every t when P commutes with
-    A.  So when A is hyperbolic with an exact eigendecomposition and both P
-    and I - Q equal its spectral stable projector V[:, s] V^-1[s, :] within
-    ``SPECTRAL_TOL`` relative, every kernel branch is diagonal in
-    y = V^-1 x.  The swept anchor projectors only approximate that family:
-    for a non-normal A their far-end seeds differ from it by O(1), so the
-    gate reads the projectors that define the family, not the sweeps.
-    """
-    if op.eig is None:
-        return None
-    V, lam, V_inv = op.eig
-    if np.any(lam.real == 0.0):
-        return None
-    stable = lam.real < 0.0
-    P_s = (V[:, stable] @ V_inv[stable]).real
-    limit = SPECTRAL_TOL * max(1.0, np.linalg.norm(P_s, 2))
-    for M in (cert.P, np.eye(lam.size) - cert.Q):
-        if np.linalg.norm(M - P_s, 2) > limit:
-            return None
-    return V, lam, V_inv, stable
-
-
 class GreenKernel:
     """Green function of x' = A(t)x + f on a certified window.
 
@@ -718,31 +759,29 @@ class GreenKernel:
     time tau >= 0 it is Phi(t, tau) P(tau) for t > tau and
     -Phi(t, tau) (I - P)(tau) for t < tau; with tau < 0 it is
     -Phi(t, tau) Q(tau) for t < tau and Phi(t, tau) (I - Q)(tau) for t > tau.
-    Every branch propagates its projected content in the direction where it
-    decays, re-projecting at unit anchors, so evaluation stays stable over
-    arbitrarily long windows.  ``cert`` must be the certificate that
-    :func:`build_trichotomy` returned: the kernel runs on its operator and
-    projector families.  ``modes`` is (V, lam, V^-1, stable mask) when A is
-    constant and the certificate's projectors are its spectral ones (see
-    :func:`_spectral_modes`), else None.
+    ``cert`` must be the certificate that :func:`build_trichotomy` returned.
+    With its ``modes`` (V, lam, V^-1, stable mask) every branch is diagonal
+    in y = V^-1 x.  Otherwise every branch propagates its projected content
+    through the certificate's projector families in the direction where it
+    decays, re-projecting at unit anchors.
     """
 
     def __init__(self, cert):
-        if not isinstance(cert, TrichotomyCertificate) or cert.families is None:
+        if getattr(cert, "modes", None) is None and getattr(cert, "families", None) is None:
             raise ValueError(
                 "a Green kernel needs the certificate build_trichotomy returns; "
-                f"got a {type(cert).__name__} with no projector families"
+                f"got a {type(cert).__name__} with neither modes nor projector families"
             )
         self.cert = cert
         self.op = cert.op
         self.A = self.op.A
-        self.fam_plus, self.fam_minus = cert.families
-        self.anchors = np.concatenate([self.fam_minus.anchors[:-1], self.fam_plus.anchors])
         self.window = tuple(float(x) for x in cert.interval)
-        self.modes = _spectral_modes(self.op, cert)
-        # Green-quadrature plans of the solver sweeps, built on first use, only
-        # when ``modes`` is None (RK45 legs, or projectors that are not spectral):
-        # (a0, a1, s0, s1, grid origin, grid step) -> plan of that clipped leg
+        self.modes = cert.modes
+        if self.modes is None:
+            self.fam_plus, self.fam_minus = cert.families
+            self.anchors = np.concatenate([self.fam_minus.anchors[:-1], self.fam_plus.anchors])
+        # plans of the solver sweeps when ``modes`` is None, built on first
+        # use: (a0, a1, s0, s1, grid origin, grid step) -> plan of that leg clip
         self.plans = {}
 
     @property
@@ -756,65 +795,6 @@ class GreenKernel:
     def unstable_projector(self, s: float) -> np.ndarray:
         """Projector whose image decays backward at time s."""
         return np.eye(self.n) - self.stable_projector(s)
-
-    def _check_window(self, *times):
-        lo, hi = self.window
-        for x in times:
-            if x < lo - 1e-9 or x > hi + 1e-9:
-                raise WindowTooSmall(
-                    f"time {x:.6g} outside certified window [{lo:.6g}, {hi:.6g}]",
-                    abs(x),
-                )
-
-    def _transport(self, Z, tau, t, proj_at):
-        """Carry Z from tau to t leg by leg, re-projecting at anchors.
-
-        ``proj_at`` maps an anchor time to the projector that is an exact
-        identity on the transported content; it strips the error component
-        that grows in the direction of travel.
-        """
-        anchors = self.anchors
-        op = self.op
-        n = self.n
-        if t == tau:
-            return Z
-        if t > tau:
-            inner = anchors[(anchors > tau + 1e-12) & (anchors < t - 1e-12)]
-            stops = list(inner) + [t]
-        else:
-            inner = anchors[(anchors < tau - 1e-12) & (anchors > t + 1e-12)]
-            stops = list(inner[::-1]) + [t]
-        cur = tau
-        for stop in stops:
-            lo, hi = (cur, stop) if stop >= cur else (stop, cur)
-            i = int(np.searchsorted(anchors, lo + 1e-12)) - 1
-            i = min(max(i, 0), len(anchors) - 2)
-            a0, a1 = anchors[i], anchors[i + 1]
-            if hi > a1 + 1e-9:
-                i += 1
-                a0, a1 = anchors[i], anchors[i + 1]
-            sol = op.solve_leg(a0, a1)
-            D_cur = sol(cur).reshape(n, n)
-            D_stop = sol(stop).reshape(n, n)
-            Z = D_stop @ np.linalg.solve(D_cur, Z)
-            if stop != t:
-                Z = proj_at(stop) @ Z
-            cur = stop
-        return Z
-
-    def matrix(self, t: float, tau: float, side: Optional[str] = None) -> np.ndarray:
-        """Green matrix G(t, tau); ``side`` picks the branch when t == tau.
-
-        ``side='+'`` gives the limit from t > tau, ``side='-'`` from t < tau;
-        their difference at t == tau is the identity (the kernel's jump).
-        """
-        t, tau = float(t), float(tau)
-        self._check_window(t, tau)
-        if t == tau and side is None:
-            raise ValueError("G(t, t) is two-valued; pass side='+' or side='-'")
-        if t > tau or (t == tau and side == "+"):
-            return self._transport(self.stable_projector(tau), tau, t, self.stable_projector)
-        return self._transport(-self.unstable_projector(tau), tau, t, self.unstable_projector)
 
 
 def _matrix_list(M) -> list:

@@ -5,9 +5,10 @@ A leg is the dense solution s -> Phi(s, t0) of the matrix equation on
 the flattened n*n matrix, an array of k times gives shape (n*n, k)):
 
 * Exact legs, when no entry of A mentions ``t`` and A = V diag(lam) V^-1
-  with cond(V) <= ``EXACT_COND_MAX`` = 1e6: Phi(s, t0) = V exp(lam (s - t0))
-  V^-1, whose rounding error (about cond(V) * machine eps <= 2e-10) stays
-  below the integrator's tolerance.  One eigendecomposition per operator.
+  with cond(V) <= ``EXACT_COND_MAX`` = 1e6 and delta = ||AV - V diag(lam)||
+  ||V^-1|| <= ``EIG_RESIDUAL_MAX`` * max(1, ||A||): Phi(s, t0) = V exp(lam
+  (s - t0)) V^-1, whose rounding error (about cond(V) * machine eps <= 2e-10)
+  stays below the integrator's tolerance.  One eigendecomposition per operator.
 * Integrated legs otherwise (time-dependent A, or a defective or
   ill-conditioned constant A such as a Jordan block): scipy's embedded
   Runge-Kutta 5(4) pair (Dormand-Prince) with dense output, run at rel tol
@@ -36,6 +37,8 @@ ATOL = 1e-12
 # largest eigenvector-matrix condition number for which constant-A legs are
 # computed from the eigendecomposition instead of integrated
 EXACT_COND_MAX = 1e6
+# largest eigen-residual delta / max(1, ||A||_2) for which eig is kept
+EIG_RESIDUAL_MAX = 1e-10
 
 
 class PropagationError(Exception):
@@ -106,17 +109,26 @@ class TransitionOperator:
     Cached legs map (t0, t1) to the dense solution of the matrix equation
     Y' = A(t) Y, Y(t0) = I on [t0, t1]: an ``ExactLeg`` when A is constant
     and well diagonalizable, an RK45 ``OdeSolution`` otherwise.  ``eig`` is
-    the eigendecomposition (V, lam, V^-1) the exact legs use, or None.
+    the eigendecomposition (V, lam, V^-1) the exact legs use, or None;
+    ``eig_health`` then holds delta (``eig_residual``), ``cond_V`` and ``norm_A``.
     """
 
     def __init__(self, A: CoefficientMatrix):
         self.A = A
         self._legs = {}
         self.eig = None
+        self.eig_health = None
         if not any(free_vars(e) for row in A.entries for e in row):
-            lam, V = np.linalg.eig(A.value(0.0))
-            if np.linalg.cond(V) <= EXACT_COND_MAX:
-                self.eig = (V, lam, np.linalg.inv(V))
+            A0 = A.value(0.0)
+            lam, V = np.linalg.eig(A0)
+            cond_V = float(np.linalg.cond(V))
+            if cond_V <= EXACT_COND_MAX:
+                V_inv = np.linalg.inv(V)
+                delta = float(np.linalg.norm(A0 @ V - V * lam, 2) * np.linalg.norm(V_inv, 2))
+                norm_A = float(np.linalg.norm(A0, 2))
+                if delta <= EIG_RESIDUAL_MAX * max(1.0, norm_A):
+                    self.eig = (V, lam, V_inv)
+                    self.eig_health = {"eig_residual": delta, "cond_V": cond_V, "norm_A": norm_A}
 
     def _matrix_rhs(self, t, y):
         n = self.A.n

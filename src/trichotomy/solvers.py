@@ -4,12 +4,12 @@ The bounded solution of x' = A(t)x + f(t) under a certified dichotomy or
 trichotomy is the Green-kernel integral phi(t) = int G(t, tau) f(tau) dtau.
 It is computed here by two exponential-weight sweeps (one per decay
 direction) with composite Gauss-Legendre panels, so no quantity is ever
-propagated in its growing direction.  When A is constant and the
-certificate's projectors are its spectral ones (``GreenKernel.modes``), the
-sweeps run in eigen-coordinates y = V^-1 x: each component is a scalar
-recurrence over the grid, with no legs and no per-node matrices.  Otherwise
-(RK45 legs, or projectors that fail the spectral gate) they run in the
-local coordinates of the cached unit propagation legs, and what the
+propagated in its growing direction.  On the closed-form certificate of a
+constant A (``GreenKernel.modes``) the sweeps run in eigen-coordinates
+y = V^-1 x: each component is a scalar recurrence over the grid, with no
+legs and no per-node matrices.  Every other A (time-dependent, defective,
+or with an eigenvalue on the imaginary axis) takes the plan path: the sweeps
+run in the local coordinates of the cached unit propagation legs, and what the
 quadrature needs of a leg besides the forcing (inverse leg values folded
 into per-panel moments of the forcing spline, projectors, grid indices) is
 built once per kernel, leg clip and grid as a plan, and reused by every
@@ -153,11 +153,11 @@ def _panel_points(s0, s1, grid_a, h):
 class _LegPlan:
     """What the Green quadrature on one clipped leg needs besides the forcing.
 
-    Plans serve only kernels without spectral ``modes``: RK45 legs, and
-    projectors that fail the spectral gate.  Each Gauss-Legendre panel lies in one grid interval, ``cell``, where the
-    forcing is the cubic sum_p c_p u^p of its spline (u = tau - t_cell), so
-    the panel sum of weight * D(node)^{-1} f(node) is sum_p W_p c_p with the
-    moments W_p = sum_j w_j u_j^p D(node_j)^{-1}; ``W`` has shape
+    Plans serve only kernels without ``modes``.  Each Gauss-Legendre panel
+    lies in one grid interval, ``cell``, where the forcing is the cubic
+    sum_p c_p u^p of its spline (u = tau - t_cell), so the panel sum of
+    weight * D(node)^{-1} f(node) is sum_p W_p c_p with the moments
+    W_p = sum_j w_j u_j^p D(node_j)^{-1}; ``W`` has shape
     (panels, 4, n, n), with D the leg solution.  ``D_pts`` is D at the panel
     points.  ``proj`` maps each sweep direction to its (panel, crossing)
     projectors, and the panel points ``rows`` are the grid points ``idx``.
@@ -284,7 +284,7 @@ def _sweep(kernel: GreenKernel, f: GridFunction, lo, hi, direction):
     ``direction='up'`` accumulates int_lo^t Phi(t,tau) Pi_s(tau) f(tau) dtau
     for t increasing; ``direction='down'`` accumulates
     int_t^hi Phi(t,tau) Pi_u(tau) f(tau) dtau for t decreasing.  A kernel
-    with spectral ``modes`` takes :func:`_modal_sweep`.  Otherwise, working
+    with ``modes`` takes :func:`_modal_sweep`.  Otherwise, working
     in the local coordinates of each unit leg turns the projected integrand
     into a constant projector times a backward-solved forcing sample, and
     the running value is re-projected at every anchor crossing.  The

@@ -15,10 +15,71 @@ from trichotomy import (
     build_trichotomy,
 )
 from trichotomy.cli import bundled_problem_path, main as cli_main
+from trichotomy.hyperbolicity import WindowTooSmall
 
 
 def problem_path(name: str) -> str:
     return str(bundled_problem_path(name))
+
+
+def _transport(kernel, Z, tau, t, proj_at):
+    """Carry Z from tau to t leg by leg, re-projecting at anchors.
+
+    ``proj_at`` maps an anchor time to the projector that is an exact
+    identity on the transported content; it strips the error component
+    that grows in the direction of travel.
+    """
+    anchors, n = kernel.anchors, kernel.n
+    if t == tau:
+        return Z
+    if t > tau:
+        inner = anchors[(anchors > tau + 1e-12) & (anchors < t - 1e-12)]
+        stops = list(inner) + [t]
+    else:
+        inner = anchors[(anchors < tau - 1e-12) & (anchors > t + 1e-12)]
+        stops = list(inner[::-1]) + [t]
+    cur = tau
+    for stop in stops:
+        lo, hi = (cur, stop) if stop >= cur else (stop, cur)
+        i = int(np.searchsorted(anchors, lo + 1e-12)) - 1
+        i = min(max(i, 0), len(anchors) - 2)
+        if hi > anchors[i + 1] + 1e-9:
+            i += 1
+        sol = kernel.op.solve_leg(anchors[i], anchors[i + 1])
+        Z = sol(stop).reshape(n, n) @ np.linalg.solve(sol(cur).reshape(n, n), Z)
+        if stop != t:
+            Z = proj_at(stop) @ Z
+        cur = stop
+    return Z
+
+
+def green_matrix(kernel, t, tau, side=None):
+    """Green matrix G(t, tau) of ``kernel``; ``side`` picks the branch when t == tau.
+
+    ``side='+'`` gives the limit from t > tau, ``side='-'`` from t < tau;
+    their difference at t == tau is the identity (the kernel's jump).  A
+    kernel with ``modes`` (V, lam, V^-1, stable) is evaluated in closed form,
+    V_s e^{lam_s (t - tau)} V^-1_s forward and -V_u e^{lam_u (t - tau)} V^-1_u
+    backward; any other by leg transport through its projector families.
+    """
+    t, tau = float(t), float(tau)
+    lo, hi = kernel.window
+    for x in (t, tau):
+        if x < lo - 1e-9 or x > hi + 1e-9:
+            raise WindowTooSmall(
+                f"time {x:.6g} outside certified window [{lo:.6g}, {hi:.6g}]", abs(x)
+            )
+    if t == tau and side is None:
+        raise ValueError("G(t, t) is two-valued; pass side='+' or side='-'")
+    up = t > tau or (t == tau and side == "+")
+    if kernel.modes is not None:
+        V, lam, V_inv, stable = kernel.modes
+        keep = stable if up else ~stable
+        G = ((V[:, keep] * np.exp(lam[keep] * (t - tau))) @ V_inv[keep]).real
+        return G if up else -G
+    if up:
+        return _transport(kernel, kernel.stable_projector(tau), tau, t, kernel.stable_projector)
+    return _transport(kernel, -kernel.unstable_projector(tau), tau, t, kernel.unstable_projector)
 
 
 @pytest.fixture(scope="session")

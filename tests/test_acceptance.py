@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import problem_path, run_cli
+from conftest import green_matrix, problem_path, run_cli
 
 from trichotomy import (
     CoefficientMatrix,
@@ -38,8 +38,8 @@ def test_kernel_jump_identity_across_problems():
         kernel = GreenKernel(cert)
         eye = np.eye(spec.dim)
         for tau in rng.uniform(-11.0, 11.0, 20):
-            jump = kernel.matrix(tau, tau, side="+") - kernel.matrix(
-                tau, tau, side="-"
+            jump = green_matrix(kernel, tau, tau, side="+") - green_matrix(
+                kernel, tau, tau, side="-"
             )
             assert np.linalg.norm(jump - eye, 2) <= 1e-6
     assert time.monotonic() - start < 10.0
@@ -91,6 +91,29 @@ def test_trichotomy_projectors_recovered_on_wide_window():
     assert np.max(np.abs(cert.P - np.diag([1.0, 0.0, 1.0]))) <= 1e-4
     assert np.max(np.abs(cert.Q - np.diag([0.0, 1.0, 1.0]))) <= 1e-4
     assert max(cert.identity_residuals().values()) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_heat_discretisation_matches_semi_discrete_closed_form(tmp_path, n):
+    """u_t = u_xx + 2.5u + sin(x) cos t, Dirichlet on (0, pi), n interior points.
+
+    sin(x_j) is an exact eigenvector of the second-difference matrix, with
+    eigenvalue lam = 2.5 - (4/h^2) sin^2(h/2), so the bounded solution is
+    Re(e^{it} / (i - lam)) sin(x_j).
+    """
+    h = np.pi / (n + 1)
+    x = h * np.arange(1, n + 1)
+    diag, off = repr(2.5 - 2.0 / h**2), repr(1.0 / h**2)
+    A = [[diag if i == j else off if abs(i - j) == 1 else "0" for j in range(n)] for i in range(n)]
+    f = [f"{float(np.sin(xj))!r}*cos(t)" for xj in x]
+    prob = tmp_path / "heat.json"
+    prob.write_text(json.dumps({"dim": n, "A": A, "f": f, "window": 10.0}))
+    out = tmp_path / "out"
+    assert run_cli(["solve-linear", prob, "--out", out]) == 0
+    data = np.loadtxt(out / "sol.csv", delimiter=",", skiprows=1)
+    lam = 2.5 - 4.0 / h**2 * np.sin(h / 2.0) ** 2
+    exact = np.outer((np.exp(1j * data[:, 0]) / (1j - lam)).real, np.sin(x))
+    assert np.max(np.abs(data[:, 1:] - exact)) <= 1e-6
 
 
 def test_incompatible_half_lines_certified_negative(tmp_path):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -152,19 +153,66 @@ class TestSolveLinearCommand:
         assert np.max(np.abs(P - np.diag([1.0, 0.0]))) <= 1e-6
 
     def test_violated_operator_bound_is_an_error(self, tmp_path, capsys):
-        # supplied nu = 50 against the true rate 1: the solution is fine, the bound is not
-        data = json.loads(Path(problem_path("diag_cos")).read_text())
-        data["certificate"] = {"P": [[1, 0], [0, 0]], "Q": [[0, 0], [0, 1]], "N": 1, "nu": 50}
+        # supplied nu = 50 against the true rate 1 of a time-dependent A, whose
+        # supplied constants are not checked: the solution is fine, the bound is not
+        data = json.loads(Path(problem_path("trich_tanh")).read_text())
+        data["certificate"] = {"P": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+                               "Q": [[0, 0, 0], [0, 1, 0], [0, 0, 1]], "N": 1, "nu": 50}
         prob = tmp_path / "fast.json"
         prob.write_text(json.dumps(data))
         out = tmp_path / "out"
         rc = run_cli(["solve-linear", prob, "--out", out])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: sup_norm = 0.74529762 of the solution exceeds "
-            "operator_bound = 2N/nu * ||f|| = 0.056568542\n"
+            "error: sup_norm = 1.000091 of the solution exceeds "
+            "operator_bound = 2N/nu * ||f|| = 0.069282032\n"
         )
         assert not (out / "sol.csv").exists()
+
+    def test_constant_A_rate_above_spectrum_is_rejected(self, tmp_path, capsys):
+        # on a constant A the supplied nu = 50 meets the exact rate 1 before any solve
+        data = json.loads(Path(problem_path("diag_cos")).read_text())
+        data["certificate"] = {"P": [[1, 0], [0, 0]], "Q": [[0, 0], [0, 1]], "N": 1, "nu": 50}
+        prob = tmp_path / "fast.json"
+        prob.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        rc = run_cli(["solve-linear", prob, "--out", out])
+        assert rc == 2
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("certified failure: supplied certificate rejected: "
+                               "nu = 50 exceeds the spectral rate min |Re lam| = 1 ")
+        report = json.loads((out / "report.json").read_text())
+        assert report["ok"] is False and "nu = 50" in report["certified_failure"]
+        assert not (out / "sol.csv").exists()
+
+    def test_forcing_sup_beyond_the_output_window_widens_the_grid(self, tmp_path):
+        # the beat of two close frequencies peaks outside [-10, 10]: at rate
+        # 0.0563 its larger sup on the sampled window needs a longer tail
+        terms = [(1.403, -0.9314, 0.772), (1.429, 1.0762, 1.0411)]
+        f = " + ".join(f"{c}*cos({w}*t) + {s}*sin({w}*t)" for w, c, s in terms)
+        prob = tmp_path / "beat.json"
+        prob.write_text(json.dumps(minimal(A=[["-0.0563"]], f=[f])))
+        out = tmp_path / "out"
+        assert run_cli(["solve-linear", prob, "--out", out]) == 0
+        phi = read_solution_csv(out / "sol.csv")
+        assert (phi.a, phi.b) == (-10.0, 10.0)
+        exact = sum(((c - 1j * s) / (1j * w + 0.0563) * np.exp(1j * w * phi.times)).real
+                    for w, c, s in terms)
+        assert np.max(np.abs(phi.values[:, 0] - exact)) <= 1e-5
+
+    def test_forcing_grid_cap_refuses_before_sampling(self, tmp_path, capsys):
+        # rate 1e-5 needs a tail horizon near 2.6e6: far more grid than the cap
+        prob = tmp_path / "slow.json"
+        prob.write_text(json.dumps(minimal(dim=2, A=[["-1e-5", "0"], ["0", "1"]],
+                                           f=["cos(t)", "0"])))
+        start = time.monotonic()
+        rc = run_cli(["solve-linear", prob, "--out", tmp_path / "out"])
+        assert time.monotonic() - start < 2.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: forcing window [-")
+        cap = trichotomy.cli.MAX_GRID_VALUES
+        assert f"over {cap:.4g} grid values at step 0.02" in err
 
     def test_forcing_required(self, tmp_path):
         prob = tmp_path / "nof.json"
@@ -197,8 +245,8 @@ class TestSemilinearCommand:
         assert "certified_failure" in report
         # the refused L is the sampled estimate, and the refusal says so
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "certified refusal: contraction requires L < nu/(2N) = 0.475; "
-            "sampled estimate L = 1.05 * 9.69887 = 10.1838 gives alpha = 21.4396 >= 1"
+            "certified refusal: contraction requires L < nu/(2N) = 0.5; "
+            "sampled estimate L = 1.05 * 9.69887 = 10.1838 gives alpha = 20.3676 >= 1"
         )
 
     def test_nonlinearity_required(self, tmp_path):
@@ -259,7 +307,7 @@ class TestSemilinearCommand:
         assert err.startswith("error: Picard iteration stopped at iterate 11: "
                               "sup|psi_11 - psi_10| is not finite; ")
         assert "last finite step sup|psi_10 - psi_9| = " in err
-        assert err.strip().endswith("alpha = 0.273684")
+        assert err.strip().endswith("alpha = 0.26")
 
     def test_identically_zero_nonlinearity_rejected(self, tmp_path, capsys):
         prob = tmp_path / "zero.json"
@@ -315,6 +363,18 @@ class TestCheckCommands:
         assert np.max(np.abs(P - np.diag([1.0, 0.0, 1.0]))) <= 1e-4
         assert np.max(np.abs(Q - np.diag([0.0, 1.0, 1.0]))) <= 1e-4
         assert max(data["identity_residuals"].values()) <= 1e-9
+
+    @pytest.mark.parametrize("command", ["check-trichotomy", "solve-linear"])
+    def test_conjugated_rotation_stays_a_certified_negative(self, tmp_path, command):
+        # W rot(1.3) W^-1 has |Re lam| near 1e-16: on the imaginary axis, so
+        # no closed form; the sweeps find no dichotomy
+        W = np.array([[1.0, 2.0], [0.5, 3.0]])
+        A = W @ np.array([[0.0, 1.3], [-1.3, 0.0]]) @ np.linalg.inv(W)
+        prob = tmp_path / "wrot.json"
+        prob.write_text(json.dumps(minimal(dim=2, A=[[f"{x:.17g}" for x in r] for r in A],
+                                           f=["cos(t)", "0"])))
+        out = tmp_path / "out"
+        assert run_cli([command, prob, "--out", out]) == 2
 
     def test_incompatible_halves_exit_two(self, tmp_path, capsys):
         out = tmp_path / "out"

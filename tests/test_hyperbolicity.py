@@ -4,8 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import green_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import trichotomy.hyperbolicity
+from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import (
     DichotomyCertificate,
     GreenKernel,
@@ -21,7 +26,8 @@ from trichotomy.hyperbolicity import (
     estimate_stable_projector,
     verify_dichotomy,
 )
-from trichotomy.propagator import CoefficientMatrix
+from trichotomy.propagator import CoefficientMatrix, TransitionOperator
+from trichotomy.solvers import solve_linear_bounded
 
 
 def _shifted_projector(op, P, h):
@@ -73,8 +79,8 @@ def green_shift_check(kernel, h, pairs=None):
                     pairs.append((t, tau))
     worst = 0.0
     for t, tau in pairs:
-        Gh = shifted.matrix(t, tau)
-        G = kernel.matrix(t + h, tau + h)
+        Gh = green_matrix(shifted, t, tau)
+        G = green_matrix(kernel, t + h, tau + h)
         worst = max(worst, float(np.linalg.norm(Gh - G, 2)))
     return worst
 
@@ -217,6 +223,87 @@ class TestNonNormalSaddleOracle:
         assert nu == pytest.approx(0.95, abs=1e-9)
 
 
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+_log_rate = st.floats(np.log10(0.05), np.log10(60.0))
+
+
+class TestClosedFormCertificate:
+    """A constant hyperbolic A is certified from its eigendecomposition alone."""
+
+    # seed, log10 cond(W), three log10 |Re lam|, three signs, imaginary part, pair?
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0), st.tuples(*[_log_rate] * 3),
+           st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3), st.floats(0.1, 10.0), st.booleans())
+    def test_spectral_projector_and_expm_bound(self, seed, log_cond, log_rates, signs, im, pair):
+        """A = W B W^-1, cond(W) <= 1e3, B real or with a complex pair re +- i im."""
+        d = np.asarray(signs) * 10.0 ** np.asarray(log_rates)
+        B = np.diag(d)
+        if pair:
+            d[1] = d[0]
+            B = np.array([[d[0], im, 0.0], [-im, d[0], 0.0], [0.0, 0.0, d[2]]])
+        rng = np.random.default_rng(seed)
+        scales = np.diag(np.geomspace(1.0, 10.0**log_cond, 3))
+        W = _orthogonal(rng, 3) @ scales @ _orthogonal(rng, 3)
+        W_inv = np.linalg.inv(W)
+        A = W @ B @ W_inv
+        P_true = W @ np.diag((d < 0).astype(float)) @ W_inv
+        coeff = CoefficientMatrix.from_strings([[f"{x:.17g}" for x in row] for row in A])
+        cert = build_trichotomy(coeff, 10.0)
+        assert isinstance(cert, TrichotomyCertificate)
+        assert cert.modes is not None and cert.families is None
+        assert np.linalg.norm(cert.P - P_true, 2) <= 1e-8 * max(1.0, np.linalg.norm(P_true, 2))
+        assert np.array_equal(cert.Q, np.eye(3) - cert.P)
+        assert cert.nu == pytest.approx(np.min(np.abs(d)), rel=1e-9)
+        assert cert.report["eig_residual"] <= 1e-10 * max(1.0, np.linalg.norm(A, 2))
+        # scipy's expm is accurate relative to ||e^{At}||: stop while the
+        # growing class has not swamped the decaying one
+        N, nu = cert.N, cert.nu
+        for t in np.linspace(0.0, min(10.0, 4.0 / (np.abs(d).max() + nu)), 41):
+            bound = N * np.exp(-nu * t) * (1.0 + 1e-9)
+            assert np.linalg.norm(expm(A * t) @ cert.P, 2) <= bound
+            assert np.linalg.norm(expm(-A * t) @ cert.Q, 2) <= bound
+
+    def test_non_normal_saddle_certifies_and_solves_without_sweeps_or_legs(self, monkeypatch):
+        calls = []
+
+        def refuse(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        for name in ("estimate_stable_projector", "_build_half_family", "_envelope_fit",
+                     "_chain_samples", "_leg_matrices"):
+            monkeypatch.setattr(trichotomy.hyperbolicity, name, refuse(name))
+        monkeypatch.setattr(TransitionOperator, "solve_leg", refuse("solve_leg"))
+        monkeypatch.setattr(CoefficientMatrix, "reversed", refuse("reversed"))
+        A = np.array([[-1.0, 8.0], [0.0, 1.0]])
+        cert = build_trichotomy(CoefficientMatrix.from_strings([["-1", "8"], ["0", "1"]]), 20.0)
+        # ||e^{At} P|| = ||(1, 0)|| ||(1, -4)|| e^{-t}: N = sqrt(17), nu = 1
+        assert cert.N == pytest.approx(np.sqrt(17.0), rel=1e-12)
+        assert cert.nu == 1.0
+        assert np.max(np.abs(cert.P - [[1.0, -4.0], [0.0, 0.0]])) <= 1e-12
+        f = GridFunction.from_callable(
+            lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1), -20.0, 20.0, 0.02
+        )
+        phi = solve_linear_bounded(GreenKernel(cert), f, out_window=(-2.0, 2.0))
+        c = np.linalg.solve(1j * np.eye(2) - A, [1.0, -1j])
+        exact = (np.exp(1j * phi.times)[:, None] * c).real
+        assert np.max(np.abs(phi.values - exact)) <= 1e-6
+        assert calls == []
+
+    def test_supplied_constants_are_checked(self):
+        A = CoefficientMatrix.from_strings([["-1", "8"], ["0", "1"]])
+        P = np.array([[1.0, -4.0], [0.0, 0.0]])
+        ok = build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=4.2, nu=0.9)
+        assert (ok.N, ok.nu) == (4.2, 0.9)
+        with pytest.raises(NonHyperbolicError, match="N = 4 is below the sampled .* = 4.12311"):
+            build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=4.0, nu=1.0)
+        with pytest.raises(NonHyperbolicError, match="nu = 1.5 exceeds the spectral rate .* = 1 "):
+            build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=5.0, nu=1.5)
+
+
 class TestBuildTrichotomy:
     def test_tanh_three_way_split(self, trich_kernel):
         cert = trich_kernel.cert
@@ -259,23 +346,23 @@ class TestBuildTrichotomy:
 class TestGreenKernel:
     def test_saddle_closed_form(self, saddle_kernel):
         for t, tau in [(1.0, 0.0), (0.0, 1.0), (3.0, -2.0), (-5.0, -1.0), (-4.0, 2.0)]:
-            G = saddle_kernel.matrix(t, tau)
+            G = green_matrix(saddle_kernel, t, tau)
             assert np.max(np.abs(G - saddle_green(t, tau))) <= 1e-8
 
     def test_unit_vector_images(self, saddle_kernel):
-        out = saddle_kernel.matrix(1.0, 0.0) @ [1.0, 0.0]
+        out = green_matrix(saddle_kernel, 1.0, 0.0) @ [1.0, 0.0]
         assert np.allclose(out, [np.exp(-1.0), 0.0], atol=1e-9)
-        out = saddle_kernel.matrix(0.0, 1.0) @ [0.0, 1.0]
+        out = green_matrix(saddle_kernel, 0.0, 1.0) @ [0.0, 1.0]
         assert np.allclose(out, [0.0, -np.exp(-1.0)], atol=1e-9)
 
     def test_center_branch_tanh(self, trich_kernel):
-        out = trich_kernel.matrix(2.0, 1.0) @ [0.0, 0.0, 1.0]
+        out = green_matrix(trich_kernel, 2.0, 1.0) @ [0.0, 0.0, 1.0]
         ratio = np.cosh(1.0) / np.cosh(2.0)
         assert out[2] == pytest.approx(ratio, abs=1e-8)
         assert abs(out[0]) <= 1e-9 and abs(out[1]) <= 1e-9
 
     def test_tanh_closed_form_across_branches(self, trich_kernel):
-        G = trich_kernel.matrix(5.0, 2.0)
+        G = green_matrix(trich_kernel, 5.0, 2.0)
         expect = np.diag([np.exp(-3.0), 0.0, np.cosh(2.0) / np.cosh(5.0)])
         assert np.max(np.abs(G - expect)) <= 1e-8
 
@@ -284,14 +371,14 @@ class TestGreenKernel:
             n = kernel.n
             lo, hi = kernel.window
             for tau in np.linspace(lo + 0.5, hi - 0.5, 7):
-                jump = kernel.matrix(tau, tau, side="+") - kernel.matrix(
-                    tau, tau, side="-"
+                jump = green_matrix(kernel, tau, tau, side="+") - green_matrix(
+                    kernel, tau, tau, side="-"
                 )
                 assert np.max(np.abs(jump - np.eye(n))) <= 1e-6
 
     def test_equal_times_need_a_side(self, saddle_kernel):
         with pytest.raises(ValueError, match="side"):
-            saddle_kernel.matrix(1.0, 1.0)
+            green_matrix(saddle_kernel, 1.0, 1.0)
 
     def test_decay_bound_on_grid(self, trich_kernel):
         cert = trich_kernel.cert
@@ -300,7 +387,7 @@ class TestGreenKernel:
             for tau in pts:
                 if t == tau:
                     continue
-                g = np.linalg.norm(trich_kernel.matrix(t, tau), 2)
+                g = np.linalg.norm(green_matrix(trich_kernel, t, tau), 2)
                 bound = cert.N * np.exp(-cert.nu * abs(t - tau))
                 assert g <= bound * (1.0 + 1e-6) + 1e-12
 
@@ -332,11 +419,11 @@ class TestGreenKernel:
         for t, tau in pairs:
             E = expm(A * (t - tau))
             expect = E @ P_s if t > tau else -E @ (np.eye(2) - P_s)
-            assert np.max(np.abs(kernel.matrix(t, tau) - expect)) <= 1e-10
+            assert np.max(np.abs(green_matrix(kernel, t, tau) - expect)) <= 1e-10
 
     def test_outside_window_rejected(self, trich_kernel):
         with pytest.raises(WindowTooSmall):
-            trich_kernel.matrix(20.0, 0.0)
+            green_matrix(trich_kernel, 20.0, 0.0)
 
     @pytest.mark.parametrize(
         "make",
