@@ -28,6 +28,7 @@ from .expr import ExprError, eval_expr, free_vars, parse
 from .grid import GridFunction, write_csv
 from .propagator import CoefficientMatrix, PropagationError, TransitionOperator
 from .hyperbolicity import (
+    COMPAT_TOL,
     GreenKernel,
     HyperbolicityError,
     NoDichotomyDetected,
@@ -303,9 +304,9 @@ def _certificate_args(spec):
     }
 
 
-def _build_kernel(spec, S):
-    """Trichotomy-backed Green kernel on [-S, S], or an incompatibility."""
-    cert = build_trichotomy(spec.A, S, **_certificate_args(spec))
+def _build_kernel(op, S, given):
+    """Green kernel of ``op`` on [-S, S] from ``given`` P, Q, N, nu, or an incompatibility."""
+    cert = build_trichotomy(op, S, **given)
     if isinstance(cert, TrichotomyIncompatibility):
         return None, cert
     return GreenKernel(cert), cert
@@ -323,7 +324,8 @@ def _solve_pipeline(spec, flags, margin_factor=1.0):
     """
     tol = _tol(spec, flags)
     S_out = _window(spec, flags)
-    kernel, cert = _build_kernel(spec, max(S_out, 12.0))
+    kernel, cert = _build_kernel(TransitionOperator(spec.A), max(S_out, 12.0),
+                                 _certificate_args(spec))
     if kernel is None:
         return None, cert, None
     fnorm, W = 0.0, 0.0
@@ -340,27 +342,18 @@ def _solve_pipeline(spec, flags, margin_factor=1.0):
         f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
         fnorm = max(fnorm, f.sup_norm)
     if W > kernel.window[1]:
-        kernel, cert = _build_kernel_grown(spec, cert, W + 0.5)
+        # the same operator and legs; P and Q are compatible on any window
+        given = {"P": cert.P, "Q": cert.Q, "N": cert.N, "nu": cert.nu}
+        kernel, cert = _build_kernel(cert.op, W + 0.5, given)
     return kernel, cert, f
-
-
-def _build_kernel_grown(spec, cert, S):
-    """Rebuild the kernel on a larger window, reusing certified data."""
-    grown = build_trichotomy(
-        spec.A, S, P=cert.P, Q=cert.Q, N=cert.N, nu=cert.nu
-    )
-    if isinstance(grown, TrichotomyIncompatibility):
-        raise NonHyperbolicError(
-            "certified projectors fail compatibility on the grown window"
-        )
-    return GreenKernel(grown), grown
 
 
 def _incompatibility_exit(out_dir, cert) -> int:
     data = certificate_to_json(cert)
     _write_json(out_dir, "trichotomy.json", data)
     print("certified failure: dichotomy on both half-lines, projections incompatible")
-    print(f"  compatibility residual ||P+ P- - P-|| = {cert.residual:.6g}")
+    print(f"  compatibility residual ||P+ P- - P-|| = {cert.residual:.6g} "
+          f"exceeds COMPAT_TOL = {COMPAT_TOL:g}")
     print(f"  rank P+ = {cert.report.get('rank_plus')}, "
           f"rank P- = {cert.report.get('rank_minus')}")
     return 2

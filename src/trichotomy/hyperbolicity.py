@@ -17,8 +17,9 @@ every other A is estimated and swept.
 Transition matrices over long windows mix scales like exp(+nu*t) against
 exp(-nu*t), so the kernel is never evaluated by naked long products in the
 growing direction.  Instead each certificate carries, per half-line, a
-family of forward-decaying projectors sampled on unit-spaced anchor times,
-built by two subspace sweeps with QR re-orthonormalization:
+family of forward-decaying projectors sampled on the integer lattice (see
+:func:`_anchor_times`), so the estimates and families of one operator share
+its cached legs; it is built by two sweeps with QR re-orthonormalization:
 
 * the kernel (forward-dominant class) is swept forward, the range
   (forward-decaying class) backward, each in its attracting direction;
@@ -61,6 +62,8 @@ __all__ = [
 
 GAP_THRESHOLD = 10.0
 SLACK_TOL = 1e-6
+# largest compatibility residual ||P+ P- - P-|| of half-line projectors that mesh
+COMPAT_TOL = 1e-6
 # relative distance within which supplied projectors count as spectral
 SPECTRAL_TOL = 1e-10
 # |Re lam| <= AXIS_TOL * max(1, ||A||_2) counts as on the imaginary axis
@@ -131,8 +134,9 @@ def _as_operator(A) -> TransitionOperator:
 
 
 def _anchor_times(lo: float, hi: float) -> np.ndarray:
-    m = max(1, int(math.ceil(hi - lo - 1e-9)))
-    return np.linspace(lo, hi, m + 1)
+    """lo, the integers in (lo, hi) more than 1e-9 from both ends, then hi."""
+    inner = np.arange(math.floor(lo + 1e-9) + 1, math.ceil(hi - 1e-9), dtype=float)
+    return np.concatenate([[lo], inner, [hi]])
 
 
 def _leg_matrices(op: TransitionOperator, anchors: np.ndarray) -> np.ndarray:
@@ -165,9 +169,15 @@ def _scaled_product_svd(mats):
 
 @dataclass(frozen=True)
 class SubspaceEstimate:
-    """Stable-subspace estimate from the SVD of a transition product."""
+    """Stable-subspace estimate from the SVD U S V^T of the product over [a, b].
+
+    ``P`` is orthogonal onto the decaying right singular vectors, at a;
+    ``P_end`` onto the trailing left ones, at b, with kernel the class there
+    that decays backward.
+    """
 
     P: np.ndarray
+    P_end: np.ndarray
     rank: int
     gap_ratio: float
     log_singular_values: tuple
@@ -192,10 +202,11 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
     """Estimate the stable projector of x' = A(t)x on ``interval`` = [a, b].
 
     Takes the SVD of the transition matrix over the window (computed as a
-    rescaled product of unit legs) and splits the singular ladder at 1:
+    rescaled product of lattice legs) and splits the singular ladder at 1:
     directions with singular value below the gap's geometric mean span the
-    stable subspace.  Returns the spectral projector onto that span along
-    the orthogonal complement, with the gap ratio as confidence.
+    stable subspace.  Returns the orthogonal projector onto that span at a,
+    the one at b whose kernel is the backward-decaying class there, and the
+    gap ratio as confidence.
 
     Raises
     ------
@@ -208,22 +219,15 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
     op = _as_operator(A)
     n = op.A.n
     anchors = _anchor_times(lo, hi)
-    _, logs, Vt = _scaled_product_svd(_leg_matrices(op, anchors))
+    U, logs, Vt = _scaled_product_svd(_leg_matrices(op, anchors))
     k_grow = int(np.sum(logs > 0.0))
-
-    if k_grow == 0:
-        gap = math.exp(min(700.0, -logs[0]))
-        P = np.eye(n)
-        rank = n
-    elif k_grow == n:
-        gap = math.exp(min(700.0, logs[-1]))
-        P = np.zeros((n, n))
-        rank = 0
-    else:
-        gap = math.exp(min(700.0, logs[k_grow - 1] - logs[k_grow]))
-        V_stable = Vt[k_grow:].T
-        P = V_stable @ V_stable.T
-        rank = n - k_grow
+    # the split at 1 counts a missing side of the ladder as 1
+    ladder = np.concatenate([[0.0], logs, [0.0]])
+    gap = math.exp(min(700.0, ladder[k_grow] - ladder[k_grow + 1]))
+    V_s, U_s = Vt[k_grow:].T, U[:, k_grow:]
+    P, P_end = V_s @ V_s.T, U_s @ U_s.T
+    if k_grow == 0:  # exactly, not V^T V
+        P = P_end = np.eye(n)
     if gap < GAP_THRESHOLD:
         raise NoDichotomyDetected(
             f"no dichotomy detected: singular gap ratio {gap:.3g} < {GAP_THRESHOLD}",
@@ -232,7 +236,8 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
         )
     return SubspaceEstimate(
         P=P,
-        rank=rank,
+        P_end=P_end,
+        rank=n - k_grow,
         gap_ratio=gap,
         log_singular_values=tuple(logs),
         span=hi - lo,
@@ -636,15 +641,16 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
 
     A constant A with ``op.eig`` and no |Re lam| <= AXIS_TOL * max(1, ||A||_2)
     gets the closed form P = V[:, s] V^-1[s, :], Q = I - P, nu = min |Re lam|,
-    N = max over classes c of ||V[:, c]|| ||V^-1[c, :]||.  Supplied ``P``/``Q``
-    must be spectral within ``SPECTRAL_TOL`` relative and supplied ``N``/``nu``
-    pass :func:`_check_spectral_constants`, else :class:`NonHyperbolicError`.
+    N = N_cf = max over classes c of ||V[:, c]|| ||V^-1[c, :]||.  Supplied
+    ``P``/``Q`` must be spectral within ``SPECTRAL_TOL`` relative, else
+    :class:`NonHyperbolicError`.  Supplied N >= N_cf with nu <= min |Re lam|
+    follow from the closed form's bound ||e^{At} P|| <= N_cf e^{-nu t};
+    stronger ones must pass :func:`_check_spectral_constants`.
 
-    Every other A is swept.  The stable projector P+ of the forward half on
-    [0, T] and the stable projector of the time-reversed system on [0, T]
-    (equivalently the backward-decaying class at 0, giving P- = I - Q) are
-    estimated.  If the compatibility products P+ P- and P- P+ differ from
-    P- by more than 1e-6 the halves do not mesh and a
+    Every other A is swept.  Both halves are estimated on ``op``'s legs:
+    P+ at the start of [0, T], P- = I - Q at the end of [-T, 0] (``P_end``).
+    If the compatibility products P+ P- and P- P+ differ from P- by more
+    than ``COMPAT_TOL`` the halves do not mesh and a
     :class:`TrichotomyIncompatibility` report is returned.  User-supplied
     ``P``/``Q`` skip the estimation step; only their idempotence and
     compatibility are checked.  Supplied ``N``/``nu`` are taken as given,
@@ -689,12 +695,8 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
         rate_hint = float(nu) if nu else 1.0
     else:
         est_plus = estimate_stable_projector(op, (0.0, T))
-        rev_op = TransitionOperator(op.A.reversed())
-        est_minus = estimate_stable_projector(rev_op, (0.0, T))
-        P_plus = est_plus.P
-        # the reversed system's stable class at 0 is the class decaying
-        # backward in original time, i.e. the range of Q; P- = I - Q
-        P_minus = eye - est_minus.P
+        est_minus = estimate_stable_projector(op, (-T, 0.0))
+        P_plus, P_minus = est_plus.P, est_minus.P_end
         rate_hint = min(est_plus.rate_hint, est_minus.rate_hint)
 
     residual = max(
@@ -707,7 +709,7 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
         "rank_plus": int(round(np.trace(P_plus))),
         "rank_minus": int(round(np.trace(P_minus))),
     }
-    if residual > 1e-6:
+    if residual > COMPAT_TOL:
         return TrichotomyIncompatibility(
             interval=(-T, T),
             P_plus=P_plus,
@@ -718,11 +720,11 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     Q_mat = eye - P_minus
 
     if modes is not None:
+        N_cf = max(float(np.linalg.norm(V[:, c], 2) * np.linalg.norm(V_inv[c], 2))
+                   for c in (stable, ~stable) if c.any())
         if N is None or nu is None:
-            N = max(float(np.linalg.norm(V[:, c], 2) * np.linalg.norm(V_inv[c], 2))
-                    for c in (stable, ~stable) if c.any())
-            nu = rate
-        else:
+            N, nu = N_cf, rate
+        elif not (N >= N_cf and nu <= rate):
             _check_spectral_constants(op, modes, rate, float(N), float(nu), T)
         report.update({key: op.eig_health[key] for key in ("eig_residual", "cond_V")})
         return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=float(N),
@@ -763,7 +765,7 @@ class GreenKernel:
     With its ``modes`` (V, lam, V^-1, stable mask) every branch is diagonal
     in y = V^-1 x.  Otherwise every branch propagates its projected content
     through the certificate's projector families in the direction where it
-    decays, re-projecting at unit anchors.
+    decays, re-projecting at lattice anchors.
     """
 
     def __init__(self, cert):

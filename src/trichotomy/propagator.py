@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import compile_expr, free_vars, parse, substitute, Bin, Neg, Num, Var
+from .expr import compile_expr, free_vars, parse
 
 __all__ = [
     "CoefficientMatrix",
@@ -73,20 +73,6 @@ class CoefficientMatrix:
 
     def value(self, t: float) -> np.ndarray:
         return np.array([[fn(t) for fn in row] for row in self._fns], dtype=float)
-
-    def shifted(self, h: float) -> "CoefficientMatrix":
-        """Coefficient matrix of the time-shifted equation, entries A(t+h)."""
-        shift = Bin("+", Var("t"), Num(float(h)))
-        return CoefficientMatrix(
-            [[substitute(e, "t", shift) for e in row] for row in self.entries]
-        )
-
-    def reversed(self) -> "CoefficientMatrix":
-        """Coefficient matrix -A(-t) of the time-reversed equation."""
-        neg_t = Bin("-", Num(0.0), Var("t"))
-        return CoefficientMatrix(
-            [[Neg(substitute(e, "t", neg_t)) for e in row] for row in self.entries]
-        )
 
 
 class ExactLeg:

@@ -15,11 +15,18 @@ from trichotomy import (
     build_trichotomy,
 )
 from trichotomy.cli import bundled_problem_path, main as cli_main
+from trichotomy.expr import Bin, Num, Var, substitute
 from trichotomy.hyperbolicity import WindowTooSmall
 
 
 def problem_path(name: str) -> str:
     return str(bundled_problem_path(name))
+
+
+def shifted_coefficient(A, h):
+    """Coefficient matrix of the time-shifted equation, entries A(t + h)."""
+    shift = Bin("+", Var("t"), Num(float(h)))
+    return CoefficientMatrix([[substitute(e, "t", shift) for e in row] for row in A.entries])
 
 
 def _transport(kernel, Z, tau, t, proj_at):

@@ -12,11 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from conftest import problem_path, read_solution_csv, run_cli
 
 import trichotomy.cli
+import trichotomy.hyperbolicity
 from trichotomy.cli import ProblemError, load_problem, save_problem
-from trichotomy.hyperbolicity import WindowTooSmall
+from trichotomy.hyperbolicity import (
+    SLACK_TOL,
+    WindowTooSmall,
+    _bound_violations,
+    _chain_samples,
+)
 from trichotomy.propagator import TransitionOperator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -383,7 +390,69 @@ class TestCheckCommands:
         data = json.loads((out / "trichotomy.json").read_text())
         assert data["ok"] is False
         assert data["compatibility_residual"] == pytest.approx(1.0, abs=1e-6)
-        assert "incompatible" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "incompatible" in printed
+        assert "= 1 exceeds COMPAT_TOL = 1e-06" in printed
+
+
+class TestOneOperatorPerCommand:
+    @pytest.mark.parametrize("name", ["rotation", "trich_tanh"])
+    def test_one_operator_and_no_leg_integrated_twice(self, tmp_path, monkeypatch, name):
+        built, spans, kernels = [], [], []
+        init, solve_ivp = TransitionOperator.__init__, scipy.integrate.solve_ivp
+        build = trichotomy.cli._build_kernel
+
+        def counting_init(self, A):
+            built.append(A)
+            init(self, A)
+
+        def counting_solve_ivp(fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return solve_ivp(fun, t_span, *args, **kwargs)
+
+        def counting_build(op, S, given):
+            kernels.append(S)
+            return build(op, S, given)
+
+        monkeypatch.setattr(TransitionOperator, "__init__", counting_init)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(trichotomy.cli, "_build_kernel", counting_build)
+        assert run_cli(["solve-linear", problem_path(name), "--out", tmp_path]) == 0
+        assert len(built) == 1
+        # the kernel grew, and the estimates, the families and the grown
+        # families all read the one operator's integer-anchored legs
+        assert len(kernels) == 2 and kernels[1] > kernels[0]
+        assert spans and len(set(spans)) == len(spans)
+
+    @pytest.mark.parametrize("command, name", [("solve-linear", "diag_cos"),
+                                               ("solve-semilinear", "scalar_sin")])
+    def test_grown_closed_form_kernel_samples_no_constants(self, tmp_path, monkeypatch,
+                                                           command, name):
+        calls, kernels = [], []
+        build = trichotomy.cli._build_kernel
+
+        def counting_build(op, S, given):
+            kernels.append(S)
+            return build(op, S, given)
+
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_check_spectral_constants",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(trichotomy.cli, "_build_kernel", counting_build)
+        assert run_cli([command, problem_path(name), "--out", tmp_path]) == 0
+        assert len(kernels) == 2
+        assert calls == []
+
+    def test_grown_window_keeps_the_fitted_constants(self):
+        # the constants are fitted on [-12, 12]; the grown families reach
+        # past 30 and must still satisfy them at every chain sample
+        spec = load_problem(problem_path("trich_tanh"))
+        _, cert, _ = trichotomy.cli._solve_pipeline(spec, trichotomy.cli.Flags())
+        S = cert.interval[1]
+        assert S > 12.0
+        fam_plus, fam_minus = cert.families
+        groups = _chain_samples(fam_plus, 0.0, S) + _chain_samples(fam_minus, -S, 0.0)
+        worst = max(_bound_violations(rows, cert.N, cert.nu, "chain")[0] for rows in groups)
+        assert worst <= SLACK_TOL
 
 
 class TestScanCommands:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import green_matrix
+from conftest import green_matrix, shifted_coefficient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -20,6 +20,7 @@ from trichotomy.hyperbolicity import (
     TrichotomyCertificate,
     TrichotomyIncompatibility,
     WindowTooSmall,
+    _anchor_times,
     build_trichotomy,
     certificate_to_json,
     estimate_constants,
@@ -38,7 +39,7 @@ def _shifted_projector(op, P, h):
 
 def _build_shifted(kernel, h):
     """Kernel of the time-shifted system A(t + h) on the same window."""
-    A_h = kernel.A.shifted(h)
+    A_h = shifted_coefficient(kernel.A, h)
     cert = kernel.cert
     if cert.report.get("estimated", False):
         new = build_trichotomy(A_h, cert.interval[1])
@@ -116,6 +117,25 @@ class TestEstimateProjector:
     def test_short_interval_rejected(self, saddle_A):
         with pytest.raises(ValueError):
             estimate_stable_projector(saddle_A, (0.0, 5.0))
+
+    def test_end_projector_annihilates_the_backward_decaying_class(self):
+        # non-normal saddle: stable direction e1, unstable u = (4, 1) / sqrt(17)
+        A = CoefficientMatrix.from_strings([["-1", "8"], ["0", "1"]])
+        est = estimate_stable_projector(A, (-12.0, 0.0))
+        u = np.array([4.0, 1.0]) / np.sqrt(17.0)
+        assert np.linalg.norm(est.P - np.diag([1.0, 0.0]), 2) <= 1e-8
+        assert np.linalg.norm(est.P_end - (np.eye(2) - np.outer(u, u)), 2) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-60.0, 60.0), st.floats(0.0, 40.0))
+def test_anchor_legs_sit_on_the_integer_lattice(lo, length):
+    hi = lo + length + 1e-6
+    anchors = _anchor_times(lo, hi)
+    assert anchors[0] == lo and anchors[-1] == hi
+    assert np.all(np.diff(anchors) > 1e-9) and np.all(np.diff(anchors) <= 1.0 + 1e-9)
+    inner = anchors[1:-1]
+    assert np.array_equal(inner, np.round(inner))
 
 
 class TestEstimateConstants:
@@ -277,7 +297,6 @@ class TestClosedFormCertificate:
                      "_chain_samples", "_leg_matrices"):
             monkeypatch.setattr(trichotomy.hyperbolicity, name, refuse(name))
         monkeypatch.setattr(TransitionOperator, "solve_leg", refuse("solve_leg"))
-        monkeypatch.setattr(CoefficientMatrix, "reversed", refuse("reversed"))
         A = np.array([[-1.0, 8.0], [0.0, 1.0]])
         cert = build_trichotomy(CoefficientMatrix.from_strings([["-1", "8"], ["0", "1"]]), 20.0)
         # ||e^{At} P|| = ||(1, 0)|| ||(1, -4)|| e^{-t}: N = sqrt(17), nu = 1
@@ -292,6 +311,25 @@ class TestClosedFormCertificate:
         exact = (np.exp(1j * phi.times)[:, None] * c).real
         assert np.max(np.abs(phi.values - exact)) <= 1e-6
         assert calls == []
+
+    def test_only_constants_stronger_than_the_closed_form_are_sampled(self, monkeypatch):
+        A = CoefficientMatrix.from_strings([["-1", "8"], ["0", "1"]])
+        P = np.array([[1.0, -4.0], [0.0, 0.0]])
+        calls = []
+        check = trichotomy.hyperbolicity._check_spectral_constants
+
+        def counting_check(*args):
+            calls.append(args[3:5])
+            return check(*args)
+
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_check_spectral_constants", counting_check)
+        # N_cf = sqrt(17), nu = 1: weaker constants follow from the closed form
+        for N, nu in ((np.sqrt(17.0), 1.0), (4.2, 0.9)):
+            build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=N, nu=nu)
+        assert calls == []
+        with pytest.raises(NonHyperbolicError, match="N = 4 is below the sampled"):
+            build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=4.0, nu=1.0)
+        assert calls == [(4.0, 1.0)]
 
     def test_supplied_constants_are_checked(self):
         A = CoefficientMatrix.from_strings([["-1", "8"], ["0", "1"]])

@@ -13,7 +13,7 @@ from trichotomy.cli import load_problem
 from trichotomy.expr import Bin, Num, Var
 from trichotomy.propagator import CoefficientMatrix, ExactLeg, TransitionOperator
 
-from conftest import problem_path
+from conftest import problem_path, shifted_coefficient
 
 
 class TestPropagate:
@@ -62,17 +62,11 @@ class TestTransitionMatrix:
         assert abs(np.linalg.det(M) - expected) <= 1e-6 * abs(expected)
 
     def test_shifted_coefficient(self, rotation_A):
-        sh = rotation_A.shifted(0.7)
+        sh = shifted_coefficient(rotation_A, 0.7)
         assert np.allclose(sh.value(1.0), rotation_A.value(1.7), atol=1e-14)
         M1 = TransitionOperator(sh).matrix(0.0, 1.0)
         M2 = TransitionOperator(rotation_A).matrix(0.7, 1.7)
         assert np.linalg.norm(M1 - M2, 2) < 1e-7
-
-    def test_reversed_coefficient(self, saddle_A):
-        rev = saddle_A.reversed()
-        assert np.allclose(rev.value(2.0), -saddle_A.value(-2.0))
-        M = TransitionOperator(rev).matrix(0.0, 1.0)
-        assert np.allclose(M, np.diag([np.exp(1.0), np.exp(-1.0)]), rtol=1e-7)
 
 
 class TestCoefficientMatrix:
