@@ -34,6 +34,7 @@ from .hyperbolicity import (
     NoDichotomyDetected,
     NonHyperbolicError,
     TrichotomyIncompatibility,
+    _closed_form,
     build_trichotomy,
     certificate_to_json,
     estimate_constants,
@@ -342,8 +343,9 @@ def _solve_pipeline(spec, flags, margin_factor=1.0):
         f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
         fnorm = max(fnorm, f.sup_norm)
     if W > kernel.window[1]:
-        # the same operator and legs; P and Q are compatible on any window
-        given = {"P": cert.P, "Q": cert.Q, "N": cert.N, "nu": cert.nu}
+        # the same operator and legs; P and Q are compatible on any window,
+        # and N and nu are the closed form's, refitted, or the file's checked
+        given = {**_certificate_args(spec), "P": cert.P, "Q": cert.Q}
         kernel, cert = _build_kernel(cert.op, W + 0.5, given)
     return kernel, cert, f
 
@@ -383,15 +385,19 @@ def _cmd_check_dichotomy(spec, flags) -> int:
     T = _window(spec, flags)
     interval = (-T, T)
     op = TransitionOperator(spec.A)
+    given = _certificate_args(spec)
     try:
-        if spec.certificate is not None:
-            given = _certificate_args(spec)
-            P, N, nu = given["P"], given["N"], given["nu"]
+        # a constant A with a closed form is checked against it, at every separation
+        spectral = _closed_form(op, T, [given["P"]] if given else [], given.get("N"),
+                                given.get("nu"), sample=True)
+        if spectral is not None:
+            result = spectral[1]
+        elif given:
+            result = verify_dichotomy(op, given["P"], interval, given["N"], given["nu"])
         else:
             est = estimate_stable_projector(op, interval)
-            P = est.P
-            N, nu = estimate_constants(op, P, interval, est.rate_hint)
-        result = verify_dichotomy(op, P, interval, N, nu)
+            N, nu = estimate_constants(op, est.P, interval, est.rate_hint)
+            result = verify_dichotomy(op, est.P, interval, N, nu)
     except (NoDichotomyDetected, NonHyperbolicError) as exc:
         data = {
             "type": "dichotomy",
@@ -413,8 +419,10 @@ def _cmd_check_dichotomy(spec, flags) -> int:
     print(f"dichotomy on [{interval[0]:g}, {interval[1]:g}]: "
           f"{'certified' if result.ok else 'REJECTED'}")
     print(f"  rank P = {rank}, N = {result.N:.6g}, nu = {result.nu:.6g}")
-    print(f"  max slack = {result.report.get('max_slack', float('nan')):.3g}, "
-          f"seed residual = {result.report.get('seed_residual', float('nan')):.3g}")
+    rep = result.report
+    health = (f"delta = {rep['eig_residual']:.3g}, cond(V) = {rep['cond_V']:.3g}"
+              if "cond_V" in rep else f"seed residual = {rep['seed_residual']:.3g}")
+    print(f"  max slack = {rep['max_slack']:.3g}, {health}")
     return 0 if result.ok else 2
 
 

@@ -157,15 +157,6 @@ class GridFunction:
             d[m - 1 - k] = -(fwd @ v[idx])
         return d
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        if (
-            abs(other.a - self.a) > 1e-12
-            or abs(other.b - self.b) > 1e-12
-            or other.values.shape != self.values.shape
-        ):
-            raise ValueError("grid mismatch")
-        return GridFunction(self.a, self.b, self.values - other.values)
-
 
 def _slopes(d: np.ndarray) -> np.ndarray:
     """Not-a-knot spline slopes from the divided differences ``d`` (shape (m, n))."""

@@ -10,9 +10,11 @@ on the whole line.
 Numerics
 --------
 A constant A with an eigendecomposition (``TransitionOperator.eig``) and no
-eigenvalue on the imaginary axis is certified in closed form (Coppel,
-Dichotomies in Stability Theory, LNM 629, 1978; see :func:`build_trichotomy`);
-every other A is estimated and swept.
+eigenvalue on the imaginary axis is certified in closed form by every
+command (Coppel, Dichotomies in Stability Theory, LNM 629, 1978; see
+:func:`_closed_form`); every other A is estimated and swept, and the
+constants it prints are fitted, or supplied and checked, on the chain
+norms of the window they cover.
 
 Transition matrices over long windows mix scales like exp(+nu*t) against
 exp(-nu*t), so the kernel is never evaluated by naked long products in the
@@ -264,31 +266,15 @@ class ProjectorFamily:
         self.legs = legs
         self.seed_residual = seed_residual
 
-    @property
-    def lo(self) -> float:
-        return float(self.anchors[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.anchors[-1])
-
-    def _leg_index(self, s: float) -> int:
-        i = int(np.searchsorted(self.anchors, s, side="right")) - 1
-        return min(max(i, 0), len(self.anchors) - 2)
-
-    def _leg_value(self, i: int, s: float) -> np.ndarray:
-        n = self.op.A.n
-        return self.op.solve_leg(self.anchors[i], self.anchors[i + 1])(s).reshape(n, n)
-
     def projector(self, s: float) -> np.ndarray:
         idx = int(np.searchsorted(self.anchors, s))
         for j in (idx - 1, idx):
             if 0 <= j < len(self.anchors) and abs(self.anchors[j] - s) < 1e-12:
                 return self.projectors[j]
-        if s < self.lo - 1e-9 or s > self.hi + 1e-9:
+        if s < self.anchors[0] - 1e-9 or s > self.anchors[-1] + 1e-9:
             raise WindowTooSmall("projector family does not cover t", abs(s))
-        i = self._leg_index(s)
-        D = self._leg_value(i, s)
+        i = min(max(idx - 1, 0), len(self.anchors) - 2)  # s is no anchor
+        D = self.op.solve_leg(self.anchors[i], self.anchors[i + 1])(s).reshape(self.op.A.n, -1)
         # P(s) = D P_i D^{-1} solved as P(s) D = D P_i
         return np.linalg.solve(D.T, (D @ self.projectors[i]).T).T
 
@@ -613,8 +599,10 @@ def _check_spectral_constants(op, modes, rate, N, nu, T):
 
     nu may exceed the spectral rate by at most cond(V) * delta, the
     Bauer-Fike radius of the numerical eigenvalues.  N must bound
-    ||e^{At} P|| e^{nu t} and ||e^{-At} (I - P)|| e^{nu t} within SLACK_TOL
-    at 2001 times on [0, 2T], geometrically spaced to resolve the transient.
+    h(s) = ||e^{As} P|| e^{nu s} and ||e^{-As} (I - P)|| e^{nu s} within
+    SLACK_TOL at 2001 separations s on [0, 2T], geometrically spaced to
+    resolve the transient.  Returns the largest slack (h(s) - N) e^{-nu s}
+    and its pair (stable from tau = -T, unstable from tau = T).
     """
     V, lam, V_inv, stable = modes
     radius = op.eig_health["cond_V"] * op.eig_health["eig_residual"]
@@ -624,28 +612,66 @@ def _check_spectral_constants(op, modes, rate, N, nu, T):
             f"rate min |Re lam| = {rate:.6g} (eigenvalue radius {radius:.3g})"
         )
     t = np.concatenate([[0.0], np.geomspace(1e-3, 2.0 * T, 2000)])
-    sup = 0.0
-    for keep, sign in ((stable, 1.0), (~stable, -1.0)):
+    sup, worst = 0.0, (-math.inf, None)
+    for keep, sign, kind in ((stable, 1.0, "stable"), (~stable, -1.0, "unstable")):
+        if not keep.any():
+            continue
         E = np.exp(np.multiply.outer(t, sign * lam[keep] + nu))
-        M = ((V[:, keep] * E[:, None, :]) @ V_inv[keep]).real
-        sup = max(sup, float(np.linalg.norm(M, 2, axis=(1, 2)).max()))
+        h = np.linalg.norm(((V[:, keep] * E[:, None, :]) @ V_inv[keep]).real, 2, axis=(1, 2))
+        sup = max(sup, float(h.max()))
+        rows = np.column_stack([t, h * np.exp(-nu * t), sign * (t - T), np.full_like(t, -sign * T)])
+        worst = max(worst, _bound_violations(rows, N, nu, kind), key=lambda c: c[0])
     if sup > N + SLACK_TOL:
         raise NonHyperbolicError(
             f"supplied certificate rejected: N = {N:.6g} is below the sampled "
             f"sup of ||Phi(t, 0) P|| e^(nu t) = {sup:.6g} on [0, {2.0 * T:.6g}]"
         )
+    return worst
+
+
+def _closed_form(op, T, projectors=(), N=None, nu=None, sample=False):
+    """(modes, dichotomy certificate of P_s on [-T, T]) of a constant A, or None.
+
+    A has a closed form when ``op.eig`` exists and no |Re lam| <= AXIS_TOL *
+    max(1, ||A||_2): P_s = V[:, s] V^-1[s, :], nu = min |Re lam| and N =
+    max(1, N_cf), N_cf = max over classes c of ||V[:, c]|| ||V^-1[c, :]||.
+    Supplied ``projectors`` must be within ``SPECTRAL_TOL`` relative of P_s.
+    Supplied N >= N_cf with nu <= min |Re lam| follow from the bound
+    ||e^{At} P|| <= N_cf e^{-nu t}; stronger ones, and any with ``sample``,
+    pass :func:`_check_spectral_constants`, whose result the report keeps.
+    """
+    if op.eig is None:
+        return None
+    V, lam, V_inv = op.eig
+    stable, rate = lam.real < 0.0, float(np.min(np.abs(lam.real)))
+    if rate <= AXIS_TOL * max(1.0, op.eig_health["norm_A"]):
+        return None
+    modes = (V, lam, V_inv, stable)
+    P_s = (V[:, stable] @ V_inv[stable]).real
+    dist = max((float(np.linalg.norm(M - P_s, 2)) for M in projectors), default=0.0)
+    limit = SPECTRAL_TOL * max(1.0, float(np.linalg.norm(P_s, 2)))
+    if dist > limit:
+        raise NonHyperbolicError(
+            "supplied certificate rejected: P or I - Q lies at distance "
+            f"{dist:.6g} from the spectral stable projector of A (limit {limit:.3g})"
+        )
+    N_cf = max([1.0] + [float(np.linalg.norm(V[:, c], 2) * np.linalg.norm(V_inv[c], 2))
+                        for c in (stable, ~stable) if c.any()])
+    if N is None or nu is None:
+        N, nu = N_cf, rate
+    report = {key: op.eig_health[key] for key in ("eig_residual", "cond_V")}
+    if sample or not (N >= N_cf and nu <= rate):
+        check = _check_spectral_constants(op, modes, rate, float(N), float(nu), T)
+        report["max_slack"], report["worst_pair"] = check
+    return modes, DichotomyCertificate((-T, T), P_s, float(N), float(nu), report)
 
 
 def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     """Assemble a trichotomy certificate on [-T, T].
 
-    A constant A with ``op.eig`` and no |Re lam| <= AXIS_TOL * max(1, ||A||_2)
-    gets the closed form P = V[:, s] V^-1[s, :], Q = I - P, nu = min |Re lam|,
-    N = N_cf = max over classes c of ||V[:, c]|| ||V^-1[c, :]||.  Supplied
-    ``P``/``Q`` must be spectral within ``SPECTRAL_TOL`` relative, else
-    :class:`NonHyperbolicError`.  Supplied N >= N_cf with nu <= min |Re lam|
-    follow from the closed form's bound ||e^{At} P|| <= N_cf e^{-nu t};
-    stronger ones must pass :func:`_check_spectral_constants`.
+    A constant A with a closed form (see :func:`_closed_form`) gets P = P_s,
+    Q = I - P_s and its constants; supplied ``P`` and ``I - Q`` must equal
+    P_s, and supplied constants must follow from it or pass its check.
 
     Every other A is swept.  Both halves are estimated on ``op``'s legs:
     P+ at the start of [0, T], P- = I - Q at the end of [-T, 0] (``P_end``).
@@ -653,14 +679,17 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     than ``COMPAT_TOL`` the halves do not mesh and a
     :class:`TrichotomyIncompatibility` report is returned.  User-supplied
     ``P``/``Q`` skip the estimation step; only their idempotence and
-    compatibility are checked.  Supplied ``N``/``nu`` are taken as given,
-    with no slack check; without them the constants are fitted to the chain
-    norms of both half families.
+    compatibility are checked.  Without ``N``/``nu`` the constants are
+    fitted to the chain norms of both half families on [-T, T]; fitted or
+    supplied, every chain sample must meet them within ``SLACK_TOL``, and
+    the report names the largest slack and its (t, tau) pair.
 
     Raises
     ------
     NoDichotomyDetected
         If either half-line system has no singular-value gap.
+    NonHyperbolicError
+        If supplied projectors or constants, or fitted constants, are rejected.
     """
     T = float(T)
     op = _as_operator(A)
@@ -674,23 +703,11 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
             if np.linalg.norm(M @ M - M, 2) > 1e-10:
                 raise ValueError(f"candidate projector {name} is not idempotent")
 
-    modes = None
-    if op.eig is not None:
-        V, lam, V_inv = op.eig
-        stable, rate = lam.real < 0.0, float(np.min(np.abs(lam.real)))
-        if rate > AXIS_TOL * max(1.0, op.eig_health["norm_A"]):
-            modes = (V, lam, V_inv, stable)
-    if modes is not None:
-        P_s = (V[:, stable] @ V_inv[stable]).real
+    cf = _closed_form(op, T, (P_plus, P_minus) if supplied else (), N, nu)
+    if cf is not None:
+        modes, spectral = cf
         if not supplied:
-            P_plus = P_minus = P_s
-        dist = max(float(np.linalg.norm(M - P_s, 2)) for M in (P_plus, P_minus))
-        limit = SPECTRAL_TOL * max(1.0, float(np.linalg.norm(P_s, 2)))
-        if dist > limit:
-            raise NonHyperbolicError(
-                "supplied certificate rejected: P or I - Q lies at distance "
-                f"{dist:.6g} from the spectral stable projector of A (limit {limit:.3g})"
-            )
+            P_plus = P_minus = spectral.P
     elif supplied:
         rate_hint = float(nu) if nu else 1.0
     else:
@@ -719,39 +736,29 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
         )
     Q_mat = eye - P_minus
 
-    if modes is not None:
-        N_cf = max(float(np.linalg.norm(V[:, c], 2) * np.linalg.norm(V_inv[c], 2))
-                   for c in (stable, ~stable) if c.any())
-        if N is None or nu is None:
-            N, nu = N_cf, rate
-        elif not (N >= N_cf and nu <= rate):
-            _check_spectral_constants(op, modes, rate, float(N), float(nu), T)
-        report.update({key: op.eig_health[key] for key in ("eig_residual", "cond_V")})
-        return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=float(N),
-                                     nu=float(nu), report=report, modes=modes, op=op)
+    if cf is not None:
+        report.update(spectral.report)
+        return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=spectral.N,
+                                     nu=spectral.nu, report=report, modes=modes, op=op)
 
     fam_plus = _build_half_family(op, 0.0, T, P_plus, "lo", rate_hint)
     fam_minus = _build_half_family(op, -T, 0.0, P_minus, "hi", rate_hint)
-
-    if N is None or nu is None:
-        N_hat, nu_hat = _envelope_fit(
-            _chain_samples(fam_plus, 0.0, T) + _chain_samples(fam_minus, -T, 0.0)
+    groups = _chain_samples(fam_plus, 0.0, T) + _chain_samples(fam_minus, -T, 0.0)
+    N, nu = _envelope_fit(groups) if N is None or nu is None else (float(N), float(nu))
+    max_slack, worst = max((_bound_violations(rows, N, nu, kind)
+                            for rows, kind in zip(groups, ("stable", "unstable") * 2)),
+                           key=lambda check: check[0])
+    if max_slack > SLACK_TOL:
+        raise NonHyperbolicError(
+            f"certificate rejected: max slack = {max_slack:.6g} of ||Phi(t, tau) Pi(tau)|| - "
+            f"N e^(-nu |t - tau|) with N = {N:.6g}, nu = {nu:.6g} exceeds SLACK_TOL = "
+            f"{SLACK_TOL:g} at (t, tau) = ({worst['t']:.6g}, {worst['tau']:.6g})"
         )
-    else:
-        N_hat, nu_hat = float(N), float(nu)
-
-    report["seed_residual_plus"] = fam_plus.seed_residual
-    report["seed_residual_minus"] = fam_minus.seed_residual
-    return TrichotomyCertificate(
-        interval=(-T, T),
-        P=P_plus,
-        Q=Q_mat,
-        N=N_hat,
-        nu=nu_hat,
-        report=report,
-        families=(fam_plus, fam_minus),
-        op=op,
-    )
+    report.update(seed_residual_plus=fam_plus.seed_residual,
+                  seed_residual_minus=fam_minus.seed_residual,
+                  max_slack=max_slack, worst_pair=worst)
+    return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=N, nu=nu, report=report,
+                                 families=(fam_plus, fam_minus), op=op)
 
 
 class GreenKernel:

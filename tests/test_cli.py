@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -14,9 +15,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 from conftest import problem_path, read_solution_csv, run_cli
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trichotomy.cli
 import trichotomy.hyperbolicity
+from trichotomy import CoefficientMatrix, build_trichotomy
 from trichotomy.cli import ProblemError, load_problem, save_problem
 from trichotomy.hyperbolicity import (
     SLACK_TOL,
@@ -159,9 +163,11 @@ class TestSolveLinearCommand:
         P = np.asarray(cert["P"])
         assert np.max(np.abs(P - np.diag([1.0, 0.0]))) <= 1e-6
 
-    def test_violated_operator_bound_is_an_error(self, tmp_path, capsys):
-        # supplied nu = 50 against the true rate 1 of a time-dependent A, whose
-        # supplied constants are not checked: the solution is fine, the bound is not
+    def test_violated_operator_bound_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # supplied nu = 50 against the true rate 1 of a time-dependent A, with
+        # the slack check switched off so that the run reaches the bound gate:
+        # the solution is fine, the bound is not
+        monkeypatch.setattr(trichotomy.hyperbolicity, "SLACK_TOL", float("inf"))
         data = json.loads(Path(problem_path("trich_tanh")).read_text())
         data["certificate"] = {"P": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
                                "Q": [[0, 0, 0], [0, 1, 0], [0, 0, 1]], "N": 1, "nu": 50}
@@ -453,6 +459,105 @@ class TestOneOperatorPerCommand:
         groups = _chain_samples(fam_plus, 0.0, S) + _chain_samples(fam_minus, -S, 0.0)
         worst = max(_bound_violations(rows, cert.N, cert.nu, "chain")[0] for rows in groups)
         assert worst <= SLACK_TOL
+
+
+def _heat(n):
+    """u_t = u_xx + 2.5 u on (0, pi), n interior points: one unstable mode."""
+    h = np.pi / (n + 1)
+    return (np.diag(np.full(n, -2.0 / h**2 + 2.5)) + np.diag(np.full(n - 1, 1.0 / h**2), 1)
+            + np.diag(np.full(n - 1, 1.0 / h**2), -1))
+
+
+def _constant_problem(path, A, window=10.0):
+    path.write_text(json.dumps({"dim": len(A), "A": [[repr(float(x)) for x in row] for row in A],
+                                "window": window}))
+    return path
+
+
+class TestConstantsCoverTheirWindow:
+    """Printed N and nu come from the closed form, a fit on the window, or a check there."""
+
+    @pytest.mark.parametrize("command", ["check-trichotomy", "solve-linear"])
+    def test_supplied_rate_above_the_true_one_is_rejected(self, tmp_path, capsys, command):
+        # diag(-1, 1, -tanh t) decays at rate 1; nu = 50 must not print "certified"
+        data = json.loads(Path(problem_path("trich_tanh")).read_text())
+        data["certificate"] = {"P": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+                               "Q": [[0, 0, 0], [0, 1, 0], [0, 0, 1]], "N": 1, "nu": 50}
+        prob = tmp_path / "fast.json"
+        prob.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert run_cli([command, prob, "--out", out]) == 2
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("certified failure: certificate rejected: max slack = 0.648054 ")
+        assert "exceeds SLACK_TOL = 1e-06 at (t, tau) = (-1, 0)" in line
+        assert not (out / "sol.csv").exists() and not (out / "trichotomy.json").exists()
+
+    def test_grown_kernel_constants_are_fitted_on_the_grown_window(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["solve-linear", problem_path("trich_tanh"), "--out", out]) == 0
+        data = json.loads((out / "trichotomy.json").read_text())
+        S = data["interval"][1]
+        assert S > 12.0
+        fresh = build_trichotomy(load_problem(problem_path("trich_tanh")).A, S,
+                                 P=np.asarray(data["P"]), Q=np.asarray(data["Q"]))
+        assert (data["N"], data["nu"]) == (fresh.N, fresh.nu)
+        assert data["report"]["max_slack"] <= SLACK_TOL
+        report = json.loads((out / "report.json").read_text())
+        assert (report["N"], report["nu"]) == (fresh.N, fresh.nu)
+
+    @pytest.mark.parametrize("A", [_heat(8), _heat(32), np.diag([-0.05, 0.05])],
+                             ids=["heat8", "heat32", "slow-saddle"])
+    def test_check_dichotomy_uses_the_closed_form(self, tmp_path, monkeypatch, A):
+        calls = []
+        solve_leg, half = TransitionOperator.solve_leg, trichotomy.hyperbolicity._build_half_family
+
+        def counting(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(TransitionOperator, "solve_leg", counting("solve_leg", solve_leg))
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_build_half_family",
+                            counting("_build_half_family", half))
+        out = tmp_path / "out"
+        assert run_cli(["check-dichotomy", _constant_problem(tmp_path / "A.json", A),
+                        "--out", out]) == 0
+        data = json.loads((out / "dichotomy.json").read_text())
+        lam = np.linalg.eig(A)[0]
+        assert data["ok"] is True
+        assert data["nu"] == float(np.min(np.abs(lam.real)))
+        assert data["report"]["max_slack"] <= SLACK_TOL
+        assert calls == []
+
+    def test_check_dichotomy_prints_the_exact_non_normal_constants(self, tmp_path, capsys):
+        # ||e^{At} P|| = ||(1, 0)|| ||(1, -4)|| e^{-t}: N = sqrt(17), nu = 1
+        prob = _constant_problem(tmp_path / "A.json", [[-1.0, 8.0], [0.0, 1.0]])
+        assert run_cli(["check-dichotomy", prob, "--out", tmp_path / "out"]) == 0
+        assert "  rank P = 1, N = 4.12311, nu = 1\n" in capsys.readouterr().out
+        data = json.loads((tmp_path / "out" / "dichotomy.json").read_text())
+        assert data["nu"] == 1.0 and data["N"] == pytest.approx(np.sqrt(17.0), rel=1e-12)
+
+    # rotated symmetric saddles with entries rounded to 1e-10, as the benchmark
+    # builds them; the example's closed-form N rounds below 1 unless clamped
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+           st.lists(st.floats(0.2, 3.0), min_size=3, max_size=3), st.integers(0, 2))
+    @example(7, 2, [0.8, 1.1, 1.7], 0)
+    def test_rotated_saddle_constants_are_admissible(self, seed, n, mags, k):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        V = q * np.sign(np.diag(r))
+        signs = -np.ones(n) if n == 1 else np.where(np.arange(n) <= min(k, n - 2), -1.0, 1.0)
+        lam = signs * np.asarray(mags[:n])
+        A = np.round(V @ np.diag(lam) @ V.T, 10)
+        V_s = V[:, lam < 0]
+        assert build_trichotomy(CoefficientMatrix.from_strings(
+            [[repr(float(x)) for x in row] for row in A]), 10.5).N >= 1.0
+        with tempfile.TemporaryDirectory() as tmp:
+            prob = _constant_problem(Path(tmp) / "A.json", A, window=10.5)
+            assert run_cli(["check-dichotomy", prob, "--out", Path(tmp) / "out"]) == 0
+            data = json.loads((Path(tmp) / "out" / "dichotomy.json").read_text())
+        assert data["N"] >= 1.0
+        assert 0.0 < data["nu"] <= np.min(np.abs(lam)) * (1.0 + 1e-9)
+        assert np.linalg.norm(np.asarray(data["P"]) - V_s @ V_s.T, 2) <= 1e-6
 
 
 class TestScanCommands:
