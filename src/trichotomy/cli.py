@@ -37,7 +37,6 @@ from .hyperbolicity import (
     _closed_form,
     build_trichotomy,
     certificate_to_json,
-    estimate_constants,
     estimate_stable_projector,
     verify_dichotomy,
 )
@@ -396,8 +395,7 @@ def _cmd_check_dichotomy(spec, flags) -> int:
             result = verify_dichotomy(op, given["P"], interval, given["N"], given["nu"])
         else:
             est = estimate_stable_projector(op, interval)
-            N, nu = estimate_constants(op, est.P, interval, est.rate_hint)
-            result = verify_dichotomy(op, est.P, interval, N, nu)
+            result = verify_dichotomy(op, est.P, interval, rate_hint=est.rate_hint)
     except (NoDichotomyDetected, NonHyperbolicError) as exc:
         data = {
             "type": "dichotomy",
@@ -406,9 +404,7 @@ def _cmd_check_dichotomy(spec, flags) -> int:
             "reason": str(exc),
         }
         if getattr(exc, "log_singular_values", None) is not None:
-            data["log_singular_values"] = [
-                float(x) for x in exc.log_singular_values
-            ]
+            data["log_singular_values"] = [float(x) for x in exc.log_singular_values]
         if getattr(exc, "gap_ratio", None) is not None:
             data["gap_ratio"] = float(exc.gap_ratio)
         _write_json(flags.out, "dichotomy.json", data)

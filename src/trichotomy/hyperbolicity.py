@@ -12,9 +12,11 @@ Numerics
 A constant A with an eigendecomposition (``TransitionOperator.eig``) and no
 eigenvalue on the imaginary axis is certified in closed form by every
 command (Coppel, Dichotomies in Stability Theory, LNM 629, 1978; see
-:func:`_closed_form`); every other A is estimated and swept, and the
-constants it prints are fitted, or supplied and checked, on the chain
-norms of the window they cover.
+:func:`_closed_form`); every other A is estimated and swept.  One
+half-line check, :func:`_verify_halves`, certifies a swept dichotomy and
+each half of a swept trichotomy alike: the printed constants are fitted,
+or supplied and checked, on the chain norms of the window they cover, and
+the candidate P itself must pass direct products and its seed residual.
 
 Transition matrices over long windows mix scales like exp(+nu*t) against
 exp(-nu*t), so the kernel is never evaluated by naked long products in the
@@ -43,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .propagator import TransitionOperator
+from .propagator import RTOL, TransitionOperator
 
 __all__ = [
     "HyperbolicityError",
@@ -64,6 +66,8 @@ __all__ = [
 
 GAP_THRESHOLD = 10.0
 SLACK_TOL = 1e-6
+# largest distance at the data end between a seed projector and its sweep
+SEED_TOL = 1e-5
 # largest compatibility residual ||P+ P- - P-|| of half-line projectors that mesh
 COMPAT_TOL = 1e-6
 # relative distance within which supplied projectors count as spectral
@@ -294,46 +298,37 @@ def _sweep_backward(legs, Bm):
     return out
 
 
-def _sweep_family(op: TransitionOperator, anchors, P_seed, data_end: str) -> ProjectorFamily:
-    """Build a forward-decaying projector family by two attracting sweeps.
+def _build_half_family(op, lo, hi, P_seed, rate) -> ProjectorFamily:
+    """Forward-decaying projector family on [lo, hi] by two attracting sweeps.
 
-    The kernel is the forward-dominant class, so it is swept forward; the
-    range is backward-dominant and swept backward; along each sweep subspace
-    errors contract.  ``P_seed`` is the exact projector at ``data_end``: at
-    ``"lo"`` its kernel starts the forward sweep, at ``"hi"`` its range
-    starts the backward sweep.  The other sweep starts at the opposite end
-    from the orthogonal complement of the first sweep's final value.
+    ``P_seed`` is the exact projector at the data end, the end nearer 0 (lo
+    when |lo| <= |hi|).  The kernel, forward-dominant, is swept forward and
+    the range backward, so subspace errors contract along each sweep.  The
+    seed's kernel starts the forward sweep at lo, or its range the backward
+    sweep at hi; the other sweep starts, from the orthogonal complement of
+    the first one's final value, past the far end by a margin of 12/rate
+    clamped to [6, 30] (30 for a rate <= 0) that lets it converge first.
     """
+    at_lo = abs(lo) <= abs(hi)
+    ext = 30.0 if rate <= 0.0 else min(30.0, max(6.0, 12.0 / rate))
+    anchors = _anchor_times(lo, hi + ext) if at_lo else _anchor_times(lo - ext, hi)
     legs = _leg_matrices(op, anchors)
     rank = int(round(np.trace(P_seed)))
     # one SVD gives both seeds: the right singular vectors past the rank span
     # the kernel of P_seed, the leading left ones its range (for an oblique
     # P_seed the trailing left ones span the range's orthogonal complement)
     U, _, Vt = np.linalg.svd(P_seed)
-    seed = Vt[rank:].T if data_end == "lo" else U[:, :rank]
+    seed = Vt[rank:].T if at_lo else U[:, :rank]
     seed = _orth(seed) if seed.size else seed
-    if data_end == "lo":
+    if at_lo:
         K = _sweep_forward(legs, seed)
         R = _sweep_backward(legs, _orth_complement(K[-1]))
     else:
         R = _sweep_backward(legs, seed)
         K = _sweep_forward(legs, _orth_complement(R[0]))
     projectors = np.array([_oblique_projector(Ri, Ki) for Ri, Ki in zip(R, K)])
-    at_data = projectors[0 if data_end == "lo" else -1]
-    seed_residual = float(np.linalg.norm(at_data - P_seed, 2))
+    seed_residual = float(np.linalg.norm(projectors[0 if at_lo else -1] - P_seed, 2))
     return ProjectorFamily(op, anchors, projectors, legs, seed_residual)
-
-
-def _build_half_family(op, lo, hi, P_seed, data_end, rate) -> ProjectorFamily:
-    """Family for one half-line dichotomy, extended past the far end.
-
-    The extension margin, 12/rate clamped to [6, 30] (30 for a rate <= 0),
-    gives the complement-seeded sweep room to converge before it enters the
-    certified window.
-    """
-    ext = 30.0 if rate <= 0.0 else min(30.0, max(6.0, 12.0 / rate))
-    anchors = _anchor_times(lo, hi + ext) if data_end == "lo" else _anchor_times(lo - ext, hi)
-    return _sweep_family(op, anchors, P_seed, data_end)
 
 
 def _walk(family, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf):
@@ -421,23 +416,6 @@ def _envelope_fit(sample_groups):
     return float(math.exp(log_N)), float(nu_hat)
 
 
-def estimate_constants(A, P, interval, rate_hint=1.0):
-    """Fit dichotomy constants (N, nu) for projector ``P`` on ``interval``.
-
-    Measures both decay branches on anchor pairs, fits a log-linear envelope
-    per branch, shrinks the rate by 5% and returns the smallest admissible
-    constant for the shrunk rate.  ``rate_hint`` (``P``'s estimate's, say)
-    sizes the sweep's extension margin.  Raises :class:`NonHyperbolicError`
-    when the fitted rate is not positive (e.g. a rotation).
-    """
-    op = _as_operator(A)
-    lo, hi = float(interval[0]), float(interval[1])
-    P = np.asarray(P, dtype=float)
-    data_end = "lo" if abs(lo) <= abs(hi) else "hi"
-    family = _build_half_family(op, lo, hi, P, data_end, rate_hint)
-    return _envelope_fit(_chain_samples(family, lo, hi))
-
-
 @dataclass
 class DichotomyCertificate:
     """Dichotomy data ``(P, N, nu)`` on ``interval``; ``ok`` is False when a check failed."""
@@ -460,65 +438,92 @@ def _bound_violations(samples, N, nu, kind):
     return float(slack[k]), {"t": float(t), "tau": float(tau), "norm": float(g), "kind": kind}
 
 
-def verify_dichotomy(A, P, interval, N, nu):
-    """Check the two dichotomy inequalities for ``(P, N, nu)`` on a grid.
+def _direct_rows(family, P, lo, hi, cap):
+    """:func:`_walk` rows of the unprojected products of ``P`` from the data end of [lo, hi].
 
-    Builds the projector family seeded by the given ``P``, measures both
-    decay branches on all anchor pairs (long separations via projected
-    chains, short separations additionally via direct unprojected products
-    so that a wrong ``P`` cannot hide behind the stabilizing projections),
-    and returns a :class:`DichotomyCertificate`, with ``ok`` true when the
-    measured slack is within 1e-6; its report names the worst (t, tau) pair.
+    The identity rides along each walk: where the legs' ``RTOL`` times its
+    growth times ||P|| or ||I - P|| exceeds ``SLACK_TOL``, the product
+    measures the legs' error rather than P, so the rows stop there.
+    """
+    eye = np.eye(len(P))
+
+    def walk(start, step, act, Z0):
+        rows = _walk(family, [start, start], step, act, np.stack([Z0, eye]), lo, hi, cap=cap)
+        trusted = RTOL * rows[1::2, 1] * np.linalg.norm(Z0, 2) <= SLACK_TOL
+        return rows[0::2][np.logical_and.accumulate(trusted)]
+
+    def right_solve(M, Z):
+        return np.linalg.solve(M.swapaxes(1, 2), Z.swapaxes(1, 2)).swapaxes(1, 2)
+
+    if abs(lo) > abs(hi):
+        return walk(len(family.anchors) - 1, -1, np.linalg.solve, eye - P)
+    # mirrored check: the second inequality at t = lo reads
+    # ||(I - P) Phi(lo, tau)||, built by right-multiplying inverse legs
+    mirrored = walk(0, +1, right_solve, eye - P)
+    return np.vstack([walk(0, +1, np.matmul, P), mirrored[:, [0, 1, 3, 2]]])
+
+
+def _verify_halves(op, halves, rate, N=None, nu=None):
+    """Check one pair (N, nu) on every half-line (P, lo, hi) of ``halves``.
+
+    Each half gets one family seeded with its P at the data end
+    (:func:`_build_half_family`, margin sized by ``rate``) and the chain
+    samples of both branches from every anchor in [lo, hi].  A missing N or
+    nu is fitted to all halves' chains at once.  Separations up to 4.6/nu
+    are also measured by :func:`_direct_rows`, so that a wrong P cannot
+    hide behind the chains' stabilizing projections.  Returns (families,
+    N, nu, largest slack, its (t, tau) pair, pairs checked); among equal
+    slacks chains come first.
+    """
+    families = [_build_half_family(op, lo, hi, P, rate) for P, lo, hi in halves]
+    chains = [rows for fam, (_, lo, hi) in zip(families, halves)
+              for rows in _chain_samples(fam, lo, hi)]
+    if N is None or nu is None:
+        N, nu = _envelope_fit(chains)
+    groups = list(zip(chains, ("stable", "unstable") * len(halves)))
+    groups += [(_direct_rows(fam, P, lo, hi, min(hi - lo, 4.6 / nu)), "direct")
+               for fam, (P, lo, hi) in zip(families, halves)]
+    max_slack, worst = max((_bound_violations(rows, N, nu, kind) for rows, kind in groups),
+                           key=lambda check: check[0])
+    return families, float(N), float(nu), max_slack, worst, sum(len(rows) for rows, _ in groups)
+
+
+def verify_dichotomy(A, P, interval, N=None, nu=None, rate_hint=1.0):
+    """Check the two dichotomy inequalities for ``(P, N, nu)`` on ``interval``.
+
+    Runs :func:`_verify_halves` on the one half line; N and nu are fitted
+    there when either is missing, and the sweeps' margin is sized by the
+    supplied nu, else by ``rate_hint``.  Returns a
+    :class:`DichotomyCertificate`, with ``ok`` true when the largest slack
+    is within ``SLACK_TOL`` and the seed residual within ``SEED_TOL``; its
+    report names the worst (t, tau) pair.
     """
     P = np.asarray(P, dtype=float)
     if np.linalg.norm(P @ P - P, 2) > 1e-10:
         raise ValueError("candidate projector is not idempotent within 1e-10")
-    if not (N >= 1.0 and nu > 0.0):
+    fit = N is None or nu is None
+    if not (fit or (N >= 1.0 and nu > 0.0)):
         raise ValueError("constants must satisfy N >= 1 and nu > 0")
     lo, hi = float(interval[0]), float(interval[1])
+    (family,), N, nu, max_slack, worst, pairs = _verify_halves(
+        _as_operator(A), [(P, lo, hi)], rate_hint if fit else nu, N, nu)
     if hi - lo < 10.0 / nu:
-        raise ValueError(
-            f"interval length {hi - lo:.3g} is below 10/nu = {10.0 / nu:.3g}"
-        )
-    op = _as_operator(A)
-    data_end = "lo" if abs(lo) <= abs(hi) else "hi"
-    family = _build_half_family(op, lo, hi, P, data_end, nu)
-
-    stable, unstable = _chain_samples(family, lo, hi)
-
-    # direct short-separation products from the data end: these use the
-    # candidate P itself, no stabilizing projections
-    cap = min(hi - lo, 4.6 / nu)
-    comp = (np.eye(op.A.n) - P)[None]
-    if data_end == "lo":
-        direct = _walk(family, [0], +1, np.matmul, P[None], lo, hi, cap=cap)
-        # mirrored check: the second inequality at t = lo reads
-        # ||(I - P) Phi(lo, tau)||, built by right-multiplying inverse legs
-        mirrored = _walk(
-            family, [0], +1,
-            lambda M, Z: np.linalg.solve(M.swapaxes(1, 2), Z.swapaxes(1, 2)).swapaxes(1, 2),
-            comp, lo, hi, cap=cap,
-        )
-        direct = np.vstack([direct, mirrored[:, [0, 1, 3, 2]]])
-    else:
-        last = len(family.anchors) - 1
-        direct = _walk(family, [last], -1, np.linalg.solve, comp, lo, hi, cap=cap)
-
-    # the first group with the largest slack names the worst pair
-    groups = ((stable, "stable"), (unstable, "unstable"), (direct, "direct"))
-    checks = [_bound_violations(rows, N, nu, kind) for rows, kind in groups]
-    max_slack, worst = max(checks, key=lambda check: check[0])
+        raise ValueError(f"interval length {hi - lo:.3g} is below 10/nu = {10.0 / nu:.3g}")
     report = {
-        "max_slack": float(max_slack),
+        "max_slack": max_slack,
         "worst_pair": worst,
         "seed_residual": family.seed_residual,
-        "pairs_checked": len(stable) + len(unstable) + len(direct),
+        "pairs_checked": pairs,
         "projector_norm_max": float(np.linalg.norm(family.projectors, 2, axis=(1, 2)).max()),
     }
-    ok = max_slack <= SLACK_TOL and family.seed_residual <= 1e-5
-    return DichotomyCertificate(
-        interval=(lo, hi), P=P, N=float(N), nu=float(nu), report=report, ok=ok
-    )
+    ok = max_slack <= SLACK_TOL and family.seed_residual <= SEED_TOL
+    return DichotomyCertificate(interval=(lo, hi), P=P, N=N, nu=nu, report=report, ok=ok)
+
+
+def estimate_constants(A, P, interval, rate_hint=1.0):
+    """The (N, nu) that :func:`verify_dichotomy` fits for ``P`` on ``interval``."""
+    cert = verify_dichotomy(A, P, interval, rate_hint=rate_hint)
+    return cert.N, cert.nu
 
 
 @dataclass
@@ -674,22 +679,21 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     P_s, and supplied constants must follow from it or pass its check.
 
     Every other A is swept.  Both halves are estimated on ``op``'s legs:
-    P+ at the start of [0, T], P- = I - Q at the end of [-T, 0] (``P_end``).
-    If the compatibility products P+ P- and P- P+ differ from P- by more
-    than ``COMPAT_TOL`` the halves do not mesh and a
-    :class:`TrichotomyIncompatibility` report is returned.  User-supplied
-    ``P``/``Q`` skip the estimation step; only their idempotence and
-    compatibility are checked.  Without ``N``/``nu`` the constants are
-    fitted to the chain norms of both half families on [-T, T]; fitted or
-    supplied, every chain sample must meet them within ``SLACK_TOL``, and
-    the report names the largest slack and its (t, tau) pair.
+    P+ at the start of [0, T], P- = I - Q at the end of [-T, 0] (``P_end``);
+    supplied idempotent ``P``/``Q`` skip the estimate.  If the products
+    P+ P- and P- P+ differ from P- by more than ``COMPAT_TOL`` the halves
+    do not mesh and a :class:`TrichotomyIncompatibility` report is
+    returned.  Otherwise :func:`_verify_halves` checks P+ on [0, T] and P-
+    on [-T, 0] with one (N, nu), supplied or fitted to both halves: the
+    largest slack must be within ``SLACK_TOL`` and each seed residual
+    within ``SEED_TOL``, and the report names both.
 
     Raises
     ------
     NoDichotomyDetected
         If either half-line system has no singular-value gap.
     NonHyperbolicError
-        If supplied projectors or constants, or fitted constants, are rejected.
+        If a projector, or supplied or fitted constants, are rejected.
     """
     T = float(T)
     op = _as_operator(A)
@@ -741,24 +745,24 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
         return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=spectral.N,
                                      nu=spectral.nu, report=report, modes=modes, op=op)
 
-    fam_plus = _build_half_family(op, 0.0, T, P_plus, "lo", rate_hint)
-    fam_minus = _build_half_family(op, -T, 0.0, P_minus, "hi", rate_hint)
-    groups = _chain_samples(fam_plus, 0.0, T) + _chain_samples(fam_minus, -T, 0.0)
-    N, nu = _envelope_fit(groups) if N is None or nu is None else (float(N), float(nu))
-    max_slack, worst = max((_bound_violations(rows, N, nu, kind)
-                            for rows, kind in zip(groups, ("stable", "unstable") * 2)),
-                           key=lambda check: check[0])
+    families, N, nu, max_slack, worst, _ = _verify_halves(
+        op, [(P_plus, 0.0, T), (P_minus, -T, 0.0)], rate_hint, N, nu)
     if max_slack > SLACK_TOL:
         raise NonHyperbolicError(
             f"certificate rejected: max slack = {max_slack:.6g} of ||Phi(t, tau) Pi(tau)|| - "
             f"N e^(-nu |t - tau|) with N = {N:.6g}, nu = {nu:.6g} exceeds SLACK_TOL = "
             f"{SLACK_TOL:g} at (t, tau) = ({worst['t']:.6g}, {worst['tau']:.6g})"
         )
-    report.update(seed_residual_plus=fam_plus.seed_residual,
-                  seed_residual_minus=fam_minus.seed_residual,
+    seeds = [fam.seed_residual for fam in families]
+    side = int(np.argmax(seeds))
+    if seeds[side] > SEED_TOL:
+        raise NonHyperbolicError(
+            f"certificate rejected: seed residual ||P_swept(0) - P(0)|| = {seeds[side]:.6g} "
+            f"on the {('plus', 'minus')[side]} half exceeds SEED_TOL = {SEED_TOL:g}")
+    report.update(seed_residual_plus=seeds[0], seed_residual_minus=seeds[1],
                   max_slack=max_slack, worst_pair=worst)
     return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=N, nu=nu, report=report,
-                                 families=(fam_plus, fam_minus), op=op)
+                                 families=tuple(families), op=op)
 
 
 class GreenKernel:

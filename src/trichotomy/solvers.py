@@ -543,7 +543,9 @@ def picard_solve(
     alpha >= 1 is refused.  Iterations run on the full forcing window with
     edge-clamped truncation; the returned solution is the restriction to
     the window shrunk by twice the tail horizon, where the edge effects
-    are far below tolerance.  Returns (phi, PicardReport).
+    are far below tolerance.  A measured deviation |phi - phi0| above the
+    bound r it reports raises :class:`AccuracyError`.  Returns (phi,
+    PicardReport).
     """
     N, nu = K.cert.N, K.cert.nu
     alpha = _contraction_ratio(N, nu, Fspec.L, Fspec.label)
@@ -607,12 +609,18 @@ def picard_solve(
             f"semilinear solve residual {res:.3g} exceeds 10*tol"
         )
     measured = float(np.linalg.norm(phi.values - phi0_r.values, axis=1).max())
+    r_bound = _deviation_bound(N, nu, Fspec.L, fnorm)
+    if not measured <= r_bound * (1.0 + 1e-6):
+        raise AccuracyError(
+            f"measured_deviation = {measured:.8g} from the linear solution exceeds "
+            f"r_bound = 4N^2 L ||f|| / (nu (nu - 2NL)) = {r_bound:.8g}"
+        )
     report = PicardReport(
         iterations=len(ratios) + 1,
         ratios=ratios,
         final_residual=final_residual,
         alpha=alpha,
-        r_bound=_deviation_bound(N, nu, Fspec.L, fnorm),
+        r_bound=r_bound,
         measured_deviation=measured,
         ode_residual=res,
         forcing_norm=fnorm,

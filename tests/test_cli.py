@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import trichotomy.cli
 import trichotomy.hyperbolicity
+import trichotomy.solvers
 from trichotomy import CoefficientMatrix, build_trichotomy
 from trichotomy.cli import ProblemError, load_problem, save_problem
 from trichotomy.hyperbolicity import (
@@ -322,6 +323,18 @@ class TestSemilinearCommand:
         assert "last finite step sup|psi_10 - psi_9| = " in err
         assert err.strip().endswith("alpha = 0.26")
 
+    @pytest.mark.parametrize("command", ["solve-semilinear", "continue-epsilon"])
+    def test_deviation_above_its_bound_is_an_error(self, tmp_path, capsys, monkeypatch, command):
+        # a printed r must bound the measured deviation, or nothing is written
+        monkeypatch.setattr(trichotomy.solvers, "_deviation_bound", lambda *args: 1e-9)
+        out = tmp_path / "out"
+        assert run_cli([command, problem_path("scalar_sin"), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: measured_deviation = 0.0")
+        assert err.endswith(" from the linear solution exceeds "
+                            "r_bound = 4N^2 L ||f|| / (nu (nu - 2NL)) = 1e-09\n")
+        assert not any(out.iterdir())
+
     def test_identically_zero_nonlinearity_rejected(self, tmp_path, capsys):
         prob = tmp_path / "zero.json"
         prob.write_text(json.dumps(minimal(f=["0.5"], F=["0*x1"])))
@@ -558,6 +571,46 @@ class TestConstantsCoverTheirWindow:
         assert data["N"] >= 1.0
         assert 0.0 < data["nu"] <= np.min(np.abs(lam)) * (1.0 + 1e-9)
         assert np.linalg.norm(np.asarray(data["P"]) - V_s @ V_s.T, 2) <= 1e-6
+
+
+def _rotation_with(tmp_path, a):
+    """The bundled rotation problem with the supplied P = [[1, a], [0, 0]]; P(0) = diag(1, 0)."""
+    data = json.loads(Path(problem_path("rotation")).read_text())
+    data["certificate"] = {"P": [[1, a], [0, 0]], "Q": [[0, -a], [0, 1]], "N": 5, "nu": 0.5}
+    prob = tmp_path / "tilted.json"
+    prob.write_text(json.dumps(data))
+    return prob
+
+
+class TestSuppliedProjectorIsVerified:
+    """A supplied P passes the same half-line check on each half as check-dichotomy's."""
+
+    @pytest.mark.parametrize("a", [3.0, 0.5])
+    @pytest.mark.parametrize("command", ["check-trichotomy", "solve-linear"])
+    def test_wrong_projector_is_a_certified_negative(self, tmp_path, capsys, command, a):
+        out = tmp_path / "out"
+        assert run_cli([command, _rotation_with(tmp_path, a), "--out", out]) == 2
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("certified failure: certificate rejected: ")
+        assert "exceeds SLACK_TOL = 1e-06" in line or "exceeds SEED_TOL = 1e-05" in line
+        assert not (out / "trichotomy.json").exists() and not (out / "sol.csv").exists()
+
+    def test_seed_residual_gate_names_its_threshold(self, tmp_path, capsys, monkeypatch):
+        # past the slack check, the swept P(0) of the minus half is diag(1, 0)
+        monkeypatch.setattr(trichotomy.hyperbolicity, "SLACK_TOL", float("inf"))
+        prob = _rotation_with(tmp_path, 3.0)
+        assert run_cli(["check-trichotomy", prob, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "certified failure: certificate rejected: seed residual ||P_swept(0) - P(0)|| = 3 "
+            "on the minus half exceeds SEED_TOL = 1e-05"
+        )
+
+    def test_check_dichotomy_builds_one_family(self, tmp_path, monkeypatch):
+        calls, half = [], trichotomy.hyperbolicity._build_half_family
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_build_half_family",
+                            lambda *args: calls.append(args[1:3]) or half(*args))
+        assert run_cli(["check-dichotomy", problem_path("rotation"), "--out", tmp_path]) == 0
+        assert calls == [(-10.0, 10.0)]
 
 
 class TestScanCommands:

@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 from conftest import green_matrix, shifted_coefficient
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import trichotomy.hyperbolicity
 from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import (
+    SLACK_TOL,
     DichotomyCertificate,
     GreenKernel,
     HyperbolicityError,
@@ -241,6 +242,43 @@ class TestNonNormalSaddleOracle:
         N, nu = estimate_constants(self.A, self.P_s, interval)
         assert N == pytest.approx(self.N_star, abs=1e-12)
         assert nu == pytest.approx(0.95, abs=1e-9)
+
+
+def _rotating_saddle(a, b, om):
+    """A(t) = R(om t) diag(-a, b) R(om t)^T + om J, the frame x = R(om t) y of y' = diag(-a, b) y.
+
+    Phi(t, tau) = R(om t) e^{diag(-a, b)(t - tau)} R(om tau)^T, so P(0) =
+    diag(1, 0) with the exact constants N = 1 and nu = min(a, b).
+    """
+    h, d, w = (b - a) / 2.0, (a + b) / 2.0, 2.0 * om
+    return CoefficientMatrix.from_strings([
+        [f"{h!r} - {d!r}*cos({w!r}*t)", f"-{d!r}*sin({w!r}*t) - {om!r}"],
+        [f"-{d!r}*sin({w!r}*t) + {om!r}", f"{h!r} + {d!r}*cos({w!r}*t)"],
+    ])
+
+
+class TestRotatingSaddleTrichotomy:
+    """A supplied certificate on a time-dependent A is accepted exactly when it holds."""
+
+    # the example's fast stable rate amplifies leg error in the unprojected
+    # product Phi(0, 9) by e^16: past the RTOL horizon it would reject (1, b)
+    @settings(max_examples=10, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.0, 1.0),
+           st.floats(0.01, 1.0), st.sampled_from([-1.0, 1.0]))
+    @example(1.8103301680943928, 0.5078979568483621, 0.8212284183827663, 0.5, 1.0)
+    def test_true_constants_accepted_wrong_rate_and_tilted_projector_rejected(
+            self, a, b, om, tilt, sign):
+        op = TransitionOperator(_rotating_saddle(a, b, om))
+        rate, P = min(a, b), np.diag([1.0, 0.0])
+        cert = build_trichotomy(op, 10.0, P=P, Q=np.eye(2) - P, N=1.0, nu=rate)
+        assert isinstance(cert, TrichotomyCertificate)
+        assert cert.report["max_slack"] <= SLACK_TOL
+        with pytest.raises(NonHyperbolicError, match="certificate rejected"):
+            build_trichotomy(op, 10.0, P=P, Q=np.eye(2) - P, N=1.0, nu=1.05 * rate)
+        v = np.array([np.cos(tilt), sign * np.sin(tilt)])
+        tilted = np.outer(v, v)
+        with pytest.raises(NonHyperbolicError, match="certificate rejected"):
+            build_trichotomy(op, 10.0, P=tilted, Q=np.eye(2) - tilted, N=5.0, nu=rate / 2.0)
 
 
 def _orthogonal(rng, n):

@@ -314,8 +314,8 @@ def swept(K):
     cert = K.cert
     lo, hi = cert.interval
     families = (
-        _build_half_family(cert.op, 0.0, hi, cert.P, "lo", cert.nu),
-        _build_half_family(cert.op, lo, 0.0, np.eye(K.n) - cert.Q, "hi", cert.nu),
+        _build_half_family(cert.op, 0.0, hi, cert.P, cert.nu),
+        _build_half_family(cert.op, lo, 0.0, np.eye(K.n) - cert.Q, cert.nu),
     )
     return GreenKernel(dataclasses.replace(cert, modes=None, families=families))
 
