@@ -106,9 +106,8 @@ class GridFunction:
             )
         C, h = self.coeffs, self.h
         k = np.clip((t - self.a) / h, 0, C.shape[1] - 1).astype(np.intp)
-        # u repeated per component, so that every step below is contiguous
-        u = np.clip(t, self.a, self.b) - (self.a + k * h)
-        u = np.repeat(u, self.dim).reshape(t.shape + (self.dim,))
+        # u broadcast over the components of each gathered (points, n) row
+        u = (np.clip(t, self.a, self.b) - (self.a + k * h))[..., None]
         if nu == 0:
             out = C[3].take(k, axis=0) * u
             for p in (2, 1):
@@ -198,8 +197,8 @@ def _spline_coeffs(y: np.ndarray, h: float) -> np.ndarray:
 
 def write_csv(path, gf: GridFunction) -> None:
     """Write ``t, x1..xn`` rows with 17 significant digits."""
-    times = gf.times
+    fmt = ",".join(["%.17g"] * (gf.dim + 1)) + "\n"
+    rows = np.column_stack([gf.times, gf.values]).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(f"x{i+1}" for i in range(gf.dim)) + "\n")
-        for t, row in zip(times, gf.values):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+        fh.writelines(fmt % tuple(r) for r in rows)

@@ -10,7 +10,11 @@ this module carries its horizons explicitly and claims nothing beyond them.
 Every report reads one residual table per function: the sup of
 |phi(t + tau) - phi(t)| beyond each horizon, for every scanned tau, built
 once.  The residuals do not depend on eps, so each eps of a scan or of an
-audit's ladder is only a threshold on that table.
+audit's ladder is only a threshold on that table.  The table is built in
+blocks of taus sized to stay in cache: one spline evaluation per block at
+every shifted grid time, then one segment max per horizon cut of the grid,
+whatever the tau, so the table is the same one the per-tau formula gives,
+bit for bit.
 
 The module also provides an empirical Lagrange stability report
 (boundedness plus modulus of continuity) and a compatibility audit
@@ -42,16 +46,27 @@ __all__ = [
 
 DEFAULT_T_SCHEDULE = (5.0, 10.0, 20.0, 40.0)
 
+# shifted samples (taus times grid points) per block of a residual table, so
+# that a block's shifted times, spline values and norms stay in cache
+_BLOCK_SAMPLES = 8192
+
+# a scan holds one row of residuals per tau, so its tau count is capped
+_MAX_TAUS = 10**6
+
 
 def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     """Sup of |phi(t + tau) - phi(t)| beyond each horizon, one row per tau.
 
-    Shape (len(taus), len(schedule)).  Per tau, phi is evaluated once at
-    t + tau for every grid time t whose shift stays in the window; a
-    reversed running max gives the sup over t >= T ('+'), a forward one the
-    sup over t <= -T ('-'), and each horizon is one index into them.  NaN
-    marks a horizon with no such sample; as T grows the sample sets shrink,
-    so the NaNs of a row fill its largest horizons.
+    Shape (len(taus), len(schedule)).  The taus are taken in blocks of about
+    ``_BLOCK_SAMPLES`` shifted samples: per block, phi is evaluated once at
+    t + tau for every grid time t and tau of the block, and a shift that
+    leaves the window scores -inf, which no norm beats.  The samples beyond
+    a horizon are t[first:] for t >= T ('+') and t[:count] for t <= -T ('-')
+    whatever tau is, so the horizons cut the grid into a few segments; one
+    ``maximum.reduceat`` takes each segment's max, and a running max over
+    those columns gives every horizon.  NaN marks a horizon with no sample
+    in the window; as T grows the sample sets shrink, so the NaNs of a row
+    fill its largest horizons.
     """
     if side not in ("+", "-", "both"):
         raise ValueError(f"side must be '+', '-' or 'both', got {side!r}")
@@ -59,22 +74,31 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     if np.any(horizons < 0):
         raise ValueError("horizon T must be nonnegative")
     t = phi.times
-    table = np.full((len(taus), horizons.size), math.nan)
-    for row, tau in zip(table, taus):
-        shifted = t + tau
+    m = t.size
+    taus = np.asarray(taus, dtype=float)
+    first = np.searchsorted(t, horizons - 1e-12)  # first t >= T
+    count = np.searchsorted(t, -horizons + 1e-12, side="right")  # t <= -T
+    cuts = np.unique(np.concatenate([first, count, [0]]))
+    cuts = cuts[cuts < m]  # segment j is t[cuts[j]:cuts[j + 1]]
+    plus = (first < m) & (side != "-")
+    minus = (count > 0) & (side != "+")
+    plus_seg = np.searchsorted(cuts, first[plus])  # the segment t[first:] starts
+    minus_seg = np.searchsorted(cuts, count[minus]) - 1  # the one t[:count] ends
+    table = np.full((taus.size, horizons.size), -np.inf)
+    rows = max(1, _BLOCK_SAMPLES // m)
+    for lo in range(0, taus.size, rows):
+        shifted = t + taus[lo : lo + rows, None]
         inside = (shifted <= phi.b + 1e-12) & (shifted >= phi.a - 1e-12)
-        ts = t[inside]
-        diff = np.linalg.norm(phi(shifted[inside]) - phi.values[inside], axis=1)
-        if side != "-":
-            first = np.searchsorted(ts, horizons - 1e-12)  # first t >= T
-            tail = np.maximum.accumulate(diff[::-1])[::-1]
-            has = first < ts.size
-            row[has] = tail[first[has]]
-        if side != "+":
-            count = np.searchsorted(ts, -horizons + 1e-12, side="right")  # t <= -T
-            head = np.maximum.accumulate(diff)
-            has = count > 0
-            row[has] = np.fmax(row[has], head[count[has] - 1])
+        # a shift out of the window is evaluated at t instead, then dropped
+        diff = np.linalg.norm(phi(np.where(inside, shifted, t)) - phi.values, axis=-1)
+        diff[~inside] = -np.inf
+        seg = np.maximum.reduceat(diff, cuts, axis=1)
+        tail = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
+        head = np.maximum.accumulate(seg, axis=1)
+        block = table[lo : lo + rows]
+        block[:, plus] = tail[:, plus_seg]
+        block[:, minus] = np.maximum(block[:, minus], head[:, minus_seg])
+    table[table == -np.inf] = math.nan
     return table
 
 
@@ -163,6 +187,11 @@ def _scan_table(phi: GridFunction, tau_range: tuple, tau_step: float, schedule, 
     if hi < lo:
         raise ValueError("empty tau range")
     count = int(math.floor((hi - lo) / tau_step + 1e-9)) + 1
+    if count > _MAX_TAUS:
+        raise ValueError(
+            f"tau range [{lo:g}, {hi:g}] at step {tau_step:g} holds {count} taus, "
+            f"more than the {_MAX_TAUS} a scan may hold"
+        )
     taus = lo + tau_step * np.arange(count)
     schedule = tuple(sorted(float(T) for T in schedule))
     return taus, schedule, _residual_table(phi, taus, schedule, side)
@@ -173,13 +202,11 @@ def _accepted(taus, residuals, schedule, eps: float):
 
     NaN entries (unsupported horizons) never beat eps.
     """
-    accepted = []
-    L_hat = {}
-    for tau, hits in zip(taus, residuals < eps):
-        if hits.any():
-            accepted.append(float(tau))
-            L_hat[float(tau)] = schedule[int(hits.argmax())]
-    return accepted, L_hat
+    hits = residuals < eps
+    rows = hits.any(axis=1)
+    accepted = np.asarray(taus, dtype=float)[rows].tolist()
+    least = hits[rows].argmax(axis=1).tolist() if accepted else []
+    return accepted, {tau: schedule[j] for tau, j in zip(accepted, least)}
 
 
 def almost_period_scan(

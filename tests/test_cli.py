@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import trichotomy.cli
 import trichotomy.hyperbolicity
+import trichotomy.rap
 import trichotomy.solvers
 from trichotomy import CoefficientMatrix, build_trichotomy
 from trichotomy.cli import ProblemError, load_problem, save_problem
@@ -658,6 +659,15 @@ class TestScanCommands:
         t = t[(t >= phi_scan.a - 1e-9) & (t <= phi_scan.b + 1e-9)]
         assert t.size > 100
         assert np.max(np.abs(phi_scan(t) - phi_semi(t))) <= 10 * data["tol"]
+
+    def test_tau_scan_too_large_to_hold_is_an_error(self, tmp_path, capsys):
+        rc = run_cli(["rap-scan", "diag_cos", "--tau-range", "0.5:1e15:0.5",
+                      "--out", tmp_path])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "2000000000000000 taus" in err
+        assert f"{trichotomy.rap._MAX_TAUS}" in err
+        assert "Traceback" not in err
 
 
 class TestMainInterface:

@@ -163,6 +163,23 @@ class TestCsv:
         last = lines[-1].split(",")
         assert float(last[2]) == 1.0 / 3.0  # 17 significant digits round-trip
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_per_value_formatting(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-300, 300, (400, n))
+        big = np.finfo(float).max
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, big, -big, 1.0 / 3.0]
+        values.flat[: len(specials)] = specials
+        gf = GridFunction(-3.7, 11.3, values)
+        path = tmp_path / "sol.csv"
+        write_csv(path, gf)
+        # the per-value writer this one replaced
+        expected = "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in (t, *row)) + "\n"
+            for t, row in zip(gf.times, gf.values)
+        )
+        assert path.read_text() == expected
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -1,6 +1,7 @@
 """Remote-almost-periodicity diagnostics, Lagrange reports, audits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,57 @@ class TestResidualTable:
         assert not np.isnan(table[:, 0]).any()
         if side != "both":  # one side alone runs out of samples at T = 10
             assert np.isnan(table[:, 1]).any() and not np.isnan(table[:, 1]).all()
+
+    @pytest.mark.parametrize("side", ["+", "-", "both"])
+    @pytest.mark.parametrize(
+        "case", ["on_grid_taus", "three_components", "unsorted_schedule", "constant"]
+    )
+    def test_more_inputs_match_masked_loop_bit_for_bit(self, planar, case, side):
+        taus = -9.0 + 0.07 * np.arange(260)
+        schedule = DEFAULT_T_SCHEDULE
+        phi = planar
+        if case == "on_grid_taus":
+            # the benchmark's scan: multiples of h, in a count that leaves a
+            # partial block at the end
+            taus = 0.5 + 0.02 * np.arange(301)
+            assert taus.size % max(1, rap._BLOCK_SAMPLES // phi.times.size) != 0
+        elif case == "three_components":
+            phi = GridFunction.from_callable(
+                lambda t: np.stack(
+                    [np.sin(1.3 * t), np.arctan(t), np.cos(0.7 * t) * np.tanh(t)], axis=-1
+                ),
+                -15.0, 15.0, 0.02,
+            )
+        elif case == "unsorted_schedule":
+            schedule = (10.0, 0.0, 20.0, 5.0)
+            taus = np.concatenate([taus[130:], [0.0], taus[:130]])
+        else:
+            phi = GridFunction.from_callable(lambda t: 0.0 * t + 0.75, -15.0, 15.0, 0.02)
+        table = rap._residual_table(phi, taus, schedule, side)
+        # each entry depends on its own horizon only, so the reference runs
+        # over the sorted schedule and its columns are put back in order
+        order = np.argsort(schedule)
+        ref = np.empty_like(table)
+        ref[:, order] = _reference_table(phi, taus, np.asarray(schedule)[order], side)
+        assert np.array_equal(table, ref, equal_nan=True)
+        if case == "constant":
+            assert np.all(table[~np.isnan(table)] == 0.0)
+
+    def test_blocks_bound_the_memory_of_a_long_grid(self):
+        # 301 taus on m = 20,001 samples: the whole (taus, m) batch of
+        # shifted norms alone would take 48 MB
+        phi = GridFunction.from_callable(np.sin, -200.0, 200.0, 0.02)
+        assert phi.times.size == 20001
+        phi.coeffs  # built once per function, before the table
+        taus = 0.5 + 0.02 * np.arange(301)
+        tracemalloc.start()
+        try:
+            table = rap._residual_table(phi, taus, DEFAULT_T_SCHEDULE, "both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.isnan(table).any()
+        assert peak < 4e6, peak
 
     def test_shift_past_the_window_is_all_nan(self, planar):
         table = rap._residual_table(planar, [40.0], (0.0, 5.0), "both")
