@@ -3,11 +3,14 @@
 A problem file is JSON describing x' = A(t) x + f(t) + F(t, x) on a
 symmetric window [-T, T] (see ``problems/problem.schema.json``; the bundled
 problems under ``trichotomy/problems/`` are working examples).  Each command
-loads the problem, runs one pipeline, writes CSV/JSON artifacts into the
---out directory and prints a short summary.  Exit codes are scriptable:
-0 on success, 2 when the run completed but certified a negative finding
-(no dichotomy, incompatible half-line projectors, contraction refusal),
-1 on errors.
+loads the problem, certifies it through ``build_trichotomy`` (for
+``check-dichotomy``, a trichotomy whose center R = PQ is 0), runs one
+pipeline, writes CSV/JSON artifacts into the --out directory and prints a
+short summary.  Exit codes are scriptable: 0 on success, 2 when the run
+completed but certified a negative finding (no dichotomy, a center on
+``check-dichotomy``, incompatible half-line projectors, contraction
+refusal), 1 on errors.  :func:`run` turns every certified negative into
+exit 2 in one place.
 """
 
 from __future__ import annotations
@@ -28,17 +31,15 @@ from .expr import ExprError, eval_expr, free_vars, parse
 from .grid import GridFunction, write_csv
 from .propagator import CoefficientMatrix, PropagationError, TransitionOperator
 from .hyperbolicity import (
-    COMPAT_TOL,
+    DichotomyCertificate,
     GreenKernel,
     HyperbolicityError,
     NoDichotomyDetected,
     NonHyperbolicError,
     TrichotomyIncompatibility,
-    _closed_form,
+    _check_spectral_constants,
     build_trichotomy,
     certificate_to_json,
-    estimate_stable_projector,
-    verify_dichotomy,
 )
 from .solvers import (
     AccuracyError,
@@ -55,7 +56,7 @@ from .solvers import (
     picard_solve,
     solve_linear_bounded,
 )
-from .rap import almost_period_scan, lagrange_report, solution_rap_audit
+from .rap import _scan_taus, almost_period_scan, lagrange_report, solution_rap_audit
 
 __all__ = [
     "ProblemSpec",
@@ -304,30 +305,19 @@ def _certificate_args(spec):
     }
 
 
-def _build_kernel(op, S, given):
-    """Green kernel of ``op`` on [-S, S] from ``given`` P, Q, N, nu, or an incompatibility."""
-    cert = build_trichotomy(op, S, **given)
-    if isinstance(cert, TrichotomyIncompatibility):
-        return None, cert
-    return GreenKernel(cert), cert
-
-
 def _solve_pipeline(spec, flags, margin_factor=1.0):
     """Shared two-pass solve: size windows, build kernel, sample forcing.
 
-    Returns (kernel, cert, f); kernel is None when the half-line projectors
-    are incompatible.  ``margin_factor`` is 1 for the linear solve and 2
-    for Picard (whose restriction step consumes twice the tail horizon).
+    Returns (kernel, cert, f).  ``margin_factor`` is 1 for the linear solve
+    and 2 for Picard (whose restriction step consumes twice the tail horizon).
     The tail horizon Tc starts from a rough sup of f on the output window;
     f is resampled on a wider [-W, W] while its sup there makes
     S_out + margin_factor * Tc exceed W.
     """
     tol = _tol(spec, flags)
     S_out = _window(spec, flags)
-    kernel, cert = _build_kernel(TransitionOperator(spec.A), max(S_out, 12.0),
-                                 _certificate_args(spec))
-    if kernel is None:
-        return None, cert, None
+    cert = build_trichotomy(TransitionOperator(spec.A), max(S_out, 12.0),
+                            **_certificate_args(spec))
     fnorm, W = 0.0, 0.0
     if spec.f_exprs is not None:
         fnorm = GridFunction.from_callable(spec.forcing_fn(), -S_out, S_out, 0.1).sup_norm
@@ -341,23 +331,12 @@ def _solve_pipeline(spec, flags, margin_factor=1.0):
                               f"over {MAX_GRID_VALUES:.4g} grid values at step {OUTPUT_STEP:g}")
         f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
         fnorm = max(fnorm, f.sup_norm)
-    if W > kernel.window[1]:
+    if W > cert.interval[1]:
         # the same operator and legs; P and Q are compatible on any window,
         # and N and nu are the closed form's, refitted, or the file's checked
         given = {**_certificate_args(spec), "P": cert.P, "Q": cert.Q}
-        kernel, cert = _build_kernel(cert.op, W + 0.5, given)
-    return kernel, cert, f
-
-
-def _incompatibility_exit(out_dir, cert) -> int:
-    data = certificate_to_json(cert)
-    _write_json(out_dir, "trichotomy.json", data)
-    print("certified failure: dichotomy on both half-lines, projections incompatible")
-    print(f"  compatibility residual ||P+ P- - P-|| = {cert.residual:.6g} "
-          f"exceeds COMPAT_TOL = {COMPAT_TOL:g}")
-    print(f"  rank P+ = {cert.report.get('rank_plus')}, "
-          f"rank P- = {cert.report.get('rank_minus')}")
-    return 2
+        cert = build_trichotomy(cert.op, W + 0.5, **given)
+    return GreenKernel(cert), cert, f
 
 
 def _lipschitz_spec(spec) -> LipschitzSpec:
@@ -381,52 +360,45 @@ def _lipschitz_spec(spec) -> LipschitzSpec:
 
 
 def _cmd_check_dichotomy(spec, flags) -> int:
+    """A trichotomy certificate whose center R = PQ is 0 is a dichotomy on the line."""
     T = _window(spec, flags)
-    interval = (-T, T)
-    op = TransitionOperator(spec.A)
-    given = _certificate_args(spec)
     try:
-        # a constant A with a closed form is checked against it, at every separation
-        spectral = _closed_form(op, T, [given["P"]] if given else [], given.get("N"),
-                                given.get("nu"), sample=True)
-        if spectral is not None:
-            result = spectral[1]
-        elif given:
-            result = verify_dichotomy(op, given["P"], interval, given["N"], given["nu"])
-        else:
-            est = estimate_stable_projector(op, interval)
-            result = verify_dichotomy(op, est.P, interval, rate_hint=est.rate_hint)
+        cert = build_trichotomy(spec.A, T, **_certificate_args(spec))
+        if center := int(round(np.trace(cert.R))):
+            raise NonHyperbolicError(f"no dichotomy on [-{T:g}, {T:g}]: the certified trichotomy "
+                                     f"has a centre of rank {center} (trace of R = PQ)")
     except (NoDichotomyDetected, NonHyperbolicError) as exc:
-        data = {
-            "type": "dichotomy",
-            "ok": False,
-            "interval": list(interval),
-            "reason": str(exc),
-        }
-        if getattr(exc, "log_singular_values", None) is not None:
-            data["log_singular_values"] = [float(x) for x in exc.log_singular_values]
-        if getattr(exc, "gap_ratio", None) is not None:
-            data["gap_ratio"] = float(exc.gap_ratio)
+        data = {"type": "dichotomy", "ok": False, "interval": [-T, T], "reason": str(exc)}
+        if isinstance(exc, NoDichotomyDetected):
+            data.update(log_singular_values=[float(x) for x in exc.log_singular_values],
+                        gap_ratio=float(exc.gap_ratio))
         _write_json(flags.out, "dichotomy.json", data)
-        print(f"certified failure: {exc}")
-        return 2
+        raise
+    report, N = dict(cert.report), cert.N
+    if cert.modes is not None:
+        if "max_slack" not in report:
+            # the exact norms of a constant A, sampled at every separation; its
+            # constants follow from the closed form, so nu stands in for the rate
+            check = _check_spectral_constants(cert.op, cert.modes, cert.nu, N, cert.nu, T)
+            report["max_slack"], report["worst_pair"] = check
+        health = f"delta = {report['eig_residual']:.3g}, cond(V) = {report['cond_V']:.3g}"
+    else:
+        # N is checked on each half line; a pair tau < 0 < t factors through
+        # 0, Phi(t, tau) P(tau) = Phi(t, 0) P(0) Phi(0, tau) P(tau), so N^2 holds
+        report["N_half_line"], N = N, N * N
+        health = (f"seed residuals = {report['seed_residual_plus']:.3g} (plus), "
+                  f"{report['seed_residual_minus']:.3g} (minus)")
+    result = DichotomyCertificate(cert.interval, cert.P, N, cert.nu, report)
     _write_json(flags.out, "dichotomy.json", certificate_to_json(result))
-    rank = int(round(np.trace(result.P)))
-    print(f"dichotomy on [{interval[0]:g}, {interval[1]:g}]: "
-          f"{'certified' if result.ok else 'REJECTED'}")
-    print(f"  rank P = {rank}, N = {result.N:.6g}, nu = {result.nu:.6g}")
-    rep = result.report
-    health = (f"delta = {rep['eig_residual']:.3g}, cond(V) = {rep['cond_V']:.3g}"
-              if "cond_V" in rep else f"seed residual = {rep['seed_residual']:.3g}")
-    print(f"  max slack = {rep['max_slack']:.3g}, {health}")
-    return 0 if result.ok else 2
+    print(f"dichotomy on [{-T:g}, {T:g}]: certified")
+    print(f"  rank P = {int(round(np.trace(cert.P)))}, N = {N:.6g}, nu = {cert.nu:.6g}")
+    print(f"  max slack = {report['max_slack']:.3g}, {health}")
+    return 0
 
 
 def _cmd_check_trichotomy(spec, flags) -> int:
     T = _window(spec, flags)
     cert = build_trichotomy(spec.A, T, **_certificate_args(spec))
-    if isinstance(cert, TrichotomyIncompatibility):
-        return _incompatibility_exit(flags.out, cert)
     _write_json(flags.out, "trichotomy.json", certificate_to_json(cert))
     res = cert.identity_residuals()
     print(f"trichotomy on [-{T:g}, {T:g}]: certified")
@@ -445,8 +417,6 @@ def _cmd_solve_linear(spec, flags) -> int:
     tol = _tol(spec, flags)
     S_out = _window(spec, flags)
     kernel, cert, f = _solve_pipeline(spec, flags)
-    if kernel is None:
-        return _incompatibility_exit(flags.out, cert)
     phi = solve_linear_bounded(kernel, f, tol=tol).restrict(-S_out, S_out)
     residual = float(ode_residual(spec.A, phi, f.restrict(-S_out, S_out)).max())
     bound = 2.0 * cert.N / cert.nu * f.sup_norm
@@ -483,8 +453,6 @@ def _cmd_solve_semilinear(spec, flags) -> int:
     S_out = _window(spec, flags)
     Fspec = _lipschitz_spec(spec)
     kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
-    if kernel is None:
-        return _incompatibility_exit(flags.out, cert)
     phi, report = picard_solve(kernel, f, Fspec, tol=tol)
     phi = phi.restrict(-S_out, S_out)
     data = report.to_json()
@@ -508,8 +476,6 @@ def _cmd_continue_epsilon(spec, flags) -> int:
     Fspec = _lipschitz_spec(spec)
     eps_list = flags.eps if flags.eps else [0.4, 0.2, 0.1, 0.05]
     kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
-    if kernel is None:
-        return _incompatibility_exit(flags.out, cert)
     results = epsilon_continuation(kernel, f, Fspec, eps_list, tol=tol)
     N, nu = cert.N, cert.nu
     rows = []
@@ -551,30 +517,24 @@ def _single_eps(command, flags, default) -> float:
 
 
 def _solve_for_scan(spec, flags):
+    # the scan builds these taus again; building them first refuses an oversized range unsolved
+    _scan_taus(flags.tau_range[:2], flags.tau_range[2])
     if spec.F_exprs is not None:
         Fspec = _lipschitz_spec(spec)
-        kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
-        if kernel is None:
-            return None, cert, None
+        kernel, _, f = _solve_pipeline(spec, flags, margin_factor=2.0)
         phi, _ = picard_solve(kernel, f, Fspec, tol=_tol(spec, flags))
     else:
         if spec.f_exprs is None:
             raise ProblemError("problem declares no forcing f to solve with")
-        kernel, cert, f = _solve_pipeline(spec, flags)
-        if kernel is None:
-            return None, cert, None
+        kernel, _, f = _solve_pipeline(spec, flags)
         phi = solve_linear_bounded(kernel, f, tol=_tol(spec, flags))
     S_out = _window(spec, flags)
-    lo = max(phi.a, -S_out)
-    hi = min(phi.b, S_out)
-    return phi.restrict(lo, hi), cert, f
+    return phi.restrict(max(phi.a, -S_out), min(phi.b, S_out))
 
 
 def _cmd_rap_scan(spec, flags) -> int:
     eps = _single_eps("rap-scan", flags, 0.1)
-    phi, cert, _ = _solve_for_scan(spec, flags)
-    if phi is None:
-        return _incompatibility_exit(flags.out, cert)
+    phi = _solve_for_scan(spec, flags)
     lo, hi, step = flags.tau_range
     report = almost_period_scan(phi, eps, (lo, hi), step, side=flags.side)
     _write_json(flags.out, "rap_report.json", report.to_json())
@@ -598,9 +558,7 @@ def _cmd_rap_scan(spec, flags) -> int:
 
 
 def _cmd_audit(spec, flags) -> int:
-    phi, cert, f = _solve_for_scan(spec, flags)
-    if phi is None:
-        return _incompatibility_exit(flags.out, cert)
+    phi = _solve_for_scan(spec, flags)
     times = phi.times
 
     def sampled(exprs, env):
@@ -659,15 +617,12 @@ def run(command: str, spec: ProblemSpec, flags: Flags) -> int:
     os.makedirs(flags.out, exist_ok=True)
     try:
         return _COMMANDS[command](spec, flags)
-    except (NoDichotomyDetected, NonHyperbolicError) as exc:
-        _write_json(flags.out, "report.json",
-                    {"ok": False, "certified_failure": str(exc)})
-        print(f"certified failure: {exc}")
-        return 2
-    except ContractionError as exc:
-        _write_json(flags.out, "report.json",
-                    {"ok": False, "certified_failure": str(exc)})
-        print(f"certified refusal: {exc}")
+    except (NoDichotomyDetected, NonHyperbolicError, ContractionError) as exc:
+        if isinstance(exc, TrichotomyIncompatibility):
+            _write_json(flags.out, "trichotomy.json", certificate_to_json(exc))
+        else:
+            _write_json(flags.out, "report.json", {"ok": False, "certified_failure": str(exc)})
+        print(f"certified {'refusal' if isinstance(exc, ContractionError) else 'failure'}: {exc}")
         return 2
     except (ProblemError, ExprError, PropagationError, SolverError,
             HyperbolicityError, ValueError) as exc:

@@ -9,14 +9,16 @@ on the whole line.
 
 Numerics
 --------
-A constant A with an eigendecomposition (``TransitionOperator.eig``) and no
-eigenvalue on the imaginary axis is certified in closed form by every
-command (Coppel, Dichotomies in Stability Theory, LNM 629, 1978; see
-:func:`_closed_form`); every other A is estimated and swept.  One
-half-line check, :func:`_verify_halves`, certifies a swept dichotomy and
-each half of a swept trichotomy alike: the printed constants are fitted,
-or supplied and checked, on the chain norms of the window they cover, and
-the candidate P itself must pass direct products and its seed residual.
+Every command certifies through :func:`build_trichotomy`; a dichotomy on
+the line is a trichotomy with center R = PQ = 0 (Elaydi and Hajek, J. Math.
+Anal. Appl. 129, 1988).  A constant A with an eigendecomposition
+(``TransitionOperator.eig``) is certified in closed form, or refused for an
+eigenvalue on the imaginary axis (Coppel, Dichotomies in Stability Theory,
+LNM 629, 1978; see :func:`_closed_form`); every other A is estimated and
+swept.  One half-line check, :func:`_verify_halves`, certifies each half
+of a swept trichotomy: the printed constants are fitted, or supplied and
+checked, on the chain norms of the window they cover, and the candidate P
+itself must pass direct products and its seed residual.
 
 Transition matrices over long windows mix scales like exp(+nu*t) against
 exp(-nu*t), so the kernel is never evaluated by naked long products in the
@@ -491,9 +493,12 @@ def _verify_halves(op, halves, rate, N=None, nu=None):
 def verify_dichotomy(A, P, interval, N=None, nu=None, rate_hint=1.0):
     """Check the two dichotomy inequalities for ``(P, N, nu)`` on ``interval``.
 
-    Runs :func:`_verify_halves` on the one half line; N and nu are fitted
-    there when either is missing, and the sweeps' margin is sized by the
-    supplied nu, else by ``rate_hint``.  Returns a
+    The library's one-interval check; no command calls it (``check-dichotomy``
+    certifies through :func:`build_trichotomy`).  ``P`` is the projector at
+    the end of ``interval`` nearer 0 (its start on a tie), where its family
+    is seeded.  Runs :func:`_verify_halves` on that one interval; N and nu
+    are fitted there when either is missing, and the sweeps' margin is sized
+    by the supplied nu, else by ``rate_hint``.  Returns a
     :class:`DichotomyCertificate`, with ``ok`` true when the largest slack
     is within ``SLACK_TOL`` and the seed residual within ``SEED_TOL``; its
     report names the worst (t, tau) pair.
@@ -521,7 +526,10 @@ def verify_dichotomy(A, P, interval, N=None, nu=None, rate_hint=1.0):
 
 
 def estimate_constants(A, P, interval, rate_hint=1.0):
-    """The (N, nu) that :func:`verify_dichotomy` fits for ``P`` on ``interval``."""
+    """The (N, nu) that :func:`verify_dichotomy` fits for ``P`` on ``interval``.
+
+    The same one-interval check, ``P`` seeded at the end nearer 0; no command calls it.
+    """
     cert = verify_dichotomy(A, P, interval, rate_hint=rate_hint)
     return cert.N, cert.nu
 
@@ -587,16 +595,20 @@ class TrichotomyCertificate:
         return res
 
 
-@dataclass
-class TrichotomyIncompatibility:
-    """Both half-line dichotomies exist but their projectors do not mesh."""
+class TrichotomyIncompatibility(NonHyperbolicError):
+    """Certified negative: both half-line dichotomies exist but their projectors do not mesh."""
 
-    interval: tuple
-    P_plus: np.ndarray
-    P_minus: np.ndarray
-    residual: float
-    report: dict = field(default_factory=dict)
-    ok: bool = False
+    ok = False
+
+    def __init__(self, interval, P_plus, P_minus, residual, report):
+        super().__init__(
+            "dichotomy on both half-lines, projections incompatible\n"
+            f"  compatibility residual ||P+ P- - P-|| = {residual:.6g} "
+            f"exceeds COMPAT_TOL = {COMPAT_TOL:g}\n"
+            f"  rank P+ = {report['rank_plus']}, rank P- = {report['rank_minus']}"
+        )
+        self.interval, self.P_plus, self.P_minus = interval, P_plus, P_minus
+        self.residual, self.report = residual, report
 
 
 def _check_spectral_constants(op, modes, rate, N, nu, T):
@@ -634,23 +646,29 @@ def _check_spectral_constants(op, modes, rate, N, nu, T):
     return worst
 
 
-def _closed_form(op, T, projectors=(), N=None, nu=None, sample=False):
+def _closed_form(op, T, projectors=(), N=None, nu=None):
     """(modes, dichotomy certificate of P_s on [-T, T]) of a constant A, or None.
 
-    A has a closed form when ``op.eig`` exists and no |Re lam| <= AXIS_TOL *
-    max(1, ||A||_2): P_s = V[:, s] V^-1[s, :], nu = min |Re lam| and N =
-    max(1, N_cf), N_cf = max over classes c of ||V[:, c]|| ||V^-1[c, :]||.
-    Supplied ``projectors`` must be within ``SPECTRAL_TOL`` relative of P_s.
-    Supplied N >= N_cf with nu <= min |Re lam| follow from the bound
-    ||e^{At} P|| <= N_cf e^{-nu t}; stronger ones, and any with ``sample``,
-    pass :func:`_check_spectral_constants`, whose result the report keeps.
+    A has a closed form when ``op.eig`` exists: P_s = V[:, s] V^-1[s, :],
+    nu = min |Re lam| and N = max(1, N_cf), N_cf = max over classes c of
+    ||V[:, c]|| ||V^-1[c, :]||.  An eigenvalue with |Re lam| <= AXIS_TOL *
+    max(1, ||A||_2) is a certified negative: no dichotomy has a rate above
+    that bound.  Supplied ``projectors`` must be within ``SPECTRAL_TOL``
+    relative of P_s.  Supplied N >= N_cf with nu <= min |Re lam| follow from
+    the bound ||e^{At} P|| <= N_cf e^{-nu t}; stronger ones pass
+    :func:`_check_spectral_constants`, whose result the report keeps.
     """
     if op.eig is None:
         return None
     V, lam, V_inv = op.eig
     stable, rate = lam.real < 0.0, float(np.min(np.abs(lam.real)))
-    if rate <= AXIS_TOL * max(1.0, op.eig_health["norm_A"]):
-        return None
+    bound = AXIS_TOL * max(1.0, op.eig_health["norm_A"])
+    if rate <= bound:
+        axis = lam[int(np.argmin(np.abs(lam.real)))]
+        raise NonHyperbolicError(
+            f"eigenvalue {axis:.6g} of the constant A lies on the imaginary axis: "
+            f"|Re lam| = {rate:.3g} <= AXIS_TOL * max(1, ||A||_2) = {bound:.3g} "
+            f"(AXIS_TOL = {AXIS_TOL:g}), so no dichotomy has a rate above {bound:.3g}")
     modes = (V, lam, V_inv, stable)
     P_s = (V[:, stable] @ V_inv[stable]).real
     dist = max((float(np.linalg.norm(M - P_s, 2)) for M in projectors), default=0.0)
@@ -665,7 +683,7 @@ def _closed_form(op, T, projectors=(), N=None, nu=None, sample=False):
     if N is None or nu is None:
         N, nu = N_cf, rate
     report = {key: op.eig_health[key] for key in ("eig_residual", "cond_V")}
-    if sample or not (N >= N_cf and nu <= rate):
+    if not (N >= N_cf and nu <= rate):
         check = _check_spectral_constants(op, modes, rate, float(N), float(nu), T)
         report["max_slack"], report["worst_pair"] = check
     return modes, DichotomyCertificate((-T, T), P_s, float(N), float(nu), report)
@@ -680,20 +698,22 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
 
     Every other A is swept.  Both halves are estimated on ``op``'s legs:
     P+ at the start of [0, T], P- = I - Q at the end of [-T, 0] (``P_end``);
-    supplied idempotent ``P``/``Q`` skip the estimate.  If the products
-    P+ P- and P- P+ differ from P- by more than ``COMPAT_TOL`` the halves
-    do not mesh and a :class:`TrichotomyIncompatibility` report is
-    returned.  Otherwise :func:`_verify_halves` checks P+ on [0, T] and P-
-    on [-T, 0] with one (N, nu), supplied or fitted to both halves: the
-    largest slack must be within ``SLACK_TOL`` and each seed residual
-    within ``SEED_TOL``, and the report names both.
+    supplied idempotent ``P``/``Q``, read at t = 0, skip the estimate.
+    :func:`_verify_halves` checks P+ on [0, T] and P- on [-T, 0] with one
+    (N, nu), supplied or fitted to both halves: the largest slack must be
+    within ``SLACK_TOL`` and each seed residual within ``SEED_TOL``, and the
+    report names both.
 
     Raises
     ------
     NoDichotomyDetected
         If either half-line system has no singular-value gap.
+    TrichotomyIncompatibility
+        If the products P+ P- and P- P+ differ from P- by more than
+        ``COMPAT_TOL``: the halves do not mesh.
     NonHyperbolicError
-        If a projector, or supplied or fitted constants, are rejected.
+        If A has an eigenvalue on the imaginary axis, or a projector, or
+        supplied or fitted constants, are rejected.
     """
     T = float(T)
     op = _as_operator(A)
@@ -731,13 +751,7 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
         "rank_minus": int(round(np.trace(P_minus))),
     }
     if residual > COMPAT_TOL:
-        return TrichotomyIncompatibility(
-            interval=(-T, T),
-            P_plus=P_plus,
-            P_minus=P_minus,
-            residual=residual,
-            report=report,
-        )
+        raise TrichotomyIncompatibility((-T, T), P_plus, P_minus, residual, report)
     Q_mat = eye - P_minus
 
     if cf is not None:

@@ -175,14 +175,10 @@ class RapReport:
                 writer.writerow(row)
 
 
-def _scan_table(phi: GridFunction, tau_range: tuple, tau_step: float, schedule, side: str):
-    """The scanned taus, the sorted schedule and phi's residual table over them."""
+def _scan_taus(tau_range: tuple, tau_step: float) -> np.ndarray:
+    """The taus lo, lo + step, ... up to hi of a scan, at most ``_MAX_TAUS`` of them."""
     if tau_step <= 0:
         raise ValueError("tau step must be positive")
-    if phi.h > tau_step + 1e-12:
-        raise ValueError(
-            f"grid resolution {phi.h:g} is coarser than tau step {tau_step:g}"
-        )
     lo, hi = float(tau_range[0]), float(tau_range[1])
     if hi < lo:
         raise ValueError("empty tau range")
@@ -192,7 +188,16 @@ def _scan_table(phi: GridFunction, tau_range: tuple, tau_step: float, schedule, 
             f"tau range [{lo:g}, {hi:g}] at step {tau_step:g} holds {count} taus, "
             f"more than the {_MAX_TAUS} a scan may hold"
         )
-    taus = lo + tau_step * np.arange(count)
+    return lo + tau_step * np.arange(count)
+
+
+def _scan_table(phi: GridFunction, tau_range: tuple, tau_step: float, schedule, side: str):
+    """The scanned taus, the sorted schedule and phi's residual table over them."""
+    taus = _scan_taus(tau_range, tau_step)
+    if phi.h > tau_step + 1e-12:
+        raise ValueError(
+            f"grid resolution {phi.h:g} is coarser than tau step {tau_step:g}"
+        )
     schedule = tuple(sorted(float(T) for T in schedule))
     return taus, schedule, _residual_table(phi, taus, schedule, side)
 

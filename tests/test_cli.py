@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from conftest import problem_path, read_solution_csv, run_cli
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -391,10 +392,10 @@ class TestCheckCommands:
         assert np.max(np.abs(Q - np.diag([0.0, 1.0, 1.0]))) <= 1e-4
         assert max(data["identity_residuals"].values()) <= 1e-9
 
-    @pytest.mark.parametrize("command", ["check-trichotomy", "solve-linear"])
+    @pytest.mark.parametrize("command", ["check-dichotomy", "check-trichotomy", "solve-linear"])
     def test_conjugated_rotation_stays_a_certified_negative(self, tmp_path, command):
-        # W rot(1.3) W^-1 has |Re lam| near 1e-16: on the imaginary axis, so
-        # no closed form; the sweeps find no dichotomy
+        # W rot(1.3) W^-1 has |Re lam| near 1e-16: on the imaginary axis, which
+        # the closed form refuses on every command
         W = np.array([[1.0, 2.0], [0.5, 3.0]])
         A = W @ np.array([[0.0, 1.3], [-1.3, 0.0]]) @ np.linalg.inv(W)
         prob = tmp_path / "wrot.json"
@@ -420,7 +421,7 @@ class TestOneOperatorPerCommand:
     def test_one_operator_and_no_leg_integrated_twice(self, tmp_path, monkeypatch, name):
         built, spans, kernels = [], [], []
         init, solve_ivp = TransitionOperator.__init__, scipy.integrate.solve_ivp
-        build = trichotomy.cli._build_kernel
+        build = trichotomy.cli.build_trichotomy
 
         def counting_init(self, A):
             built.append(A)
@@ -430,13 +431,13 @@ class TestOneOperatorPerCommand:
             spans.append(tuple(t_span))
             return solve_ivp(fun, t_span, *args, **kwargs)
 
-        def counting_build(op, S, given):
+        def counting_build(op, S, **given):
             kernels.append(S)
-            return build(op, S, given)
+            return build(op, S, **given)
 
         monkeypatch.setattr(TransitionOperator, "__init__", counting_init)
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
-        monkeypatch.setattr(trichotomy.cli, "_build_kernel", counting_build)
+        monkeypatch.setattr(trichotomy.cli, "build_trichotomy", counting_build)
         assert run_cli(["solve-linear", problem_path(name), "--out", tmp_path]) == 0
         assert len(built) == 1
         # the kernel grew, and the estimates, the families and the grown
@@ -449,15 +450,15 @@ class TestOneOperatorPerCommand:
     def test_grown_closed_form_kernel_samples_no_constants(self, tmp_path, monkeypatch,
                                                            command, name):
         calls, kernels = [], []
-        build = trichotomy.cli._build_kernel
+        build = trichotomy.cli.build_trichotomy
 
-        def counting_build(op, S, given):
+        def counting_build(op, S, **given):
             kernels.append(S)
-            return build(op, S, given)
+            return build(op, S, **given)
 
         monkeypatch.setattr(trichotomy.hyperbolicity, "_check_spectral_constants",
                             lambda *args: calls.append(args))
-        monkeypatch.setattr(trichotomy.cli, "_build_kernel", counting_build)
+        monkeypatch.setattr(trichotomy.cli, "build_trichotomy", counting_build)
         assert run_cli([command, problem_path(name), "--out", tmp_path]) == 0
         assert len(kernels) == 2
         assert calls == []
@@ -584,10 +585,10 @@ def _rotation_with(tmp_path, a):
 
 
 class TestSuppliedProjectorIsVerified:
-    """A supplied P passes the same half-line check on each half as check-dichotomy's."""
+    """A supplied P, read as P(0), passes the one half-line check on each half, on every command."""
 
     @pytest.mark.parametrize("a", [3.0, 0.5])
-    @pytest.mark.parametrize("command", ["check-trichotomy", "solve-linear"])
+    @pytest.mark.parametrize("command", ["check-dichotomy", "check-trichotomy", "solve-linear"])
     def test_wrong_projector_is_a_certified_negative(self, tmp_path, capsys, command, a):
         out = tmp_path / "out"
         assert run_cli([command, _rotation_with(tmp_path, a), "--out", out]) == 2
@@ -606,12 +607,100 @@ class TestSuppliedProjectorIsVerified:
             "on the minus half exceeds SEED_TOL = 1e-05"
         )
 
-    def test_check_dichotomy_builds_one_family(self, tmp_path, monkeypatch):
+    def test_check_dichotomy_sweeps_each_half_line(self, tmp_path, monkeypatch):
+        # a dichotomy is the trichotomy with no center, swept half by half
         calls, half = [], trichotomy.hyperbolicity._build_half_family
         monkeypatch.setattr(trichotomy.hyperbolicity, "_build_half_family",
                             lambda *args: calls.append(args[1:3]) or half(*args))
         assert run_cli(["check-dichotomy", problem_path("rotation"), "--out", tmp_path]) == 0
-        assert calls == [(-10.0, 10.0)]
+        assert calls == [(0.0, 10.0), (-10.0, 0.0)]
+
+    @pytest.mark.parametrize("N, nu", [(5, 0.5), (1, 0.9)])
+    def test_true_projector_at_zero_certifies_a_dichotomy(self, tmp_path, capsys, N, nu):
+        # rotation's P(0) = diag(1, 0); the file gives no Q, so Q = I - P
+        data = json.loads(Path(problem_path("rotation")).read_text())
+        data["certificate"] = {"P": [[1, 0], [0, 0]], "N": N, "nu": nu}
+        prob = tmp_path / "true.json"
+        prob.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert run_cli(["check-dichotomy", prob, "--out", out]) == 0
+        # the supplied N holds on each half line, so N^2 holds across 0
+        assert f"  rank P = 1, N = {N * N:g}, nu = {nu:g}\n" in capsys.readouterr().out
+        cert = json.loads((out / "dichotomy.json").read_text())
+        assert cert["ok"] is True and (cert["N"], cert["nu"]) == (N * N, nu)
+        assert cert["report"]["N_half_line"] == N
+        assert cert["P"] == [[1.0, 0.0], [0.0, 0.0]]
+        assert cert["report"]["max_slack"] <= SLACK_TOL
+
+
+class TestDichotomyIsTrichotomyWithoutCenter:
+    """check-dichotomy certifies exactly where check-trichotomy finds no center."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_same_certificate_or_a_certified_negative(self, tmp_path, capsys, name):
+        tri, dich = tmp_path / "tri", tmp_path / "dich"
+        rc = run_cli(["check-trichotomy", name, "--out", tri])
+        capsys.readouterr()
+        rc_dich = run_cli(["check-dichotomy", name, "--out", dich])
+        printed = capsys.readouterr().out
+        t = json.loads((tri / "trichotomy.json").read_text()) if rc == 0 else None
+        if t is None or round(np.trace(np.asarray(t["P"]) @ np.asarray(t["Q"]))) != 0:
+            assert rc_dich == 2
+            assert json.loads((dich / "dichotomy.json").read_text())["ok"] is False
+            return
+        assert rc_dich == 0
+        d = json.loads((dich / "dichotomy.json").read_text())
+        # a swept N holds on each half line; across 0 its square does
+        N = t["N"] ** 2 if "seed_residual_plus" in t["report"] else t["N"]
+        assert (d["P"], d["N"], d["nu"]) == (t["P"], N, t["nu"])
+        rank = round(np.trace(np.asarray(t["P"])))
+        assert f"  rank P = {rank}, N = {N:.6g}, nu = {t['nu']:.6g}\n" in printed
+
+    def test_printed_constants_bound_a_pair_across_zero(self, tmp_path):
+        # x1' = (-1 + 4 exp(-t^2)) x1: a transient at 0 that each half line
+        # sees once and a pair (t, -t) sees twice
+        prob = tmp_path / "bump.json"
+        prob.write_text(json.dumps(minimal(dim=2, A=[["-1 + 4*exp(-t^2)", "0"], ["0", "1"]])))
+        out = tmp_path / "out"
+        assert run_cli(["check-dichotomy", prob, "--out", out]) == 0
+        d = json.loads((out / "dichotomy.json").read_text())
+        # the pairs (t, -t) at the integer anchors where the halves are checked;
+        # ln |Phi(t, -t) P(-t)| = -2t + 2 sqrt(pi) (erf(t) - erf(-t))
+        t = np.arange(1.0, 11.0)
+        log_g = -2.0 * t + 4.0 * np.sqrt(np.pi) * scipy.special.erf(t)
+        worst = float(np.max(log_g + 2.0 * t * d["nu"]))
+        assert worst > 2.0 * np.log(d["report"]["N_half_line"]) - 0.01
+        assert worst <= np.log(d["N"]) + 1e-6
+
+    def test_a_center_names_its_rank(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["check-dichotomy", "trich_tanh", "--out", out]) == 2
+        assert capsys.readouterr().out == (
+            "certified failure: no dichotomy on [-12, 12]: the certified trichotomy "
+            "has a centre of rank 1 (trace of R = PQ)\n"
+        )
+        data = json.loads((out / "dichotomy.json").read_text())
+        assert data["ok"] is False and "centre of rank 1" in data["reason"]
+
+    @pytest.mark.parametrize("command", ["check-dichotomy", "check-trichotomy", "solve-linear"])
+    def test_an_axis_eigenvalue_names_itself(self, tmp_path, capsys, command):
+        prob = tmp_path / "axis.json"
+        prob.write_text(json.dumps(minimal(dim=2, A=[["-1", "0"], ["0", "0"]],
+                                           f=["cos(t)", "0"])))
+        assert run_cli([command, prob, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().out == (
+            "certified failure: eigenvalue 0 of the constant A lies on the imaginary axis: "
+            "|Re lam| = 0 <= AXIS_TOL * max(1, ||A||_2) = 1e-08 (AXIS_TOL = 1e-08), "
+            "so no dichotomy has a rate above 1e-08\n"
+        )
+
+    def test_incompatible_halves_are_the_reason(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["check-dichotomy", "arctan", "--out", out]) == 2
+        assert "projections incompatible" in capsys.readouterr().out
+        assert "projections incompatible" in json.loads(
+            (out / "dichotomy.json").read_text())["reason"]
+        assert json.loads((out / "trichotomy.json").read_text())["ok"] is False
 
 
 class TestScanCommands:
@@ -659,6 +748,18 @@ class TestScanCommands:
         t = t[(t >= phi_scan.a - 1e-9) & (t <= phi_scan.b + 1e-9)]
         assert t.size > 100
         assert np.max(np.abs(phi_scan(t) - phi_semi(t))) <= 10 * data["tol"]
+
+    @pytest.mark.parametrize("command", ["rap-scan", "audit"])
+    def test_tau_range_is_checked_before_the_solve(self, tmp_path, monkeypatch, capsys,
+                                                   command):
+        calls = []
+        monkeypatch.setattr(trichotomy.cli, "build_trichotomy",
+                            lambda *args, **kwargs: calls.append(args))
+        rc = run_cli([command, "diag_cos", "--tau-range", "0.5:1e15:0.5", "--out", tmp_path])
+        assert rc == 1
+        assert f"more than the {trichotomy.rap._MAX_TAUS} a scan may hold" in (
+            capsys.readouterr().err)
+        assert calls == []
 
     def test_tau_scan_too_large_to_hold_is_an_error(self, tmp_path, capsys):
         rc = run_cli(["rap-scan", "diag_cos", "--tau-range", "0.5:1e15:0.5",

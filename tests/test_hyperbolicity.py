@@ -394,8 +394,10 @@ class TestBuildTrichotomy:
 
     def test_incompatible_halves_reported(self):
         A = CoefficientMatrix.from_strings([["atan(t)"]])
-        out = build_trichotomy(A, 12.0)
-        assert isinstance(out, TrichotomyIncompatibility)
+        with pytest.raises(TrichotomyIncompatibility) as info:
+            build_trichotomy(A, 12.0)
+        out = info.value
+        assert isinstance(out, NonHyperbolicError)
         assert not out.ok
         assert out.residual == pytest.approx(1.0, abs=1e-6)
         assert out.P_plus[0, 0] == pytest.approx(0.0, abs=1e-8)
@@ -519,8 +521,9 @@ class TestGreenKernel:
             cert = verify_dichotomy(rotor_A, np.diag([1.0, 0.0]), (0.0, 20.0), 1.0, 0.5)
             assert not cert.ok
         else:
-            cert = build_trichotomy(CoefficientMatrix.from_strings([["atan(t)"]]), 12.0)
-            assert isinstance(cert, TrichotomyIncompatibility)
+            with pytest.raises(TrichotomyIncompatibility) as info:
+                build_trichotomy(CoefficientMatrix.from_strings([["atan(t)"]]), 12.0)
+            cert = info.value
         with pytest.raises(ValueError, match="build_trichotomy"):
             GreenKernel(cert)
 
@@ -565,8 +568,9 @@ class TestSerialization:
 
     def test_incompatibility_serializes_both_projectors(self):
         A = CoefficientMatrix.from_strings([["atan(t)"]])
-        out = build_trichotomy(A, 12.0)
-        data = certificate_to_json(out)
+        with pytest.raises(TrichotomyIncompatibility) as info:
+            build_trichotomy(A, 12.0)
+        data = certificate_to_json(info.value)
         assert data["ok"] is False
         assert data["compatibility_residual"] == pytest.approx(1.0, abs=1e-6)
         assert data["P_plus"] == [[pytest.approx(0.0, abs=1e-8)]]
