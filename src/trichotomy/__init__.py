@@ -23,8 +23,11 @@ from .expr import (
 from .grid import GridFunction, write_csv
 from .propagator import (
     CoefficientMatrix,
+    ExactLeg,
+    MagnusLeg,
     PropagationError,
     TransitionOperator,
+    expm,
 )
 from .hyperbolicity import (
     DichotomyCertificate,
@@ -78,8 +81,11 @@ __all__ = [
     "GridFunction",
     "write_csv",
     "CoefficientMatrix",
+    "ExactLeg",
+    "MagnusLeg",
     "PropagationError",
     "TransitionOperator",
+    "expm",
     "DichotomyCertificate",
     "GreenKernel",
     "HyperbolicityError",

@@ -148,9 +148,10 @@ def _anchor_times(lo: float, hi: float) -> np.ndarray:
 
 
 def _leg_matrices(op: TransitionOperator, anchors: np.ndarray) -> np.ndarray:
+    """Phi(anchors[i + 1], anchors[i]) of every leg, its missing legs integrated in one batch."""
     n = op.A.n
-    legs = [op.solve_leg(s0, s1)(s1).reshape(n, n) for s0, s1 in zip(anchors[:-1], anchors[1:])]
-    return np.array(legs)
+    legs = op.solve_legs(zip(anchors[:-1], anchors[1:]))
+    return np.array([leg(s1).reshape(n, n) for leg, s1 in zip(legs, anchors[1:])])
 
 
 def _scaled_product_svd(mats):
@@ -646,6 +647,19 @@ def _check_spectral_constants(op, modes, rate, N, nu, T):
     return worst
 
 
+def _refuse_axis(lam, norm_A) -> float:
+    """min |Re lam| of a constant A's eigenvalues, refused when on the imaginary axis."""
+    rate = float(np.min(np.abs(lam.real)))
+    bound = AXIS_TOL * max(1.0, norm_A)
+    if rate <= bound:
+        axis = lam[int(np.argmin(np.abs(lam.real)))]
+        raise NonHyperbolicError(
+            f"eigenvalue {axis:.6g} of the constant A lies on the imaginary axis: "
+            f"|Re lam| = {rate:.3g} <= AXIS_TOL * max(1, ||A||_2) = {bound:.3g} "
+            f"(AXIS_TOL = {AXIS_TOL:g}), so no dichotomy has a rate above {bound:.3g}")
+    return rate
+
+
 def _closed_form(op, T, projectors=(), N=None, nu=None):
     """(modes, dichotomy certificate of P_s on [-T, T]) of a constant A, or None.
 
@@ -653,22 +667,20 @@ def _closed_form(op, T, projectors=(), N=None, nu=None):
     nu = min |Re lam| and N = max(1, N_cf), N_cf = max over classes c of
     ||V[:, c]|| ||V^-1[c, :]||.  An eigenvalue with |Re lam| <= AXIS_TOL *
     max(1, ||A||_2) is a certified negative: no dichotomy has a rate above
-    that bound.  Supplied ``projectors`` must be within ``SPECTRAL_TOL``
-    relative of P_s.  Supplied N >= N_cf with nu <= min |Re lam| follow from
+    that bound.  That refusal reads the eigenvalues alone, so it also covers
+    a constant A without ``op.eig`` (a defective one such as a Jordan
+    block), which is otherwise swept.  Supplied ``projectors`` must be
+    within ``SPECTRAL_TOL`` relative of P_s.  Supplied N >= N_cf with nu <= min |Re lam| follow from
     the bound ||e^{At} P|| <= N_cf e^{-nu t}; stronger ones pass
     :func:`_check_spectral_constants`, whose result the report keeps.
     """
     if op.eig is None:
+        if op.constant:
+            A0 = op.A.value(0.0)
+            _refuse_axis(np.linalg.eigvals(A0), float(np.linalg.norm(A0, 2)))
         return None
     V, lam, V_inv = op.eig
-    stable, rate = lam.real < 0.0, float(np.min(np.abs(lam.real)))
-    bound = AXIS_TOL * max(1.0, op.eig_health["norm_A"])
-    if rate <= bound:
-        axis = lam[int(np.argmin(np.abs(lam.real)))]
-        raise NonHyperbolicError(
-            f"eigenvalue {axis:.6g} of the constant A lies on the imaginary axis: "
-            f"|Re lam| = {rate:.3g} <= AXIS_TOL * max(1, ||A||_2) = {bound:.3g} "
-            f"(AXIS_TOL = {AXIS_TOL:g}), so no dichotomy has a rate above {bound:.3g}")
+    stable, rate = lam.real < 0.0, _refuse_axis(lam, op.eig_health["norm_A"])
     modes = (V, lam, V_inv, stable)
     P_s = (V[:, stable] @ V_inv[stable]).real
     dist = max((float(np.linalg.norm(M - P_s, 2)) for M in projectors), default=0.0)

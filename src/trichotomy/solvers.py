@@ -111,15 +111,13 @@ def _picard_window(phi0: GridFunction, Tc: float):
 def ode_residual(A, phi: GridFunction, f=None, F=None) -> np.ndarray:
     """Max-norm residual |phi' - A phi - f - F(., phi)| at each grid point.
 
-    The derivative is the grid's fourth-order finite difference.  A's n^2
-    entries are evaluated over the whole grid in one call, and so is F.
-    ``f`` is a GridFunction on phi's grid or None; ``F`` is a
-    :class:`LipschitzSpec` or None.
+    The derivative is the grid's fourth-order finite difference.  A is
+    evaluated over the whole grid by :meth:`CoefficientMatrix.values`, and F
+    in one call too.  ``f`` is a GridFunction on phi's grid or None; ``F``
+    is a :class:`LipschitzSpec` or None.
     """
     times, vals = phi.times, phi.values
-    entries = [e for row in A.entries for e in row]
-    A_grid = _grid_values(entries, {"t": times}, times.shape).reshape(-1, A.n, A.n)
-    res = phi.derivative_grid() - np.einsum("kij,kj->ki", A_grid, vals)
+    res = phi.derivative_grid() - np.einsum("kij,kj->ki", A.values(times), vals)
     if f is not None:
         res -= f.values
     if F is not None:
@@ -183,8 +181,8 @@ def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
     widths = np.diff(pts)
     nodes = pts[:-1, None] + np.outer(widths, (_GL_NODES + 1.0) / 2.0)
     wts = np.outer(widths, _GL_WEIGHTS / 2.0)
-    # one dense-output call for nodes and panel points: the leg's per-step
-    # interpolants are visited once
+    # one dense call for nodes and panel points: a Magnus leg takes all its
+    # partial steps in one batch
     D = sol(np.concatenate([nodes.ravel(), pts])).T.reshape(-1, n, n)
     D_inv = np.linalg.inv(D[: nodes.size]).reshape(*nodes.shape, n, n)
     cell = np.floor((pts[:-1] + 0.5 * widths - f.a) / f.h).astype(int)

@@ -17,10 +17,25 @@ from trichotomy import (
 from trichotomy.cli import bundled_problem_path, main as cli_main
 from trichotomy.expr import Bin, Num, Var, substitute
 from trichotomy.hyperbolicity import WindowTooSmall
+from trichotomy.propagator import ATOL, RTOL
 
 
 def problem_path(name: str) -> str:
     return str(bundled_problem_path(name))
+
+
+def rk45_leg(A, t0, t1):
+    """Reference leg of Y' = A(t) Y, Y(t0) = I: scipy's RK45 (Dormand-Prince)
+    with dense output at the propagator's ``RTOL``/``ATOL``, A read entry by
+    entry through ``CoefficientMatrix.value``."""
+    from scipy.integrate import solve_ivp
+
+    n = A.n
+    sol = solve_ivp(lambda t, y: (A.value(t) @ y.reshape(n, n)).reshape(-1), (t0, t1),
+                    np.eye(n).reshape(-1), method="RK45", rtol=RTOL, atol=ATOL,
+                    dense_output=True)
+    assert sol.success, sol.message
+    return sol.sol
 
 
 def shifted_coefficient(A, h):

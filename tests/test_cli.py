@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.special
 from conftest import problem_path, read_solution_csv, run_cli
 from hypothesis import example, given, settings
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 
 import trichotomy.cli
 import trichotomy.hyperbolicity
+import trichotomy.propagator
 import trichotomy.rap
 import trichotomy.solvers
 from trichotomy import CoefficientMatrix, build_trichotomy
@@ -420,23 +420,23 @@ class TestOneOperatorPerCommand:
     @pytest.mark.parametrize("name", ["rotation", "trich_tanh"])
     def test_one_operator_and_no_leg_integrated_twice(self, tmp_path, monkeypatch, name):
         built, spans, kernels = [], [], []
-        init, solve_ivp = TransitionOperator.__init__, scipy.integrate.solve_ivp
+        init, magnus_legs = TransitionOperator.__init__, trichotomy.propagator._magnus_legs
         build = trichotomy.cli.build_trichotomy
 
         def counting_init(self, A):
             built.append(A)
             init(self, A)
 
-        def counting_solve_ivp(fun, t_span, *args, **kwargs):
-            spans.append(tuple(t_span))
-            return solve_ivp(fun, t_span, *args, **kwargs)
+        def counting_magnus_legs(A, batch):
+            spans.extend(batch)
+            return magnus_legs(A, batch)
 
         def counting_build(op, S, **given):
             kernels.append(S)
             return build(op, S, **given)
 
         monkeypatch.setattr(TransitionOperator, "__init__", counting_init)
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+        monkeypatch.setattr(trichotomy.propagator, "_magnus_legs", counting_magnus_legs)
         monkeypatch.setattr(trichotomy.cli, "build_trichotomy", counting_build)
         assert run_cli(["solve-linear", problem_path(name), "--out", tmp_path]) == 0
         assert len(built) == 1
@@ -504,7 +504,9 @@ class TestConstantsCoverTheirWindow:
         assert run_cli([command, prob, "--out", out]) == 2
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("certified failure: certificate rejected: max slack = 0.648054 ")
-        assert "exceeds SLACK_TOL = 1e-06 at (t, tau) = (-1, 0)" in line
+        # 1/cosh(1) - e^-50 is the slack at both (1, 0) and (-1, 0); the
+        # legs' last bits pick which of the two tied pairs is printed
+        assert "exceeds SLACK_TOL = 1e-06 at (t, tau) = (1, 0)" in line
         assert not (out / "sol.csv").exists() and not (out / "trichotomy.json").exists()
 
     def test_grown_kernel_constants_are_fitted_on_the_grown_window(self, tmp_path):
@@ -687,6 +689,22 @@ class TestDichotomyIsTrichotomyWithoutCenter:
         prob = tmp_path / "axis.json"
         prob.write_text(json.dumps(minimal(dim=2, A=[["-1", "0"], ["0", "0"]],
                                            f=["cos(t)", "0"])))
+        assert run_cli([command, prob, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().out == (
+            "certified failure: eigenvalue 0 of the constant A lies on the imaginary axis: "
+            "|Re lam| = 0 <= AXIS_TOL * max(1, ||A||_2) = 1e-08 (AXIS_TOL = 1e-08), "
+            "so no dichotomy has a rate above 1e-08\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check-dichotomy", "check-trichotomy", "solve-linear"])
+    def test_a_jordan_block_on_the_axis_names_its_eigenvalue(self, tmp_path, capsys, command):
+        # [[0, 1], [0, 0]] has no eigendecomposition, so no closed form;
+        # its eigenvalues alone refuse it before any sweep
+        data = json.loads(Path(problem_path("diag_cos")).read_text())
+        data["A"] = [["0", "1"], ["0", "0"]]
+        prob = tmp_path / "jordan.json"
+        prob.write_text(json.dumps(data))
+        assert TransitionOperator(load_problem(prob).A).eig is None
         assert run_cli([command, prob, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().out == (
             "certified failure: eigenvalue 0 of the constant A lies on the imaginary axis: "

@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves; scipy loads only for RK45."""
+"""Package surface: every exported name resolves; no module or command loads scipy."""
 
 import ast
 import importlib
@@ -25,37 +25,29 @@ def test_exported_names_resolve(name):
     assert missing == []
 
 
-def _scipy_import_scopes(tree):
-    """Dotted class/function scope of every absolute scipy import in a module."""
-    scopes = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module]
-            else:
-                names = []
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                scopes.append(".".join(scope))
-            visit(child, scope)
-
-    visit(tree, [])
-    return scopes
+def _scipy_imports(tree):
+    """Line of every absolute scipy import in a module, at any depth."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return lines
 
 
-def test_scipy_is_imported_only_by_rk45_legs():
+def test_no_module_imports_scipy():
     package_dir = Path(trichotomy.__file__).resolve().parent
     found = [
-        f"{path.stem}.{scope}"
-        for path in sorted(package_dir.glob("*.py"))
-        for scope in _scipy_import_scopes(ast.parse(path.read_text(encoding="utf-8")))
+        f"{path.relative_to(package_dir)}:{line}"
+        for path in sorted(package_dir.rglob("*.py"))
+        for line in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert found == ["propagator.TransitionOperator.solve_leg"]
+    assert found == []
 
 
 SCIPY_PROBE = textwrap.dedent(
@@ -69,18 +61,20 @@ SCIPY_PROBE = textwrap.dedent(
     out = Path(sys.argv[1])
     import trichotomy.cli as cli
     assert scipy_modules() == [], scipy_modules()
-    for command, problem in (("solve-linear", "diag_cos"), ("solve-semilinear", "scalar_sin")):
-        assert cli.main([command, problem, "--out", str(out / problem)]) == 0
+    # constant A (exact legs), then time-dependent A (Magnus legs)
+    for command, problem, code in (("solve-linear", "diag_cos", 0),
+                                   ("solve-semilinear", "scalar_sin", 0),
+                                   ("solve-linear", "rotation", 0),
+                                   ("check-trichotomy", "trich_tanh", 0),
+                                   ("check-dichotomy", "arctan", 2)):
+        assert cli.main([command, problem, "--out", str(out / problem)]) == code
         assert scipy_modules() == [], (problem, scipy_modules())
-    # time-dependent A: RK45 legs import scipy.integrate on first use
-    assert cli.main(["solve-linear", "rotation", "--out", str(out / "rotation")]) == 0
-    assert "scipy.integrate" in sys.modules
     print("ok")
     """
 )
 
 
-def test_constant_coefficient_runs_never_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     package_dir = Path(trichotomy.__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

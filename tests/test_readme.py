@@ -9,6 +9,7 @@ import trichotomy
 import trichotomy.cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_python_blocks_run_in_order():
@@ -24,9 +25,18 @@ def test_command_table_lists_every_command():
     assert sorted(rows) == sorted(trichotomy.cli.COMMANDS)
 
 
+def _resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
 def test_api_surface_names_resolve():
     section = README.read_text().split("## API surface", 1)[1]
-    # a call such as `GreenKernel(cert)` names GreenKernel
+    # a call such as `GreenKernel(cert)` names GreenKernel; a dotted name
+    # such as `TransitionOperator.solve_legs` names a method
     names = re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", section)
     for name in names:
         if name == "trichotomy" or name.startswith("trichotomy."):
@@ -34,7 +44,24 @@ def test_api_surface_names_resolve():
     missing = [
         name for name in names
         if not name.startswith("trichotomy")
-        and not hasattr(trichotomy, name) and not hasattr(trichotomy.cli, name)
+        and not _resolves(trichotomy, name) and not _resolves(trichotomy.cli, name)
     ]
     assert missing == []
     assert "certificate_to_json" in names
+    assert {"TransitionOperator.solve_legs", "MagnusLeg", "expm"} <= set(names)
+
+
+def _requirement_names(block: str) -> list:
+    return sorted(re.findall(r'"([A-Za-z0-9_-]+)', block))
+
+
+def test_dependency_paragraph_matches_the_package_metadata():
+    pyproject = PYPROJECT.read_text()
+    runtime = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    test = re.search(r"^test = \[(.*?)\]", pyproject, re.M).group(1)
+    line = re.search(r"^Dependencies: (.*?)\. Tests additionally need (.*?) \(", README.read_text(),
+                     re.M | re.S)
+    listed = [re.split(r",\s*|\s+and\s+", group.replace("\n", " ")) for group in line.groups()]
+    assert sorted(listed[0]) == _requirement_names(runtime)
+    assert sorted(listed[1]) == _requirement_names(test)
+    assert "scipy" not in listed[0]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import OdeSolution
 
 import trichotomy.solvers
 from trichotomy.grid import GridFunction
@@ -18,7 +17,7 @@ from trichotomy.hyperbolicity import (
     _build_half_family,
     build_trichotomy,
 )
-from trichotomy.propagator import CoefficientMatrix, ExactLeg
+from trichotomy.propagator import CoefficientMatrix, ExactLeg, MagnusLeg
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
@@ -323,7 +322,7 @@ def swept(K):
 def count_dense_calls(monkeypatch):
     """A list that collects the point count of every dense call on either leg type."""
     calls = []
-    for leg_type in (OdeSolution, ExactLeg):
+    for leg_type in (MagnusLeg, ExactLeg):
         orig = leg_type.__call__
 
         def counted(sol, t, orig=orig):
@@ -336,7 +335,7 @@ def count_dense_calls(monkeypatch):
 
 class TestQuadraturePlan:
     def test_second_solve_makes_no_dense_evaluations(self, rotation_kernel, monkeypatch):
-        # a time-dependent A has RK45 legs, so its sweeps run on plans
+        # a time-dependent A has Magnus legs, so its sweeps run on plans
         K = fresh(rotation_kernel)
         assert K.modes is None
         f1 = GridFunction.from_callable(
