@@ -56,7 +56,7 @@ from .solvers import (
     picard_solve,
     solve_linear_bounded,
 )
-from .rap import _scan_taus, almost_period_scan, lagrange_report, solution_rap_audit
+from .rap import _tau_count, almost_period_scan, lagrange_report, solution_rap_audit
 
 __all__ = [
     "ProblemSpec",
@@ -517,8 +517,7 @@ def _single_eps(command, flags, default) -> float:
 
 
 def _solve_for_scan(spec, flags):
-    # the scan builds these taus again; building them first refuses an oversized range unsolved
-    _scan_taus(flags.tau_range[:2], flags.tau_range[2])
+    _tau_count(flags.tau_range[:2], flags.tau_range[2])  # refuse a bad range before solving
     if spec.F_exprs is not None:
         Fspec = _lipschitz_spec(spec)
         kernel, _, f = _solve_pipeline(spec, flags, margin_factor=2.0)

@@ -66,7 +66,8 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     ``maximum.reduceat`` takes each segment's max, and a running max over
     those columns gives every horizon.  NaN marks a horizon with no sample
     in the window; as T grows the sample sets shrink, so the NaNs of a row
-    fill its largest horizons.
+    fill its largest horizons.  A phi constant in t skips the spline: its
+    spline is that constant exactly, so every in-window residual is 0.
     """
     if side not in ("+", "-", "both"):
         raise ValueError(f"side must be '+', '-' or 'both', got {side!r}")
@@ -86,12 +87,16 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     minus_seg = np.searchsorted(cuts, count[minus]) - 1  # the one t[:count] ends
     table = np.full((taus.size, horizons.size), -np.inf)
     rows = max(1, _BLOCK_SAMPLES // m)
+    constant = not np.ptp(phi.values, axis=0).any()
     for lo in range(0, taus.size, rows):
         shifted = t + taus[lo : lo + rows, None]
         inside = (shifted <= phi.b + 1e-12) & (shifted >= phi.a - 1e-12)
-        # a shift out of the window is evaluated at t instead, then dropped
-        diff = np.linalg.norm(phi(np.where(inside, shifted, t)) - phi.values, axis=-1)
-        diff[~inside] = -np.inf
+        if constant:
+            diff = np.where(inside, 0.0, -np.inf)
+        else:
+            # a shift out of the window is evaluated at t instead, then dropped
+            diff = np.linalg.norm(phi(np.where(inside, shifted, t)) - phi.values, axis=-1)
+            diff[~inside] = -np.inf
         seg = np.maximum.reduceat(diff, cuts, axis=1)
         tail = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
         head = np.maximum.accumulate(seg, axis=1)
@@ -175,8 +180,8 @@ class RapReport:
                 writer.writerow(row)
 
 
-def _scan_taus(tau_range: tuple, tau_step: float) -> np.ndarray:
-    """The taus lo, lo + step, ... up to hi of a scan, at most ``_MAX_TAUS`` of them."""
+def _tau_count(tau_range: tuple, tau_step: float) -> int:
+    """How many taus lo, lo + step, ... up to hi a scan holds; at most ``_MAX_TAUS``."""
     if tau_step <= 0:
         raise ValueError("tau step must be positive")
     lo, hi = float(tau_range[0]), float(tau_range[1])
@@ -188,12 +193,12 @@ def _scan_taus(tau_range: tuple, tau_step: float) -> np.ndarray:
             f"tau range [{lo:g}, {hi:g}] at step {tau_step:g} holds {count} taus, "
             f"more than the {_MAX_TAUS} a scan may hold"
         )
-    return lo + tau_step * np.arange(count)
+    return count
 
 
 def _scan_table(phi: GridFunction, tau_range: tuple, tau_step: float, schedule, side: str):
     """The scanned taus, the sorted schedule and phi's residual table over them."""
-    taus = _scan_taus(tau_range, tau_step)
+    taus = float(tau_range[0]) + tau_step * np.arange(_tau_count(tau_range, tau_step))
     if phi.h > tau_step + 1e-12:
         raise ValueError(
             f"grid resolution {phi.h:g} is coarser than tau step {tau_step:g}"

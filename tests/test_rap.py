@@ -130,7 +130,8 @@ class TestResidualTable:
 
     @pytest.mark.parametrize("side", ["+", "-", "both"])
     @pytest.mark.parametrize(
-        "case", ["on_grid_taus", "three_components", "unsorted_schedule", "constant"]
+        "case",
+        ["on_grid_taus", "three_components", "unsorted_schedule", "constant", "two_constants"],
     )
     def test_more_inputs_match_masked_loop_bit_for_bit(self, planar, case, side):
         taus = -9.0 + 0.07 * np.arange(260)
@@ -151,8 +152,12 @@ class TestResidualTable:
         elif case == "unsorted_schedule":
             schedule = (10.0, 0.0, 20.0, 5.0)
             taus = np.concatenate([taus[130:], [0.0], taus[:130]])
-        else:
+        elif case == "constant":
             phi = GridFunction.from_callable(lambda t: 0.0 * t + 0.75, -15.0, 15.0, 0.02)
+        else:
+            phi = GridFunction.from_callable(
+                lambda t: np.stack([0.0 * t + 0.75, 0.0 * t - 2.5], axis=-1), -15.0, 15.0, 0.02
+            )
         table = rap._residual_table(phi, taus, schedule, side)
         # each entry depends on its own horizon only, so the reference runs
         # over the sorted schedule and its columns are put back in order
@@ -160,8 +165,25 @@ class TestResidualTable:
         ref = np.empty_like(table)
         ref[:, order] = _reference_table(phi, taus, np.asarray(schedule)[order], side)
         assert np.array_equal(table, ref, equal_nan=True)
-        if case == "constant":
+        if case in ("constant", "two_constants"):
             assert np.all(table[~np.isnan(table)] == 0.0)
+
+    def test_constant_input_skips_the_spline(self, planar, monkeypatch):
+        const = GridFunction.from_callable(
+            lambda t: np.stack([0.0 * t + 0.75, 0.0 * t - 2.5], axis=-1), -15.0, 15.0, 0.02
+        )
+        # one constant component is not enough
+        half = GridFunction(planar.a, planar.b, np.column_stack([const.values[:, 0],
+                                                                 planar.values[:, 1]]))
+        calls = []
+        spline = GridFunction.__call__
+        monkeypatch.setattr(GridFunction, "__call__",
+                            lambda gf, t, nu=0: calls.append(gf) or spline(gf, t, nu))
+        taus = -9.0 + 0.07 * np.arange(260)
+        rap._residual_table(const, taus, DEFAULT_T_SCHEDULE, "both")
+        assert calls == []
+        rap._residual_table(half, taus, DEFAULT_T_SCHEDULE, "both")
+        assert calls and all(gf is half for gf in calls)
 
     def test_blocks_bound_the_memory_of_a_long_grid(self):
         # 301 taus on m = 20,001 samples: the whole (taus, m) batch of

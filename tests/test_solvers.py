@@ -17,7 +17,7 @@ from trichotomy.hyperbolicity import (
     _build_half_family,
     build_trichotomy,
 )
-from trichotomy.propagator import CoefficientMatrix, ExactLeg, MagnusLeg
+from trichotomy.propagator import RTOL, CoefficientMatrix, ExactLeg, MagnusLeg
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
@@ -506,6 +506,126 @@ class TestModalQuadrature:
         P = np.array([[1.0, 0.5], [0.0, 0.0]])
         with pytest.raises(NonHyperbolicError, match="at distance 0.5 from the spectral"):
             build_trichotomy(saddle_A, 28.0, P=P, Q=np.eye(2) - P)
+
+
+RULE_GRIDS = [0.005, 0.02, 0.1, 0.25]
+
+
+def _rotating_saddle_leg(t0):
+    """Phi(s, t0) = R(6s) diag(e^{-2(s - t0)}, e^{2(s - t0)}) R(6 t0)^T, with R the rotation."""
+
+    def leg(s):
+        s = np.asarray(s, dtype=float)
+        c, d = np.cos(6.0 * s), np.sin(6.0 * s)
+        R = np.stack([np.stack([c, -d], -1), np.stack([d, c], -1)], -2)
+        E = np.exp(2.0 * np.multiply.outer(s - t0, [-1.0, 1.0]))
+        c0, d0 = np.cos(6.0 * t0), np.sin(6.0 * t0)
+        Y = (R * E[..., None, :]) @ np.array([[c0, d0], [-d0, c0]])
+        return Y.reshape(4) if s.ndim == 0 else Y.reshape(-1, 4).T
+
+    return leg
+
+
+def _tanh_leg(t0):
+    """Phi(s, t0) = diag(e^{-8(s - t0)}, e^{8(s - t0)}, cosh(8 t0) / cosh(8s))."""
+
+    def leg(s):
+        s = np.asarray(s, dtype=float)
+        d = np.stack([np.exp(-8.0 * (s - t0)), np.exp(8.0 * (s - t0)),
+                      np.cosh(8.0 * t0) / np.cosh(8.0 * s)], -1)
+        Y = d[..., :, None] * np.eye(3)
+        return Y.reshape(9) if s.ndim == 0 else Y.reshape(-1, 9).T
+
+    return leg
+
+
+EXACT_LEGS = {"rotation": _rotating_saddle_leg, "tanh": _tanh_leg}
+
+
+@pytest.fixture(scope="module")
+def fast_kernels():
+    """Kernels with |A| = 8, so h |A| reaches 2 at h = 0.25: the rotating saddle
+    R(6t) diag(-2, 2) R(6t)^T + 6J and diag(-8, 8, -8 tanh(8t)) on the plan path
+    (their legs in ``EXACT_LEGS``), and A = (-1 +- 8i, 6) in modes."""
+    rows = {
+        "rotation": [["-2*cos(12*t)", "-2*sin(12*t) - 6"], ["-2*sin(12*t) + 6", "2*cos(12*t)"]],
+        "tanh": [["-8", "0", "0"], ["0", "8", "0"], ["0", "0", "-8*tanh(8*t)"]],
+        "modal": [["-1", "8", "0"], ["-8", "-1", "0"], ["0", "0", "6"]],
+    }
+    return {name: GreenKernel(build_trichotomy(CoefficientMatrix.from_strings(r), 10.0))
+            for name, r in rows.items()}
+
+
+def use_16_nodes(monkeypatch):
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    monkeypatch.setattr(trichotomy.solvers, "_GL_NODES", nodes)
+    monkeypatch.setattr(trichotomy.solvers, "_GL_WEIGHTS", weights)
+
+
+def trig_forcing(n, h):
+    """Smooth forcing with one frequency per component on a grid of step h from -3.0013."""
+    w = 0.7 + 1.3 * np.arange(n)
+    a = -3.0013
+    f = GridFunction.from_callable(lambda t: np.cos(np.multiply.outer(t, w) + 0.3),
+                                   a, a + h * np.ceil(6.0026 / h), h)
+    assert f.h == pytest.approx(h, rel=1e-12)
+    return f
+
+
+def assert_plans_match_16_nodes(K, h, monkeypatch, rtol):
+    """Every plan on [-2.9937, 2.9911] against its 16-node twin.
+
+    Each block W_p of a panel is compared in units of h^p ||W_0||: the
+    moments of u/h in [0, 1], so each p is on the scale of W_0.
+    """
+    f = trig_forcing(K.n, h)
+    legs = trichotomy.solvers._leg_ranges(K.anchors, -2.9937, 2.9911)
+    assert len(legs) == 6
+    plans = [trichotomy.solvers._leg_plan(fresh(K), f, *leg) for leg in legs]
+    with monkeypatch.context() as m:
+        use_16_nodes(m)
+        refs = [trichotomy.solvers._leg_plan(fresh(K), f, *leg) for leg in legs]
+    for plan, ref in zip(plans, refs):
+        assert np.array_equal(plan.cell, ref.cell)
+        err = np.linalg.norm(plan.W - ref.W, axis=(-2, -1))
+        scale = np.linalg.norm(ref.W[:, :1], axis=(-2, -1)) * h ** np.arange(4)
+        assert np.max(err / scale) <= rtol
+
+
+class TestPanelRule:
+    """The 8-node panel rule against the 16-node one, whose remainder is ~1e-55 (h|A|)^32."""
+
+    @pytest.mark.parametrize("h", RULE_GRIDS)
+    @pytest.mark.parametrize("name", ["rotation", "tanh"])
+    def test_plan_moments_match_16_nodes(self, fast_kernels, name, h, monkeypatch):
+        # closed-form legs, so both rules integrate the same smooth D^-1
+        K = fast_kernels[name]
+        assert K.modes is None
+        monkeypatch.setattr(K.op, "solve_leg", lambda t0, t1: EXACT_LEGS[name](t0))
+        assert_plans_match_16_nodes(K, h, monkeypatch, 1e-13)
+
+    @pytest.mark.parametrize("h", RULE_GRIDS)
+    @pytest.mark.parametrize("name", ["rotation_kernel", "trich_kernel"])
+    def test_magnus_plan_moments_match_16_nodes(self, request, name, h, monkeypatch):
+        # A Magnus leg between its nodes is one partial step from the node
+        # below, smooth only within a step, so here the rules see different
+        # interpolation errors: up to 1.2e-12, far below the legs' RTOL.
+        K = request.getfixturevalue(name)
+        assert K.modes is None
+        assert_plans_match_16_nodes(K, h, monkeypatch, RTOL / 100)
+
+    @pytest.mark.parametrize("h", RULE_GRIDS)
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_modal_psi_matches_16_nodes(self, fast_kernels, direction, h, monkeypatch):
+        modes = fast_kernels["modal"].modes
+        assert modes is not None and np.max(np.abs(modes[1])) == pytest.approx(np.hypot(1, 8))
+        f = trig_forcing(3, h)
+        # both ends cut a panel, so the cut-panel sums are compared too
+        lo, hi = -2.9937, 2.9911
+        out = trichotomy.solvers._modal_sweep(modes, f, lo, hi, direction)
+        use_16_nodes(monkeypatch)
+        ref = trichotomy.solvers._modal_sweep(modes, f, lo, hi, direction)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestOdeResidual:
