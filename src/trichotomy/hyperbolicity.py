@@ -822,6 +822,9 @@ class GreenKernel:
         # plans of the solver sweeps when ``modes`` is None, built on first
         # use: (a0, a1, s0, s1, grid origin, grid step) -> plan of that leg clip
         self.plans = {}
+        # grid step h -> max ||A(t)||_1 sampled on the window at step h, which
+        # sizes the plans' panel rule
+        self.panel_scales = {}
 
     @property
     def n(self) -> int:

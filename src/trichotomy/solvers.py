@@ -16,18 +16,24 @@ built once per kernel, leg clip and grid as a plan, and reused by every
 later solve on that kernel: both sweeps, each Picard iterate and each eps
 of a continuation.
 
-Both paths integrate each grid panel by the one 8-node Gauss-Legendre rule
-``_GL_NODES``.  On a panel of width h the m-node rule errs by
-h^{2m+1} (m!)^4 / ((2m + 1) ((2m)!)^3) g^{(2m)} (Davis & Rabinowitz, Methods
-of Numerical Integration, 2nd ed., 1984, sec. 2.7).  The integrand g is a
-propagator times the forcing's cubic, so |g^{(2m)}| is about a^{2m} |g|,
-where a bounds |A| on the panel, and the relative error of m = 8 is about
-1.7e-23 (h a)^16: 1e-34 at h a = 0.2, and the legs' ``RTOL`` = 1e-9 only at
-h a = 7.3.  Long before that the fourth-order residual gate 10*tol refuses
-the solution, since its finite-difference error grows like (h a)^4.  A
-Magnus leg between its nodes is a partial step from the node below, smooth
-only within a step, so there the 8- and 16-node rules differ by the leg's
-interpolation error: up to about 1e-12, still far below ``RTOL``.
+Each grid panel is integrated by a Gauss-Legendre rule that
+:func:`_panel_rule` sizes from h*a.  On a panel of width h the m-node rule
+errs by h^{2m+1} c_m g^{(2m)} with c_m = (m!)^4 / ((2m + 1) ((2m)!)^3)
+(Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984,
+sec. 2.7).  The integrand g is a propagator times the forcing's cubic, so
+|g^{(2m)}| is about a^{2m} |g|, where a bounds |A| on the panel, and the
+relative error is about c_m (h a)^{2m}.  The rule takes the fewest nodes m
+in 4..16 with c_m (h a)^{2m} <= 2^-53: 4 nodes up to h a = 0.145, 8 up to
+2.67, 16 up to 16.  The plan path takes a as max ||A(t)||_1 sampled over the
+kernel's window at the grid step, once per kernel and step; the modal path
+takes max |lam|.  Above h a = 16 the 16-node rule stays, and the
+fourth-order residual gate 10*tol decides whether the solution stands; its
+finite-difference error grows like (h a)^4, so it refuses grids that coarse
+anyway.  Four nodes is the floor because a Magnus leg between its nodes is
+a partial step from the node below, smooth only within a step, so a rule
+also sees the leg's interpolation error: on a tanh trichotomy at h = 0.02
+its moments are 6e-13 off the 16-node ones at 4 nodes and 5e-10 at 3,
+against the legs' ``RTOL`` = 1e-9.
 
 The semilinear equation x' = A(t)x + f(t) + F(t, x) is solved by Picard
 iteration around the linear solution, which contracts at rate
@@ -37,6 +43,7 @@ alpha = 2*N*L/nu when the Lipschitz constant L of F is below nu/(2*N).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -60,7 +67,13 @@ __all__ = [
     "ode_residual",
 ]
 
-_GL_NODES, _GL_WEIGHTS = leggauss(8)
+# the largest h*a that the m-node Gauss-Legendre rule of a panel covers:
+# c_m (h a)^{2m} <= 2^-53 up to _GL_REACH[m]
+_GL_REACH = {
+    m: (2.0**-53 * (2 * m + 1) * math.factorial(2 * m) ** 3 / math.factorial(m) ** 4)
+    ** (1.0 / (2 * m))
+    for m in range(4, 17)
+}
 
 # Lipschitz sampling: 21 times on [-10, 10], point pairs in the cube of
 # half-width 2 around the origin
@@ -139,6 +152,36 @@ def ode_residual(A, phi: GridFunction, f=None, F=None) -> np.ndarray:
     return np.linalg.norm(res, axis=1)
 
 
+def _panel_rule(ha: float):
+    """Gauss-Legendre nodes and weights on [-1, 1] for a panel with h*a = ``ha``.
+
+    The fewest nodes m in 4..16 with c_m (h a)^{2m} <= 2^-53, and 16 nodes
+    when none meets it; see the module docstring.
+    """
+    return _gauss_legendre(next((m for m in range(4, 16) if ha <= _GL_REACH[m]), 16))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int):
+    """The m-node Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return leggauss(m)
+
+
+def _plan_rule(kernel: GreenKernel, h: float):
+    """The panel rule of the kernel's plans on a grid of step h.
+
+    a is max ||A(t)||_1 over the kernel's window sampled at step h, computed
+    once per kernel and step.
+    """
+    a = kernel.panel_scales.get(h)
+    if a is None:
+        lo, hi = kernel.window
+        t = np.linspace(lo, hi, math.ceil((hi - lo) / h) + 1)
+        norms = np.linalg.norm(kernel.A.values(t), 1, axis=(-2, -1))
+        a = kernel.panel_scales[h] = float(norms.max())
+    return _panel_rule(h * a)
+
+
 def _leg_ranges(anchors, lo, hi):
     """Consecutive-anchor legs intersecting [lo, hi], clipped."""
     out = []
@@ -184,7 +227,11 @@ class _LegPlan:
 
 
 def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
-    """The kernel's plan of leg (a0, a1) clipped to (s0, s1) on f's grid."""
+    """The kernel's plan of leg (a0, a1) clipped to (s0, s1) on f's grid.
+
+    Every panel takes the rule :func:`_plan_rule` sizes for the kernel and
+    f's grid step, so the plan key needs no rule of its own.
+    """
     key = (a0, a1, s0, s1, f.a, f.h)
     plan = kernel.plans.get(key)
     if plan is not None:
@@ -193,8 +240,9 @@ def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
     sol = kernel.op.solve_leg(a0, a1)
     pts = _panel_points(s0, s1, f.a, f.h)
     widths = np.diff(pts)
-    nodes = pts[:-1, None] + np.outer(widths, (_GL_NODES + 1.0) / 2.0)
-    wts = np.outer(widths, _GL_WEIGHTS / 2.0)
+    gl_nodes, gl_weights = _plan_rule(kernel, f.h)
+    nodes = pts[:-1, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
+    wts = np.outer(widths, gl_weights / 2.0)
     # one dense call for nodes and panel points: a Magnus leg takes all its
     # partial steps in one batch
     D = sol(np.concatenate([nodes.ravel(), pts])).T.reshape(-1, n, n)
@@ -248,9 +296,9 @@ def _modal_sweep(modes, f: GridFunction, lo, hi, direction):
     Each kept component (stable ones up, unstable ones down) is the scalar
     convolution of e^{lam (t - tau)} with the component of V^-1 f.  A
     whole grid panel adds sum_p c_p psi_p(lam), with the forcing's spline
-    coefficients c_p and psi_p taken by the 8-node Gauss-Legendre rule of
-    the leg panels; a first panel cut by ``lo`` (up) or ``hi`` (down) gets
-    its own 8-node sum.  The recurrence y_k = e^{lam h} y_{k-1} + b_k
+    coefficients c_p and psi_p taken by the :func:`_panel_rule` of
+    h max |lam|; a first panel cut by ``lo`` (up) or ``hi`` (down) gets its
+    own sum by the same rule.  The recurrence y_k = e^{lam h} y_{k-1} + b_k
     (e^{-lam h} downward) has |factor| < 1 in its direction of travel and
     runs as one :func:`_scan` over the grid.
     """
@@ -266,8 +314,9 @@ def _modal_sweep(modes, f: GridFunction, lo, hi, direction):
     i1 = min(_snap_index(hi, a, h, up=False), G.shape[1])
     if i1 < i0:
         return out
-    # the Gauss-Legendre rule on [0, 1]
-    x, gw = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
+    # the Gauss-Legendre rule on [0, 1], sized by h max |lam| over all modes
+    gl_nodes, gl_weights = _panel_rule(h * np.max(np.abs(modes[1])))
+    x, gw = (gl_nodes + 1.0) / 2.0, gl_weights / 2.0
     b = np.zeros((i1 - i0 + 1, lam.size), dtype=complex)
     if direction == "up":
         # b_k: panel [t_{k-1}, t_k] carried to t_k; b_{i0}: the cut panel [lo, t_{i0}]
@@ -343,10 +392,11 @@ def solve_linear_bounded(
 
     The integral is truncated at the analytic tail horizon T_cut where
     (N/nu) exp(-nu T_cut) ||f||_b <= tol/2 per side, and evaluated by
-    8-node Gauss-Legendre panels between grid points.  The output window
-    defaults to the forcing window shrunk by T_cut on each truncated side;
-    ``clamp_edges=True`` instead keeps the full forcing window and lets the
-    truncation degrade toward the edges (used by the Picard iteration, whose
+    Gauss-Legendre panels between grid points, of 4 to 16 nodes as
+    :func:`_panel_rule` sizes them from h times the size of A.  The output
+    window defaults to the forcing window shrunk by T_cut on each truncated
+    side; ``clamp_edges=True`` instead keeps the full forcing window and lets
+    the truncation degrade toward the edges (used by the Picard iteration, whose
     restriction step absorbs the edge error).  A fourth-order residual check
     |phi' - A phi - f| <= 10*tol guards the result, and when the output
     window contains 0 the center-component pin R phi(0) = 0 is enforced

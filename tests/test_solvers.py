@@ -1,6 +1,7 @@
 """Bounded linear/semilinear solvers, Picard iteration and eps continuation."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -556,10 +557,13 @@ def fast_kernels():
             for name, r in rows.items()}
 
 
-def use_16_nodes(monkeypatch):
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    monkeypatch.setattr(trichotomy.solvers, "_GL_NODES", nodes)
-    monkeypatch.setattr(trichotomy.solvers, "_GL_WEIGHTS", weights)
+def use_nodes(monkeypatch, m):
+    """Make both quadrature paths take the m-node rule, whatever h*a; returns
+    the list of h*a that the paths ask a rule for."""
+    rule = np.polynomial.legendre.leggauss(m)
+    asked = []
+    monkeypatch.setattr(trichotomy.solvers, "_panel_rule", lambda ha: asked.append(ha) or rule)
+    return asked
 
 
 def trig_forcing(n, h):
@@ -572,8 +576,30 @@ def trig_forcing(n, h):
     return f
 
 
-def assert_plans_match_16_nodes(K, h, monkeypatch, rtol):
-    """Every plan on [-2.9937, 2.9911] against its 16-node twin.
+def plans_and_nodes(K, f, legs, monkeypatch):
+    """The plans of ``legs`` on a fresh kernel, and the nodes per panel each took.
+
+    A plan evaluates its leg once, at m nodes in each panel and at the panel
+    points, so m is read off the size of that call.
+    """
+    K = fresh(K)
+    sizes = []
+    solve_leg = K.op.solve_leg
+
+    def counted(t0, t1):
+        sol = solve_leg(t0, t1)
+        return lambda s: sizes.append(np.size(s)) or sol(s)
+
+    with monkeypatch.context() as m:
+        m.setattr(K.op, "solve_leg", counted)
+        plans = [trichotomy.solvers._leg_plan(K, f, *leg) for leg in legs]
+    assert len(sizes) == len(plans)
+    nodes = [(size - 1) / plan.cell.size - 1 for size, plan in zip(sizes, plans)]
+    return plans, nodes
+
+
+def assert_plans_match_nodes(K, h, monkeypatch, rtol, ref_nodes=16):
+    """Every plan on [-2.9937, 2.9911] against its twin on the ``ref_nodes`` rule.
 
     Each block W_p of a panel is compared in units of h^p ||W_0||: the
     moments of u/h in [0, 1], so each p is on the scale of W_0.
@@ -581,19 +607,65 @@ def assert_plans_match_16_nodes(K, h, monkeypatch, rtol):
     f = trig_forcing(K.n, h)
     legs = trichotomy.solvers._leg_ranges(K.anchors, -2.9937, 2.9911)
     assert len(legs) == 6
-    plans = [trichotomy.solvers._leg_plan(fresh(K), f, *leg) for leg in legs]
+    plans, nodes = plans_and_nodes(K, f, legs, monkeypatch)
+    sized = len(trichotomy.solvers._plan_rule(fresh(K), h)[0])
+    assert nodes == [sized] * len(legs)
     with monkeypatch.context() as m:
-        use_16_nodes(m)
-        refs = [trichotomy.solvers._leg_plan(fresh(K), f, *leg) for leg in legs]
+        asked = use_nodes(m, ref_nodes)
+        refs, ref_counts = plans_and_nodes(K, f, legs, monkeypatch)
+    assert len(asked) == len(legs) and ref_counts == [ref_nodes] * len(legs)
     for plan, ref in zip(plans, refs):
         assert np.array_equal(plan.cell, ref.cell)
         err = np.linalg.norm(plan.W - ref.W, axis=(-2, -1))
         scale = np.linalg.norm(ref.W[:, :1], axis=(-2, -1)) * h ** np.arange(4)
         assert np.max(err / scale) <= rtol
+    return sized
+
+
+def _gl_constant(m):
+    """c_m of the m-node Gauss-Legendre remainder c_m (h a)^{2m}."""
+    return math.factorial(m) ** 4 / ((2 * m + 1) * math.factorial(2 * m) ** 3)
 
 
 class TestPanelRule:
-    """The 8-node panel rule against the 16-node one, whose remainder is ~1e-55 (h|A|)^32."""
+    """The sized panel rule against the 16-node one, whose remainder is ~1e-55 (h|A|)^32."""
+
+    @pytest.mark.parametrize(
+        "ha", [0.0, 1e-3, 0.03, 0.145, 0.146, 0.5, 1.0, 2.6, 2.7, 4.0, 8.8, 15.9, 16.1, 50.0]
+    )
+    def test_fewest_nodes_meeting_the_bound(self, ha):
+        nodes, weights = trichotomy.solvers._panel_rule(ha)
+        m = nodes.size
+        ref = np.polynomial.legendre.leggauss(m)
+        assert np.array_equal(nodes, ref[0]) and np.array_equal(weights, ref[1])
+        assert 4 <= m <= 16
+        if m < 16:
+            assert _gl_constant(m) * ha ** (2 * m) <= 2.0**-53
+        if m > 4:
+            assert _gl_constant(m - 1) * ha ** (2 * m - 2) > 2.0**-53
+
+    def test_monotone_from_4_to_16(self):
+        rule = trichotomy.solvers._panel_rule
+        counts = [rule(ha)[0].size for ha in np.geomspace(1e-6, 1e3, 3000)]
+        assert np.all(np.diff(counts) >= 0)
+        assert sorted(set(counts)) == list(range(4, 17))
+        assert rule(np.inf)[0].size == 16
+
+    @pytest.mark.parametrize("name", ["rotation_kernel", "trich_kernel"])
+    def test_cli_grid_takes_4_nodes_from_one_sample_of_A(self, request, name, monkeypatch):
+        K = fresh(request.getfixturevalue(name))
+        calls = []
+        values = K.A.values
+        monkeypatch.setattr(K.A, "values", lambda t: calls.append(np.ravel(t)) or values(t))
+        f = trig_forcing(K.n, 0.02)
+        for leg in trichotomy.solvers._leg_ranges(K.anchors, -2.9937, 2.9911):
+            trichotomy.solvers._leg_plan(K, f, *leg)
+        assert trichotomy.solvers._plan_rule(K, f.h)[0].size == 4
+        # the Magnus legs' own calls aside, A is sampled once, over the window
+        lo, hi = K.window
+        samples = np.linspace(lo, hi, round((hi - lo) / 0.02) + 1)
+        assert sum(t.size == samples.size and np.array_equal(t, samples) for t in calls) == 1
+        assert list(K.panel_scales) == [f.h]
 
     @pytest.mark.parametrize("h", RULE_GRIDS)
     @pytest.mark.parametrize("name", ["rotation", "tanh"])
@@ -602,17 +674,27 @@ class TestPanelRule:
         K = fast_kernels[name]
         assert K.modes is None
         monkeypatch.setattr(K.op, "solve_leg", lambda t0, t1: EXACT_LEGS[name](t0))
-        assert_plans_match_16_nodes(K, h, monkeypatch, 1e-13)
+        assert_plans_match_nodes(K, h, monkeypatch, 1e-13)
+
+    @pytest.mark.parametrize("h", [0.5, 1.0])
+    @pytest.mark.parametrize("name", ["rotation", "tanh"])
+    def test_coarse_grid_moments_match_40_nodes(self, fast_kernels, name, h, monkeypatch):
+        # h ||A||_1 from 4 to 8.8: a fixed 8-node rule errs by up to 1.3e-8 here
+        K = fast_kernels[name]
+        monkeypatch.setattr(K.op, "solve_leg", lambda t0, t1: EXACT_LEGS[name](t0))
+        sized = assert_plans_match_nodes(K, h, monkeypatch, 1e-13, ref_nodes=40)
+        assert 9 <= sized < 16
 
     @pytest.mark.parametrize("h", RULE_GRIDS)
     @pytest.mark.parametrize("name", ["rotation_kernel", "trich_kernel"])
     def test_magnus_plan_moments_match_16_nodes(self, request, name, h, monkeypatch):
         # A Magnus leg between its nodes is one partial step from the node
         # below, smooth only within a step, so here the rules see different
-        # interpolation errors: up to 1.2e-12, far below the legs' RTOL.
+        # interpolation errors: up to 8.8e-12 (5 nodes at h = 0.25), and
+        # 5.9e-13 at the CLI's h = 0.02, where 3 nodes would give 4.8e-10.
         K = request.getfixturevalue(name)
         assert K.modes is None
-        assert_plans_match_16_nodes(K, h, monkeypatch, RTOL / 100)
+        assert_plans_match_nodes(K, h, monkeypatch, RTOL / 100)
 
     @pytest.mark.parametrize("h", RULE_GRIDS)
     @pytest.mark.parametrize("direction", ["up", "down"])
@@ -623,8 +705,10 @@ class TestPanelRule:
         # both ends cut a panel, so the cut-panel sums are compared too
         lo, hi = -2.9937, 2.9911
         out = trichotomy.solvers._modal_sweep(modes, f, lo, hi, direction)
-        use_16_nodes(monkeypatch)
+        asked = use_nodes(monkeypatch, 16)
         ref = trichotomy.solvers._modal_sweep(modes, f, lo, hi, direction)
+        # one rule per sweep, sized by h max |lam|
+        assert asked == [pytest.approx(h * np.hypot(1, 8))]
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
