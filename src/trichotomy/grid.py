@@ -3,6 +3,7 @@
 GridFunction is the common currency of the solver and diagnostic modules: a
 window ``[a, b]``, a uniform step ``h`` and an array of samples, with cubic
 interpolation between samples and the sup-norm taken as the max over samples.
+A value asked for at a grid point is that point's sample, read by index.
 
 The interpolant is the not-a-knot cubic spline (the one scipy's CubicSpline
 builds by default; two samples give the line, three the parabola).  On a
@@ -95,6 +96,11 @@ class GridFunction:
 
         ``t`` is a scalar or an array; the result has shape ``t.shape + (n,)``.
         Evaluation is strict on bounds, up to a relative slack of 1e-9.
+        Values follow one knot rule: a point within 1e-9 of a step of a grid
+        point returns that grid point's sample exactly, and a call whose
+        points all lie on the grid reads the samples by index without
+        building the spline.  Other points, and every ``nu=1`` query, take
+        the cubic.
         """
         if nu not in (0, 1):
             raise ValueError("nu must be 0 or 1")
@@ -104,8 +110,18 @@ class GridFunction:
             raise ValueError(
                 f"evaluation at t outside window [{self.a}, {self.b}]"
             )
-        C, h = self.coeffs, self.h
-        k = np.clip((t - self.a) / h, 0, C.shape[1] - 1).astype(np.intp)
+        h = self.h
+        x = (t - self.a) / h
+        if nu == 0:
+            nearest = np.rint(x)
+            knot = np.abs(x - nearest) <= 1e-9
+            samples = self.values.take(
+                np.clip(nearest, 0, self.values.shape[0] - 1).astype(np.intp), axis=0
+            )
+            if knot.all():
+                return samples
+        C = self.coeffs
+        k = np.clip(x, 0, C.shape[1] - 1).astype(np.intp)
         # u broadcast over the components of each gathered (points, n) row
         u = (np.clip(t, self.a, self.b) - (self.a + k * h))[..., None]
         if nu == 0:
@@ -114,6 +130,7 @@ class GridFunction:
                 out += C[p].take(k, axis=0)
                 out *= u
             out += C[0].take(k, axis=0)
+            np.copyto(out, samples, where=knot[..., None])
         else:
             out = 3.0 * C[3].take(k, axis=0) * u
             out += 2.0 * C[2].take(k, axis=0)

@@ -11,10 +11,12 @@ Every report reads one residual table per function: the sup of
 |phi(t + tau) - phi(t)| beyond each horizon, for every scanned tau, built
 once.  The residuals do not depend on eps, so each eps of a scan or of an
 audit's ladder is only a threshold on that table.  The table is built in
-blocks of taus sized to stay in cache: one spline evaluation per block at
-every shifted grid time, then one segment max per horizon cut of the grid,
-whatever the tau, so the table is the same one the per-tau formula gives,
-bit for bit.
+blocks of taus sized to stay in cache: per block, phi at every shifted grid
+time, then one segment max per horizon cut of the grid, whatever the tau.
+A block whose taus are all whole multiples of the grid step reads the
+shifted samples by index; any other block evaluates phi.  GridFunction's
+knot rule makes phi at a grid point its sample exactly, so either way the
+table is the same one the per-tau formula gives, bit for bit.
 
 The module also provides an empirical Lagrange stability report
 (boundedness plus modulus of continuity) and a compatibility audit
@@ -54,13 +56,33 @@ _BLOCK_SAMPLES = 8192
 _MAX_TAUS = 10**6
 
 
+def _component_norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, squares summed in component order.
+
+    The same bits as ``np.linalg.norm(d, axis=-1)``, whose reduction along a
+    short last axis costs about five times as much on two components.  From
+    8 components on numpy sums in unrolled blocks of 8, so its norm is kept.
+    """
+    if d.shape[-1] >= 8:
+        return np.linalg.norm(d, axis=-1)
+    sq = d[..., 0] * d[..., 0]
+    for i in range(1, d.shape[-1]):
+        sq += d[..., i] * d[..., i]
+    return np.sqrt(sq)
+
+
 def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     """Sup of |phi(t + tau) - phi(t)| beyond each horizon, one row per tau.
 
     Shape (len(taus), len(schedule)).  The taus are taken in blocks of about
-    ``_BLOCK_SAMPLES`` shifted samples: per block, phi is evaluated once at
+    ``_BLOCK_SAMPLES`` shifted samples: per block, phi is taken once at
     t + tau for every grid time t and tau of the block, and a shift that
-    leaves the window scores -inf, which no norm beats.  The samples beyond
+    leaves the window scores -inf, which no norm beats.  When every tau of a
+    block is within 0.5e-9 steps of a whole number j of grid steps, phi at
+    t[k] + tau is read as ``phi.values[k + j]``: each shifted time is then
+    within 1e-9 of a step of grid point k + j, where GridFunction's knot
+    rule returns that sample exactly, so the index read equals the
+    evaluation bit for bit.  Other blocks evaluate phi.  The samples beyond
     a horizon are t[first:] for t >= T ('+') and t[:count] for t <= -T ('-')
     whatever tau is, so the horizons cut the grid into a few segments; one
     ``maximum.reduceat`` takes each segment's max, and a running max over
@@ -88,14 +110,22 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     table = np.full((taus.size, horizons.size), -np.inf)
     rows = max(1, _BLOCK_SAMPLES // m)
     constant = not np.ptp(phi.values, axis=0).any()
+    steps = taus / phi.h
+    whole = np.rint(steps)
+    on_grid = np.abs(steps - whole) <= 0.5e-9
     for lo in range(0, taus.size, rows):
         shifted = t + taus[lo : lo + rows, None]
         inside = (shifted <= phi.b + 1e-12) & (shifted >= phi.a - 1e-12)
         if constant:
             diff = np.where(inside, 0.0, -np.inf)
         else:
-            # a shift out of the window is evaluated at t instead, then dropped
-            diff = np.linalg.norm(phi(np.where(inside, shifted, t)) - phi.values, axis=-1)
+            if on_grid[lo : lo + rows].all():
+                index = np.arange(m) + whole[lo : lo + rows, None].astype(np.intp)
+                moved = phi.values.take(np.clip(index, 0, m - 1), axis=0)
+            else:
+                # a shift out of the window is evaluated at t instead
+                moved = phi(np.where(inside, shifted, t))
+            diff = _component_norm(moved - phi.values)
             diff[~inside] = -np.inf
         seg = np.maximum.reduceat(diff, cuts, axis=1)
         tail = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
@@ -302,7 +332,7 @@ def lagrange_report(phi: GridFunction) -> LagrangeReport:
     for delta in ladder:
         k = int(round(delta / h))
         for j in range(steps + 1, k + 1):
-            d = float(np.linalg.norm(vals[j:] - vals[:-j], axis=1).max())
+            d = float(_component_norm(vals[j:] - vals[:-j]).max())
             w = max(w, d)
         steps = k
         omega.append(w)

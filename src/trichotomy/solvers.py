@@ -399,8 +399,9 @@ def solve_linear_bounded(
     the truncation degrade toward the edges (used by the Picard iteration, whose
     restriction step absorbs the edge error).  A fourth-order residual check
     |phi' - A phi - f| <= 10*tol guards the result, and when the output
-    window contains 0 the center-component pin R phi(0) = 0 is enforced
-    within tol.
+    window contains 0 and the certificate has a centre (rank round(trace R)
+    at least 1) the center-component pin R phi(0) = 0 is enforced within
+    tol.
     """
     cert = K.cert
     N, nu = cert.N, cert.nu
@@ -453,8 +454,11 @@ def solve_linear_bounded(
             raise AccuracyError(
                 f"linear solve residual {worst:.3g} exceeds 10*tol = {10 * tol:.3g}"
             )
-    if out_lo <= 0.0 <= out_hi:
-        pin = float(np.linalg.norm(cert.R @ phi(0.0)))
+    # without a centre, R = PQ is rounding alone, and the pin would measure
+    # that rounding times |phi(0)|
+    R = cert.R
+    if out_lo <= 0.0 <= out_hi and round(np.trace(R)):
+        pin = float(np.linalg.norm(R @ phi(0.0)))
         if pin > tol:
             raise AccuracyError(
                 f"center-component pin R phi(0) = {pin:.3g} exceeds tol"

@@ -121,6 +121,49 @@ class TestSplineOracle:
         assert self.rel_err(gf.derivative_grid(), ref(gf.times, 1)) <= 1e-12
 
 
+class TestKnotRule:
+    """Values at grid points are the samples themselves, read by index."""
+
+    @staticmethod
+    def grids(n):
+        h = 2.0**-6
+        dyadic = GridFunction(-h * 1300, h * 1300,
+                              1e4 * np.random.default_rng(n).normal(size=(2601, n)))
+        rounded = GridFunction.from_callable(
+            lambda t: 1e4 * np.stack([np.sin(3 * t), t * np.cos(t), np.exp(-t * t)][:n], -1),
+            -13.0, 13.0, 0.01,
+        )
+        return dyadic, rounded
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_grid_points_return_the_samples(self, n):
+        for gf in self.grids(n):
+            assert np.array_equal(gf(gf.times), gf.values)
+            assert np.array_equal(gf(gf.times[-1]), gf.values[-1])  # scalar, last sample
+            near = gf.times[:-1] + 0.5e-9 * gf.h  # inside the 1e-9-step tolerance
+            assert np.array_equal(gf(near), gf.values[:-1])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_points_off_the_grid_take_the_spline(self, n):
+        for gf in self.grids(n):
+            t = gf.times[:-1] + 1e-6 * gf.h
+            ref = CubicSpline(gf.times, gf.values, axis=0)(t)
+            assert TestSplineOracle.rel_err(gf(t), ref) <= 1e-12
+            # mixed with grid points, each point keeps its own rule
+            mixed = np.stack([t, gf.times[1:]], axis=-1)
+            got = gf(mixed)
+            assert np.array_equal(got[:, 0], gf(t))
+            assert np.array_equal(got[:, 1], gf.values[1:])
+
+    def test_grid_point_query_builds_no_spline(self):
+        gf = GridFunction.from_callable(np.sin, -5.0, 5.0, 0.02)
+        assert np.array_equal(gf(0.0), gf.values[250])
+        gf(gf.times[::7])
+        assert gf._coeffs is None
+        gf(0.011)
+        assert gf._coeffs is not None
+
+
 class TestRestrict:
     def test_restriction_is_grid_aligned(self):
         gf = sine_pair(-3.0, 3.0, 0.01)

@@ -185,6 +185,23 @@ class TestResidualTable:
         rap._residual_table(half, taus, DEFAULT_T_SCHEDULE, "both")
         assert calls and all(gf is half for gf in calls)
 
+    def test_whole_step_shifts_read_the_samples(self, planar, monkeypatch):
+        calls = []
+        spline = GridFunction.__call__
+        monkeypatch.setattr(GridFunction, "__call__",
+                            lambda gf, t, nu=0: calls.append(gf) or spline(gf, t, nu))
+        rap._residual_table(planar, 0.5 + 0.02 * np.arange(301), DEFAULT_T_SCHEDULE, "both")
+        assert calls == []
+        # every other tau of a 0.03 step is off the grid
+        rap._residual_table(planar, -9.0 + 0.03 * np.arange(600), DEFAULT_T_SCHEDULE, "both")
+        assert calls and all(gf is planar for gf in calls)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_component_norm_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.normal(size=(6, 1501, n)) * 10.0 ** rng.integers(-8, 8, size=(6, 1501, n))
+        assert np.array_equal(rap._component_norm(d), np.linalg.norm(d, axis=-1))
+
     def test_blocks_bound_the_memory_of_a_long_grid(self):
         # 301 taus on m = 20,001 samples: the whole (taus, m) batch of
         # shifted norms alone would take 48 MB
