@@ -23,9 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GridFunction", "write_csv"]
+__all__ = ["GridFunction", "KNOT_STEPS", "write_csv"]
 
 _RHO = 2.0 - np.sqrt(3.0)
+
+# knot rule of GridFunction.__call__: a value asked for within this many grid
+# steps of a grid point is that point's sample
+KNOT_STEPS = 1e-9
 
 
 class GridFunction:
@@ -96,11 +100,11 @@ class GridFunction:
 
         ``t`` is a scalar or an array; the result has shape ``t.shape + (n,)``.
         Evaluation is strict on bounds, up to a relative slack of 1e-9.
-        Values follow one knot rule: a point within 1e-9 of a step of a grid
-        point returns that grid point's sample exactly, and a call whose
-        points all lie on the grid reads the samples by index without
-        building the spline.  Other points, and every ``nu=1`` query, take
-        the cubic.
+        Values follow one knot rule: a point within ``KNOT_STEPS`` (1e-9) of
+        a step of a grid point returns that grid point's sample exactly, and a
+        call whose points all lie on the grid reads the samples by index
+        without building the spline.  Other points, and every ``nu=1`` query,
+        take the cubic.
         """
         if nu not in (0, 1):
             raise ValueError("nu must be 0 or 1")
@@ -112,14 +116,15 @@ class GridFunction:
             )
         h = self.h
         x = (t - self.a) / h
+        samples = None
         if nu == 0:
             nearest = np.rint(x)
-            knot = np.abs(x - nearest) <= 1e-9
-            samples = self.values.take(
-                np.clip(nearest, 0, self.values.shape[0] - 1).astype(np.intp), axis=0
-            )
-            if knot.all():
-                return samples
+            knot = np.abs(x - nearest) <= KNOT_STEPS
+            if knot.any():  # gathered only for a call with a point on the grid
+                index = np.clip(nearest, 0, self.values.shape[0] - 1).astype(np.intp)
+                samples = self.values.take(index, axis=0)
+                if knot.all():
+                    return samples
         C = self.coeffs
         k = np.clip(x, 0, C.shape[1] - 1).astype(np.intp)
         # u broadcast over the components of each gathered (points, n) row
@@ -130,7 +135,8 @@ class GridFunction:
                 out += C[p].take(k, axis=0)
                 out *= u
             out += C[0].take(k, axis=0)
-            np.copyto(out, samples, where=knot[..., None])
+            if samples is not None:
+                np.copyto(out, samples, where=knot[..., None])
         else:
             out = 3.0 * C[3].take(k, axis=0) * u
             out += 2.0 * C[2].take(k, axis=0)

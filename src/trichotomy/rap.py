@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import KNOT_STEPS, GridFunction
 from .hyperbolicity import WindowTooSmall
 
 __all__ = [
@@ -78,9 +78,10 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     ``_BLOCK_SAMPLES`` shifted samples: per block, phi is taken once at
     t + tau for every grid time t and tau of the block, and a shift that
     leaves the window scores -inf, which no norm beats.  When every tau of a
-    block is within 0.5e-9 steps of a whole number j of grid steps, phi at
-    t[k] + tau is read as ``phi.values[k + j]``: each shifted time is then
-    within 1e-9 of a step of grid point k + j, where GridFunction's knot
+    block is within half of ``KNOT_STEPS`` grid steps of a whole number j of
+    grid steps, phi at t[k] + tau is read as ``phi.values[k + j]``, which
+    skips the knot test of every shifted time: each of them is within
+    ``KNOT_STEPS`` of a step of grid point k + j, where GridFunction's knot
     rule returns that sample exactly, so the index read equals the
     evaluation bit for bit.  Other blocks evaluate phi.  The samples beyond
     a horizon are t[first:] for t >= T ('+') and t[:count] for t <= -T ('-')
@@ -112,7 +113,9 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     constant = not np.ptp(phi.values, axis=0).any()
     steps = taus / phi.h
     whole = np.rint(steps)
-    on_grid = np.abs(steps - whole) <= 0.5e-9
+    # half the knot tolerance, so the rounding of t + tau keeps each shifted
+    # time of an index block inside GridFunction's knot rule
+    on_grid = np.abs(steps - whole) <= 0.5 * KNOT_STEPS
     for lo in range(0, taus.size, rows):
         shifted = t + taus[lo : lo + rows, None]
         inside = (shifted <= phi.b + 1e-12) & (shifted >= phi.a - 1e-12)
