@@ -275,11 +275,67 @@ class Flags:
     side: str = "both"
 
 
+_CONTAINERS = (dict, list, tuple)
+
+# compact encoders whose item separator starts a line at 2 * depth spaces, by
+# depth: a flat container's items through one such encoder are its indent=2
+# text without the line breaks after its opening and before its closing bracket
+_ENCODERS = {}
+
+
+def _encoder(depth: int) -> json.JSONEncoder:
+    enc = _ENCODERS.get(depth)
+    if enc is None:
+        enc = _ENCODERS[depth] = json.JSONEncoder(
+            separators=(",\n" + "  " * depth, ": "), default=float)
+    return enc
+
+
+def _flat(values) -> bool:
+    return not any(isinstance(v, _CONTAINERS) for v in values)
+
+
+def _json_text(o, depth: int = 0) -> str:
+    """``json.dumps(o, indent=2, default=float)``, built from C encoder calls.
+
+    With an indent, ``json`` runs its pure-Python encoder token by token;
+    without one it runs the C encoder.  A flat container (no dict, list or
+    tuple inside) is one call of ``_encoder(depth + 1)``, with the two line
+    breaks at its brackets put back.  A list of non-empty flat dicts is one
+    call of ``_encoder(depth + 2)``, split into its dicts on ``"}" + sep +
+    "{"``: JSON escapes a newline inside a string, so a raw newline, and with
+    it that split string, occurs only in a separator between two dicts.  Only
+    the levels above are joined here, each key through the encoder (as
+    ``{key: 0}``, so a non-str key is written as ``json`` writes it).
+    """
+    if not isinstance(o, _CONTAINERS):
+        return _encoder(depth).encode(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    values = o.values() if isinstance(o, dict) else o
+    if _flat(values):
+        text = _encoder(depth + 1).encode(o)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(o, dict):
+        keys = _encoder(depth + 1)
+        items = [keys.encode({k: 0})[1:-4] + ": " + _json_text(v, depth + 1) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if all(isinstance(v, dict) and v and _flat(v.values()) for v in o):
+        enc = _encoder(depth + 2)
+        row = "\n" + "  " * (depth + 2)
+        rows = enc.encode(o)[2:-2].split("}" + enc.item_separator + "{")
+        items = ["{" + row + r + inner + "}" for r in rows]
+    else:
+        items = [_json_text(v, depth + 1) for v in o]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
 def _write_json(out_dir, name, data) -> str:
+    """Write ``data`` as ``json.dump(data, fh, indent=2, default=float)`` does, plus a newline."""
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, default=float)
-        fh.write("\n")
+        fh.write(_json_text(data) + "\n")
     return path
 
 

@@ -23,13 +23,31 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GridFunction", "KNOT_STEPS", "write_csv"]
+__all__ = ["GridFunction", "KNOT_STEPS", "component_norm", "write_csv", "write_rows"]
 
 _RHO = 2.0 - np.sqrt(3.0)
 
 # knot rule of GridFunction.__call__: a value asked for within this many grid
 # steps of a grid point is that point's sample
 KNOT_STEPS = 1e-9
+
+# rows of a CSV block: one % operation formats a block
+_CSV_BLOCK_ROWS = 512
+
+
+def component_norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, squares summed in component order.
+
+    The same bits as ``np.linalg.norm(d, axis=-1)``, whose reduction along a
+    short last axis costs about five times as much on two components.  From
+    8 components on numpy sums in unrolled blocks of 8, so its norm is kept.
+    """
+    if d.shape[-1] >= 8:
+        return np.linalg.norm(d, axis=-1)
+    sq = d[..., 0] * d[..., 0]
+    for i in range(1, d.shape[-1]):
+        sq += d[..., i] * d[..., i]
+    return np.sqrt(sq)
 
 
 class GridFunction:
@@ -86,7 +104,7 @@ class GridFunction:
     @property
     def sup_norm(self) -> float:
         """Max over samples of the euclidean vector norm."""
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(np.max(component_norm(self.values)))
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -218,10 +236,24 @@ def _spline_coeffs(y: np.ndarray, h: float) -> np.ndarray:
     return np.stack([y[:-1], s[:-1], (d - s[:-1]) / h - t, t / h])
 
 
+def write_rows(fh, rows: np.ndarray, fmt: str, newline: str = "\n", nan: str = "nan") -> None:
+    """Write a 2-D float array as comma-separated lines, each cell as ``fmt % x``.
+
+    The text is the one a per-row ``",".join([fmt] * ncols) % tuple(row)``
+    gives.  Rows go in blocks of ``_CSV_BLOCK_ROWS``: one ``%`` with the line
+    format repeated over the block's flat values, so the lists built stay a
+    block long.  A NaN cell, which ``%g`` writes as ``nan``, is written as
+    the text ``nan`` instead; no other ``%g`` cell contains those letters.
+    """
+    line = ",".join([fmt] * rows.shape[1]) + newline
+    for lo in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+        block = rows[lo : lo + _CSV_BLOCK_ROWS]
+        text = (line * block.shape[0]) % tuple(block.ravel().tolist())
+        fh.write(text if nan == "nan" else text.replace("nan", nan))
+
+
 def write_csv(path, gf: GridFunction) -> None:
     """Write ``t, x1..xn`` rows with 17 significant digits."""
-    fmt = ",".join(["%.17g"] * (gf.dim + 1)) + "\n"
-    rows = np.column_stack([gf.times, gf.values]).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(f"x{i+1}" for i in range(gf.dim)) + "\n")
-        fh.writelines(fmt % tuple(r) for r in rows)
+        write_rows(fh, np.column_stack([gf.times, gf.values]), "%.17g")

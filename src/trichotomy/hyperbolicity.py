@@ -578,22 +578,20 @@ class TrichotomyCertificate:
 
     def identity_residuals(self) -> dict:
         P, Q = self.P, self.Q
-        n = P.shape[0]
-        eye = np.eye(n)
+        eye = np.eye(P.shape[0])
         parts = [eye - Q, eye - P, P @ Q]
-        res = {
-            "commute": float(np.linalg.norm(P @ Q - Q @ P, 2)),
-            "cover": float(np.linalg.norm(P + Q - P @ Q - eye, 2)),
-            "sum": float(np.linalg.norm(sum(parts) - eye, 2)),
+        # the three identities, then each product of parts against itself
+        # (i = j) or 0; all twelve 2-norms in one batched call
+        stack = [P @ Q - Q @ P, P + Q - P @ Q - eye, sum(parts) - eye]
+        stack += [a @ b - (a if i == j else 0.0)
+                  for i, a in enumerate(parts) for j, b in enumerate(parts)]
+        norms = np.linalg.norm(np.stack(stack), 2, axis=(1, 2))
+        return {
+            "commute": float(norms[0]),
+            "cover": float(norms[1]),
+            "sum": float(norms[2]),
+            "orthogonality": float(norms[3:].max()),
         }
-        cross = 0.0
-        for i in range(3):
-            for j in range(3):
-                prod = parts[i] @ parts[j]
-                expect = parts[i] if i == j else np.zeros((n, n))
-                cross = max(cross, float(np.linalg.norm(prod - expect, 2)))
-        res["orthogonality"] = cross
-        return res
 
 
 class TrichotomyIncompatibility(NonHyperbolicError):
@@ -615,15 +613,18 @@ class TrichotomyIncompatibility(NonHyperbolicError):
 def _check_spectral_constants(op, modes, rate, N, nu, T):
     """Reject supplied (N, nu) that a constant A's exact decay violates.
 
-    nu may exceed the spectral rate by at most cond(V) * delta, the
-    Bauer-Fike radius of the numerical eigenvalues.  N must bound
+    nu may exceed the spectral rate by at most cond(V) * (delta + eps ||A||_2):
+    the Bauer-Fike radius of the numerical eigenvalues, plus the rounding
+    of those eigenvalues themselves, which delta (computed from them in
+    floating point) cannot see.  N must bound
     h(s) = ||e^{As} P|| e^{nu s} and ||e^{-As} (I - P)|| e^{nu s} within
     SLACK_TOL at 2001 separations s on [0, 2T], geometrically spaced to
     resolve the transient.  Returns the largest slack (h(s) - N) e^{-nu s}
     and its pair (stable from tau = -T, unstable from tau = T).
     """
     V, lam, V_inv, stable = modes
-    radius = op.eig_health["cond_V"] * op.eig_health["eig_residual"]
+    health = op.eig_health
+    radius = health["cond_V"] * (health["eig_residual"] + np.finfo(float).eps * health["norm_A"])
     if nu > rate + radius:
         raise NonHyperbolicError(
             f"supplied certificate rejected: nu = {nu:.6g} exceeds the spectral "

@@ -26,13 +26,12 @@ that produced it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import KNOT_STEPS, GridFunction
+from .grid import KNOT_STEPS, GridFunction, component_norm, write_rows
 from .hyperbolicity import WindowTooSmall
 
 __all__ = [
@@ -54,21 +53,6 @@ _BLOCK_SAMPLES = 8192
 
 # a scan holds one row of residuals per tau, so its tau count is capped
 _MAX_TAUS = 10**6
-
-
-def _component_norm(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, squares summed in component order.
-
-    The same bits as ``np.linalg.norm(d, axis=-1)``, whose reduction along a
-    short last axis costs about five times as much on two components.  From
-    8 components on numpy sums in unrolled blocks of 8, so its norm is kept.
-    """
-    if d.shape[-1] >= 8:
-        return np.linalg.norm(d, axis=-1)
-    sq = d[..., 0] * d[..., 0]
-    for i in range(1, d.shape[-1]):
-        sq += d[..., i] * d[..., i]
-    return np.sqrt(sq)
 
 
 def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
@@ -102,8 +86,11 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     first = np.searchsorted(t, horizons - 1e-12)  # first t >= T
     count = np.searchsorted(t, -horizons + 1e-12, side="right")  # t <= -T
-    cuts = np.unique(np.concatenate([first, count, [0]]))
-    cuts = cuts[cuts < m]  # segment j is t[cuts[j]:cuts[j + 1]]
+    # segment j is t[cuts[j]:cuts[j + 1]]; a mask, not np.unique, which
+    # imports numpy.ma on its first call
+    starts = np.zeros(m + 1, dtype=bool)
+    starts[first] = starts[count] = starts[0] = True
+    cuts = np.flatnonzero(starts[:m])
     plus = (first < m) & (side != "-")
     minus = (count > 0) & (side != "+")
     plus_seg = np.searchsorted(cuts, first[plus])  # the segment t[first:] starts
@@ -128,7 +115,7 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
             else:
                 # a shift out of the window is evaluated at t instead
                 moved = phi(np.where(inside, shifted, t))
-            diff = _component_norm(moved - phi.values)
+            diff = component_norm(moved - phi.values)
             diff[~inside] = -np.inf
         seg = np.maximum.reduceat(diff, cuts, axis=1)
         tail = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
@@ -181,13 +168,12 @@ class RapReport:
     two_sided: bool
 
     def to_json(self) -> dict:
-        curves = []
-        for i, tau in enumerate(self.tau_values):
-            row = {"tau": float(tau)}
-            for j, T in enumerate(self.schedule):
-                v = self.residuals[i, j]
-                row[f"T_{T:g}"] = None if math.isnan(v) else float(v)
-            curves.append(row)
+        """The report as JSON data; a curve row maps ``tau`` and ``T_<T>`` to floats, None for NaN."""
+        keys = ["tau"] + [f"T_{T:g}" for T in self.schedule]
+        cells = self.residuals.astype(object)
+        cells[np.isnan(self.residuals)] = None
+        curves = [dict(zip(keys, [tau, *row]))
+                  for tau, row in zip(self.tau_values.tolist(), cells.tolist())]
         return {
             "eps": self.eps,
             "side": self.side,
@@ -201,16 +187,16 @@ class RapReport:
         }
 
     def write_csv(self, path) -> None:
-        """Residual curves as CSV: one row per tau, one column per horizon."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau"] + [f"T_{T:g}" for T in self.schedule])
-            for i, tau in enumerate(self.tau_values):
-                row = [f"{tau:.12g}"]
-                for j in range(len(self.schedule)):
-                    v = self.residuals[i, j]
-                    row.append("" if math.isnan(v) else f"{v:.12g}")
-                writer.writerow(row)
+        """Residual curves as CSV: one row per tau, one column per horizon.
+
+        Cells carry 12 significant digits, rows end in ``\\r\\n`` as
+        ``csv.writer`` ends them, and an unsupported horizon (NaN) is an
+        empty cell.
+        """
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(["tau"] + [f"T_{T:g}" for T in self.schedule]) + "\r\n")
+            write_rows(fh, np.column_stack([self.tau_values, self.residuals]),
+                       "%.12g", "\r\n", nan="")
 
 
 def _tau_count(tau_range: tuple, tau_step: float) -> int:
@@ -335,7 +321,7 @@ def lagrange_report(phi: GridFunction) -> LagrangeReport:
     for delta in ladder:
         k = int(round(delta / h))
         for j in range(steps + 1, k + 1):
-            d = float(_component_norm(vals[j:] - vals[:-j]).max())
+            d = float(component_norm(vals[j:] - vals[:-j]).max())
             w = max(w, d)
         steps = k
         omega.append(w)

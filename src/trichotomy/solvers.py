@@ -52,7 +52,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .expr import EvalError, eval_expr, free_vars, parse
-from .grid import GridFunction
+from .grid import GridFunction, component_norm
 from .hyperbolicity import GreenKernel, WindowTooSmall
 
 __all__ = [
@@ -149,7 +149,7 @@ def ode_residual(A, phi: GridFunction, f=None, F=None) -> np.ndarray:
         res -= f.values
     if F is not None:
         res -= F.on_grid(times, vals)
-    return np.linalg.norm(res, axis=1)
+    return component_norm(res)
 
 
 def _panel_rule(ha: float):
@@ -494,9 +494,9 @@ def _sampled_lipschitz_ratio(exprs, draws, seed):
     times = np.repeat(_SAMPLE_TIMES, draws)
     x, y = pairs[:, 0], pairs[:, 1]
     Fx, Fy = (_grid_values(exprs, _state_env(times, p), times.shape) for p in (x, y))
-    dxy = np.linalg.norm(x - y, axis=1)
+    dxy = component_norm(x - y)
     keep = dxy >= 1e-12
-    return float(np.max(np.linalg.norm(Fx - Fy, axis=1)[keep] / dxy[keep], initial=0.0))
+    return float(np.max(component_norm(Fx - Fy)[keep] / dxy[keep], initial=0.0))
 
 
 class LipschitzSpec:
@@ -529,7 +529,7 @@ class LipschitzSpec:
 
     def _validate(self):
         zeros = self.on_grid(_SAMPLE_TIMES, np.zeros((_SAMPLE_TIMES.size, self.n)))
-        worst_zero = float(np.linalg.norm(zeros, axis=1).max())
+        worst_zero = float(component_norm(zeros).max())
         worst_ratio = _sampled_lipschitz_ratio(self.exprs, 8, seed=0)
         if worst_zero > 1e-12:
             raise ValueError(
@@ -640,7 +640,7 @@ def picard_solve(
             psi_next = solve_linear_bounded(
                 K, g, tol=tol, clamp_edges=True, check_residual=False
             ).values
-            delta = float(np.linalg.norm(psi_next - psi, axis=1).max())
+            delta = float(component_norm(psi_next - psi).max())
         if not math.isfinite(delta):
             raise _divergence(k, last_delta, alpha, f"sup|psi_{k} - psi_{k - 1}| is not finite")
         if last_delta is not None and last_delta > 1e-300:
@@ -674,7 +674,7 @@ def picard_solve(
         raise AccuracyError(
             f"semilinear solve residual {res:.3g} exceeds 10*tol"
         )
-    measured = float(np.linalg.norm(phi.values - phi0_r.values, axis=1).max())
+    measured = float(component_norm(phi.values - phi0_r.values).max())
     r_bound = _deviation_bound(N, nu, Fspec.L, fnorm)
     if not measured <= r_bound * (1.0 + 1e-6):
         raise AccuracyError(
@@ -712,7 +712,7 @@ def epsilon_continuation(K, f, Fspec, eps_list, tol: float = 1e-6):
             return e, phi0_full.restrict(*_picard_window(phi0_full, Tc)), 0.0
         phi, _ = picard_solve(K, f, Fspec.scaled(e), tol=tol, _phi0=phi0_full)
         phi0_r = phi0_full.restrict(phi.a, phi.b)
-        dev = float(np.linalg.norm(phi.values - phi0_r.values, axis=1).max())
+        dev = float(component_norm(phi.values - phi0_r.values).max())
         return e, phi, dev
 
     return [one(e) for e in eps_list]

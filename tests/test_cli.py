@@ -789,6 +789,67 @@ class TestScanCommands:
         assert "Traceback" not in err
 
 
+    def test_one_shot_scan_imports_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call (13-17 ms a process)
+        package_dir = Path(trichotomy.__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_dir.parent), env.get("PYTHONPATH")])
+        )
+        code = ("import sys; from trichotomy.cli import main; "
+                "rc = main(['rap-scan', 'diag_cos', '--out', sys.argv[1]]); "
+                "sys.exit(rc or ('numpy.ma' in sys.modules and 'numpy.ma imported'))")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "rap_report.json").exists()
+
+
+# JSON leaves as the artifacts hold them, plus the text that could fool a
+# split on "}" + separator + "{": braces, commas, quotes, newlines, non-ASCII
+_json_text_st = st.text(st.sampled_from('ab}{[],:" \n\t\\\u00e9\u2603'), max_size=6)
+_json_leaf = st.one_of(
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    _json_text_st,
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_json_text_st, inner, max_size=4),
+        st.lists(st.dictionaries(_json_text_st, _json_leaf, min_size=1, max_size=4),
+                 min_size=1, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonArtifacts:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_value)
+    @example({"c": [{"tau": 0.5, "T_5": None, "s": "x},\n  {"}, {"tau": -0.0, "T_5": 1e300}]})
+    @example({"a": {"b": [float("nan"), float("inf"), -float("inf")]}, "e": {}, "f": [[], ()]})
+    # keys json converts: a float, an int, None and a bool, above nested values
+    @example({1.5: {"a": [1]}, 3: [{"b": 2}], None: [[]], True: {"z": (2,)}})
+    def test_text_is_indent_2_json(self, data):
+        assert trichotomy.cli._json_text(data) == json.dumps(data, indent=2, default=float)
+
+    def test_written_reports_are_indent_2_json(self, tmp_path):
+        assert run_cli(["rap-scan", "diag_cos", "--tau-range", "0.5:6.5:0.02",
+                        "--out", tmp_path]) == 0
+        assert run_cli(["audit", "atan_forced", "--out", tmp_path]) == 0
+        for name in ("rap_report.json", "lagrange.json", "audit.json"):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 class TestMainInterface:
     def test_unknown_command_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as exc:

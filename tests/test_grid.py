@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from trichotomy.grid import GridFunction, write_csv
+from trichotomy.grid import _CSV_BLOCK_ROWS, GridFunction, component_norm, write_csv
 
 
 def sine_pair(a=-3.0, b=3.0, step=0.01):
@@ -206,22 +206,37 @@ class TestCsv:
         last = lines[-1].split(",")
         assert float(last[2]) == 1.0 / 3.0  # 17 significant digits round-trip
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_rows_match_per_value_formatting(self, tmp_path, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 7])
+    def test_rows_match_per_value_formatting(self, tmp_path, n, rows):
         rng = np.random.default_rng(n)
-        values = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-300, 300, (400, n))
+        values = rng.standard_normal((rows + 1, n)) * 10.0 ** rng.uniform(-300, 300, (rows + 1, n))
         big = np.finfo(float).max
         specials = [0.0, -0.0, 5e-324, -2.5e-310, big, -big, 1.0 / 3.0]
-        values.flat[: len(specials)] = specials
+        values.flat[: len(specials)] = specials[: values.size]
         gf = GridFunction(-3.7, 11.3, values)
         path = tmp_path / "sol.csv"
         write_csv(path, gf)
-        # the per-value writer this one replaced
-        expected = "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n" + "".join(
-            ",".join(f"{v:.17g}" for v in (t, *row)) + "\n"
-            for t, row in zip(gf.times, gf.values)
-        )
-        assert path.read_text() == expected
+        # the per-row writer this one replaced
+        fmt = ",".join(["%.17g"] * (n + 1)) + "\n"
+        expected = ["t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"] + [
+            fmt % tuple(r) for r in np.column_stack([gf.times, gf.values]).tolist()
+        ]
+        got = path.read_bytes().decode().splitlines(keepends=True)
+        assert len(got) == len(expected)
+        assert [i for i, (a, b) in enumerate(zip(got, expected)) if a != b] == []
+
+
+class TestComponentNorm:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_component_norm_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.normal(size=(6, 1501, n)) * 10.0 ** rng.integers(-8, 8, size=(6, 1501, n))
+        assert np.array_equal(component_norm(d), np.linalg.norm(d, axis=-1))
+
+    def test_sup_norm_is_the_max_row_norm(self):
+        gf = sine_pair()
+        assert gf.sup_norm == np.max(np.linalg.norm(gf.values, axis=1))
 
 
 @settings(max_examples=50, deadline=None)

@@ -379,6 +379,17 @@ class TestClosedFormCertificate:
         with pytest.raises(NonHyperbolicError, match="nu = 1.5 exceeds the spectral rate .* = 1 "):
             build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=5.0, nu=1.5)
 
+    def test_rounding_allowance_rejects_a_nu_just_above_the_rate(self):
+        # the rate is 1 and the allowance cond(V) (delta + eps ||A||) about
+        # 1e-14, so a nu 1e-9 above the rate is refused, whatever N is supplied
+        A = CoefficientMatrix.from_strings([["-1", "8"], ["0", "1"]])
+        P = np.array([[1.0, -4.0], [0.0, 0.0]])
+        op = build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=4.2, nu=0.9).op
+        health = op.eig_health
+        assert health["cond_V"] * (health["eig_residual"] + 2.3e-16 * health["norm_A"]) < 1e-13
+        with pytest.raises(NonHyperbolicError, match="exceeds the spectral rate"):
+            build_trichotomy(A, 12.0, P=P, Q=np.eye(2) - P, N=1e6, nu=1.0 + 1e-9)
+
 
 class TestBuildTrichotomy:
     def test_tanh_three_way_split(self, trich_kernel):

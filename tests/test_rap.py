@@ -1,5 +1,8 @@
 """Remote-almost-periodicity diagnostics, Lagrange reports, audits."""
 
+import csv
+import io
+import json
 import math
 import tracemalloc
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trichotomy import rap
-from trichotomy.grid import GridFunction
+from trichotomy.grid import _CSV_BLOCK_ROWS, GridFunction
 from trichotomy.hyperbolicity import WindowTooSmall
 from trichotomy.rap import (
     DEFAULT_T_SCHEDULE,
@@ -18,6 +21,13 @@ from trichotomy.rap import (
     remote_period_residual,
     solution_rap_audit,
 )
+
+
+def _mismatched_lines(got: bytes, expected: bytes) -> list:
+    """Indices of the lines that differ, plus a marker when the counts differ."""
+    a, b = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    return [i for i, (x, y) in enumerate(zip(a, b)) if x != y] + (
+        [] if len(a) == len(b) else [f"{len(a)} lines, expected {len(b)}"])
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +206,6 @@ class TestResidualTable:
         rap._residual_table(planar, -9.0 + 0.03 * np.arange(600), DEFAULT_T_SCHEDULE, "both")
         assert calls and all(gf is planar for gf in calls)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_component_norm_matches_numpy(self, n):
-        rng = np.random.default_rng(n)
-        d = rng.normal(size=(6, 1501, n)) * 10.0 ** rng.integers(-8, 8, size=(6, 1501, n))
-        assert np.array_equal(rap._component_norm(d), np.linalg.norm(d, axis=-1))
-
     def test_blocks_bound_the_memory_of_a_long_grid(self):
         # 301 taus on m = 20,001 samples: the whole (taus, m) batch of
         # shifted norms alone would take 48 MB
@@ -277,6 +281,41 @@ class TestScan:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "tau,T_5,T_10,T_20,T_40"
         assert len(lines) == 1 + len(rep.tau_values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 7])
+    def test_csv_and_json_match_the_per_row_writers(self, tmp_path, n, rows):
+        rng = np.random.default_rng(n)
+        schedule = tuple(float(T) for T in rng.uniform(0.0, 50.0, n))
+        residuals = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-300, 300, (rows, n))
+        residuals[rng.random((rows, n)) < 0.2] = math.nan
+        residuals.flat[:2] = [-0.0, 5e-324][: residuals.size]
+        taus = 0.5 + 0.02 * np.arange(rows)
+        rep = rap.RapReport(eps=0.1, side="both", schedule=schedule, tau_values=taus,
+                            residuals=residuals, accepted=[], L_hat={}, ell_hat=math.inf,
+                            not_relatively_dense=True, two_sided=True)
+        path = tmp_path / "residuals.csv"
+        rep.write_csv(path)
+        # the csv.writer rows these writers replaced
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["tau"] + [f"T_{T:g}" for T in schedule])
+        for i, tau in enumerate(taus):
+            writer.writerow([f"{tau:.12g}"] + ["" if math.isnan(v) else f"{v:.12g}"
+                                               for v in residuals[i]])
+        assert _mismatched_lines(path.read_bytes(), buf.getvalue().encode()) == []
+        curves = []
+        for i, tau in enumerate(taus):
+            row = {"tau": float(tau)}
+            for j, T in enumerate(schedule):
+                v = residuals[i, j]
+                row[f"T_{T:g}"] = None if math.isnan(v) else float(v)
+            curves.append(row)
+        got = rep.to_json()["residual_curves"]
+        assert len(got) == len(curves)
+        assert [i for i, (a, b) in enumerate(zip(got, curves))
+                if json.dumps(a) != json.dumps(b) or list(map(type, a.values()))
+                != list(map(type, b.values()))] == []
 
     def test_bad_parameters_rejected(self, sine):
         with pytest.raises(ValueError):

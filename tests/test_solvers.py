@@ -484,6 +484,11 @@ class TestModalQuadrature:
     # which is rounding alone here, read 1.62e-9 and 2.14e-9 against tol 1e-9
     @example((5, 3.0, (0.0, 0.0, 0.0), 1.0, False, 0, 1.0))
     @example((48, 3.0, (0.0, 0.0, 0.0), 1.0, False, 0, 1.0))
+    # rates 1 and nu = 1 supplied: the stored A's numerical rate falls
+    # 6.7e-16 and 3.3e-16 below nu, beyond the Bauer-Fike radius alone
+    # (5.65e-16 and 2.6e-16) but within cond(V) (delta + eps ||A||)
+    @example((2478206, 0.0, (0.0, 0.0, 0.0), 1.0, False, 0, 1.0))
+    @example((134217729, 0.0, (0.0, 0.0, 0.0), 1.0, False, 0, 1.0))
     def test_matches_closed_form(self, case):
         K, f, exact = modal_problem(case, tol=1e-9)
         assert K.modes is not None
