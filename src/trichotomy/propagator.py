@@ -10,17 +10,17 @@ the flattened n*n matrix, an array of k times gives shape (n*n, k)):
   (s - t0)) V^-1, whose rounding error (about cond(V) * machine eps <= 2e-10)
   stays below the integrator's tolerance.  One eigendecomposition per operator.
 * Magnus legs otherwise (time-dependent A, or a defective or
-  ill-conditioned constant A such as a Jordan block): the fourth-order
-  Magnus method with two Gauss points (Iserles and Norsett, Phil. Trans.
-  R. Soc. A 357, 1999; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009).
-  A step of length h from t is Y <- exp(Omega) Y with
-  Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 (A2 A1 - A1 A2), where
-  A1, A2 = A(t + (1/2 -+ sqrt(3)/6) h).  The steps are independent given A
+  ill-conditioned constant A such as a Jordan block): the sixth-order
+  Magnus method with three Gauss points (Blanes, Casas and Ros, BIT 40,
+  2000; Iserles, Munthe-Kaas, Norsett and Zanna, Acta Numerica 9, 2000).
+  A step of length h from t is Y <- exp(Omega) Y, with Omega built from A
+  at t + (1/2 -+ sqrt(15)/10) h and t + h/2 by two nested commutators
+  (:func:`_magnus_steps`).  The steps are independent given A
   at the Gauss points, so :meth:`TransitionOperator.solve_legs` integrates
   every missing leg of a sweep in one batch: A is evaluated over one time
   array (:meth:`CoefficientMatrix.values`) and the step exponentials by one
   batched :func:`expm`.  Each leg takes ``FIRST_STEPS`` uniform steps, then
-  twice as many; a leg whose Richardson estimate |Y_2M - Y_M| / 15 at the
+  twice as many; a leg whose Richardson estimate |Y_2M - Y_M| / 63 at the
   shared nodes exceeds ``ATOL`` + ``RTOL`` |Y_2M| (entrywise, 1e-12 and
   1e-9) is doubled again, up to ``MAX_STEPS``.  Between nodes a leg takes
   one partial Magnus step from the node below.  No scipy is needed.
@@ -61,8 +61,8 @@ MAX_STEPS = 4096
 # Magnus steps per batch slice, which bounds a batch's working memory
 _BATCH_STEPS = 2**15
 
-# Gauss-Legendre points of the fourth-order Magnus step, as fractions of h
-_GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+# Gauss-Legendre points of the sixth-order Magnus step, as fractions of h
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 # diagonal Pade approximants of exp: degree -> (coefficients b_j, largest
 # 1-norm at which the approximant is exact to unit roundoff), from Higham,
 # SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3
@@ -176,12 +176,30 @@ class ExactLeg:
 
 
 def _magnus_steps(A: CoefficientMatrix, starts, h) -> np.ndarray:
-    """exp(Omega) of the Magnus steps of length ``h`` from ``starts`` (broadcast)."""
+    """exp(Omega) of the sixth-order Magnus steps of length ``h`` from ``starts`` (broadcast).
+
+    With A1, A2, A3 = A at the Gauss points ``_GAUSS`` of each step,
+    a1 = h A2, a2 = sqrt(15)/3 h (A3 - A1), a3 = 10/3 h (A3 - 2 A2 + A1),
+    C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1] / 60, the step's exponent is
+    Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240
+    (Blanes, Casas and Ros, BIT 40, 2000).  A leg's integration steps and
+    the partial steps of its dense output both come from here.
+    """
     starts, h = np.broadcast_arrays(np.asarray(starts, dtype=float), np.asarray(h, dtype=float))
     Ag = A.values(starts[..., None] + h[..., None] * _GAUSS)
-    A1, A2 = Ag[..., 0, :, :], Ag[..., 1, :, :]
+    A1, A2, A3 = Ag[..., 0, :, :], Ag[..., 1, :, :], Ag[..., 2, :, :]
     h = h[..., None, None]
-    return expm(0.5 * h * (A1 + A2) + (math.sqrt(3.0) / 12.0) * h * h * (A2 @ A1 - A1 @ A2))
+    a1 = h * A2
+    a2 = (math.sqrt(15.0) / 3.0) * h * (A3 - A1)
+    a3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
+    C1 = _bracket(a1, a2)
+    C2 = _bracket(a1, 2.0 * a3 + C1) / -60.0
+    return expm(a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0)
+
+
+def _bracket(X, Y) -> np.ndarray:
+    """The commutator XY - YX of every matrix pair of two stacks."""
+    return X @ Y - Y @ X
 
 
 def _magnus_nodes(A: CoefficientMatrix, t0, t1, M: int) -> np.ndarray:
@@ -229,7 +247,8 @@ def _magnus_legs(A: CoefficientMatrix, spans) -> list:
             raise PropagationError(f"Magnus leg [{t0[leg]:.6g}, {t1[leg]:.6g}] overflowed",
                                    t0[leg])
         shared = fine[:, ::2]
-        est = np.abs(shared - coarse) / 15.0
+        # the step is sixth order: Y_M - Y_2M is about 2^6 - 1 times Y_2M's error
+        est = np.abs(shared - coarse) / 63.0
         excess = (est - (ATOL + RTOL * np.abs(shared))).reshape(len(active), -1)
         done = excess.max(axis=1) <= 0.0
         for i in np.flatnonzero(done):

@@ -404,6 +404,21 @@ class TestCheckCommands:
         out = tmp_path / "out"
         assert run_cli([command, prob, "--out", out]) == 2
 
+    @pytest.mark.parametrize("a, om", [(3, 6), (3, 8), (2, 10), (1, 12)])
+    def test_fast_rotating_saddle_is_certified(self, tmp_path, a, om):
+        # R(om t) diag(-a, a) R(om t)^T + om J has Phi(t, s) = R(om t)
+        # e^{diag(-a, a)(t - s)} R(om s)^T: N = 1, and the estimate fits 0.95 a
+        c, s = f"cos({om}*t)", f"sin({om}*t)"
+        A = [[f"-{a}*{c}^2 + {a}*{s}^2", f"-{2 * a}*{c}*{s} - {om}"],
+             [f"-{2 * a}*{c}*{s} + {om}", f"-{a}*{s}^2 + {a}*{c}^2"]]
+        prob = tmp_path / "saddle.json"
+        prob.write_text(json.dumps(minimal(dim=2, A=A, f=["cos(t)", "0"])))
+        out = tmp_path / "out"
+        assert run_cli(["check-dichotomy", prob, "--out", out]) == 0
+        data = json.loads((out / "dichotomy.json").read_text())
+        assert data["N"] == pytest.approx(1.0, abs=1e-6)
+        assert data["nu"] == pytest.approx(0.95 * a, abs=1e-6)
+
     def test_incompatible_halves_exit_two(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = run_cli(["check-trichotomy", problem_path("arctan"), "--out", out])

@@ -233,12 +233,17 @@ class TestMagnusLegs:
         legs = op.solve_legs(spans)
         assert all(isinstance(leg, MagnusLeg) for leg in legs)
         assert all(op.solve_leg(*span) is leg for span, leg in zip(spans, legs))
+        rng = np.random.default_rng(0)
         for (t0, t1), leg in zip(spans, legs):
             ref = rk45_leg(A, t0, t1)
             s = np.linspace(t0, t1, 17)
             scale = np.max(np.abs(ref(s)))
             assert np.max(np.abs(leg(s) - ref(s))) <= 1e-8 * scale
             assert np.max(np.abs(leg(t1) - ref(t1))) <= 1e-8 * scale
+            # between the nodes a leg is one partial step from the node below
+            off = t0 + (t1 - t0) * rng.uniform(size=32)
+            assert not np.isin(off, leg.ts).any()
+            assert np.max(np.abs(leg(off) - ref(off))) <= 1e-8 * scale
             # nodes are returned as integrated, and a leg starts at I
             assert np.array_equal(leg(leg.ts[3]), leg.Y[3].reshape(-1))
             assert np.array_equal(leg(t0), np.eye(A.n).reshape(-1))
@@ -293,12 +298,36 @@ def _rotating_saddle_phi(omega, a, b, t, s):
     return R(omega * t) @ np.diag(np.exp(np.array([-a, b]) * (t - s))) @ R(omega * s).T
 
 
+# up to omega = 12 the entries of Phi cross zero many times per unit leg
+# while |Phi| is e^5, which the entrywise Richardson test must still resolve
 @settings(max_examples=25, deadline=None)
-@given(st.floats(0.1, 1.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.integers(-20, 20))
+@given(st.floats(0.1, 12.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.integers(-20, 20))
 def test_rotating_saddle_legs_match_the_closed_form(omega, a, b, k):
     op = TransitionOperator(_rotating_saddle(omega, a, b))
     spans = [(float(k), k + 1.0), (k + 1.0, k + 2.0), (k + 2.0, k + 0.5)]
+    rng = np.random.default_rng(k + 20)
     for (t0, t1), leg in zip(spans, op.solve_legs(spans)):
-        s = np.linspace(t0, t1, 9)
-        ref = np.stack([_rotating_saddle_phi(omega, a, b, x, t0).reshape(-1) for x in s], axis=1)
-        assert np.max(np.abs(leg(s) - ref)) <= 1e-8 * np.max(np.abs(ref))
+        nodes = np.linspace(t0, t1, 9)
+        off = t0 + (t1 - t0) * rng.uniform(size=16)
+        assert not np.isin(off, leg.ts).any()
+        for s in (nodes, off):
+            ref = np.stack([_rotating_saddle_phi(omega, a, b, x, t0).reshape(-1) for x in s],
+                           axis=1)
+            assert np.max(np.abs(leg(s) - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_magnus_step_is_sixth_order():
+    """On the rotating saddle, uniform legs of M = 8, 16, 32 steps err like M^-6.
+
+    The legs' Richardson estimate |Y_16 - Y_8| / 63 then tracks the true
+    error of Y_16; a fourth-order step would make it a fourfold underestimate.
+    """
+    omega, a, b = 3.0, 2.0, 1.0
+    A = _rotating_saddle(omega, a, b)
+    ref = _rotating_saddle_phi(omega, a, b, 1.0, 0.0)
+    Y = {M: propagator._magnus_nodes(A, np.array([0.0]), np.array([1.0]), M)[0, -1]
+         for M in (8, 16, 32)}
+    err = {M: np.max(np.abs(Y[M] - ref)) for M in Y}
+    assert err[8] / err[16] >= 50.0
+    assert err[16] / err[32] >= 50.0
+    assert 0.5 <= np.max(np.abs(Y[16] - Y[8])) / 63.0 / err[16] <= 2.0

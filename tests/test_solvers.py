@@ -699,8 +699,9 @@ class TestPanelRule:
     def test_magnus_plan_moments_match_16_nodes(self, request, name, h, monkeypatch):
         # A Magnus leg between its nodes is one partial step from the node
         # below, smooth only within a step, so here the rules see different
-        # interpolation errors: up to 8.8e-12 (5 nodes at h = 0.25), and
-        # 5.9e-13 at the CLI's h = 0.02, where 3 nodes would give 4.8e-10.
+        # interpolation errors: up to 1.9e-12 (4 nodes at h = 0.1), and
+        # 1e-14 at the CLI's h = 0.02, as on closed-form legs; 3 nodes would
+        # give 4.8e-10 there, the rule's own remainder on the u^3 moment.
         K = request.getfixturevalue(name)
         assert K.modes is None
         assert_plans_match_nodes(K, h, monkeypatch, RTOL / 100)
