@@ -6,19 +6,17 @@ bounded solutions of linear and semilinear problems by exponentially
 weighted quadrature and Picard iteration, and runs finite-horizon
 diagnostics for remote almost periodicity.  The ``trichotomy`` console
 script drives everything from JSON problem files; the problem-file API
-(``load_problem``, ``save_problem``) lives in ``trichotomy.cli``.
+(``load_problem``, ``ProblemSpec``) lives in ``trichotomy.cli``.
 """
 
 from .expr import (
     EvalError,
     ExprError,
     ExprSyntaxError,
-    compile_expr,
     eval_expr,
+    eval_stack,
     free_vars,
     parse,
-    substitute,
-    to_source,
 )
 from .grid import GridFunction, write_csv
 from .propagator import (
@@ -72,12 +70,10 @@ __all__ = [
     "EvalError",
     "ExprError",
     "ExprSyntaxError",
-    "compile_expr",
     "eval_expr",
+    "eval_stack",
     "free_vars",
     "parse",
-    "substitute",
-    "to_source",
     "GridFunction",
     "write_csv",
     "CoefficientMatrix",

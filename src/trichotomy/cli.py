@@ -20,14 +20,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 import jsonschema
 
-from .expr import ExprError, eval_expr, free_vars, parse
+from .expr import ExprError, eval_stack, free_vars, parse
 from .grid import GridFunction, write_csv
 from .propagator import CoefficientMatrix, PropagationError, TransitionOperator
 from .hyperbolicity import (
@@ -47,7 +47,6 @@ from .solvers import (
     LipschitzSpec,
     SolverError,
     _deviation_bound,
-    _grid_values,
     _sampled_lipschitz_ratio,
     _state_env,
     _tail_horizon,
@@ -62,7 +61,6 @@ __all__ = [
     "ProblemSpec",
     "ProblemError",
     "load_problem",
-    "save_problem",
     "run",
     "main",
     "COMMANDS",
@@ -89,63 +87,26 @@ class ProblemError(Exception):
 
 @dataclass
 class ProblemSpec:
-    """Validated problem with all expressions parsed and compiled."""
+    """Validated problem with every expression parsed into a tree."""
 
     dim: int
-    A_strings: list
     window: float
-    f_strings: Optional[list] = None
-    F_strings: Optional[list] = None
+    A: CoefficientMatrix
+    f_exprs: Optional[list] = None
+    F_exprs: Optional[list] = None
     L: Optional[float] = None
-    eps: Optional[float] = None
     certificate: Optional[dict] = None
     tol: float = 1e-6
-    name: Optional[str] = None
-    description: Optional[str] = None
-    A: CoefficientMatrix = field(default=None, repr=False, compare=False)
-    f_exprs: list = field(default=None, repr=False, compare=False)
-    F_exprs: list = field(default=None, repr=False, compare=False)
-
-    def serialize(self) -> dict:
-        """Plain JSON data; load_problem(serialize()) round-trips."""
-        data = {}
-        if self.name is not None:
-            data["name"] = self.name
-        if self.description is not None:
-            data["description"] = self.description
-        data["dim"] = self.dim
-        data["A"] = [list(row) for row in self.A_strings]
-        if self.f_strings is not None:
-            data["f"] = list(self.f_strings)
-        if self.F_strings is not None:
-            data["F"] = list(self.F_strings)
-        if self.L is not None:
-            data["L"] = self.L
-        if self.eps is not None:
-            data["eps"] = self.eps
-        if self.certificate is not None:
-            cert = {"P": [list(map(float, r)) for r in self.certificate["P"]]}
-            if self.certificate.get("Q") is not None:
-                cert["Q"] = [list(map(float, r)) for r in self.certificate["Q"]]
-            cert["N"] = self.certificate["N"]
-            cert["nu"] = self.certificate["nu"]
-            data["certificate"] = cert
-        data["window"] = self.window
-        data["tol"] = self.tol
-        return data
 
     def forcing_fn(self):
         """Vectorized t -> f(t) sampler (zero when the problem has no f)."""
-        exprs = self.f_exprs
-        n = self.dim
+        exprs, n = self.f_exprs, self.dim
 
         def fn(t):
             t = np.asarray(t, dtype=float)
-            out = np.zeros(t.shape + (n,))
-            if exprs is not None:
-                for i, e in enumerate(exprs):
-                    out[..., i] = eval_expr(e, {"t": t})
-            return out
+            if exprs is None:
+                return np.zeros(t.shape + (n,))
+            return eval_stack(exprs, {"t": t}, t.shape)
 
         return fn
 
@@ -174,7 +135,7 @@ def _parse_entry(src, where, allowed):
 
 
 def load_problem(path) -> ProblemSpec:
-    """Load, schema-check and compile a JSON problem file."""
+    """Load, schema-check and parse a JSON problem file."""
     if isinstance(path, dict):
         data = path
         label = "<dict>"
@@ -234,26 +195,14 @@ def load_problem(path) -> ProblemSpec:
 
     return ProblemSpec(
         dim=dim,
-        A_strings=[list(r) for r in A_rows],
         window=float(data["window"]),
-        f_strings=list(data["f"]) if "f" in data else None,
-        F_strings=list(data["F"]) if "F" in data else None,
-        L=float(data["L"]) if "L" in data else None,
-        eps=float(data["eps"]) if "eps" in data else None,
-        certificate=cert,
-        tol=float(data.get("tol", 1e-6)),
-        name=data.get("name"),
-        description=data.get("description"),
         A=CoefficientMatrix(A_exprs),
         f_exprs=f_exprs,
         F_exprs=F_exprs,
+        L=float(data["L"]) if "L" in data else None,
+        certificate=cert,
+        tol=float(data.get("tol", 1e-6)),
     )
-
-
-def save_problem(spec: ProblemSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.serialize(), fh, indent=2)
-        fh.write("\n")
 
 
 def bundled_problem_path(name: str):
@@ -396,19 +345,19 @@ def _solve_pipeline(spec, flags, margin_factor=1.0):
 
 
 def _lipschitz_spec(spec) -> LipschitzSpec:
-    if spec.F_strings is None:
+    if spec.F_exprs is None:
         raise ProblemError(
             "problem declares no nonlinearity F; use solve-linear instead"
         )
     if spec.L is not None:
-        return LipschitzSpec(spec.F_strings, spec.L)
+        return LipschitzSpec(spec.F_exprs, spec.L)
     worst = _sampled_lipschitz_ratio(spec.F_exprs, draws=12, seed=1)
     if worst == 0.0:
         raise ProblemError("nonlinearity sampled as identically zero")
     L = 1.05 * worst
     print(f"note: no declared L; sampled estimate L = {L:.6g}")
     # the spec's own sampling checks the estimate; a refusal names both ratios
-    return LipschitzSpec(spec.F_strings, L, label=f"sampled estimate L = 1.05 * {worst:.6g}")
+    return LipschitzSpec(spec.F_exprs, L, label=f"sampled estimate L = 1.05 * {worst:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +564,10 @@ def _cmd_rap_scan(spec, flags) -> int:
 def _cmd_audit(spec, flags) -> int:
     phi = _solve_for_scan(spec, flags)
     times = phi.times
-
-    def sampled(exprs, env):
-        return GridFunction(phi.a, phi.b, _grid_values(exprs, env, times.shape))
-
+    A_vals = spec.A.values(times)
     inputs = {}
-    for i, row in enumerate(spec.A.entries):
-        for j, e in enumerate(row):
-            inputs[f"A[{i + 1}][{j + 1}]"] = sampled([e], {"t": times})
+    for i, j in np.ndindex(spec.dim, spec.dim):
+        inputs[f"A[{i + 1}][{j + 1}]"] = GridFunction(phi.a, phi.b, A_vals[:, i, [j]])
     if spec.f_exprs is not None:
         f_vals = spec.forcing_fn()(times)
         for i in range(spec.dim):
@@ -630,7 +575,8 @@ def _cmd_audit(spec, flags) -> int:
     if spec.F_exprs is not None:
         # F along each unit vector e_k, with the state entries as scalars
         for k, x in enumerate(np.eye(spec.dim)):
-            inputs[f"F(.,e{k + 1})"] = sampled(spec.F_exprs, _state_env(times, x))
+            inputs[f"F(.,e{k + 1})"] = GridFunction(
+                phi.a, phi.b, eval_stack(spec.F_exprs, _state_env(times, x), times.shape))
 
     eps_ladder = flags.eps if flags.eps else [0.1, 0.05]
     lo, hi, step = flags.tau_range
@@ -745,7 +691,8 @@ def main(argv=None) -> int:
     parser.add_argument("problem",
                         help="path to a JSON problem file, or the name of "
                              "a bundled problem (e.g. diag_cos)")
-    parser.add_argument("--out", default="out", help="artifact directory")
+    defaults = Flags()
+    parser.add_argument("--out", default=defaults.out, help="artifact directory")
     parser.add_argument("--window", type=_positive, default=None,
                         help="override the problem window half-width T")
     parser.add_argument("--tol", type=_positive, default=None,
@@ -753,10 +700,10 @@ def main(argv=None) -> int:
     parser.add_argument("--eps", type=_parse_eps, default=None,
                         metavar="LIST", help="comma-separated values")
     parser.add_argument("--tau-range", type=_parse_tau_range,
-                        default=(0.5, 8.0, 0.5), metavar="A:B:STEP",
+                        default=defaults.tau_range, metavar="A:B:STEP",
                         help="shift scan range (default 0.5:8:0.5)")
     parser.add_argument("--side", choices=("plus", "minus", "both"),
-                        default="both", help="horizon side for scans")
+                        default=defaults.side, help="horizon side for scans")
     args = parser.parse_args(argv)
 
     flags = Flags(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,10 +36,8 @@ __all__ = [
     "EvalError",
     "parse",
     "eval_expr",
+    "eval_stack",
     "free_vars",
-    "to_source",
-    "substitute",
-    "compile_expr",
 ]
 
 
@@ -249,7 +247,7 @@ def _apply_fn(fn: str, v):
     if fn == "ln":
         if scalar:
             if v <= 0.0:
-                raise EvalError(f"ln of non-positive value {v!r}")
+                raise EvalError(f"ln of non-positive value {float(v):g}")
             return math.log(v)
         if np.any(v <= 0.0):
             raise EvalError("ln of non-positive value in array argument")
@@ -257,7 +255,7 @@ def _apply_fn(fn: str, v):
     if fn == "sqrt":
         if scalar:
             if v < 0.0:
-                raise EvalError(f"sqrt of negative value {v!r}")
+                raise EvalError(f"sqrt of negative value {float(v):g}")
             return math.sqrt(v)
         if np.any(v < 0.0):
             raise EvalError("sqrt of negative value in array argument")
@@ -285,7 +283,7 @@ def _pow(a, b):
         if a == 0.0 and b < 0.0:
             raise EvalError("0 raised to a negative power")
         if a < 0.0 and not _is_integral(b):
-            raise EvalError(f"negative base {a!r} with non-integer exponent {b!r}")
+            raise EvalError(f"negative base {float(a):g} with non-integer exponent {float(b):g}")
         try:
             result = math.pow(a, b)
         except OverflowError as exc:
@@ -351,6 +349,15 @@ def eval_expr(e: Expr, env: dict):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def eval_stack(exprs, env, shape) -> np.ndarray:
+    """The expressions evaluated under ``env``, each broadcast to ``shape``
+    as floats and stacked on a last axis: shape + (len(exprs),)."""
+    out = np.empty(shape + (len(exprs),))
+    for i, e in enumerate(exprs):
+        out[..., i] = eval_expr(e, env)
+    return out
+
+
 def free_vars(e: Expr) -> set:
     """Exact set of variable names occurring in ``e``."""
     if isinstance(e, Var):
@@ -364,111 +371,3 @@ def free_vars(e: Expr) -> set:
     if isinstance(e, Bin):
         return free_vars(e.left) | free_vars(e.right)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# precedence levels used by the printer; mirrors the grammar
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, Bin):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    if isinstance(e, Num) and e.value < 0:
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def to_source(e: Expr) -> str:
-    """Print ``e`` with minimal parentheses; ``parse(to_source(e))`` rebuilds
-    a tree evaluating identically."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
-    if isinstance(e, Neg):
-        inner = to_source(e.arg)
-        # unary minus binds looser than ^, tighter than * /
-        if _prec(e.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Bin):
-        lp, rp = _prec(e.left), _prec(e.right)
-        op_prec = _PREC[e.op]
-        left = to_source(e.left)
-        right = to_source(e.right)
-        if e.op == "^":
-            # right-associative and binds tighter than unary minus: the base
-            # must be a plain atom, the exponent may start with unary minus
-            if lp <= op_prec:
-                left = f"({left})"
-            if rp < _PREC["neg"]:
-                right = f"({right})"
-        else:
-            if lp < op_prec:
-                left = f"({left})"
-            # -, / are left-associative: equal precedence on the right needs parens
-            if rp < op_prec or (rp == op_prec and e.op in ("-", "/", "+", "*")):
-                right = f"({right})"
-        return f"{left}{e.op}{right}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Replace every occurrence of variable ``name`` by ``replacement``."""
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, (Num, Const)):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, name, replacement))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, name, replacement))
-    if isinstance(e, Bin):
-        return Bin(
-            e.op,
-            substitute(e.left, name, replacement),
-            substitute(e.right, name, replacement),
-        )
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def compile_expr(e: Expr, varnames: tuple) -> Callable:
-    """Compile ``e`` to a fast scalar callable of ``varnames``.
-
-    The compiled function performs the same operations in the same order as
-    :func:`eval_expr` on scalars, so results agree to the last bit; domain
-    violations raise :class:`EvalError` just as in interpreted evaluation.
-    """
-    missing = free_vars(e) - set(varnames)
-    if missing:
-        raise EvalError(f"unbound variable {sorted(missing)[0]!r}")
-
-    def emit(node) -> str:
-        if isinstance(node, Num):
-            return f"({node.value!r})"
-        if isinstance(node, Const):
-            return f"({CONSTANTS[node.name]!r})"
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Neg):
-            return f"(-{emit(node.arg)})"
-        if isinstance(node, Call):
-            return f"_fn[{node.fn!r}]({emit(node.arg)})"
-        if isinstance(node, Bin):
-            a, b = emit(node.left), emit(node.right)
-            if node.op == "/":
-                return f"_div({a}, {b})"
-            if node.op == "^":
-                return f"_pow({a}, {b})"
-            return f"({a}{node.op}{b})"
-        raise TypeError(f"not an expression node: {node!r}")
-
-    fn_table = {name: (lambda v, _n=name: _apply_fn(_n, v)) for name in FUNCTIONS}
-    source = f"lambda {', '.join(varnames)}: {emit(e)}"
-    return eval(source, {"_fn": fn_table, "_div": _div, "_pow": _pow})

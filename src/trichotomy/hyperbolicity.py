@@ -878,4 +878,4 @@ def certificate_to_json(cert) -> dict:
             "compatibility_residual": cert.residual,
             "report": cert.report,
         }
-    raise TypeError(f"cannot serialize {type(cert).__name__}")
+    raise TypeError(f"no JSON form for {type(cert).__name__}")

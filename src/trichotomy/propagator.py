@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .expr import compile_expr, eval_expr, free_vars, parse
+from .expr import eval_stack, free_vars, parse
 
 __all__ = [
     "CoefficientMatrix",
@@ -140,14 +140,14 @@ class CoefficientMatrix:
                     raise ValueError(
                         f"coefficient entries may depend on t only, found {sorted(extra)}"
                     )
-        self._fns = [[compile_expr(e, ("t",)) for e in row] for row in self.entries]
 
     @classmethod
     def from_strings(cls, rows) -> "CoefficientMatrix":
         return cls([[parse(s) for s in row] for row in rows])
 
     def value(self, t: float) -> np.ndarray:
-        return np.array([[fn(t) for fn in row] for row in self._fns], dtype=float)
+        """A at the one time ``t``: shape (n, n)."""
+        return self.values(t)
 
     def values(self, times) -> np.ndarray:
         """A at every time of the array ``times``: shape times.shape + (n, n).
@@ -155,10 +155,8 @@ class CoefficientMatrix:
         Each entry is one :func:`eval_expr` call over the whole array.
         """
         times = np.asarray(times, dtype=float)
-        env = {"t": times}
-        cols = [np.broadcast_to(np.asarray(eval_expr(e, env), dtype=float), times.shape)
-                for row in self.entries for e in row]
-        return np.stack(cols, axis=-1).reshape(*times.shape, self.n, self.n)
+        flat = eval_stack([e for row in self.entries for e in row], {"t": times}, times.shape)
+        return flat.reshape(*times.shape, self.n, self.n)
 
 
 class ExactLeg:

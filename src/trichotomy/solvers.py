@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import EvalError, eval_expr, free_vars, parse
+from .expr import EvalError, eval_stack, free_vars, parse
 from .grid import GridFunction, component_norm
 from .hyperbolicity import GreenKernel, WindowTooSmall
 
@@ -469,13 +469,6 @@ def solve_linear_bounded(
     return phi
 
 
-def _grid_values(exprs, env, shape) -> np.ndarray:
-    """The expressions evaluated under ``env`` as float columns broadcast to ``shape``."""
-    return np.column_stack(
-        [np.broadcast_to(np.asarray(eval_expr(e, env), dtype=float), shape) for e in exprs]
-    )
-
-
 def _state_env(times, values) -> dict:
     """Variable bindings t, x1..xn for expressions evaluated at (times, values)."""
     env = {"t": times}
@@ -496,7 +489,7 @@ def _sampled_lipschitz_ratio(exprs, draws, seed):
     )
     times = np.repeat(_SAMPLE_TIMES, draws)
     x, y = pairs[:, 0], pairs[:, 1]
-    Fx, Fy = (_grid_values(exprs, _state_env(times, p), times.shape) for p in (x, y))
+    Fx, Fy = (eval_stack(exprs, _state_env(times, p), times.shape) for p in (x, y))
     dxy = component_norm(x - y)
     keep = dxy >= 1e-12
     return float(np.max(component_norm(Fx - Fy)[keep] / dxy[keep], initial=0.0))
@@ -547,12 +540,11 @@ class LipschitzSpec:
 
     def __call__(self, t, x):
         """F(t, x) for one time t and one state vector x (the pointwise reference)."""
-        env = _state_env(t, np.asarray(x))
-        return self.factor * np.array([eval_expr(e, env) for e in self.exprs], dtype=float)
+        return self.factor * eval_stack(self.exprs, _state_env(t, np.asarray(x)), np.shape(t))
 
     def on_grid(self, times, values):
         """Vectorized evaluation over a grid: values has shape (m, n)."""
-        return self.factor * _grid_values(self.exprs, _state_env(times, values), times.shape)
+        return self.factor * eval_stack(self.exprs, _state_env(times, values), times.shape)
 
     def scaled(self, factor):
         """The nonlinearity factor*F with Lipschitz constant |factor|*L (not re-sampled)."""

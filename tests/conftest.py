@@ -15,7 +15,7 @@ from trichotomy import (
     build_trichotomy,
 )
 from trichotomy.cli import bundled_problem_path, main as cli_main
-from trichotomy.expr import Bin, Num, Var, substitute
+from trichotomy.expr import Bin, Call, Const, Neg, Num, Var
 from trichotomy.hyperbolicity import WindowTooSmall
 from trichotomy.propagator import ATOL, RTOL
 
@@ -36,6 +36,73 @@ def rk45_leg(A, t0, t1):
                     dense_output=True)
     assert sol.success, sol.message
     return sol.sol
+
+
+# precedence levels used by the printer; mirrors the grammar
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
+def _prec(e) -> int:
+    if isinstance(e, Bin):
+        return _PREC[e.op]
+    if isinstance(e, Neg):
+        return _PREC["neg"]
+    if isinstance(e, Num) and e.value < 0:
+        return _PREC["neg"]
+    return _PREC["atom"]
+
+
+def to_source(e) -> str:
+    """Print ``e`` with minimal parentheses; ``parse(to_source(e))`` rebuilds
+    a tree evaluating identically."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, (Const, Var)):
+        return e.name
+    if isinstance(e, Call):
+        return f"{e.fn}({to_source(e.arg)})"
+    if isinstance(e, Neg):
+        inner = to_source(e.arg)
+        # unary minus binds looser than ^, tighter than * /
+        if _prec(e.arg) < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(e, Bin):
+        lp, rp = _prec(e.left), _prec(e.right)
+        op_prec = _PREC[e.op]
+        left = to_source(e.left)
+        right = to_source(e.right)
+        if e.op == "^":
+            # right-associative and binds tighter than unary minus: the base
+            # must be a plain atom, the exponent may start with unary minus
+            if lp <= op_prec:
+                left = f"({left})"
+            if rp < _PREC["neg"]:
+                right = f"({right})"
+        else:
+            if lp < op_prec:
+                left = f"({left})"
+            # -, / are left-associative: equal precedence on the right needs parens
+            if rp < op_prec or (rp == op_prec and e.op in ("-", "/", "+", "*")):
+                right = f"({right})"
+        return f"{left}{e.op}{right}"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def substitute(e, name: str, replacement):
+    """Replace every occurrence of variable ``name`` by ``replacement``."""
+    if isinstance(e, Var):
+        return replacement if e.name == name else e
+    if isinstance(e, (Num, Const)):
+        return e
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, name, replacement))
+    if isinstance(e, Call):
+        return Call(e.fn, substitute(e.arg, name, replacement))
+    if isinstance(e, Bin):
+        return Bin(e.op, substitute(e.left, name, replacement),
+                   substitute(e.right, name, replacement))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def shifted_coefficient(A, h):

@@ -24,7 +24,8 @@ import trichotomy.propagator
 import trichotomy.rap
 import trichotomy.solvers
 from trichotomy import CoefficientMatrix, build_trichotomy
-from trichotomy.cli import ProblemError, load_problem, save_problem
+from trichotomy.cli import ProblemError, load_problem
+from trichotomy.expr import parse
 from trichotomy.hyperbolicity import (
     SLACK_TOL,
     WindowTooSmall,
@@ -57,25 +58,25 @@ class TestLoadProblem:
         spec = load_problem(problem_path("diag_cos"))
         assert spec.dim == 2
         assert spec.window == 10.0
-        assert spec.f_strings == ["cos(t)", "cos(t)"]
-        assert spec.name == "diag_cos"
+        assert spec.f_exprs == [parse("cos(t)"), parse("cos(t)")]
         assert spec.A.value(0.0)[0, 0] == -1.0
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_serialization_round_trip(self, name):
+    def test_spec_is_the_file_parsed(self, name):
+        # name, description and c1_cubic's eps load and are read by nothing
         path = problem_path(name)
         with open(path, encoding="utf-8") as fh:
-            original = json.load(fh)
+            data = json.load(fh)
         spec = load_problem(path)
-        assert spec.serialize() == original
-        again = load_problem(spec.serialize())
-        assert again.serialize() == original
 
-    def test_save_then_load(self, tmp_path):
-        spec = load_problem(problem_path("scalar_sin"))
-        target = tmp_path / "copy.json"
-        save_problem(spec, target)
-        assert load_problem(target).serialize() == spec.serialize()
+        def trees(key):
+            return [parse(src) for src in data[key]] if key in data else None
+
+        assert spec.A.entries == [[parse(src) for src in row] for row in data["A"]]
+        assert (spec.f_exprs, spec.F_exprs) == (trees("f"), trees("F"))
+        assert (spec.dim, spec.window, spec.L, spec.tol, spec.certificate) == (
+            data["dim"], data["window"], data.get("L"), data.get("tol", 1e-6),
+            data.get("certificate"))
 
     def test_undeclared_variable_is_named(self):
         with pytest.raises(ProblemError, match=r"x9.*allowed: t"):
@@ -87,7 +88,7 @@ class TestLoadProblem:
 
     def test_nonlinearity_can_use_state_variables(self):
         spec = load_problem(minimal(F=["0.1*sin(x1)"], L=0.1))
-        assert spec.F_strings == ["0.1*sin(x1)"]
+        assert spec.F_exprs == [parse("0.1*sin(x1)")]
 
     def test_missing_required_field(self):
         with pytest.raises(ProblemError, match="required"):
@@ -229,6 +230,13 @@ class TestSolveLinearCommand:
         assert err.startswith("error: forcing window [-")
         cap = trichotomy.cli.MAX_GRID_VALUES
         assert f"over {cap:.4g} grid values at step 0.02" in err
+
+    def test_forcing_domain_error_prints_a_plain_float(self, tmp_path, capsys):
+        prob = tmp_path / "ln.json"
+        prob.write_text(json.dumps(minimal(f=["ln(t+5)"])))
+        rc = run_cli(["solve-linear", prob, "--out", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ln of non-positive value -5\n"
 
     def test_forcing_required(self, tmp_path):
         prob = tmp_path / "nof.json"

@@ -1,6 +1,7 @@
 """Transition operators for x' = A(t) x."""
 
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.linalg import expm
 
 import trichotomy.propagator as propagator
 from trichotomy.cli import load_problem
-from trichotomy.expr import Bin, Num, Var
+from trichotomy.expr import Bin, Num, Var, eval_expr, eval_stack
 from trichotomy.propagator import (
     CoefficientMatrix,
     ExactLeg,
@@ -20,9 +21,26 @@ from trichotomy.propagator import (
     PropagationError,
     TransitionOperator,
 )
-from trichotomy.solvers import _grid_values
+from trichotomy.solvers import LipschitzSpec, _state_env
 
 from conftest import problem_path, rk45_leg, shifted_coefficient
+
+BUNDLED = sorted(path.stem for path in Path(problem_path("diag_cos")).parent.glob("*.json")
+                 if path.stem != "problem.schema")
+
+
+def _assigned(exprs, env, shape):
+    """The former forcing sampler's loop: each expression assigned into its column."""
+    out = np.zeros(shape + (len(exprs),))
+    for i, e in enumerate(exprs):
+        out[..., i] = eval_expr(e, env)
+    return out
+
+
+def _column_stacked(exprs, env, shape):
+    """The former grid evaluation of the residual check, the audit and F."""
+    return np.column_stack(
+        [np.broadcast_to(np.asarray(eval_expr(e, env), dtype=float), shape) for e in exprs])
 
 
 class TestPropagate:
@@ -91,19 +109,40 @@ class TestCoefficientMatrix:
         V = trich_A.value(0.5)
         assert V[2, 2] == pytest.approx(-np.tanh(0.5), abs=1e-15)
 
-    @pytest.mark.parametrize("name", ["rotation", "trich_tanh", "arctan", "diag_cos"])
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_values_on_an_array(self, name):
-        A = load_problem(problem_path(name)).A
-        times = np.linspace(-3.0, 4.0, 24).reshape(4, 6)
-        V = A.values(times)
-        assert V.shape == (4, 6, A.n, A.n)
-        for idx in np.ndindex(times.shape):
-            assert np.allclose(V[idx], A.value(times[idx]), rtol=1e-15, atol=1e-15)
-        # the residual check's former grid evaluation, bit for bit
+        """A, f and F through the one stacked evaluator give the former
+        per-expression loops' bits, at 0-d, 1-D and 2-D times."""
+        spec = load_problem(problem_path(name))
+        A, n = spec.A, spec.dim
         entries = [e for row in A.entries for e in row]
-        flat = times.ravel()
-        assert np.array_equal(V.reshape(-1, A.n, A.n),
-                              _grid_values(entries, {"t": flat}, flat.shape).reshape(-1, A.n, A.n))
+        grid = np.linspace(-3.0, 4.0, 24)
+        states = np.random.default_rng(0).uniform(-2.0, 2.0, (24, n))
+        # on_grid does not read L; a large one passes the sampling of c1_cubic's cubic
+        F = LipschitzSpec(spec.F_exprs, 1e6) if spec.F_exprs is not None else None
+        for shape in ((), (24,), (4, 6)):
+            times = grid[7:8].reshape(shape) if shape == () else grid.reshape(shape)
+            V = A.values(times)
+            assert V.shape == shape + (n, n)
+            assert np.array_equal(V, _assigned(entries, {"t": times}, shape).reshape(V.shape))
+            for idx in np.ndindex(shape):
+                assert np.allclose(V[idx], A.value(times[idx]), rtol=1e-15, atol=1e-15)
+            f = spec.forcing_fn()(times)
+            f_ref = np.zeros(shape + (n,)) if spec.f_exprs is None else \
+                _assigned(spec.f_exprs, {"t": times}, shape)
+            assert np.array_equal(f, f_ref)
+            env = _state_env(times, states[: max(times.size, 1)].reshape(shape + (n,)))
+            if F is not None:
+                assert np.array_equal(eval_stack(F.exprs, env, shape),
+                                      _assigned(F.exprs, env, shape))
+            if shape == ():
+                continue
+            flat = times.ravel()
+            assert np.array_equal(V.reshape(-1, n * n),
+                                  _column_stacked(entries, {"t": flat}, flat.shape))
+            if F is not None and shape == (24,):
+                assert np.array_equal(F.on_grid(times, states),
+                                      _column_stacked(F.exprs, env, shape))
 
 
 @settings(max_examples=20, deadline=None)
