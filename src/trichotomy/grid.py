@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .expr import EvalError
+
 __all__ = ["GridFunction", "KNOT_STEPS", "component_norm", "write_csv", "write_rows"]
 
 _RHO = 2.0 - np.sqrt(3.0)
@@ -48,6 +50,20 @@ def component_norm(d: np.ndarray) -> np.ndarray:
     for i in range(1, d.shape[-1]):
         sq += d[..., i] * d[..., i]
     return np.sqrt(sq)
+
+
+def _raise_first_failure(fn, times):
+    """Call ``fn`` at the first time whose prefix of ``times`` raises :class:`EvalError`."""
+    ok, bad = 0, len(times)
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            fn(times[:mid])
+        except EvalError:
+            bad = mid
+        else:
+            ok = mid
+    fn(times[bad - 1])
 
 
 class GridFunction:
@@ -78,14 +94,28 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, step: float) -> "GridFunction":
-        """Sample ``fn`` (vectorized or not over t) at spacing <= ``step``."""
+        """Sample ``fn`` (vectorized or not over t) at spacing <= ``step``.
+
+        A callable that cannot take the time array (it raises ``TypeError``,
+        or does not give one row per time) is called point by point.  An
+        :class:`EvalError` of the array call is raised again from one scalar
+        call at the first failing time, which bisection over prefixes of the
+        array finds in O(log m) array calls.
+        """
         m = max(1, int(np.ceil((b - a) / step - 1e-12)))
         times = np.linspace(a, b, m + 1)
         try:
-            vals = np.asarray(fn(times), dtype=float)
-            if vals.shape[0] != times.shape[0]:
-                raise ValueError
-        except Exception:
+            out = fn(times)
+        except EvalError:
+            _raise_first_failure(fn, times)
+            raise
+        except TypeError:
+            out = None
+        try:
+            vals = np.asarray(out, dtype=float)
+        except ValueError:  # a ragged result
+            vals = None
+        if vals is None or vals.shape[:1] != times.shape:
             vals = np.asarray([np.atleast_1d(fn(t)) for t in times], dtype=float)
         return cls(a, b, vals)
 

@@ -22,8 +22,13 @@ the flattened n*n matrix, an array of k times gives shape (n*n, k)):
   batched :func:`expm`.  Each leg takes ``FIRST_STEPS`` uniform steps, then
   twice as many; a leg whose Richardson estimate |Y_2M - Y_M| / 63 at the
   shared nodes exceeds ``ATOL`` + ``RTOL`` |Y_2M| (entrywise, 1e-12 and
-  1e-9) is doubled again, up to ``MAX_STEPS``.  Between nodes a leg takes
-  one partial Magnus step from the node below.  No scipy is needed.
+  1e-9) is doubled again, up to ``MAX_STEPS``.  Between its nodes a leg is
+  the barycentric interpolant at its Chebyshev-Lobatto points (Berrut and
+  Trefethen, SIAM Review 46, 2004), fitted once: each point is one partial
+  Magnus step from the node below, and the degree, from 2 ``FIRST_STEPS``
+  up to ``MAX_STEPS``, doubles until the interpolant meets the same
+  entrywise test at every node.  A dense call is then one small matrix
+  product and takes no Magnus step.  No scipy is needed.
 
 Transition matrices over long windows are never assembled as a single
 product chain in the growing direction; higher-level code (hyperbolicity
@@ -32,6 +37,7 @@ module) always works leg by leg and projects onto decaying directions.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -181,7 +187,7 @@ def _magnus_steps(A: CoefficientMatrix, starts, h) -> np.ndarray:
     C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1] / 60, the step's exponent is
     Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240
     (Blanes, Casas and Ros, BIT 40, 2000).  A leg's integration steps and
-    the partial steps of its dense output both come from here.
+    the partial steps to its Chebyshev points both come from here.
     """
     starts, h = np.broadcast_arrays(np.asarray(starts, dtype=float), np.asarray(h, dtype=float))
     Ag = A.values(starts[..., None] + h[..., None] * _GAUSS)
@@ -228,12 +234,13 @@ def _magnus_legs(A: CoefficientMatrix, spans) -> list:
 
     Every leg takes M = ``FIRST_STEPS`` steps, then 2M; legs whose
     Richardson estimate at the shared nodes passes are kept with the 2M
-    nodes, the others double M again together.  Raises
+    nodes, the others double M again together.  Then every leg's dense
+    output is fitted (:func:`_chebyshev_fits`).  Raises
     :class:`PropagationError` for a leg that overflows or is still
     unresolved at ``MAX_STEPS``.
     """
     t0, t1 = np.array(spans, dtype=float).reshape(-1, 2).T
-    legs = [None] * len(t0)
+    nodes = [None] * len(t0)
     active = np.arange(len(t0))
     M = FIRST_STEPS
     coarse = _magnus_nodes(A, t0, t1, M)
@@ -250,12 +257,9 @@ def _magnus_legs(A: CoefficientMatrix, spans) -> list:
         excess = (est - (ATOL + RTOL * np.abs(shared))).reshape(len(active), -1)
         done = excess.max(axis=1) <= 0.0
         for i in np.flatnonzero(done):
-            leg = active[i]
-            ts = t0[leg] + (t1[leg] - t0[leg]) / (2 * M) * np.arange(2 * M + 1)
-            ts[-1] = t1[leg]
-            legs[leg] = MagnusLeg(A, ts, fine[i].copy())
+            nodes[active[i]] = fine[i].copy()
         if done.all():
-            return legs
+            break
         if 2 * M >= MAX_STEPS:
             i = int(np.argmax(excess.max(axis=1)))
             leg, node = active[i], np.unravel_index(int(np.argmax(excess[i])), est[i].shape)[0]
@@ -265,19 +269,122 @@ def _magnus_legs(A: CoefficientMatrix, spans) -> list:
                 f"(ATOL = {ATOL:g}, RTOL = {RTOL:g})",
                 t0[leg] + (t1[leg] - t0[leg]) * node / M)
         active, coarse, M = active[~done], fine[~done], 2 * M
+    legs = []
+    for a, b, Y, C in zip(t0, t1, nodes, _chebyshev_fits(A, t0, t1, nodes)):
+        ts = a + (b - a) / (len(Y) - 1) * np.arange(len(Y))
+        ts[-1] = b
+        legs.append(MagnusLeg(ts, Y, C))
+    return legs
+
+
+@functools.lru_cache(maxsize=None)
+def _lobatto(d: int):
+    """The degree-``d`` Chebyshev-Lobatto points as fractions of [0, 1], and their barycentric weights.
+
+    The fractions (1 - sin(pi (d - 2j) / (2d))) / 2 are symmetric and
+    exactly 0 and 1 at the ends.
+    """
+    j = np.arange(d + 1)
+    c = (1.0 - np.sin(np.pi * (d - 2 * j) / (2 * d))) / 2.0
+    w = np.where(j % 2 == 0, 1.0, -1.0)
+    w[[0, -1]] *= 0.5
+    return c, w
+
+
+def _cardinals(u, d: int) -> np.ndarray:
+    """The degree-``d`` Lagrange basis on :func:`_lobatto` at the fractions ``u``: (len(u), d + 1).
+
+    The second (true) barycentric formula (Berrut and Trefethen, SIAM
+    Review 46, 2004); a fraction on a Chebyshev point gets that point's unit row.
+    """
+    c, w = _lobatto(d)
+    diff = np.subtract.outer(u, c)
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        B = w / diff
+        B /= B.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    B[rows] = hit[rows]
+    return B
+
+
+def _leg_samples(A: CoefficientMatrix, t0, t1, nodes, c) -> np.ndarray:
+    """Each leg's Phi(t0 + (t1 - t0) c, t0) at the fractions ``c``: (L, len(c), n, n).
+
+    ``nodes`` lists each leg's node matrices.  A fraction on a node takes
+    that node's matrix; every other is one partial Magnus step from the node
+    below, all of a slice of at most ``_BATCH_STEPS`` samples in one batch.
+    """
+    per = max(1, _BATCH_STEPS // len(c))
+    if len(t0) > per:
+        return np.concatenate([_leg_samples(A, t0[i:i + per], t1[i:i + per], nodes[i:i + per], c)
+                               for i in range(0, len(t0), per)])
+    N = np.array([len(Y) - 1 for Y in nodes])
+    at = np.multiply.outer(N, c)
+    k = np.floor(at).astype(int)
+    first = np.cumsum(N + 1) - (N + 1)
+    S = np.concatenate(nodes)[first[:, None] + k]
+    # the node times as MagnusLeg.ts holds them
+    start = t0[:, None] + ((t1 - t0) / N)[:, None] * k
+    off = at != k
+    s = t0[:, None] + (t1 - t0)[:, None] * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        S[off] = _magnus_steps(A, start[off], s[off] - start[off]) @ S[off]
+    return S
+
+
+def _chebyshev_fits(A: CoefficientMatrix, t0, t1, nodes) -> list:
+    """Each leg's samples at the Chebyshev-Lobatto points of [t0, t1] (:func:`_lobatto`).
+
+    The degree d starts at 2 ``FIRST_STEPS`` and doubles for the legs whose
+    barycentric interpolant misses a node matrix Y by more than
+    ``ATOL`` + ``RTOL`` |Y| in some entry, the test the nodes passed.
+    Raises :class:`PropagationError` for a leg that still misses past
+    degree ``MAX_STEPS``.
+    """
+    N = np.array([len(Y) - 1 for Y in nodes])
+    fits = [None] * len(nodes)
+    active = np.arange(len(nodes))
+    d = 2 * FIRST_STEPS
+    while True:
+        S = _leg_samples(A, t0[active], t1[active], [nodes[i] for i in active], _lobatto(d)[0])
+        gap = np.empty(len(active))
+        excess = np.empty(len(active))
+        for m in np.unique(N[active]):
+            sel = np.flatnonzero(N[active] == m)
+            Y = np.stack([nodes[i] for i in active[sel]]).reshape(len(sel), m + 1, -1)
+            err = np.abs(_cardinals(np.arange(m + 1) / m, d) @ S[sel].reshape(len(sel), d + 1, -1)
+                         - Y)
+            gap[sel] = err.max(axis=(1, 2))
+            excess[sel] = (err - (ATOL + RTOL * np.abs(Y))).max(axis=(1, 2))
+        done = excess <= 0.0
+        for i in np.flatnonzero(done):
+            fits[active[i]] = S[i]
+        if done.all():
+            return fits
+        if 2 * d > MAX_STEPS:
+            i = int(np.argmax(excess))
+            leg = active[i]
+            raise PropagationError(
+                f"Magnus leg [{t0[leg]:.6g}, {t1[leg]:.6g}] unresolved by its degree-{d} "
+                f"Chebyshev interpolant: node error {gap[i]:.3g} exceeds "
+                f"ATOL + RTOL |Y| (ATOL = {ATOL:g}, RTOL = {RTOL:g})",
+                t0[leg])
+        active, d = active[~done], 2 * d
 
 
 class MagnusLeg:
     """Phi(s, t0) of a Magnus-integrated leg.
 
     ``ts`` holds the uniform nodes t0, ..., t1 and ``Y`` the node matrices
-    Phi(ts[k], t0), shape (len(ts), n, n).  At a node the leg returns its
-    matrix; elsewhere it takes one partial Magnus step from the node below
-    s (in the leg's direction), all such steps of a call in one batch.
+    Phi(ts[k], t0), shape (len(ts), n, n).  ``C`` holds Phi at the
+    Chebyshev-Lobatto points of degree len(C) - 1 on [t0, t1]
+    (:func:`_chebyshev_fits`).  At a node the leg returns its matrix;
+    elsewhere the barycentric interpolant of ``C``, one matrix product per call.
     """
 
-    def __init__(self, A: CoefficientMatrix, ts, Y):
-        self.A, self.ts, self.Y = A, ts, Y
+    def __init__(self, ts, Y, C):
+        self.ts, self.Y, self.C = ts, Y, C
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -285,12 +392,15 @@ class MagnusLeg:
         ts = self.ts
         sign = 1.0 if ts[-1] >= ts[0] else -1.0
         k = np.clip(np.searchsorted(sign * ts, sign * flat, side="right") - 1, 0, len(ts) - 1)
-        out = self.Y[k]
-        off = flat != ts[k]
-        if off.any():
-            out[off] = _magnus_steps(self.A, ts[k[off]], flat[off] - ts[k[off]]) @ out[off]
-        n2 = self.A.n ** 2
-        return out.reshape(n2) if s.ndim == 0 else out.reshape(-1, n2).T
+        on = flat == ts[k]
+        n2 = self.Y[0].size
+        if on.all():
+            out = self.Y[k].reshape(-1, n2)
+        else:
+            d = len(self.C) - 1
+            out = _cardinals((flat - ts[0]) / (ts[-1] - ts[0]), d) @ self.C.reshape(d + 1, n2)
+            out[on] = self.Y[k[on]].reshape(-1, n2)
+        return out.reshape(n2) if s.ndim == 0 else out.T
 
 
 class TransitionOperator:

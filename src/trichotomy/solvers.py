@@ -29,14 +29,16 @@ kernel's window at the grid step, once per kernel and step; the modal path
 takes max |lam|.  Above h a = 16 the 16-node rule stays, and the
 fourth-order residual gate 10*tol decides whether the solution stands; its
 finite-difference error grows like (h a)^4, so it refuses grids that coarse
-anyway.  Four nodes is the floor because the bound leaves out the powers
-u^p of the forcing's cubic in a panel's moments: on a tanh trichotomy at
-h = 0.02, in units of h^p times the zeroth moment, the u^3 moment is 5e-10
-off the 16-node one at 3 nodes, on closed-form legs as on Magnus legs, and
-1e-14 off at 4 nodes.  A Magnus leg between its nodes is a partial step
-from the node below, smooth only within a step, so a rule also sees the
-leg's interpolation error, but on the sixth-order legs at h = 0.02 the
-4-node moments are as close to the 16-node ones as on closed-form legs.
+anyway.  That bound is the error of the zeroth moment only.  A panel's
+moments weight the propagator by the powers u^p, p <= 3, of the forcing's
+cubic, and the 2m-th derivative of u^p g keeps the term
+binom(2m, p) p! g^{(2m-p)}, so in units of h^p times the zeroth moment the
+u^p moment errs like (h a)^{2m-p}: on a tanh trichotomy at h = 0.02 (h a = 0.02), 3 nodes put
+the u^3 moment 4.8e-10 off the 16-node one, where c_3 (h a)^6 is 3e-17.
+The floor of 4 nodes is what covers it on the CLI grid: at 4 nodes that
+moment is within 1e-14, on closed-form legs as on Magnus legs.  Between
+its nodes a Magnus leg is one Chebyshev interpolant per leg, analytic
+across the leg, so a rule sees it as it sees a closed-form leg.
 
 The semilinear equation x' = A(t)x + f(t) + F(t, x) is solved by Picard
 iteration around the linear solution, which contracts at rate
@@ -159,7 +161,9 @@ def _panel_rule(ha: float):
     """Gauss-Legendre nodes and weights on [-1, 1] for a panel with h*a = ``ha``.
 
     The fewest nodes m in 4..16 with c_m (h a)^{2m} <= 2^-53, and 16 nodes
-    when none meets it; see the module docstring.
+    when none meets it.  That bounds the zeroth moment; the u^p moment of a
+    plan errs like (h a)^{2m-p}, which the floor of 4 nodes covers on the
+    CLI grid (see the module docstring).
     """
     return _gauss_legendre(next((m for m in range(4, 16) if ha <= _GL_REACH[m]), 16))
 
@@ -246,8 +250,8 @@ def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
     gl_nodes, gl_weights = _plan_rule(kernel, f.h)
     nodes = pts[:-1, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
     wts = np.outer(widths, gl_weights / 2.0)
-    # one dense call for nodes and panel points: a Magnus leg takes all its
-    # partial steps in one batch
+    # one dense call for nodes and panel points: one interpolation product on
+    # a Magnus leg
     D = sol(np.concatenate([nodes.ravel(), pts])).T.reshape(-1, n, n)
     D_inv = np.linalg.inv(D[: nodes.size]).reshape(*nodes.shape, n, n)
     cell = np.floor((pts[:-1] + 0.5 * widths - f.a) / f.h).astype(int)

@@ -231,12 +231,27 @@ class TestSolveLinearCommand:
         cap = trichotomy.cli.MAX_GRID_VALUES
         assert f"over {cap:.4g} grid values at step 0.02" in err
 
-    def test_forcing_domain_error_prints_a_plain_float(self, tmp_path, capsys):
+    @pytest.mark.parametrize("forcing, value", [("ln(t+5)", "-5"), ("ln(14-t)", "0")])
+    def test_forcing_domain_error_prints_a_plain_float(self, tmp_path, capsys, monkeypatch,
+                                                       forcing, value):
+        # the failing time is bisected with array calls, then one scalar call
+        # raises the error there: no point-by-point pass over the grid
+        calls = []
+        forcing_fn = trichotomy.cli.ProblemSpec.forcing_fn
+
+        def counted(spec):
+            fn = forcing_fn(spec)
+            return lambda t: calls.append(np.shape(t)) or fn(t)
+
+        monkeypatch.setattr(trichotomy.cli.ProblemSpec, "forcing_fn", counted)
         prob = tmp_path / "ln.json"
-        prob.write_text(json.dumps(minimal(f=["ln(t+5)"])))
+        prob.write_text(json.dumps(minimal(f=[forcing])))
         rc = run_cli(["solve-linear", prob, "--out", tmp_path / "out"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: ln of non-positive value -5\n"
+        assert capsys.readouterr().err == f"error: ln of non-positive value {value}\n"
+        assert calls[-1] == () and () not in calls[:-1]
+        # at most a passing sup-norm sample and the failing call, then the bisection
+        assert len(calls) - 1 <= 2 + np.ceil(np.log2(max(shape[0] for shape in calls[:-1])))
 
     def test_forcing_required(self, tmp_path):
         prob = tmp_path / "nof.json"

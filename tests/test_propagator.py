@@ -265,13 +265,18 @@ class TestBatchedExpm:
 
 class TestMagnusLegs:
     @pytest.mark.parametrize("name", ["rotation", "trich_tanh", "arctan"])
-    def test_batched_legs_match_the_rk45_reference(self, name):
+    def test_batched_legs_match_the_rk45_reference(self, name, monkeypatch):
         A = load_problem(problem_path(name)).A
         op = TransitionOperator(A)
         spans = [(float(k), k + 1.0) for k in range(-6, 6)] + [(2.5, 3.0), (4.0, 1.5)]
         legs = op.solve_legs(spans)
         assert all(isinstance(leg, MagnusLeg) for leg in legs)
         assert all(op.solve_leg(*span) is leg for span, leg in zip(spans, legs))
+        assert all(2 * propagator.FIRST_STEPS <= len(leg.C) - 1 <= propagator.MAX_STEPS
+                   for leg in legs)
+        # a dense call takes no Magnus step
+        steps = []
+        monkeypatch.setattr(propagator, "_magnus_steps", lambda *args: steps.append(args))
         rng = np.random.default_rng(0)
         for (t0, t1), leg in zip(spans, legs):
             ref = rk45_leg(A, t0, t1)
@@ -279,13 +284,16 @@ class TestMagnusLegs:
             scale = np.max(np.abs(ref(s)))
             assert np.max(np.abs(leg(s) - ref(s))) <= 1e-8 * scale
             assert np.max(np.abs(leg(t1) - ref(t1))) <= 1e-8 * scale
-            # between the nodes a leg is one partial step from the node below
+            # between the nodes a leg is its Chebyshev interpolant; the gap to
+            # RK45 is RK45's own, up to 2.0e-9 of the scale (arctan), as at the nodes
             off = t0 + (t1 - t0) * rng.uniform(size=32)
             assert not np.isin(off, leg.ts).any()
             assert np.max(np.abs(leg(off) - ref(off))) <= 1e-8 * scale
             # nodes are returned as integrated, and a leg starts at I
+            assert np.array_equal(leg(leg.ts), leg.Y.reshape(len(leg.ts), -1).T)
             assert np.array_equal(leg(leg.ts[3]), leg.Y[3].reshape(-1))
             assert np.array_equal(leg(t0), np.eye(A.n).reshape(-1))
+        assert steps == []
 
     def test_one_batch_per_call(self, monkeypatch, rotation_A):
         batches = []
@@ -305,9 +313,19 @@ class TestMagnusLegs:
         leg = op.solve_leg(0.0, 1.0)
         assert len(leg.ts) - 1 > len(slow.solve_leg(0.0, 1.0).ts) - 1
         assert len(leg.ts) - 1 > 2 * propagator.FIRST_STEPS
+        assert 2 * propagator.FIRST_STEPS < len(leg.C) - 1 <= propagator.MAX_STEPS
         s = np.linspace(0.0, 1.0, 41)
         ref = np.exp(np.sin(40.0 * s) / 40.0)
         assert np.max(np.abs(leg(s)[0] - ref)) <= 1e-9 * np.max(ref)
+
+    def test_unresolved_interpolant_raises(self, monkeypatch):
+        # the cos(40 t) leg resolves at 64 steps, and its interpolant at degree 128
+        monkeypatch.setattr(propagator, "MAX_STEPS", 64)
+        op = TransitionOperator(CoefficientMatrix.from_strings([["cos(40*t)"]]))
+        with pytest.raises(PropagationError, match=r"Magnus leg \[0, 1\] unresolved by its "
+                           r"degree-64 Chebyshev interpolant: node error .* exceeds ATOL "
+                           r"\+ RTOL \|Y\|"):
+            op.solve_leg(0.0, 1.0)
 
     def test_unresolved_leg_raises(self):
         op = TransitionOperator(CoefficientMatrix.from_strings([["1000*cos(100000*t)"]]))

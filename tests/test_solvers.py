@@ -697,11 +697,11 @@ class TestPanelRule:
     @pytest.mark.parametrize("h", RULE_GRIDS)
     @pytest.mark.parametrize("name", ["rotation_kernel", "trich_kernel"])
     def test_magnus_plan_moments_match_16_nodes(self, request, name, h, monkeypatch):
-        # A Magnus leg between its nodes is one partial step from the node
-        # below, smooth only within a step, so here the rules see different
-        # interpolation errors: up to 1.9e-12 (4 nodes at h = 0.1), and
-        # 1e-14 at the CLI's h = 0.02, as on closed-form legs; 3 nodes would
-        # give 4.8e-10 there, the rule's own remainder on the u^3 moment.
+        # A Magnus leg between its nodes is its Chebyshev interpolant,
+        # analytic across the leg, so the rules differ by their own
+        # remainders, as on closed-form legs: up to 1.9e-12 (4 nodes at
+        # h = 0.1) and 5e-15 at the CLI's h = 0.02; 3 nodes would give
+        # 4.8e-10 there, the rule's own remainder on the u^3 moment.
         K = request.getfixturevalue(name)
         assert K.modes is None
         assert_plans_match_nodes(K, h, monkeypatch, RTOL / 100)
