@@ -34,9 +34,22 @@ its cached legs; it is built by two sweeps with QR re-orthonormalization:
 
 Subspace errors contract exponentially along each sweep, so anchors inside
 the certified window are accurate even when the seed at the far end is crude.
+
 The Green quadrature on such a certificate applies the branch projectors and
 propagates leg by leg in the decaying direction, re-projecting at anchors to
 strip the exponentially growing error component.
+
+Three stages stay sequential.  The two QR sweeps and the passes of a
+chain walk (:func:`_walk`) are recurrences: each step needs the one before
+it.  The Magnus batches, one per estimate and one per family, are not
+merged, because ``expm`` picks its Pade degree from the largest norm in
+its stack, so a leg's bits depend on its batch-mates.  Every other stage
+is one stacked call for all anchors: the leg matrices are read off the
+legs' last nodes (:func:`_leg_matrices`), every anchor's oblique projector
+comes from one ``cond`` and one ``inv`` (:func:`_oblique_projectors`),
+both halves' chains of one branch share each pass of one walk
+(:func:`_chain_samples`), and a walk's 2-norms are taken once, after its
+last pass.  Each gives bitwise the result of its per-anchor form.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .propagator import RTOL, TransitionOperator
+from .propagator import RTOL, ExactLeg, TransitionOperator
 
 __all__ = [
     "HyperbolicityError",
@@ -76,6 +89,9 @@ COMPAT_TOL = 1e-6
 SPECTRAL_TOL = 1e-10
 # |Re lam| <= AXIS_TOL * max(1, ||A||_2) counts as on the imaginary axis
 AXIS_TOL = 1e-8
+# largest cond([R, K]) at which a range basis R and a kernel basis K count as
+# transversal, so that the projector they define is formed
+TANGENCY_COND_MAX = 1e12
 
 
 class HyperbolicityError(Exception):
@@ -121,18 +137,28 @@ def _orth_complement(basis: np.ndarray) -> np.ndarray:
     return vh[rank:].T
 
 
-def _oblique_projector(range_basis: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
-    """Projector with the given range and kernel (columns are bases)."""
-    n, k = range_basis.shape
-    X = np.hstack([range_basis, kernel_basis])
-    if X.shape != (n, n):
+def _oblique_projectors(anchors, R, K) -> np.ndarray:
+    """Projector with range ``R[i]`` and kernel ``K[i]`` (columns are bases) at every anchor.
+
+    ``R`` and ``K`` list the bases at ``anchors``; the result is (m, n, n).
+    One stacked ``cond`` and one stacked ``inv`` serve every anchor.  The
+    refusal names the first anchor, in anchor order, whose [R, K] is
+    singular or has a condition number above ``TANGENCY_COND_MAX``.
+    """
+    R = np.stack(R)
+    X = np.concatenate([R, np.stack(K)], axis=2)
+    m, n, k = R.shape
+    if X.shape != (m, n, n):
         raise ValueError("range and kernel dimensions must add up to n")
     cond = np.linalg.cond(X)
-    if not np.isfinite(cond) or cond > 1e12:
+    tangent = ~(cond <= TANGENCY_COND_MAX)
+    if tangent.any():
+        i = int(np.argmax(tangent))
         raise NonHyperbolicError(
-            f"range and kernel subspaces are nearly tangent (cond {cond:.3g})"
+            f"range and kernel subspaces are nearly tangent at t = {anchors[i]:.6g}: "
+            f"cond([R, K]) = {cond[i]:.3g} exceeds TANGENCY_COND_MAX = {TANGENCY_COND_MAX:g}"
         )
-    return range_basis @ np.linalg.inv(X)[:k, :]
+    return R @ np.linalg.inv(X)[:, :k, :]
 
 
 def _as_operator(A) -> TransitionOperator:
@@ -148,15 +174,22 @@ def _anchor_times(lo: float, hi: float) -> np.ndarray:
 
 
 def _leg_matrices(op: TransitionOperator, anchors: np.ndarray) -> np.ndarray:
-    """Phi(anchors[i + 1], anchors[i]) of every leg, its missing legs integrated in one batch."""
-    n = op.A.n
-    legs = op.solve_legs(zip(anchors[:-1], anchors[1:]))
-    return np.array([leg(s1).reshape(n, n) for leg, s1 in zip(legs, anchors[1:])])
+    """Phi(anchors[i + 1], anchors[i]) of every leg: (m - 1, n, n).
+
+    An exact leg depends on its length alone, so one :class:`ExactLeg` call
+    gives them all.  Otherwise the missing legs are integrated in one batch,
+    and each leg's matrix is its last node.
+    """
+    if op.eig is not None:
+        n = op.A.n
+        return ExactLeg(*op.eig, 0.0)(np.diff(anchors)).T.reshape(-1, n, n)
+    return np.stack([leg.Y[-1] for leg in op.solve_legs(zip(anchors[:-1], anchors[1:]))])
 
 
-def _scaled_product_svd(mats):
+def _scaled_product_svd(mats, anchors):
     """SVD of the ordered product mats[-1] @ ... @ mats[0], overflow-safe.
 
+    ``mats[i]`` is the leg from ``anchors[i]`` to ``anchors[i + 1]``.
     Returns (U, log_sigma, Vt) with log_sigma descending; the product is
     rescaled leg by leg, which changes singular values by a common factor
     tracked in log space and leaves singular vectors untouched.
@@ -164,11 +197,16 @@ def _scaled_product_svd(mats):
     n = mats[0].shape[0]
     B = np.eye(n)
     log_scale = 0.0
-    for M in mats:
+    for i, M in enumerate(mats):
         B = M @ B
         s = np.linalg.norm(B)
         if not np.isfinite(s) or s == 0.0:
-            raise NonHyperbolicError("transition product overflowed or vanished")
+            what = "vanished" if s == 0.0 else "overflowed"
+            raise NonHyperbolicError(
+                f"transition product overflowed or vanished: it {what} on leg "
+                f"[{anchors[i]:.6g}, {anchors[i + 1]:.6g}], where its Frobenius norm, "
+                f"1 before that leg, became {s:.3g}"
+            )
         B /= s
         log_scale += math.log(s)
     U, sig, Vt = np.linalg.svd(B)
@@ -228,7 +266,7 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
     op = _as_operator(A)
     n = op.A.n
     anchors = _anchor_times(lo, hi)
-    U, logs, Vt = _scaled_product_svd(_leg_matrices(op, anchors))
+    U, logs, Vt = _scaled_product_svd(_leg_matrices(op, anchors), anchors)
     k_grow = int(np.sum(logs > 0.0))
     # the split at 1 counts a missing side of the ladder as 1
     ladder = np.concatenate([[0.0], logs, [0.0]])
@@ -329,64 +367,88 @@ def _build_half_family(op, lo, hi, P_seed, rate) -> ProjectorFamily:
     else:
         R = _sweep_backward(legs, seed)
         K = _sweep_forward(legs, _orth_complement(R[0]))
-    projectors = np.array([_oblique_projector(Ri, Ki) for Ri, Ki in zip(R, K)])
+    projectors = _oblique_projectors(anchors, R, K)
     seed_residual = float(np.linalg.norm(projectors[0 if at_lo else -1] - P_seed, 2))
     return ProjectorFamily(op, anchors, projectors, legs, seed_residual)
 
 
-def _walk(family, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf):
+def _walk(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf):
     """Norm samples of the (k, n, n) stack ``Z0``, chain i carried from anchor ``starts[i]``.
 
-    Each pass moves every live chain one anchor up (``step=+1``) or down
-    (``step=-1``) and applies ``act(legs, Z)`` to the stack, with each
-    chain's leg between its two anchors, then ``proj[j]`` at each chain's
-    new anchor j when the stack ``proj`` is given.  A chain drops out
-    before its first anchor outside [lo, hi] or farther than ``cap`` from
-    its start.  Returns an (r, 4) array of rows (separation, ||Z||, anchor,
-    start anchor), pass after pass.
+    ``legs[i]`` is the transition matrix from ``anchors[i]`` to
+    ``anchors[i + 1]``.  Each pass moves every live chain one anchor up
+    (``step=+1``) or down (``step=-1``) and applies ``act(legs, Z)`` to the
+    stack, with each chain's leg between its two anchors, then ``proj[j]``
+    at each chain's new anchor j when the stack ``proj`` is given.  A chain
+    drops out before its first anchor outside [lo, hi] (scalars, or one
+    pair per chain), farther than ``cap`` from its start, or NaN.  Returns
+    an (r, 4) array of rows (separation, ||Z||, anchor, start anchor), pass
+    after pass, and each row's chain i.  The passes are sequential; every
+    pass's 2-norms come from one stacked call after the last pass.
     """
-    anchors = family.anchors
     starts = np.asarray(starts)
-    j, Z = starts + step, Z0
-    rows = [np.empty((0, 4))]
+    lo, hi = np.broadcast_to(lo, starts.shape), np.broadcast_to(hi, starts.shape)
+    chain, j, Z = np.arange(len(starts)), starts + step, Z0
+    stacks, passes = [Z0[:0]], [np.empty((0, 3))]
     while True:
         live = (j >= 0) & (j < len(anchors))
         t = anchors[np.where(live, j, 0)]
-        sep = np.abs(t - anchors[starts])
-        live &= (t >= lo - 1e-9) & (t <= hi + 1e-9) & (sep <= cap + 1e-9)
+        sep = np.abs(t - anchors[starts[chain]])
+        live &= (t >= lo[chain] - 1e-9) & (t <= hi[chain] + 1e-9) & (sep <= cap + 1e-9)
         if not live.any():
-            return np.vstack(rows)
-        starts, j, Z, t, sep = starts[live], j[live], Z[live], t[live], sep[live]
-        Z = act(family.legs[np.minimum(j, j - step)], Z)
+            break
+        chain, j, Z, t, sep = chain[live], j[live], Z[live], t[live], sep[live]
+        Z = act(legs[np.minimum(j, j - step)], Z)
         if proj is not None:
             Z = proj[j] @ Z
-        rows.append(np.column_stack([sep, np.linalg.norm(Z, 2, axis=(1, 2)), t, anchors[starts]]))
+        stacks.append(Z)
+        passes.append(np.column_stack([sep, t, chain]))
         j = j + step
+    sep, t, chain = np.vstack(passes).T
+    chain = chain.astype(int)
+    norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))
+    return np.column_stack([sep, norms, t, anchors[starts[chain]]]), chain
 
 
-def _chain_samples(family: ProjectorFamily, lo, hi):
-    """Norm samples ||Phi(t, tau) Pi(tau)|| of the chains from every anchor in [lo, hi].
+def _chain_samples(families, spans):
+    """Norm samples ||Phi(t, tau) Pi(tau)|| of the chains from every anchor of each family's span.
 
-    Returns ``[up, down]``: ``up`` carries the forward-decaying projector up
-    in time, ``down`` its complement down, each from all start anchors in
-    one :func:`_walk`.  Rows are :func:`_walk`'s, separation 0 included,
-    ordered by start anchor, then by separation.  Mid-chain re-projection
-    is an exact identity in exact arithmetic and strips the exponentially
-    growing numerical error component.
+    The chains of ``families[i]`` start at its anchors in ``spans[i]`` =
+    (lo, hi) and stay there.  Returns ``[up, down]`` of each family in turn:
+    ``up`` carries the forward-decaying projector up in time, ``down`` its
+    complement down.  Rows are :func:`_walk`'s, separation 0 included,
+    ordered by start anchor, then by separation.  All families' chains of
+    one direction go through one :func:`_walk`, on the families' lattices
+    laid end to end with a NaN anchor after each, so no chain crosses into
+    the next family.  Mid-chain re-projection is an exact identity in exact
+    arithmetic and strips the exponentially growing numerical error component.
     """
-    anchors = family.anchors
-    starts = np.flatnonzero((anchors >= lo - 1e-9) & (anchors <= hi + 1e-9))
+    n = families[0].op.A.n
+    gap = np.full((1, n, n), np.nan)
+    anchors = np.concatenate([np.append(fam.anchors, np.nan) for fam in families])
+    legs = np.concatenate([M for fam in families for M in (fam.legs, gap, gap)])
+    projectors = np.concatenate([M for fam in families for M in (fam.projectors, gap)])
+    offsets = np.cumsum([0] + [len(fam.anchors) + 1 for fam in families[:-1]])
+    starts, bounds = [], []
+    for fam, offset, (lo, hi) in zip(families, offsets, spans):
+        mine = np.flatnonzero((fam.anchors >= lo - 1e-9) & (fam.anchors <= hi + 1e-9))
+        starts.append(offset + mine)
+        bounds.append(np.tile([lo, hi], (len(mine), 1)))
+    owner = np.repeat(np.arange(len(families)), [len(k) for k in starts])
+    starts, (lo, hi) = np.concatenate(starts), np.concatenate(bounds).T
     t0 = anchors[starts]
-    groups = []
-    for step, proj, act in (
-        (+1, family.projectors, np.matmul),
-        (-1, np.eye(family.op.A.n) - family.projectors, np.linalg.solve),
-    ):
+    groups = [[] for _ in families]
+    for step, proj, act in ((+1, projectors, np.matmul),
+                            (-1, np.eye(n) - projectors, np.linalg.solve)):
         Z0 = proj[starts]
+        walked, chain = _walk(anchors, legs, starts, step, act, Z0, lo, hi, proj=proj)
         at_start = np.column_stack([np.zeros_like(t0), np.linalg.norm(Z0, 2, axis=(1, 2)), t0, t0])
-        rows = np.vstack([at_start, _walk(family, starts, step, act, Z0, lo, hi, proj=proj)])
-        groups.append(rows[np.lexsort((rows[:, 0], rows[:, 3]))])
-    return groups
+        rows = np.vstack([at_start, walked])
+        owned = owner[np.concatenate([np.arange(len(starts)), chain])]
+        for i, group in enumerate(groups):
+            mine = rows[owned == i]
+            group.append(mine[np.lexsort((mine[:, 0], mine[:, 3]))])
+    return [rows for group in groups for rows in group]
 
 
 def _envelope_fit(sample_groups):
@@ -451,9 +513,10 @@ def _direct_rows(family, P, lo, hi, cap):
     eye = np.eye(len(P))
 
     def walk(start, step, act, Z0):
-        rows = _walk(family, [start, start], step, act, np.stack([Z0, eye]), lo, hi, cap=cap)
-        trusted = RTOL * rows[1::2, 1] * np.linalg.norm(Z0, 2) <= SLACK_TOL
-        return rows[0::2][np.logical_and.accumulate(trusted)]
+        rows, chain = _walk(family.anchors, family.legs, [start, start], step, act,
+                            np.stack([Z0, eye]), lo, hi, cap=cap)
+        trusted = RTOL * rows[chain == 1, 1] * np.linalg.norm(Z0, 2) <= SLACK_TOL
+        return rows[chain == 0][np.logical_and.accumulate(trusted)]
 
     def right_solve(M, Z):
         return np.linalg.solve(M.swapaxes(1, 2), Z.swapaxes(1, 2)).swapaxes(1, 2)
@@ -479,8 +542,7 @@ def _verify_halves(op, halves, rate, N=None, nu=None):
     slacks chains come first.
     """
     families = [_build_half_family(op, lo, hi, P, rate) for P, lo, hi in halves]
-    chains = [rows for fam, (_, lo, hi) in zip(families, halves)
-              for rows in _chain_samples(fam, lo, hi)]
+    chains = _chain_samples(families, [(lo, hi) for _, lo, hi in halves])
     if N is None or nu is None:
         N, nu = _envelope_fit(chains)
     groups = list(zip(chains, ("stable", "unstable") * len(halves)))

@@ -509,7 +509,7 @@ class TestOneOperatorPerCommand:
         S = cert.interval[1]
         assert S > 12.0
         fam_plus, fam_minus = cert.families
-        groups = _chain_samples(fam_plus, 0.0, S) + _chain_samples(fam_minus, -S, 0.0)
+        groups = _chain_samples([fam_plus, fam_minus], [(0.0, S), (-S, 0.0)])
         worst = max(_bound_violations(rows, cert.N, cert.nu, "chain")[0] for rows in groups)
         assert worst <= SLACK_TOL
 

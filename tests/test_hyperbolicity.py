@@ -1,18 +1,23 @@
 """Dichotomy/trichotomy estimation, verification, the Green kernel and its shift oracle."""
 
 import json
+import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import green_matrix, shifted_coefficient
+from conftest import green_matrix, problem_path, shifted_coefficient
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import trichotomy.hyperbolicity
 from trichotomy.grid import GridFunction
+from trichotomy.cli import load_problem
 from trichotomy.hyperbolicity import (
     SLACK_TOL,
+    TANGENCY_COND_MAX,
     DichotomyCertificate,
     GreenKernel,
     HyperbolicityError,
@@ -22,6 +27,10 @@ from trichotomy.hyperbolicity import (
     TrichotomyIncompatibility,
     WindowTooSmall,
     _anchor_times,
+    _leg_matrices,
+    _oblique_projectors,
+    _scaled_product_svd,
+    _walk,
     build_trichotomy,
     certificate_to_json,
     estimate_constants,
@@ -137,6 +146,140 @@ def test_anchor_legs_sit_on_the_integer_lattice(lo, length):
     assert np.all(np.diff(anchors) > 1e-9) and np.all(np.diff(anchors) <= 1.0 + 1e-9)
     inner = anchors[1:-1]
     assert np.array_equal(inner, np.round(inner))
+
+
+def _oblique_projector(range_basis, kernel_basis):
+    """Reference for :func:`_oblique_projectors`: one anchor's projector, refused when tangent."""
+    k = range_basis.shape[1]
+    X = np.hstack([range_basis, kernel_basis])
+    cond = np.linalg.cond(X)
+    if not np.isfinite(cond) or cond > TANGENCY_COND_MAX:
+        raise NonHyperbolicError(f"range and kernel subspaces are nearly tangent (cond {cond:.3g})")
+    return range_basis @ np.linalg.inv(X)[:k, :]
+
+
+def _assert_projectors_match_the_per_anchor_loop(anchors, R, K):
+    """The stacked projectors equal the loop's bit for bit, or both refuse at the same anchor."""
+    out = []
+    for i, (Ri, Ki) in enumerate(zip(R, K)):
+        try:
+            out.append(_oblique_projector(Ri, Ki))
+        except NonHyperbolicError:
+            where = re.escape(f"at t = {anchors[i]:.6g}: cond")
+            with pytest.raises(NonHyperbolicError, match=where):
+                _oblique_projectors(anchors, R, K)
+            return
+    assert np.array_equal(_oblique_projectors(anchors, R, K), np.array(out))
+
+
+def _walk_reference(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf):
+    """Reference for :func:`_walk`: each pass takes its own 2-norms."""
+    starts = np.asarray(starts)
+    lo, hi = np.broadcast_to(lo, starts.shape), np.broadcast_to(hi, starts.shape)
+    chain, j, Z = np.arange(len(starts)), starts + step, Z0
+    rows, chains = [np.empty((0, 4))], [chain[:0]]
+    while True:
+        live = (j >= 0) & (j < len(anchors))
+        t = anchors[np.where(live, j, 0)]
+        sep = np.abs(t - anchors[starts[chain]])
+        live &= (t >= lo[chain] - 1e-9) & (t <= hi[chain] + 1e-9) & (sep <= cap + 1e-9)
+        if not live.any():
+            return np.vstack(rows), np.concatenate(chains)
+        chain, j, Z, t, sep = chain[live], j[live], Z[live], t[live], sep[live]
+        Z = act(legs[np.minimum(j, j - step)], Z)
+        if proj is not None:
+            Z = proj[j] @ Z
+        norms = np.linalg.norm(Z, 2, axis=(1, 2))
+        rows.append(np.column_stack([sep, norms, t, anchors[starts[chain]]]))
+        chains.append(chain)
+        j = j + step
+
+
+def _assert_walks_match(*args, **kwargs):
+    rows, chain = _walk(*args, **kwargs)
+    ref_rows, ref_chain = _walk_reference(*args, **kwargs)
+    assert np.array_equal(rows, ref_rows) and np.array_equal(chain, ref_chain)
+
+
+class TestStackedHelpers:
+    """The swept certificate's stacked helpers against their per-anchor and per-pass forms."""
+
+    @pytest.mark.parametrize("name", ["rotation", "trich_tanh"])
+    def test_bundled_families_match_the_references(self, name, monkeypatch):
+        module = trichotomy.hyperbolicity
+        projectors, walk = module._oblique_projectors, module._walk
+        proj_args, walk_args = [], []
+
+        def spy(log, fn):
+            return lambda *args, **kwargs: log.append((args, kwargs)) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_oblique_projectors", spy(proj_args, projectors))
+        monkeypatch.setattr(module, "_walk", spy(walk_args, walk))
+        build_trichotomy(load_problem(problem_path(name)).A, 12.0)
+        # one family per half; both halves' chains of each branch in one
+        # walk, and three direct walks
+        assert (len(proj_args), len(walk_args)) == (2, 5)
+        for args, _ in proj_args:
+            _assert_projectors_match_the_per_anchor_loop(*args)
+        for args, kwargs in walk_args:
+            _assert_walks_match(*args, **kwargs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_random_stacks_match_the_per_anchor_loop(self, n, data):
+        """n 1-3, rank 0..n; at up to two anchors a kernel vector is a range vector moved by
+        0, 1e-14 or 1e-9, so both forms refuse there, or both accept."""
+        k = data.draw(st.integers(0, n))
+        m = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        anchors = rng.uniform(-30.0, 0.0) + np.arange(m)
+        R = [rng.standard_normal((n, k)) for _ in range(m)]
+        K = [rng.standard_normal((n, n - k)) for _ in range(m)]
+        if 0 < k < n:
+            for i in data.draw(st.sets(st.integers(0, m - 1), max_size=2)):
+                gap = data.draw(st.sampled_from([0.0, 1e-14, 1e-9]))
+                K[i][:, 0] = R[i][:, 0] + gap * rng.standard_normal(n)
+        _assert_projectors_match_the_per_anchor_loop(anchors, R, K)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, -1]), st.booleans(), st.booleans(), st.floats(0.5, 8.0))
+    def test_random_walks_match_the_per_pass_norms(self, n, m, seed, step, solve, project, cap):
+        """Chains with bounds of their own on a lattice that a NaN anchor may cut in two."""
+        rng = np.random.default_rng(seed)
+        anchors = rng.uniform(-10.0, 0.0) + np.arange(m)
+        if rng.uniform() < 0.5:
+            anchors[rng.integers(m)] = np.nan
+        legs = rng.standard_normal((m - 1, n, n)) + 2.0 * np.eye(n)
+        starts = rng.integers(0, m, size=rng.integers(1, 6))
+        lo, hi = np.sort(rng.uniform(-10.5, m - 9.5, (2, len(starts))), axis=0)
+        proj = rng.standard_normal((m, n, n)) if project else None
+        _assert_walks_match(anchors, legs, starts, step, np.linalg.solve if solve else np.matmul,
+                            rng.standard_normal((len(starts), n, n)), lo, hi, proj=proj, cap=cap)
+
+    @pytest.mark.parametrize("name", ["rotation", "trich_tanh", "diag_cos"])
+    def test_leg_matrices_are_the_dense_legs_at_their_ends(self, name):
+        op = TransitionOperator(load_problem(problem_path(name)).A)
+        assert (op.eig is not None) == (name == "diag_cos")
+        anchors = _anchor_times(-3.5, 4.25)
+        expect = np.stack([op.matrix(a, b) for a, b in zip(anchors[:-1], anchors[1:])])
+        assert np.array_equal(_leg_matrices(op, anchors), expect)
+
+    def test_tangent_refusal_names_the_first_anchor_its_cond_and_the_limit(self):
+        e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+        K = [e2, np.array([[1.0], [1e-13]]), e1]
+        message = (r"^range and kernel subspaces are nearly tangent at t = 3: "
+                   r"cond\(\[R, K\]\) = 2e\+13 exceeds TANGENCY_COND_MAX = 1e\+12$")
+        with pytest.raises(NonHyperbolicError, match=message):
+            _oblique_projectors(np.array([2.0, 3.0, 4.0]), [e1] * 3, K)
+
+    @pytest.mark.parametrize("M, what, norm", [(np.zeros((2, 2)), "vanished", "0"),
+                                               (np.full((2, 2), 1e308), "overflowed", "inf")])
+    def test_product_refusal_names_the_leg_and_what_happened(self, M, what, norm):
+        message = (rf"^transition product overflowed or vanished: it {what} on leg \[-1, 0\], "
+                   rf"where its Frobenius norm, 1 before that leg, became {norm}$")
+        with np.errstate(over="ignore"), pytest.raises(NonHyperbolicError, match=message):
+            _scaled_product_svd([2.0 * np.eye(2), M, np.eye(2)], np.array([-2.0, -1.0, 0.0, 0.5]))
 
 
 class TestEstimateConstants:
