@@ -389,7 +389,7 @@ def _walk(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf)
     starts = np.asarray(starts)
     lo, hi = np.broadcast_to(lo, starts.shape), np.broadcast_to(hi, starts.shape)
     chain, j, Z = np.arange(len(starts)), starts + step, Z0
-    stacks, passes = [Z0[:0]], [np.empty((0, 3))]
+    stacks, passes, chains = [Z0[:0]], [np.empty((0, 2))], [chain[:0]]
     while True:
         live = (j >= 0) & (j < len(anchors))
         t = anchors[np.where(live, j, 0)]
@@ -402,10 +402,11 @@ def _walk(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf)
         if proj is not None:
             Z = proj[j] @ Z
         stacks.append(Z)
-        passes.append(np.column_stack([sep, t, chain]))
+        passes.append(np.column_stack([sep, t]))
+        chains.append(chain)
         j = j + step
-    sep, t, chain = np.vstack(passes).T
-    chain = chain.astype(int)
+    sep, t = np.vstack(passes).T
+    chain = np.concatenate(chains)
     norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))
     return np.column_stack([sep, norms, t, anchors[starts[chain]]]), chain
 
@@ -446,8 +447,8 @@ def _chain_samples(families, spans):
         rows = np.vstack([at_start, walked])
         owned = owner[np.concatenate([np.arange(len(starts)), chain])]
         for i, group in enumerate(groups):
-            mine = rows[owned == i]
-            group.append(mine[np.lexsort((mine[:, 0], mine[:, 3]))])
+            part = rows[owned == i]
+            group.append(part[np.lexsort((part[:, 0], part[:, 3]))])
     return [rows for group in groups for rows in group]
 
 

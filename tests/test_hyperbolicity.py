@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import trichotomy.hyperbolicity
-from trichotomy.grid import GridFunction
 from trichotomy.cli import load_problem
+from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import (
     SLACK_TOL,
     TANGENCY_COND_MAX,
