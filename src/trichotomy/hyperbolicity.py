@@ -430,13 +430,11 @@ def _chain_samples(families, spans):
     legs = np.concatenate([M for fam in families for M in (fam.legs, gap, gap)])
     projectors = np.concatenate([M for fam in families for M in (fam.projectors, gap)])
     offsets = np.cumsum([0] + [len(fam.anchors) + 1 for fam in families[:-1]])
-    starts, bounds = [], []
-    for fam, offset, (lo, hi) in zip(families, offsets, spans):
-        mine = np.flatnonzero((fam.anchors >= lo - 1e-9) & (fam.anchors <= hi + 1e-9))
-        starts.append(offset + mine)
-        bounds.append(np.tile([lo, hi], (len(mine), 1)))
+    starts = [offset + np.flatnonzero((fam.anchors >= lo - 1e-9) & (fam.anchors <= hi + 1e-9))
+              for fam, offset, (lo, hi) in zip(families, offsets, spans)]
     owner = np.repeat(np.arange(len(families)), [len(k) for k in starts])
-    starts, (lo, hi) = np.concatenate(starts), np.concatenate(bounds).T
+    starts = np.concatenate(starts)
+    lo, hi = np.asarray(spans, dtype=float)[owner].T
     t0 = anchors[starts]
     groups = [[] for _ in families]
     for step, proj, act in ((+1, projectors, np.matmul),
