@@ -34,7 +34,6 @@ its cached legs; it is built by two sweeps with QR re-orthonormalization:
 
 Subspace errors contract exponentially along each sweep, so anchors inside
 the certified window are accurate even when the seed at the far end is crude.
-
 The Green quadrature on such a certificate applies the branch projectors and
 propagates leg by leg in the decaying direction, re-projecting at anchors to
 strip the exponentially growing error component.
