@@ -880,8 +880,13 @@ class GreenKernel:
         if self.modes is None:
             self.fam_plus, self.fam_minus = cert.families
             self.anchors = np.concatenate([self.fam_minus.anchors[:-1], self.fam_plus.anchors])
+            # the stable projector at each anchor, as stable_projector gives it
+            self.projectors = np.concatenate([self.fam_minus.projectors[:-1],
+                                              self.fam_plus.projectors])
         # plans of the solver sweeps when ``modes`` is None, built on first
-        # use: (a0, a1, s0, s1, grid origin, grid step) -> plan of that leg clip
+        # use: (sweep window lo, hi, grid origin, grid step) -> one plan of
+        # stacked arrays that both sweep directions read, its leg values from
+        # one batched call per interpolant degree
         self.plans = {}
         # grid step h -> max ||A(t)||_1 sampled on the window at step h, which
         # sizes the plans' panel rule

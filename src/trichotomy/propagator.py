@@ -28,7 +28,10 @@ the flattened n*n matrix, an array of k times gives shape (n*n, k)):
   Magnus step from the node below, and the degree, from 2 ``FIRST_STEPS``
   up to ``MAX_STEPS``, doubles until the interpolant meets the same
   entrywise test at every node.  A dense call is then one small matrix
-  product and takes no Magnus step.  No scipy is needed.
+  product and takes no Magnus step, and
+  :meth:`TransitionOperator.leg_values` evaluates many legs at many times
+  with one cardinal matrix per interpolant degree and one batched product.
+  No scipy is needed.
 
 Transition matrices over long windows are never assembled as a single
 product chain in the growing direction; higher-level code (hyperbolicity
@@ -172,11 +175,7 @@ class ExactLeg:
         self.V, self.lam, self.V_inv, self.t0 = V, lam, V_inv, t0
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        E = np.exp(np.multiply.outer(s - self.t0, self.lam))
-        Y = ((self.V * E[..., None, :]) @ self.V_inv).real
-        n2 = self.lam.size ** 2
-        return Y.reshape(n2) if s.ndim == 0 else Y.reshape(-1, n2).T
+        return _dense_call(self, s)
 
 
 def _magnus_steps(A: CoefficientMatrix, starts, h) -> np.ndarray:
@@ -387,20 +386,58 @@ class MagnusLeg:
         self.ts, self.Y, self.C = ts, Y, C
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        flat = s.reshape(-1)
-        ts = self.ts
-        sign = 1.0 if ts[-1] >= ts[0] else -1.0
-        k = np.clip(np.searchsorted(sign * ts, sign * flat, side="right") - 1, 0, len(ts) - 1)
-        on = flat == ts[k]
-        n2 = self.Y[0].size
-        if on.all():
-            out = self.Y[k].reshape(-1, n2)
-        else:
-            d = len(self.C) - 1
-            out = _cardinals((flat - ts[0]) / (ts[-1] - ts[0]), d) @ self.C.reshape(d + 1, n2)
-            out[on] = self.Y[k[on]].reshape(-1, n2)
-        return out.reshape(n2) if s.ndim == 0 else out.T
+        return _dense_call(self, s)
+
+
+def _dense_call(leg, s):
+    """A leg's value at the time or times ``s`` in the calling convention of
+    the module docstring, from :func:`_leg_values`."""
+    s = np.asarray(s, dtype=float)
+    flat = s.reshape(-1)
+    out = _leg_values([leg], np.zeros(flat.size, dtype=int), flat).reshape(flat.size, -1)
+    return out.reshape(-1) if s.ndim == 0 else out.T
+
+
+def _leg_values(legs, which, s) -> np.ndarray:
+    """Phi(s[k], t0) on the leg ``legs[which[k]]`` for every k: shape (len(s), n, n).
+
+    The legs are all exact or all Magnus, as one operator's are.  Exact legs
+    share V, lam and V^-1, so their values are one batched product.  Magnus
+    legs go by interpolant degree d: one cardinal matrix (:func:`_cardinals`)
+    for every time on a leg of degree d, each leg's rows padded to the
+    longest, and one batched product with those legs' Chebyshev samples.  A
+    time on a leg's node takes that node's matrix.
+    """
+    s = np.asarray(s, dtype=float)
+    which = np.asarray(which, dtype=int)
+    if isinstance(legs[0], ExactLeg):
+        V, lam, V_inv = legs[0].V, legs[0].lam, legs[0].V_inv
+        E = np.exp(np.multiply.outer(s - np.array([leg.t0 for leg in legs])[which], lam))
+        return ((V * E[..., None, :]) @ V_inv).real
+    n = legs[0].Y.shape[-1]
+    t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
+    u = (s - t0[which]) / (t1[which] - t0[which])
+    out = np.empty((s.size, n, n))
+    degree = np.array([len(leg.C) - 1 for leg in legs])
+    for d in np.unique(degree[which]):
+        at = np.flatnonzero(degree[which] == d)
+        at = at[np.argsort(which[at], kind="stable")]  # grouped by leg
+        members, g = np.unique(which[at], return_inverse=True)
+        counts = np.bincount(g)
+        rank = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        B = np.zeros((members.size, counts.max(), d + 1))
+        B[g, rank] = _cardinals(u[at], d)
+        C = np.stack([legs[i].C for i in members]).reshape(members.size, d + 1, n * n)
+        out[at] = (B @ C)[g, rank].reshape(-1, n, n)
+    # the node rule: ts[j] = t0 + (t1 - t0) j / M, so a time on node j has
+    # u M within a few ulps of j
+    M = np.array([len(leg.ts) - 1 for leg in legs])
+    first = np.cumsum(M + 1) - (M + 1)
+    j = first[which] + np.clip(np.rint(u * M[which]), 0, M[which]).astype(int)
+    on = np.concatenate([leg.ts for leg in legs])[j] == s
+    if on.any():
+        out[on] = np.concatenate([leg.Y for leg in legs])[j[on]]
+    return out
 
 
 class TransitionOperator:
@@ -456,6 +493,14 @@ class TransitionOperator:
             if missing:
                 self._legs.update(zip(missing, _magnus_legs(self.A, missing)))
         return [self.solve_leg(*key) for key in keys]
+
+    def leg_values(self, spans, which, s) -> np.ndarray:
+        """Phi(s[k], t0) on the leg (t0, t1) = ``spans[which[k]]`` for every k: (len(s), n, n).
+
+        The legs come from :meth:`solve_legs`, and their values from one
+        batched evaluation (:func:`_leg_values`).
+        """
+        return _leg_values(self.solve_legs(spans), which, s)
 
     def matrix(self, t0: float, t1: float) -> np.ndarray:
         """Transition matrix Phi(t1, t0)."""

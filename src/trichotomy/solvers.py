@@ -10,11 +10,13 @@ y = V^-1 x: each component is a scalar recurrence over the grid, with no
 legs and no per-node matrices.  Every other A (time-dependent, defective,
 or with an eigenvalue on the imaginary axis) takes the plan path: the sweeps
 run in the local coordinates of the cached unit propagation legs, and what the
-quadrature needs of a leg besides the forcing (inverse leg values folded
+quadrature needs of the legs besides the forcing (inverse leg values folded
 into per-panel moments of the forcing spline, projectors, grid indices) is
-built once per kernel, leg clip and grid as a plan, and reused by every
-later solve on that kernel: both sweeps, each Picard iterate and each eps
-of a continuation.
+one plan per kernel, grid and sweep window: one set of stacked arrays over
+every leg of the window, whose leg values come from one batched call per
+interpolant degree (:meth:`TransitionOperator.leg_values`).  The plan is
+reused by every later solve on that kernel: both sweeps, each Picard
+iterate and each eps of a continuation.
 
 Each grid panel is integrated by a Gauss-Legendre rule that
 :func:`_panel_rule` sizes from h*a.  On a panel of width h the m-node rule
@@ -86,6 +88,9 @@ _SAMPLE_TIMES = np.linspace(-10.0, 10.0, 21)
 _SAMPLE_RADIUS = 2.0
 
 _MAX_PICARD_ITER = 60
+
+# legs per block of a plan build, which bounds its working memory
+_PLAN_LEGS = 8
 
 
 class SolverError(Exception):
@@ -189,87 +194,108 @@ def _plan_rule(kernel: GreenKernel, h: float):
     return _panel_rule(h * a)
 
 
-def _leg_ranges(anchors, lo, hi):
-    """Consecutive-anchor legs intersecting [lo, hi], clipped."""
-    out = []
-    for a0, a1 in zip(anchors[:-1], anchors[1:]):
-        s0, s1 = max(a0, lo), min(a1, hi)
-        if s1 > s0 + 1e-12:
-            out.append((float(a0), float(a1), float(s0), float(s1)))
-    return out
-
-
-def _panel_points(s0, s1, grid_a, h):
-    """Panel boundaries: grid points inside (s0, s1) plus the seg ends."""
-    i0 = int(math.ceil((s0 - grid_a) / h - 1e-9))
-    if grid_a + i0 * h <= s0 + 1e-12:
-        i0 += 1
-    i1 = int(math.floor((s1 - grid_a) / h + 1e-9))
-    if grid_a + i1 * h >= s1 - 1e-12:
-        i1 -= 1
-    inner = grid_a + h * np.arange(i0, i1 + 1)
-    return np.concatenate([[s0], inner, [s1]])
-
-
 @dataclass
-class _LegPlan:
-    """What the Green quadrature on one clipped leg needs besides the forcing.
+class _GreenPlan:
+    """What both Green sweeps on one window need besides the forcing.
 
-    Plans serve only kernels without ``modes``.  Each Gauss-Legendre panel
+    Plans serve only kernels without ``modes``.  The window's legs are the
+    consecutive-anchor legs (anchors[j], anchors[j + 1]) that meet it,
+    clipped to it, in time order.  ``pts`` lists each leg's panel points in
+    turn: its clipped ends and the grid points strictly between them, so an
+    interior anchor appears twice, as the end of one leg and the start of
+    the next.  Leg i's points are ``pts[first[i] + i : first[i + 1] + i + 1]``
+    and its panels ``first[i] : first[i + 1]``.  Each Gauss-Legendre panel
     lies in one grid interval, ``cell``, where the forcing is the cubic
     sum_p c_p u^p of its spline (u = tau - t_cell), so the panel sum of
     weight * D(node)^{-1} f(node) is sum_p W_p c_p with the moments
-    W_p = sum_j w_j u_j^p D(node_j)^{-1}; ``W`` has shape
-    (panels, 4, n, n), with D the leg solution.  ``D_pts`` is D at the panel
-    points.  ``proj`` maps each sweep direction to its (panel, crossing)
-    projectors, and the panel points ``rows`` are the grid points ``idx``.
+    W_p = sum_j w_j u_j^p D(node_j)^{-1}, D the leg solution.  ``W`` holds
+    each panel's block row [W_0 W_1 W_2 W_3], shape (panels, n, 4n), so its
+    panel sum is one product with the stacked (c_0, ..., c_3).  ``D`` is D
+    at the panel points, ``P`` the stable projectors at the legs' anchors
+    (leg i runs from the anchor of ``P[i]`` to that of ``P[i + 1]``), and
+    ``row`` the grid index of each panel point, -1 off the grid.
     """
 
+    pts: np.ndarray
+    first: np.ndarray
     W: np.ndarray
     cell: np.ndarray
-    D_pts: np.ndarray
-    proj: dict
-    rows: np.ndarray
-    idx: np.ndarray
+    D: np.ndarray
+    P: np.ndarray
+    row: np.ndarray
 
 
-def _leg_plan(kernel: GreenKernel, f: GridFunction, a0, a1, s0, s1) -> _LegPlan:
-    """The kernel's plan of leg (a0, a1) clipped to (s0, s1) on f's grid.
+def _green_plan(kernel: GreenKernel, f: GridFunction, lo, hi) -> _GreenPlan:
+    """The kernel's plan of the window [lo, hi] on f's grid, built from stacked arrays.
 
-    Every panel takes the rule :func:`_plan_rule` sizes for the kernel and
-    f's grid step, so the plan key needs no rule of its own.
+    Every leg's panel points and Gauss-Legendre nodes are laid out at once.
+    Blocks of ``_PLAN_LEGS`` legs then take their leg values at the nodes and
+    panel points in one :meth:`TransitionOperator.leg_values` call, and the
+    moments from one ``np.linalg.inv`` and one matrix product.  Every panel
+    takes the rule :func:`_plan_rule` sizes for the kernel and f's grid
+    step, so the plan key needs no rule of its own.
     """
-    key = (a0, a1, s0, s1, f.a, f.h)
+    key = (lo, hi, f.a, f.h)
     plan = kernel.plans.get(key)
     if plan is not None:
         return plan
-    n = kernel.n
-    sol = kernel.op.solve_leg(a0, a1)
-    pts = _panel_points(s0, s1, f.a, f.h)
-    widths = np.diff(pts)
-    gl_nodes, gl_weights = _plan_rule(kernel, f.h)
-    nodes = pts[:-1, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
-    wts = np.outer(widths, gl_weights / 2.0)
-    # one dense call for nodes and panel points: one interpolation product on
-    # a Magnus leg
-    D = sol(np.concatenate([nodes.ravel(), pts])).T.reshape(-1, n, n)
-    D_inv = np.linalg.inv(D[: nodes.size]).reshape(*nodes.shape, n, n)
-    cell = np.floor((pts[:-1] + 0.5 * widths - f.a) / f.h).astype(int)
-    u = nodes - (f.a + cell[:, None] * f.h)
-    moments = wts[..., None] * u[..., None] ** np.arange(4)
-    k = np.rint((pts - f.a) / f.h)
-    rows = np.flatnonzero(np.abs(f.a + k * f.h - pts) < 1e-9)
-    U0 = kernel.unstable_projector(a0)
-    plan = kernel.plans[key] = _LegPlan(
-        W=np.einsum("kjp,kjab->kpab", moments, D_inv),
+    n, a, h = kernel.n, f.a, f.h
+    anchors = kernel.anchors
+    s0, s1 = np.maximum(anchors[:-1], lo), np.minimum(anchors[1:], hi)
+    j = np.flatnonzero(s1 > s0 + 1e-12)
+    s0, s1 = s0[j], s1[j]
+    L = j.size
+    # the grid points strictly inside some leg, by more than 1e-12
+    k = np.arange(math.ceil((lo - a) / h - 1e-9), math.floor((hi - a) / h + 1e-9) + 1)
+    t = a + h * k
+    leg = np.minimum(np.searchsorted(s1, t), L - 1)
+    inside = (t > s0[leg] + 1e-12) & (t < s1[leg] - 1e-12)
+    t, leg = t[inside], leg[inside]
+    first = np.concatenate([[0], np.cumsum(np.bincount(leg, minlength=L) + 1)])
+    pts = np.empty(first[-1] + L)
+    pts[first[:-1] + np.arange(L)] = s0
+    pts[first[1:] + np.arange(L)] = s1
+    pts[np.arange(t.size) + 2 * leg + 1] = t
+    point_leg = np.repeat(np.arange(L), np.diff(first) + 1)
+    left = np.ones(pts.size, dtype=bool)  # the points that start a panel
+    left[first[1:] + np.arange(L)] = False
+    panel_leg = point_leg[left]
+    widths = pts[1:][left[:-1]] - pts[:-1][left[:-1]]
+    gl_nodes, gl_weights = _plan_rule(kernel, h)
+    m = gl_nodes.size
+    nodes = pts[left, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
+    cell = np.floor((pts[left] + 0.5 * widths - a) / h).astype(int)
+    u = nodes - (a + cell[:, None] * h)
+    moments = np.outer(widths, gl_weights / 2.0)[..., None] * u[..., None] ** np.arange(4)
+    spans = list(zip(anchors[j].tolist(), anchors[j + 1].tolist()))
+    W = np.empty((cell.size, n, 4 * n))
+    D = np.empty((pts.size, n, n))
+    for b in range(0, L, _PLAN_LEGS):
+        e = min(b + _PLAN_LEGS, L)
+        panels = slice(first[b], first[e])
+        points = slice(first[b] + b, first[e] + e)
+        # one batched call for the block's nodes and panel points: one
+        # interpolation product per degree on Magnus legs
+        vals = kernel.op.leg_values(
+            spans[b:e],
+            np.concatenate([np.repeat(panel_leg[panels], m), point_leg[points]]) - b,
+            np.concatenate([nodes[panels].ravel(), pts[points]]),
+        )
+        at_nodes = (panels.stop - panels.start) * m
+        # (entries of D^-1 x nodes) @ (nodes x powers), then the blocks W_p side by side
+        D_inv = np.linalg.inv(vals[:at_nodes]).reshape(-1, m, n * n).transpose(0, 2, 1)
+        W[panels] = (D_inv @ moments[panels]).reshape(-1, n, n, 4).transpose(0, 1, 3, 2).reshape(
+            -1, n, 4 * n)
+        D[points] = vals[at_nodes:]
+    r = np.rint((pts - a) / h)
+    plan = kernel.plans[key] = _GreenPlan(
+        pts=pts,
+        first=first,
+        W=W,
         cell=cell,
-        D_pts=D[nodes.size :].copy(),  # a copy, so the node values are freed
-        proj={
-            "up": (kernel.stable_projector(a0), kernel.stable_projector(a1)),
-            "down": (U0, U0),
-        },
-        rows=rows,
-        idx=k[rows].astype(int),
+        D=D,
+        P=kernel.projectors[j[0] : j[-1] + 2],
+        row=np.where(np.abs(a + r * h - pts) < 1e-9, r, -1).astype(int),
     )
     return plan
 
@@ -346,44 +372,88 @@ def _modal_sweep(modes, f: GridFunction, lo, hi, direction):
     return out
 
 
-def _sweep(kernel: GreenKernel, f: GridFunction, lo, hi, direction):
-    """One decay-direction half of the Green integral on [lo, hi].
+def _sweep(kernel: GreenKernel, f: GridFunction, window, end, direction):
+    """One decay-direction half of the Green integral on the sweep window.
 
     ``direction='up'`` accumulates int_lo^t Phi(t,tau) Pi_s(tau) f(tau) dtau
-    for t increasing; ``direction='down'`` accumulates
-    int_t^hi Phi(t,tau) Pi_u(tau) f(tau) dtau for t decreasing.  A kernel
-    with ``modes`` takes :func:`_modal_sweep`.  Otherwise, working
-    in the local coordinates of each unit leg turns the projected integrand
-    into a constant projector times a backward-solved forcing sample, and
-    the running value is re-projected at every anchor crossing.  The
-    forcing enters only through its spline coefficients, gathered per
-    panel.  Returns the values on f's whole grid, zero at the grid points
-    outside [lo, hi].
+    for t increasing from lo to ``end``; ``direction='down'`` accumulates
+    int_t^hi Phi(t,tau) Pi_u(tau) f(tau) dtau for t decreasing from hi to
+    ``end``, where (lo, hi) = ``window``.  A kernel with ``modes`` takes
+    :func:`_modal_sweep` on that range.  Otherwise both directions read the
+    one plan of ``window`` (:func:`_green_plan`), and ``end`` is one of its
+    panel points.  Working in the local coordinates of each unit leg turns
+    the projected integrand into a constant projector times a
+    backward-solved forcing sample, and the running value is re-projected at
+    every anchor crossing.  The forcing enters only through its spline
+    coefficients: one panel contraction covers every panel the sweep
+    crosses, and the loop over legs keeps only each leg's running sum and
+    the n-vector carried across its anchor, an affine recurrence.  At an
+    anchor both legs share, the value is the projected carry.  Returns the
+    values on f's whole grid, zero at the grid points the sweep does not
+    reach.
     """
+    lo, hi = window
+    up = direction == "up"
     if kernel.modes is not None:
+        lo, hi = (lo, end) if up else (end, hi)
         return _modal_sweep(kernel.modes, f, lo, hi, direction)
-    legs = _leg_ranges(kernel.anchors, lo, hi)
-    C = f.coeffs
-    out = np.zeros_like(f.values)
-    Y = np.zeros(kernel.n)
-    for a0, a1, s0, s1 in legs if direction == "up" else legs[::-1]:
-        plan = _leg_plan(kernel, f, a0, a1, s0, s1)
-        P_panel, P_cross = plan.proj[direction]
-        c = C.take(plan.cell, axis=1)
-        panel = np.einsum("kpab,pkb->ka", plan.W, c) @ P_panel.T
-        D_pts = plan.D_pts
-        if direction == "up":
-            Z = np.linalg.solve(D_pts[0], Y)
-            acc = np.vstack([Z, Z + np.cumsum(panel, axis=0)])
-            vals = np.einsum("kij,kj->ki", D_pts, acc)
-            Y = P_cross @ vals[-1] if s1 >= a1 - 1e-12 else vals[-1]
+    plan = _green_plan(kernel, f, lo, hi)
+    n, first, D = kernel.n, plan.first, plan.D
+    L = first.size - 1
+    # the sweep's last point q, and the leg i it lies on: on an anchor, the
+    # leg below it (up) or above it (down)
+    if up:
+        q = int(np.searchsorted(plan.pts, end - 1e-9))
+    else:
+        q = int(np.searchsorted(plan.pts, end + 1e-9, side="right")) - 1
+    i = int(np.searchsorted(first[1:] + np.arange(L), q))
+    # the legs the sweep crosses, each one's panels [p0, p1) and points [q0, q1]
+    legs = np.arange(i + 1) if up else np.arange(i, L)
+    p0, p1 = first[legs], first[legs + 1]
+    if up:
+        p1[-1] = q - i
+    else:
+        p0[0] = q - i
+    q0, q1 = p0 + legs, p1 + legs
+    # the projector of each leg's panels, taken at its lower anchor, and the
+    # one re-applied where the sweep leaves the leg
+    if up:
+        proj, cross = plan.P[legs], plan.P[legs + 1]
+    else:
+        proj = cross = np.eye(n) - plan.P[legs]
+    panels = slice(p0[0], p1[-1])
+    c = f.coeffs.transpose(1, 0, 2)[plan.cell[panels]].reshape(-1, 4 * n, 1)
+    g = (np.repeat(proj, p1 - p0, axis=0) @ (plan.W[panels] @ c))[..., 0]
+    # each leg's running sum from the point the sweep enters it
+    acc = np.zeros((q1[-1] + 1 - q0[0], n))
+    for k0, k1, j0, j1 in zip(p0 - p0[0], p1 - p0[0], q0 - q0[0], q1 - q0[0]):
+        if up:
+            acc[j0 + 1 : j1 + 1] = np.cumsum(g[k0:k1], axis=0)
         else:
-            Z = np.linalg.solve(D_pts[-1], Y)
-            back = np.cumsum(panel[::-1], axis=0)[::-1]
-            acc = np.vstack([Z + back, Z])
-            vals = np.einsum("kij,kj->ki", D_pts, acc)
-            Y = P_cross @ vals[0] if s0 <= a0 + 1e-12 else vals[0]
-        out[plan.idx] = vals[plan.rows]
+            acc[j0:j1] = np.cumsum(g[k0:k1][::-1], axis=0)[::-1]
+    # the carry across anchors is the affine recurrence Y' = M Y + r, with
+    # M = cross D_out D_in^-1 and r = cross D_out (sum at the exit): D_in and
+    # D_out are the leg's values where the sweep enters and leaves it
+    enter, leave = (q0, q1) if up else (q1, q0)
+    out_map = cross @ D[leave]
+    M = np.linalg.solve(D[enter].transpose(0, 2, 1), out_map.transpose(0, 2, 1)).transpose(0, 2, 1)
+    r = np.einsum("lab,lb->la", out_map, acc[leave - q0[0]])
+    Y = np.zeros((legs.size, n))
+    carry = np.zeros(n)
+    for leg in range(legs.size) if up else range(legs.size - 1, -1, -1):
+        Y[leg] = carry
+        carry = M[leg] @ carry + r[leg]
+    acc += np.repeat(np.linalg.solve(D[enter], Y[..., None])[..., 0], q1 - q0 + 1, axis=0)
+    points = slice(q0[0], q1[-1] + 1)
+    vals = np.einsum("kij,kj->ki", D[points], acc)
+    row = plan.row[points].copy()
+    # an anchor shared by two legs keeps the projected carry, the value on
+    # the leg the sweep goes on along: the upper leg's start going up, the
+    # lower leg's end going down, so the other leg's row there is dropped
+    row[(q1[:-1] if up else q0[1:]) - q0[0]] = -1
+    keep = row >= 0
+    out = np.zeros_like(f.values)
+    out[row[keep]] = vals[keep]
     return out
 
 
@@ -449,8 +519,9 @@ def solve_linear_bounded(
 
     sweep_lo = max(lo_need, k_lo)
     sweep_hi = min(hi_need, k_hi)
-    up = _sweep(K, f, sweep_lo, out_hi, "up")
-    down = _sweep(K, f, out_lo, sweep_hi, "down")
+    window = (sweep_lo, sweep_hi)
+    up = _sweep(K, f, window, out_hi, "up")
+    down = _sweep(K, f, window, out_lo, "down")
     phi = GridFunction(out_lo, out_hi, up[i_lo : i_hi + 1] - down[i_lo : i_hi + 1])
 
     if check_residual:

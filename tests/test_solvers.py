@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trichotomy.propagator
 import trichotomy.solvers
 from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import (
@@ -18,7 +19,7 @@ from trichotomy.hyperbolicity import (
     _build_half_family,
     build_trichotomy,
 )
-from trichotomy.propagator import RTOL, CoefficientMatrix, ExactLeg, MagnusLeg
+from trichotomy.propagator import RTOL, CoefficientMatrix, ExactLeg
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
@@ -321,17 +322,234 @@ def swept(K):
 
 
 def count_dense_calls(monkeypatch):
-    """A list that collects the point count of every dense call on either leg type."""
+    """A list that collects the point count of every leg evaluation.
+
+    Every dense value of a leg, exact or Magnus, batched or one leg's call,
+    comes from ``propagator._leg_values``.
+    """
     calls = []
-    for leg_type in (MagnusLeg, ExactLeg):
-        orig = leg_type.__call__
+    orig = trichotomy.propagator._leg_values
 
-        def counted(sol, t, orig=orig):
-            calls.append(np.size(t))
-            return orig(sol, t)
+    def counted(legs, which, s):
+        calls.append(np.size(s))
+        return orig(legs, which, s)
 
-        monkeypatch.setattr(leg_type, "__call__", counted)
+    monkeypatch.setattr(trichotomy.propagator, "_leg_values", counted)
     return calls
+
+
+# The reference that the stacked plan's sweep must match: one plan per
+# clipped leg, each evaluating its leg once, and a sweep that runs leg by leg
+# and writes each leg's rows in the order it visits the legs.
+
+
+def _leg_ranges(anchors, lo, hi):
+    """Consecutive-anchor legs intersecting [lo, hi], clipped."""
+    out = []
+    for a0, a1 in zip(anchors[:-1], anchors[1:]):
+        s0, s1 = max(a0, lo), min(a1, hi)
+        if s1 > s0 + 1e-12:
+            out.append((float(a0), float(a1), float(s0), float(s1)))
+    return out
+
+
+def _panel_points(s0, s1, grid_a, h):
+    """Panel boundaries: grid points inside (s0, s1) plus the seg ends."""
+    i0 = int(math.ceil((s0 - grid_a) / h - 1e-9))
+    if grid_a + i0 * h <= s0 + 1e-12:
+        i0 += 1
+    i1 = int(math.floor((s1 - grid_a) / h + 1e-9))
+    if grid_a + i1 * h >= s1 - 1e-12:
+        i1 -= 1
+    inner = grid_a + h * np.arange(i0, i1 + 1)
+    return np.concatenate([[s0], inner, [s1]])
+
+
+@dataclasses.dataclass
+class _LegPlan:
+    W: np.ndarray
+    cell: np.ndarray
+    D_pts: np.ndarray
+    proj: dict
+    rows: np.ndarray
+    idx: np.ndarray
+
+
+def _leg_plan(kernel, f, a0, a1, s0, s1):
+    """The plan of leg (a0, a1) clipped to (s0, s1) on f's grid, from one dense call."""
+    n = kernel.n
+    sol = kernel.op.solve_leg(a0, a1)
+    pts = _panel_points(s0, s1, f.a, f.h)
+    widths = np.diff(pts)
+    gl_nodes, gl_weights = trichotomy.solvers._plan_rule(kernel, f.h)
+    nodes = pts[:-1, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
+    wts = np.outer(widths, gl_weights / 2.0)
+    D = sol(np.concatenate([nodes.ravel(), pts])).T.reshape(-1, n, n)
+    D_inv = np.linalg.inv(D[: nodes.size]).reshape(*nodes.shape, n, n)
+    cell = np.floor((pts[:-1] + 0.5 * widths - f.a) / f.h).astype(int)
+    u = nodes - (f.a + cell[:, None] * f.h)
+    moments = wts[..., None] * u[..., None] ** np.arange(4)
+    k = np.rint((pts - f.a) / f.h)
+    rows = np.flatnonzero(np.abs(f.a + k * f.h - pts) < 1e-9)
+    U0 = kernel.unstable_projector(a0)
+    return _LegPlan(
+        W=np.einsum("kjp,kjab->kpab", moments, D_inv),
+        cell=cell,
+        D_pts=D[nodes.size :],
+        proj={
+            "up": (kernel.stable_projector(a0), kernel.stable_projector(a1)),
+            "down": (U0, U0),
+        },
+        rows=rows,
+        idx=k[rows].astype(int),
+    )
+
+
+def reference_sweep(kernel, f, lo, hi, direction):
+    """The Green sweep on [lo, hi], leg by leg, each leg on its own plan."""
+    legs = _leg_ranges(kernel.anchors, lo, hi)
+    C = f.coeffs
+    out = np.zeros_like(f.values)
+    Y = np.zeros(kernel.n)
+    for a0, a1, s0, s1 in legs if direction == "up" else legs[::-1]:
+        plan = _leg_plan(kernel, f, a0, a1, s0, s1)
+        P_panel, P_cross = plan.proj[direction]
+        c = C.take(plan.cell, axis=1)
+        panel = np.einsum("kpab,pkb->ka", plan.W, c) @ P_panel.T
+        D_pts = plan.D_pts
+        if direction == "up":
+            Z = np.linalg.solve(D_pts[0], Y)
+            acc = np.vstack([Z, Z + np.cumsum(panel, axis=0)])
+            vals = np.einsum("kij,kj->ki", D_pts, acc)
+            Y = P_cross @ vals[-1] if s1 >= a1 - 1e-12 else vals[-1]
+        else:
+            Z = np.linalg.solve(D_pts[-1], Y)
+            back = np.cumsum(panel[::-1], axis=0)[::-1]
+            acc = np.vstack([Z + back, Z])
+            vals = np.einsum("kij,kj->ki", D_pts, acc)
+            Y = P_cross @ vals[0] if s0 <= a0 + 1e-12 else vals[0]
+        out[plan.idx] = vals[plan.rows]
+    return out
+
+
+def reference_solve(K, f, monkeypatch, **kwargs):
+    """``solve_linear_bounded`` with each sweep run by :func:`reference_sweep` on its range."""
+
+    def sweep(kernel, f, window, end, direction):
+        lo, hi = window
+        lo, hi = (lo, end) if direction == "up" else (end, hi)
+        return reference_sweep(kernel, f, lo, hi, direction)
+
+    with monkeypatch.context() as m:
+        m.setattr(trichotomy.solvers, "_sweep", sweep)
+        return solve_linear_bounded(K, f, **kwargs)
+
+
+def assert_same_sweep(out, ref):
+    """Bit for bit, or within 1e-14 of the sup."""
+    assert out.shape == ref.shape and np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.fixture(scope="module")
+def stacked_kernels(rotation_kernel, trich_kernel):
+    """Plan-path kernels: the bundled rotation and tanh trichotomy on Magnus
+    legs, and the non-normal saddle [[-1, 3], [0, 1]] swept on exact legs."""
+    saddle = GreenKernel(build_trichotomy(CoefficientMatrix.from_strings([["-1", "3"], ["0", "1"]]),
+                                          14.0))
+    kernels = {"rotation": rotation_kernel, "trich_tanh": trich_kernel, "exact": swept(saddle)}
+    assert all(K.modes is None for K in kernels.values())
+    assert isinstance(kernels["exact"].op.solve_leg(0.0, 1.0), ExactLeg)
+    return kernels
+
+
+def sweep_forcing(n, a):
+    """Smooth forcing with one frequency per component on [a, a + 26] at step 0.02."""
+    w = 0.7 + 1.3 * np.arange(n)
+    return GridFunction.from_callable(lambda t: np.cos(np.multiply.outer(t, w) + 0.3),
+                                      a, a + 26.0, 0.02)
+
+
+KERNELS = ["rotation", "trich_tanh", "exact"]
+
+
+class TestStackedSweep:
+    """The stacked plan's sweep against the per-leg reference it replaced."""
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("window", [(-12.3456, 11.789), (-12.0013 + 0.02 * 3, 11.9987),
+                                        (-12.0, 12.0), (-13.0013, 12.9987)],
+                             ids=["off-grid", "on-grid", "on-anchors", "whole-grid"])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_whole_window(self, stacked_kernels, name, window, direction):
+        K = fresh(stacked_kernels[name])
+        f = sweep_forcing(K.n, -13.0013)
+        lo, hi = window
+        out = trichotomy.solvers._sweep(K, f, window, hi if direction == "up" else lo, direction)
+        assert_same_sweep(out, reference_sweep(K, f, lo, hi, direction))
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_both_sweeps_share_one_plan_and_stop_at_grid_points(self, stacked_kernels, name):
+        K = fresh(stacked_kernels[name])
+        f = sweep_forcing(K.n, -13.0013)
+        window = (-12.3456, 11.789)
+        for k_lo, k_hi in [(100, 1100), (33, 1239), (651, 652)]:
+            end_lo, end_hi = f.a + k_lo * f.h, f.a + k_hi * f.h
+            up = trichotomy.solvers._sweep(K, f, window, end_hi, "up")
+            down = trichotomy.solvers._sweep(K, f, window, end_lo, "down")
+            assert_same_sweep(up, reference_sweep(K, f, window[0], end_hi, "up"))
+            assert_same_sweep(down, reference_sweep(K, f, end_lo, window[1], "down"))
+        assert list(K.plans) == [(*window, f.a, f.h)]
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_value_at_every_shared_interior_anchor(self, stacked_kernels, name, direction):
+        # on a grid through the integers every interior anchor is a grid point
+        # that two legs share: going up it keeps the upper leg's projected
+        # carry, going down the lower leg's
+        K = fresh(stacked_kernels[name])
+        f = sweep_forcing(K.n, -13.0)
+        lo, hi = -12.5, 12.5
+        rows = np.rint((K.anchors[(K.anchors > lo) & (K.anchors < hi)] - f.a) / f.h).astype(int)
+        assert rows.size == 25 and np.allclose(f.times[rows], np.arange(-12, 13), atol=1e-12)
+        end = hi if direction == "up" else lo
+        out = trichotomy.solvers._sweep(K, f, (lo, hi), end, direction)
+        ref = reference_sweep(K, f, lo, hi, direction)
+        assert_same_sweep(out[rows], ref[rows])
+        assert_same_sweep(out, ref)
+
+    @pytest.mark.parametrize("clamp_edges", [False, True], ids=["tail-cut", "picard"])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_solve_matches_reference(self, stacked_kernels, name, clamp_edges, monkeypatch):
+        K = stacked_kernels[name]
+        f = sweep_forcing(K.n, -13.0013)
+        kwargs = dict(tol=1e-4, clamp_edges=clamp_edges, check_residual=False)
+        phi = solve_linear_bounded(fresh(K), f, **kwargs)
+        ref = reference_solve(fresh(K), f, monkeypatch, **kwargs)
+        assert (phi.a, phi.b) == (ref.a, ref.b)
+        assert_same_sweep(phi.values, ref.values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-13.0, -0.5), st.floats(0.5, 12.99), st.booleans(), st.booleans(),
+           st.sampled_from(["up", "down"]), st.floats(0.0, 1.0))
+    def test_drawn_clip_ends(self, rotation_kernel, lo, hi, lo_on_grid, hi_on_grid, direction,
+                             stop):
+        K = fresh(rotation_kernel)
+        f = sweep_forcing(K.n, -13.0013)
+        if lo_on_grid:
+            lo = f.a + math.ceil((lo - f.a) / f.h) * f.h
+        if hi_on_grid:
+            hi = f.a + math.floor((hi - f.a) / f.h) * f.h
+        # the sweep stops at a grid point of the window, or at its far end
+        k = math.ceil((lo - f.a) / f.h) + round(stop * (math.floor((hi - f.a) / f.h)
+                                                       - math.ceil((lo - f.a) / f.h)))
+        end = f.a + k * f.h if stop < 1.0 else (hi if direction == "up" else lo)
+        out = trichotomy.solvers._sweep(K, f, (lo, hi), end, direction)
+        ref = reference_sweep(K, f, *((lo, end) if direction == "up" else (end, hi)), direction)
+        if np.any(ref):
+            assert_same_sweep(out, ref)
+        else:
+            assert not np.any(out)
 
 
 class TestQuadraturePlan:
@@ -353,6 +571,21 @@ class TestQuadraturePlan:
         assert calls == []
         ref = solve_linear_bounded(fresh(K), f2, tol=1e-4)
         assert np.max(np.abs(phi.values - ref.values)) <= 1e-13
+
+    def test_picard_iterates_and_eps_reuse_the_first_plan(self, rotation_kernel, monkeypatch):
+        K = fresh(rotation_kernel)
+        f = GridFunction.from_callable(
+            lambda t: np.stack([0.1 * np.cos(0.3 * t), 0.05 * np.sin(0.5 * t)], axis=-1),
+            -13.5, 13.5, 0.02,
+        )
+        Fspec = LipschitzSpec(["0.1*sin(x1)", "0.1*sin(x2)"], L=0.1)
+        calls = count_dense_calls(monkeypatch)
+        out = epsilon_continuation(K, f, Fspec, [1.0, 0.5], tol=1e-3)
+        assert [dev > 0.0 for _, _, dev in out] == [True, True]
+        # the linear solve builds the one plan, one leg evaluation per block
+        # of legs; every Picard iterate of both eps reads it
+        (plan,) = K.plans.values()
+        assert len(calls) == math.ceil((plan.first.size - 1) / trichotomy.solvers._PLAN_LEGS)
 
     def test_constant_A_solves_without_plans_or_dense_evaluations(
         self, scalar_kernel, scalar_forcing, monkeypatch
@@ -379,10 +612,12 @@ class TestQuadraturePlan:
         i = int(np.searchsorted(K.anchors, 0.0, side="right")) - 1
         a0, a1 = K.anchors[i], K.anchors[i + 1]
         s0, s1 = a0 + 0.0137, a1 - 0.0071  # both ends off f's grid
-        plan = trichotomy.solvers._leg_plan(K, f, a0, a1, s0, s1)
-        folded = np.einsum("kpab,pkb->ka", plan.W, f.coeffs.take(plan.cell, axis=1))
+        plan = trichotomy.solvers._green_plan(K, f, s0, s1)  # a window of one leg
+        assert plan.first.size == 2
+        c = f.coeffs.take(plan.cell, axis=1)  # (4, panels, 2)
+        folded = np.einsum("kapb,pkb->ka", plan.W.reshape(-1, 2, 4, 2), c)
 
-        pts = trichotomy.solvers._panel_points(s0, s1, f.a, f.h)
+        pts = plan.pts
         assert pts[0] == s0 and pts[-1] == s1
         gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
         widths = np.diff(pts)
@@ -585,49 +820,65 @@ def trig_forcing(n, h):
     return f
 
 
-def plans_and_nodes(K, f, legs, monkeypatch):
-    """The plans of ``legs`` on a fresh kernel, and the nodes per panel each took.
+PLAN_WINDOW = (-2.9937, 2.9911)
 
-    A plan evaluates its leg once, at m nodes in each panel and at the panel
-    points, so m is read off the size of that call.
+
+def plan_and_nodes(K, f, monkeypatch):
+    """The plan of ``PLAN_WINDOW`` on a fresh kernel, and the nodes per panel it took.
+
+    A plan evaluates its legs once, at m nodes in each panel and at the
+    panel points, so m is read off the size of that call.
     """
     K = fresh(K)
     sizes = []
-    solve_leg = K.op.solve_leg
+    leg_values = K.op.leg_values
 
-    def counted(t0, t1):
-        sol = solve_leg(t0, t1)
-        return lambda s: sizes.append(np.size(s)) or sol(s)
+    def counted(spans, which, s):
+        sizes.append(np.size(s))
+        return leg_values(spans, which, s)
 
     with monkeypatch.context() as m:
-        m.setattr(K.op, "solve_leg", counted)
-        plans = [trichotomy.solvers._leg_plan(K, f, *leg) for leg in legs]
-    assert len(sizes) == len(plans)
-    nodes = [(size - 1) / plan.cell.size - 1 for size, plan in zip(sizes, plans)]
-    return plans, nodes
+        m.setattr(K.op, "leg_values", counted)
+        plan = trichotomy.solvers._green_plan(K, f, *PLAN_WINDOW)
+    assert len(sizes) == 1
+    return plan, (sizes[0] - plan.pts.size) / plan.cell.size
+
+
+def exact_leg_values(legs, n):
+    """A ``leg_values`` that evaluates the closed-form leg ``legs(t0)`` of each span."""
+
+    def values(spans, which, s):
+        out = np.empty((np.size(s), n * n))
+        for i, (t0, _) in enumerate(spans):
+            at = which == i
+            out[at] = legs(t0)(s[at]).T
+        return out.reshape(-1, n, n)
+
+    return values
 
 
 def assert_plans_match_nodes(K, h, monkeypatch, rtol, ref_nodes=16):
-    """Every plan on [-2.9937, 2.9911] against its twin on the ``ref_nodes`` rule.
+    """The plan of ``PLAN_WINDOW`` against its twin on the ``ref_nodes`` rule.
 
     Each block W_p of a panel is compared in units of h^p ||W_0||: the
     moments of u/h in [0, 1], so each p is on the scale of W_0.
     """
     f = trig_forcing(K.n, h)
-    legs = trichotomy.solvers._leg_ranges(K.anchors, -2.9937, 2.9911)
-    assert len(legs) == 6
-    plans, nodes = plans_and_nodes(K, f, legs, monkeypatch)
+    plan, nodes = plan_and_nodes(K, f, monkeypatch)
+    assert plan.first.size - 1 == 6
     sized = len(trichotomy.solvers._plan_rule(fresh(K), h)[0])
-    assert nodes == [sized] * len(legs)
+    assert nodes == sized
     with monkeypatch.context() as m:
         asked = use_nodes(m, ref_nodes)
-        refs, ref_counts = plans_and_nodes(K, f, legs, monkeypatch)
-    assert len(asked) == len(legs) and ref_counts == [ref_nodes] * len(legs)
-    for plan, ref in zip(plans, refs):
-        assert np.array_equal(plan.cell, ref.cell)
-        err = np.linalg.norm(plan.W - ref.W, axis=(-2, -1))
-        scale = np.linalg.norm(ref.W[:, :1], axis=(-2, -1)) * h ** np.arange(4)
-        assert np.max(err / scale) <= rtol
+        ref, ref_count = plan_and_nodes(K, f, monkeypatch)
+    # one rule per plan, for every leg of its window
+    assert len(asked) == 1 and ref_count == ref_nodes
+    assert np.array_equal(plan.cell, ref.cell)
+    # W holds each panel's blocks [W_0 ... W_3] side by side
+    W, W_ref = (x.W.reshape(-1, K.n, 4, K.n) for x in (plan, ref))
+    err = np.linalg.norm(W - W_ref, axis=(1, 3))
+    scale = np.linalg.norm(W_ref[:, :, :1], axis=(1, 3)) * h ** np.arange(4)
+    assert np.max(err / scale) <= rtol
     return sized
 
 
@@ -667,8 +918,7 @@ class TestPanelRule:
         values = K.A.values
         monkeypatch.setattr(K.A, "values", lambda t: calls.append(np.ravel(t)) or values(t))
         f = trig_forcing(K.n, 0.02)
-        for leg in trichotomy.solvers._leg_ranges(K.anchors, -2.9937, 2.9911):
-            trichotomy.solvers._leg_plan(K, f, *leg)
+        trichotomy.solvers._green_plan(K, f, *PLAN_WINDOW)
         assert trichotomy.solvers._plan_rule(K, f.h)[0].size == 4
         # the Magnus legs' own calls aside, A is sampled once, over the window
         lo, hi = K.window
@@ -682,7 +932,7 @@ class TestPanelRule:
         # closed-form legs, so both rules integrate the same smooth D^-1
         K = fast_kernels[name]
         assert K.modes is None
-        monkeypatch.setattr(K.op, "solve_leg", lambda t0, t1: EXACT_LEGS[name](t0))
+        monkeypatch.setattr(K.op, "leg_values", exact_leg_values(EXACT_LEGS[name], K.n))
         assert_plans_match_nodes(K, h, monkeypatch, 1e-13)
 
     @pytest.mark.parametrize("h", [0.5, 1.0])
@@ -690,7 +940,7 @@ class TestPanelRule:
     def test_coarse_grid_moments_match_40_nodes(self, fast_kernels, name, h, monkeypatch):
         # h ||A||_1 from 4 to 8.8: a fixed 8-node rule errs by up to 1.3e-8 here
         K = fast_kernels[name]
-        monkeypatch.setattr(K.op, "solve_leg", lambda t0, t1: EXACT_LEGS[name](t0))
+        monkeypatch.setattr(K.op, "leg_values", exact_leg_values(EXACT_LEGS[name], K.n))
         sized = assert_plans_match_nodes(K, h, monkeypatch, 1e-13, ref_nodes=40)
         assert 9 <= sized < 16
 
