@@ -38,17 +38,19 @@ The Green quadrature on such a certificate applies the branch projectors and
 propagates leg by leg in the decaying direction, re-projecting at anchors to
 strip the exponentially growing error component.
 
-Three stages stay sequential.  The two QR sweeps and the passes of a
-chain walk (:func:`_walk`) are recurrences: each step needs the one before
-it.  The Magnus batches, one per estimate and one per family, are not
-merged, because ``expm`` picks its Pade degree from the largest norm in
-its stack, so a leg's bits depend on its batch-mates.  Every other stage
-is one stacked call for all anchors: the leg matrices are read off the
-legs' last nodes (:func:`_leg_matrices`), every anchor's oblique projector
-comes from one ``cond`` and one ``inv`` (:func:`_oblique_projectors`),
-both halves' chains of one branch share each pass of one walk
-(:func:`_chain_samples`), and a walk's 2-norms are taken once, after its
-last pass.  Each gives bitwise the result of its per-anchor form.
+Two stages stay sequential.  The two QR sweeps and the passes of a chain
+walk (:func:`_walk`) are recurrences: each step needs the one before it.
+The Magnus legs are integrated in one batch per stage
+(:func:`_integrate_lattices`): both estimate windows' legs, then all
+families' legs.  ``expm`` picks its Pade degree per matrix, so a leg's
+bits do not depend on its batch-mates.  Every other stage is one stacked
+call for all anchors: the leg matrices are read off the legs' last nodes
+(:func:`_leg_matrices`), so a certificate fits no leg's dense output;
+every anchor's oblique projector comes from one ``cond`` and one ``inv``
+(:func:`_oblique_projectors`), both halves' chains of one branch share
+each pass of one walk (:func:`_chain_samples`), and a walk's 2-norms are
+taken once, after its last pass.  Each gives bitwise the result of its
+per-anchor form.
 """
 
 from __future__ import annotations
@@ -170,6 +172,17 @@ def _anchor_times(lo: float, hi: float) -> np.ndarray:
     """lo, the integers in (lo, hi) more than 1e-9 from both ends, then hi."""
     inner = np.arange(math.floor(lo + 1e-9) + 1, math.ceil(hi - 1e-9), dtype=float)
     return np.concatenate([[lo], inner, [hi]])
+
+
+def _integrate_lattices(op: TransitionOperator, lattices) -> None:
+    """Integrate the legs between consecutive anchors of every lattice in one batch.
+
+    A stage that reads several lattices calls this first, so that their
+    missing Magnus legs share one :meth:`TransitionOperator.solve_legs`
+    batch; exact legs need no integration.
+    """
+    if op.eig is None:
+        op.solve_legs([span for anchors in lattices for span in zip(anchors[:-1], anchors[1:])])
 
 
 def _leg_matrices(op: TransitionOperator, anchors: np.ndarray) -> np.ndarray:
@@ -338,6 +351,16 @@ def _sweep_backward(legs, Bm):
     return out
 
 
+def _family_anchors(lo: float, hi: float, rate: float) -> np.ndarray:
+    """The anchors of a half family on [lo, hi], past its far end by a margin.
+
+    The data end is the end nearer 0 (lo when |lo| <= |hi|); the margin
+    beyond the other end is 12/rate clamped to [6, 30] (30 for a rate <= 0).
+    """
+    ext = 30.0 if rate <= 0.0 else min(30.0, max(6.0, 12.0 / rate))
+    return _anchor_times(lo, hi + ext) if abs(lo) <= abs(hi) else _anchor_times(lo - ext, hi)
+
+
 def _build_half_family(op, lo, hi, P_seed, rate) -> ProjectorFamily:
     """Forward-decaying projector family on [lo, hi] by two attracting sweeps.
 
@@ -346,12 +369,11 @@ def _build_half_family(op, lo, hi, P_seed, rate) -> ProjectorFamily:
     the range backward, so subspace errors contract along each sweep.  The
     seed's kernel starts the forward sweep at lo, or its range the backward
     sweep at hi; the other sweep starts, from the orthogonal complement of
-    the first one's final value, past the far end by a margin of 12/rate
-    clamped to [6, 30] (30 for a rate <= 0) that lets it converge first.
+    the first one's final value, past the far end by the margin of
+    :func:`_family_anchors`, which lets it converge first.
     """
     at_lo = abs(lo) <= abs(hi)
-    ext = 30.0 if rate <= 0.0 else min(30.0, max(6.0, 12.0 / rate))
-    anchors = _anchor_times(lo, hi + ext) if at_lo else _anchor_times(lo - ext, hi)
+    anchors = _family_anchors(lo, hi, rate)
     legs = _leg_matrices(op, anchors)
     rank = int(round(np.trace(P_seed)))
     # one SVD gives both seeds: the right singular vectors past the rank span
@@ -531,7 +553,8 @@ def _verify_halves(op, halves, rate, N=None, nu=None):
     """Check one pair (N, nu) on every half-line (P, lo, hi) of ``halves``.
 
     Each half gets one family seeded with its P at the data end
-    (:func:`_build_half_family`, margin sized by ``rate``) and the chain
+    (:func:`_build_half_family`, margin sized by ``rate``), all families'
+    missing legs integrated in one batch first, and the chain
     samples of both branches from every anchor in [lo, hi].  A missing N or
     nu is fitted to all halves' chains at once.  Separations up to 4.6/nu
     are also measured by :func:`_direct_rows`, so that a wrong P cannot
@@ -539,6 +562,7 @@ def _verify_halves(op, halves, rate, N=None, nu=None):
     N, nu, largest slack, its (t, tau) pair, pairs checked); among equal
     slacks chains come first.
     """
+    _integrate_lattices(op, [_family_anchors(lo, hi, rate) for _, lo, hi in halves])
     families = [_build_half_family(op, lo, hi, P, rate) for P, lo, hi in halves]
     chains = _chain_samples(families, [(lo, hi) for _, lo, hi in halves])
     if N is None or nu is None:
@@ -769,8 +793,9 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     Q = I - P_s and its constants; supplied ``P`` and ``I - Q`` must equal
     P_s, and supplied constants must follow from it or pass its check.
 
-    Every other A is swept.  Both halves are estimated on ``op``'s legs:
-    P+ at the start of [0, T], P- = I - Q at the end of [-T, 0] (``P_end``);
+    Every other A is swept.  Both halves are estimated on ``op``'s legs,
+    integrated in one batch: P+ at the start of [0, T], P- = I - Q at the
+    end of [-T, 0] (``P_end``);
     supplied idempotent ``P``/``Q``, read at t = 0, skip the estimate.
     :func:`_verify_halves` checks P+ on [0, T] and P- on [-T, 0] with one
     (N, nu), supplied or fitted to both halves: the largest slack must be
@@ -808,6 +833,7 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     elif supplied:
         rate_hint = float(nu) if nu else 1.0
     else:
+        _integrate_lattices(op, [_anchor_times(0.0, T), _anchor_times(-T, 0.0)])
         est_plus = estimate_stable_projector(op, (0.0, T))
         est_minus = estimate_stable_projector(op, (-T, 0.0))
         P_plus, P_minus = est_plus.P, est_minus.P_end
@@ -886,7 +912,7 @@ class GreenKernel:
         # plans of the solver sweeps when ``modes`` is None, built on first
         # use: (sweep window lo, hi, grid origin, grid step) -> one plan of
         # stacked arrays that both sweep directions read, its leg values from
-        # one batched call per interpolant degree
+        # one batched call
         self.plans = {}
         # grid step h -> max ||A(t)||_1 sampled on the window at step h, which
         # sizes the plans' panel rule

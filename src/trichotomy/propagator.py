@@ -19,18 +19,22 @@ the flattened n*n matrix, an array of k times gives shape (n*n, k)):
   at the Gauss points, so :meth:`TransitionOperator.solve_legs` integrates
   every missing leg of a sweep in one batch: A is evaluated over one time
   array (:meth:`CoefficientMatrix.values`) and the step exponentials by one
-  batched :func:`expm`.  Each leg takes ``FIRST_STEPS`` uniform steps, then
-  twice as many; a leg whose Richardson estimate |Y_2M - Y_M| / 63 at the
-  shared nodes exceeds ``ATOL`` + ``RTOL`` |Y_2M| (entrywise, 1e-12 and
-  1e-9) is doubled again, up to ``MAX_STEPS``.  Between its nodes a leg is
-  the barycentric interpolant at its Chebyshev-Lobatto points (Berrut and
-  Trefethen, SIAM Review 46, 2004), fitted once: each point is one partial
-  Magnus step from the node below, and the degree, from 2 ``FIRST_STEPS``
-  up to ``MAX_STEPS``, doubles until the interpolant meets the same
-  entrywise test at every node.  A dense call is then one small matrix
-  product and takes no Magnus step, and
-  :meth:`TransitionOperator.leg_values` evaluates many legs at many times
-  with one cardinal matrix per interpolant degree and one batched product.
+  batched :func:`expm`, which picks its Pade degree per matrix, so a leg's
+  bits do not depend on which legs share its batch.  Each leg takes
+  ``FIRST_STEPS`` uniform steps, then twice as many; a leg whose Richardson
+  estimate |Y_2M - Y_M| / 63 at the shared nodes exceeds ``ATOL`` +
+  ``RTOL`` |Y_2M| (entrywise, 1e-12 and 1e-9) is doubled again, up to
+  ``MAX_STEPS``.  Between its nodes a leg is the barycentric interpolant at
+  its Chebyshev-Lobatto points (Berrut and Trefethen, SIAM Review 46,
+  2004), fitted once, when the leg is first asked for a time off its nodes
+  (a certificate reads node matrices only, so it fits nothing): each point
+  is one partial Magnus step from the node below, and the degree, from 2
+  ``FIRST_STEPS`` up to ``MAX_STEPS``, doubles until the interpolant meets
+  the same entrywise test at every node.  A dense call on a fitted leg is
+  then one small matrix product and takes no Magnus step, and
+  :meth:`TransitionOperator.leg_values` evaluates many legs at many times:
+  it fits the unfitted ones in one batch, and legs asked at the same
+  fractions of their spans share one cardinal matrix and one product.
   No scipy is needed.
 
 Transition matrices over long windows are never assembled as a single
@@ -95,23 +99,32 @@ class PropagationError(Exception):
 def expm(X) -> np.ndarray:
     """exp of every matrix in the (..., n, n) stack ``X``.
 
-    Scaling and squaring with a diagonal Pade approximant (Higham, 2005):
-    the lowest degree whose bound covers the largest 1-norm of the stack,
-    else degree 13 with each matrix scaled by its own power of 2 below
-    that degree's bound and squared back.
+    Scaling and squaring with a diagonal Pade approximant (Higham, 2005),
+    chosen per matrix: the lowest degree whose bound covers the matrix's own
+    1-norm, else degree 13 with the matrix scaled by its own power of 2
+    below that degree's bound and squared back.  So each matrix of the stack
+    gets the bits it would get alone, whatever shares its stack.
     """
     X = np.asarray(X, dtype=float)
     shape = X.shape
     X = X.reshape(-1, shape[-2], shape[-1])
     norm = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
-    top = float(norm.max(initial=0.0))
-    m = next((m for m in (3, 5, 7, 9) if top <= _PADE[m][1]), 13)
+    degree = np.select([norm <= _PADE[m][1] for m in (3, 5, 7, 9)], [3, 5, 7, 9], 13)
+    out = np.empty_like(X)
+    for m in np.unique(degree):
+        at = degree == m
+        out[at] = _pade_exp(X[at], norm[at], int(m))
+    return out.reshape(shape)
+
+
+def _pade_exp(X, norm, m: int) -> np.ndarray:
+    """exp of the (k, n, n) stack ``X`` of 1-norms ``norm`` by the degree-``m`` approximant."""
     b, theta = _PADE[m]
     squarings = np.zeros(norm.shape, dtype=int)
     if m == 13:
         squarings = np.ceil(np.log2(np.maximum(norm / theta, 1.0))).astype(int)
         X = X / np.exp2(squarings)[:, None, None]
-    eye = np.eye(shape[-1])
+    eye = np.eye(X.shape[-1])
     X2 = X @ X
     if m < 13:
         powers = [eye, X2]
@@ -130,7 +143,7 @@ def expm(X) -> np.ndarray:
     for j in range(int(squarings.max(initial=0))):
         more = squarings > j
         R[more] = R[more] @ R[more]
-    return R.reshape(shape)
+    return R
 
 
 class CoefficientMatrix:
@@ -233,10 +246,10 @@ def _magnus_legs(A: CoefficientMatrix, spans) -> list:
 
     Every leg takes M = ``FIRST_STEPS`` steps, then 2M; legs whose
     Richardson estimate at the shared nodes passes are kept with the 2M
-    nodes, the others double M again together.  Then every leg's dense
-    output is fitted (:func:`_chebyshev_fits`).  Raises
-    :class:`PropagationError` for a leg that overflows or is still
-    unresolved at ``MAX_STEPS``.
+    nodes, the others double M again together.  The legs come back with
+    their nodes only; each is fitted on its first dense use
+    (:func:`_leg_values`).  Raises :class:`PropagationError` for a leg
+    that overflows or is still unresolved at ``MAX_STEPS``.
     """
     t0, t1 = np.array(spans, dtype=float).reshape(-1, 2).T
     nodes = [None] * len(t0)
@@ -269,10 +282,10 @@ def _magnus_legs(A: CoefficientMatrix, spans) -> list:
                 t0[leg] + (t1[leg] - t0[leg]) * node / M)
         active, coarse, M = active[~done], fine[~done], 2 * M
     legs = []
-    for a, b, Y, C in zip(t0, t1, nodes, _chebyshev_fits(A, t0, t1, nodes)):
+    for a, b, Y in zip(t0, t1, nodes):
         ts = a + (b - a) / (len(Y) - 1) * np.arange(len(Y))
         ts[-1] = b
-        legs.append(MagnusLeg(ts, Y, C))
+        legs.append(MagnusLeg(A, ts, Y))
     return legs
 
 
@@ -373,17 +386,20 @@ def _chebyshev_fits(A: CoefficientMatrix, t0, t1, nodes) -> list:
 
 
 class MagnusLeg:
-    """Phi(s, t0) of a Magnus-integrated leg.
+    """Phi(s, t0) of a Magnus-integrated leg of x' = ``A`` x.
 
     ``ts`` holds the uniform nodes t0, ..., t1 and ``Y`` the node matrices
     Phi(ts[k], t0), shape (len(ts), n, n).  ``C`` holds Phi at the
     Chebyshev-Lobatto points of degree len(C) - 1 on [t0, t1]
-    (:func:`_chebyshev_fits`).  At a node the leg returns its matrix;
-    elsewhere the barycentric interpolant of ``C``, one matrix product per call.
+    (:func:`_chebyshev_fits`), or None until the leg is first asked for a
+    time off its nodes: :func:`_leg_values` fits it then, together with
+    the other unfitted legs of that call.  At a node the leg returns its
+    matrix; elsewhere the barycentric interpolant of ``C``.
     """
 
-    def __init__(self, ts, Y, C):
-        self.ts, self.Y, self.C = ts, Y, C
+    def __init__(self, A, ts, Y):
+        self.A, self.ts, self.Y = A, ts, Y
+        self.C = None
 
     def __call__(self, s):
         return _dense_call(self, s)
@@ -402,11 +418,14 @@ def _leg_values(legs, which, s) -> np.ndarray:
     """Phi(s[k], t0) on the leg ``legs[which[k]]`` for every k: shape (len(s), n, n).
 
     The legs are all exact or all Magnus, as one operator's are.  Exact legs
-    share V, lam and V^-1, so their values are one batched product.  Magnus
-    legs go by interpolant degree d: one cardinal matrix (:func:`_cardinals`)
-    for every time on a leg of degree d, each leg's rows padded to the
-    longest, and one batched product with those legs' Chebyshev samples.  A
-    time on a leg's node takes that node's matrix.
+    share V, lam and V^-1, so their values are one batched product.  A time
+    on a Magnus leg's node takes that node's matrix.  The Magnus legs asked
+    for a time off their nodes are first fitted, those without ``C`` in one
+    :func:`_chebyshev_fits` batch; then each is read at all its times.  A
+    leg's layout is its interpolant degree and the fractions of its span at
+    which it is asked, in the order asked: the legs of one layout share one
+    cardinal matrix (:func:`_cardinals`) and one matrix product with their
+    stacked Chebyshev samples.
     """
     s = np.asarray(s, dtype=float)
     which = np.asarray(which, dtype=int)
@@ -417,24 +436,29 @@ def _leg_values(legs, which, s) -> np.ndarray:
     n = legs[0].Y.shape[-1]
     t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
     u = (s - t0[which]) / (t1[which] - t0[which])
-    out = np.empty((s.size, n, n))
-    degree = np.array([len(leg.C) - 1 for leg in legs])
-    for d in np.unique(degree[which]):
-        at = np.flatnonzero(degree[which] == d)
-        at = at[np.argsort(which[at], kind="stable")]  # grouped by leg
-        members, g = np.unique(which[at], return_inverse=True)
-        counts = np.bincount(g)
-        rank = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        B = np.zeros((members.size, counts.max(), d + 1))
-        B[g, rank] = _cardinals(u[at], d)
-        C = np.stack([legs[i].C for i in members]).reshape(members.size, d + 1, n * n)
-        out[at] = (B @ C)[g, rank].reshape(-1, n, n)
     # the node rule: ts[j] = t0 + (t1 - t0) j / M, so a time on node j has
     # u M within a few ulps of j
     M = np.array([len(leg.ts) - 1 for leg in legs])
     first = np.cumsum(M + 1) - (M + 1)
     j = first[which] + np.clip(np.rint(u * M[which]), 0, M[which]).astype(int)
     on = np.concatenate([leg.ts for leg in legs])[j] == s
+    out = np.empty((s.size, n, n))
+    read = np.unique(which[~on])
+    fit = [i for i in read if legs[i].C is None]
+    if fit:
+        fits = _chebyshev_fits(legs[0].A, t0[fit], t1[fit], [legs[i].Y for i in fit])
+        for i, C in zip(fit, fits):
+            legs[i].C = C
+    # each leg's times in the order asked
+    by_leg = np.split(np.argsort(which, kind="stable"),
+                      np.cumsum(np.bincount(which, minlength=len(legs)))[:-1])
+    layouts = {}
+    for i in read:
+        layouts.setdefault((len(legs[i].C), u[by_leg[i]].tobytes()), []).append(i)
+    for (size, _), members in layouts.items():
+        pos = np.stack([by_leg[i] for i in members], axis=1)  # (times, legs)
+        C = np.stack([legs[i].C for i in members], axis=1).reshape(size, -1)
+        out[pos] = (_cardinals(u[pos[:, 0]], size - 1) @ C).reshape(*pos.shape, n, n)
     if on.any():
         out[on] = np.concatenate([leg.Y for leg in legs])[j[on]]
     return out
@@ -498,7 +522,8 @@ class TransitionOperator:
         """Phi(s[k], t0) on the leg (t0, t1) = ``spans[which[k]]`` for every k: (len(s), n, n).
 
         The legs come from :meth:`solve_legs`, and their values from one
-        batched evaluation (:func:`_leg_values`).
+        batched evaluation (:func:`_leg_values`), which first fits the
+        Magnus legs asked off their nodes that are not yet fitted.
         """
         return _leg_values(self.solve_legs(spans), which, s)
 

@@ -13,10 +13,13 @@ run in the local coordinates of the cached unit propagation legs, and what the
 quadrature needs of the legs besides the forcing (inverse leg values folded
 into per-panel moments of the forcing spline, projectors, grid indices) is
 one plan per kernel, grid and sweep window: one set of stacked arrays over
-every leg of the window, whose leg values come from one batched call per
-interpolant degree (:meth:`TransitionOperator.leg_values`).  The plan is
-reused by every later solve on that kernel: both sweeps, each Picard
-iterate and each eps of a continuation.
+every leg of the window, whose leg values come from one batched call
+(:meth:`TransitionOperator.leg_values`).  That call fits the window's
+Magnus legs not yet fitted, in one batch, and the full unit legs of the
+window, asked at the same fractions of their spans, share one cardinal
+matrix.  The plan is reused by every later solve on that kernel: both
+sweeps, each Picard iterate and each eps of a continuation, and its legs
+stay fitted for every later plan.
 
 Each grid panel is integrated by a Gauss-Legendre rule that
 :func:`_panel_rule` sizes from h*a.  On a panel of width h the m-node rule
@@ -88,9 +91,6 @@ _SAMPLE_TIMES = np.linspace(-10.0, 10.0, 21)
 _SAMPLE_RADIUS = 2.0
 
 _MAX_PICARD_ITER = 60
-
-# legs per block of a plan build, which bounds its working memory
-_PLAN_LEGS = 8
 
 
 class SolverError(Exception):
@@ -229,9 +229,12 @@ def _green_plan(kernel: GreenKernel, f: GridFunction, lo, hi) -> _GreenPlan:
     """The kernel's plan of the window [lo, hi] on f's grid, built from stacked arrays.
 
     Every leg's panel points and Gauss-Legendre nodes are laid out at once.
-    Blocks of ``_PLAN_LEGS`` legs then take their leg values at the nodes and
-    panel points in one :meth:`TransitionOperator.leg_values` call, and the
-    moments from one ``np.linalg.inv`` and one matrix product.  Every panel
+    All legs then take their leg values at the nodes and panel points in one
+    :meth:`TransitionOperator.leg_values` call, which fits the Magnus legs
+    not yet fitted, and the moments come from one ``np.linalg.inv`` and one
+    matrix product.  The times are asked in leg-local offsets, laid out so
+    that every full unit leg whose anchor is a grid point asks at the same
+    fractions of its span and shares one cardinal matrix.  Every panel
     takes the rule :func:`_plan_rule` sizes for the kernel and f's grid
     step, so the plan key needs no rule of its own.
     """
@@ -250,43 +253,46 @@ def _green_plan(kernel: GreenKernel, f: GridFunction, lo, hi) -> _GreenPlan:
     t = a + h * k
     leg = np.minimum(np.searchsorted(s1, t), L - 1)
     inside = (t > s0[leg] + 1e-12) & (t < s1[leg] - 1e-12)
-    t, leg = t[inside], leg[inside]
+    k, t, leg = k[inside], t[inside], leg[inside]
     first = np.concatenate([[0], np.cumsum(np.bincount(leg, minlength=L) + 1)])
     pts = np.empty(first[-1] + L)
     pts[first[:-1] + np.arange(L)] = s0
     pts[first[1:] + np.arange(L)] = s1
-    pts[np.arange(t.size) + 2 * leg + 1] = t
+    inner = np.arange(t.size) + 2 * leg + 1  # the grid points' places in pts
+    pts[inner] = t
     point_leg = np.repeat(np.arange(L), np.diff(first) + 1)
     left = np.ones(pts.size, dtype=bool)  # the points that start a panel
     left[first[1:] + np.arange(L)] = False
     panel_leg = point_leg[left]
-    widths = pts[1:][left[:-1]] - pts[:-1][left[:-1]]
+    # the points as offsets from their leg's lower anchor a0.  When a0 is the
+    # grid point of index kappa, the leg's grid points lie h (k - kappa) past
+    # it, so the legs of one clipped span have the same offsets.  Rounded to
+    # a multiple of the spacing q of the window's largest anchor, an offset
+    # added to an integer a0 stays exact, so every full unit leg is asked at
+    # the same fractions of its span: one layout for leg_values
+    a0 = anchors[j]
+    kappa = (a0 - a) / h
+    snap = (np.abs(kappa - np.rint(kappa)) < 1e-9)[leg]
+    off = pts - a0[point_leg]
+    off[inner[snap]] = h * (k[snap] - np.rint(kappa[leg[snap]]))
+    widths = np.diff(off)[left[:-1]]
     gl_nodes, gl_weights = _plan_rule(kernel, h)
     m = gl_nodes.size
-    nodes = pts[left, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
+    q = np.spacing(np.abs(anchors[[j[0], j[-1] + 1]]).max())
+    local = off[left, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
+    nodes = a0[panel_leg, None] + np.rint(local / q) * q
     cell = np.floor((pts[left] + 0.5 * widths - a) / h).astype(int)
     u = nodes - (a + cell[:, None] * h)
     moments = np.outer(widths, gl_weights / 2.0)[..., None] * u[..., None] ** np.arange(4)
-    spans = list(zip(anchors[j].tolist(), anchors[j + 1].tolist()))
-    W = np.empty((cell.size, n, 4 * n))
-    D = np.empty((pts.size, n, n))
-    for b in range(0, L, _PLAN_LEGS):
-        e = min(b + _PLAN_LEGS, L)
-        panels = slice(first[b], first[e])
-        points = slice(first[b] + b, first[e] + e)
-        # one batched call for the block's nodes and panel points: one
-        # interpolation product per degree on Magnus legs
-        vals = kernel.op.leg_values(
-            spans[b:e],
-            np.concatenate([np.repeat(panel_leg[panels], m), point_leg[points]]) - b,
-            np.concatenate([nodes[panels].ravel(), pts[points]]),
-        )
-        at_nodes = (panels.stop - panels.start) * m
-        # (entries of D^-1 x nodes) @ (nodes x powers), then the blocks W_p side by side
-        D_inv = np.linalg.inv(vals[:at_nodes]).reshape(-1, m, n * n).transpose(0, 2, 1)
-        W[panels] = (D_inv @ moments[panels]).reshape(-1, n, n, 4).transpose(0, 1, 3, 2).reshape(
-            -1, n, 4 * n)
-        D[points] = vals[at_nodes:]
+    vals = kernel.op.leg_values(
+        list(zip(a0.tolist(), anchors[j + 1].tolist())),
+        np.concatenate([np.repeat(panel_leg, m), point_leg]),
+        np.concatenate([nodes.ravel(), a0[point_leg] + np.rint(off / q) * q]),
+    )
+    # (entries of D^-1 x nodes) @ (nodes x powers), then the blocks W_p side by side
+    D_inv = np.linalg.inv(vals[:nodes.size]).reshape(-1, m, n * n).transpose(0, 2, 1)
+    W = (D_inv @ moments).reshape(-1, n, n, 4).transpose(0, 1, 3, 2).reshape(-1, n, 4 * n)
+    D = vals[nodes.size:]
     r = np.rint((pts - a) / h)
     plan = kernel.plans[key] = _GreenPlan(
         pts=pts,

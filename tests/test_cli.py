@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -402,6 +403,25 @@ class TestCheckCommands:
         rc = run_cli(["check-dichotomy", problem_path("diag_cos"), "--out", tmp_path])
         assert rc == 0
         assert len(built) == 1
+
+    def test_fast_saddle_certifies_without_reading_between_nodes(self, tmp_path, capsys):
+        # no degree up to 4096 fits the legs of +-30 between their nodes
+        # (ROADMAP direction 21), but a certificate reads node matrices only
+        prob = tmp_path / "fast.json"
+        prob.write_text(json.dumps({"dim": 2, "A": [["-30 + sin(t)", "0"], ["0", "30 + cos(t)"]],
+                                    "f": ["cos(t)", "sin(t)"], "window": 12.0}))
+        assert run_cli(["check-trichotomy", prob, "--out", tmp_path / "cert"]) == 0
+        N, nu = map(float, re.search(r"N = (\S+), nu = (\S+)", capsys.readouterr().out).groups())
+        t, tau = np.meshgrid(np.linspace(-12.0, 12.0, 481), np.linspace(-12.0, 12.0, 481))
+        up, down = t >= tau, t <= tau
+        # |Phi(t, tau) P| for t >= tau, and |Phi(t, tau)(I - P)| for t <= tau
+        stable = np.exp(-30.0 * (t - tau)[up] - np.cos(t[up]) + np.cos(tau[up]))
+        unstable = np.exp(30.0 * (t - tau)[down] + np.sin(t[down]) - np.sin(tau[down]))
+        assert np.all(stable <= N * np.exp(-nu * (t - tau)[up]) * (1.0 + 1e-12))
+        assert np.all(unstable <= N * np.exp(nu * (t - tau)[down]) * (1.0 + 1e-12))
+        # the solve reads the legs between their nodes, so it still refuses them
+        assert run_cli(["solve-linear", prob, "--out", tmp_path / "sol"]) == 1
+        assert "unresolved by its degree-4096 Chebyshev interpolant" in capsys.readouterr().err
 
     def test_trichotomy_certified(self, tmp_path):
         out = tmp_path / "out"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import trichotomy.hyperbolicity
+import trichotomy.propagator
 from trichotomy.cli import load_problem
 from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import (
@@ -573,6 +574,59 @@ class TestBuildTrichotomy:
         A = CoefficientMatrix.from_strings([["-1"]])
         with pytest.raises(ValueError, match="idempotent"):
             build_trichotomy(A, 12.0, P=[[0.5]], Q=[[0.0]], N=1.0, nu=1.0)
+
+
+def _lattice_spans(anchors):
+    return list(zip(anchors[:-1].tolist(), anchors[1:].tolist()))
+
+
+class TestOneBatchPerStage:
+    """A swept certificate integrates its legs in one batch per stage and fits none."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        calls = {"batches": [], "fits": 0}
+        magnus_legs = trichotomy.propagator._magnus_legs
+        chebyshev_fits = trichotomy.propagator._chebyshev_fits
+
+        def batch(A, spans):
+            calls["batches"].append([tuple(span) for span in spans])
+            return magnus_legs(A, spans)
+
+        def fit(*args):
+            calls["fits"] += 1
+            return chebyshev_fits(*args)
+
+        monkeypatch.setattr(trichotomy.propagator, "_magnus_legs", batch)
+        monkeypatch.setattr(trichotomy.propagator, "_chebyshev_fits", fit)
+        return calls
+
+    @pytest.mark.parametrize("name", ["rotation", "trich_tanh"])
+    def test_estimates_then_families(self, spied, monkeypatch, name):
+        A = load_problem(problem_path(name)).A
+        cert = build_trichotomy(TransitionOperator(A), 12.0)
+        estimates = _lattice_spans(_anchor_times(0.0, 12.0)) + _lattice_spans(
+            _anchor_times(-12.0, 0.0))
+        families = {span for fam in cert.families for span in _lattice_spans(fam.anchors)}
+        first, second = spied["batches"]
+        assert first == estimates
+        assert set(second) == families - set(estimates)
+        assert spied["fits"] == 0
+        # the batches of the per-estimate and per-family calls give the same bits
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_integrate_lattices", lambda *args: None)
+        ref = build_trichotomy(TransitionOperator(A), 12.0)
+        assert len(spied["batches"]) == 2 + 4
+        assert (cert.N, cert.nu) == (ref.N, ref.nu)
+        assert np.array_equal(cert.P, ref.P) and np.array_equal(cert.Q, ref.Q)
+        for fam, fam_ref in zip(cert.families, ref.families):
+            assert np.array_equal(fam.legs, fam_ref.legs)
+            assert np.array_equal(fam.projectors, fam_ref.projectors)
+
+    def test_supplied_certificate_takes_one_batch(self, spied, rotation_kernel):
+        cert = rotation_kernel.cert
+        op = TransitionOperator(cert.op.A)
+        build_trichotomy(op, 12.0, P=cert.P, Q=cert.Q, N=cert.N, nu=cert.nu)
+        assert len(spied["batches"]) == 1 and spied["fits"] == 0
 
 
 class TestGreenKernel:

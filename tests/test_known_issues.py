@@ -6,13 +6,26 @@ issue makes its test pass, the suite report it as XPASS(strict), and that
 change removes the mark.  Run with ``-rxX`` to list each mark and its reason.
 """
 
+import json
+
 import numpy as np
 import pytest
+from conftest import problem_path, read_solution_csv
 
-from trichotomy.cli import Flags, _cmd_solve_linear, load_problem
-from trichotomy.hyperbolicity import TrichotomyIncompatibility, build_trichotomy
+from trichotomy.cli import (
+    Flags,
+    _cmd_audit,
+    _cmd_solve_linear,
+    _cmd_solve_semilinear,
+    load_problem,
+)
+from trichotomy.hyperbolicity import (
+    NonHyperbolicError,
+    TrichotomyIncompatibility,
+    build_trichotomy,
+)
 from trichotomy.propagator import CoefficientMatrix, PropagationError, TransitionOperator
-from trichotomy.solvers import AccuracyError
+from trichotomy.solvers import AccuracyError, SolverError
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -55,7 +68,7 @@ def test_fast_growing_leg_resolves():
 
 @pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
     "known issue: the plan path's residual gate refuses the +-14, cond(V) = 2e3 saddle; "
-    "today linear solve residual 1.16e-05 exceeds 10*tol = 1e-05, while the plan "
+    "today linear solve residual 1.15e-05 exceeds 10*tol = 1e-05, while the plan "
     "solution is within 2.4e-9 of the modal one's sup (directions 15 and 22)"))
 def test_plan_path_solves_the_ill_conditioned_saddle(tmp_path):
     """A = V diag(-14, 14) V^-1 with V = [[1, 1], [0, 1e-3]], written with ``+ 0*t``.
@@ -109,3 +122,68 @@ def test_rotating_non_normal_saddle_certifies():
         [f"-8*{s}^2 - 2*{c}*{s} + 0.3", f"-{s}^2 + 8*{c}*{s} + {c}^2"],
     ])
     build_trichotomy(A, 12.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known issue: Lipschitz constants are sampled lower bounds; today alpha = 0.26 "
+    "while |F'| reaches about 0.78 on the ball (direction 2)"))
+def test_contraction_ratio_bounds_the_slope_on_its_ball(tmp_path):
+    """x' = -x + 3 + 0.01 x^3 with declared L = 0.13, window 12.
+
+    The linear solution is 3, so the printed ball |x - 3| <= r holds |x| <=
+    3 + r, where |F'| = 0.03 x^2 reaches 0.03 (3 + r)^2.  A contraction
+    ratio must be at least 2 N sup|F'| / nu there, unless the run refuses.
+    """
+    spec = load_problem({"dim": 1, "A": [["-1"]], "f": ["3"], "F": ["0.01*x1^3"],
+                         "L": 0.13, "window": 12.0})
+    try:
+        rc = _cmd_solve_semilinear(spec, Flags(out=str(tmp_path)))
+    except (SolverError, ValueError):
+        return  # a refusal
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    cert = json.loads((tmp_path / "trichotomy.json").read_text())
+    slope = 0.03 * (3.0 + report["r_bound"]) ** 2
+    assert report["alpha"] >= 2.0 * cert["N"] * slope / cert["nu"]
+
+
+@pytest.mark.xfail(strict=True, raises=NonHyperbolicError, reason=(
+    "known issue: false certified negative on a rotating saddle with a wide ladder; "
+    "today fitted decay rate -0.2 is not positive (direction 3)"))
+def test_wide_ladder_rotating_saddle_certifies():
+    """R(t) diag(-0.2, 5) R(t)^T + J on [-10, 10]: a dichotomy with N = 1 and rate 0.2."""
+    c, s = "cos(t)", "sin(t)"
+    A = CoefficientMatrix.from_strings([
+        [f"-0.2*{c}^2 + 5*{s}^2", f"-5.2*{c}*{s} - 1"],
+        [f"-5.2*{c}*{s} + 1", f"-0.2*{s}^2 + 5*{c}^2"],
+    ])
+    build_trichotomy(A, 10.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
+    "known issue: tolerances are not scale-equivariant; today linear solve residual "
+    "0.000226 exceeds 10*tol = 1e-05 (direction 15)"))
+def test_scaled_forcing_scales_the_solution(tmp_path):
+    """diag_cos with f = 1e4 (cos t, cos t): its solution is 1e4 times diag_cos's."""
+    for name in ("one", "big"):
+        (tmp_path / name).mkdir()
+    spec = load_problem(problem_path("diag_cos"))
+    assert _cmd_solve_linear(spec, Flags(out=str(tmp_path / "one"))) == 0
+    scaled = load_problem({"dim": 2, "A": [["-1", "0"], ["0", "1"]],
+                           "f": ["1e4*cos(t)", "1e4*cos(t)"], "window": 10.0, "tol": 1e-6})
+    assert _cmd_solve_linear(scaled, Flags(out=str(tmp_path / "big"))) == 0
+    one, big = (read_solution_csv(tmp_path / name / "sol.csv") for name in ("one", "big"))
+    assert (one.a, one.b) == (big.a, big.b)
+    assert np.max(np.abs(big.values - 1e4 * one.values)) <= 1e-9 * np.max(np.abs(big.values))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known issue: audit reports INCOMPATIBLE EVIDENCE where the theorem guarantees "
+    "inheritance; today 3 and 1 shifts are missing (direction 7)"))
+def test_audit_finds_the_inherited_periods(tmp_path):
+    """x' = -0.5x + cos(0.5t), window 40, eps 0.05 and 0.02, tau in [12.2, 12.9] at step 0.02."""
+    spec = load_problem({"dim": 1, "A": [["-0.5"]], "f": ["cos(0.5*t)"], "window": 40.0})
+    flags = Flags(out=str(tmp_path), eps=[0.05, 0.02], tau_range=(12.2, 12.9, 0.02))
+    assert _cmd_audit(spec, flags) == 0
+    report = json.loads((tmp_path / "audit.json").read_text())
+    assert all(entry["compatible_evidence"] for entry in report["per_eps"].values())

@@ -262,6 +262,49 @@ class TestBatchedExpm:
         assert np.allclose(propagator.expm(X), scipy.linalg.expm(X), rtol=1e-15, atol=1e-15)
         assert np.array_equal(propagator.expm(np.zeros((3, 2, 2))), np.stack([np.eye(2)] * 3))
 
+    # one drawn 1-norm inside the reach of each Pade degree 3, 5, 7, 9 and
+    # past 9's, where degree 13 scales and squares; then any further norms
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           st.lists(st.floats(-4.0, 1.8), max_size=12))
+    def test_stack_gives_each_matrix_its_own_bits(self, n, seed, where, extra):
+        bands = [(1e-4, 0.0149), (0.0151, 0.25), (0.26, 0.95), (0.96, 2.09), (2.1, 60.0)]
+        norms = [lo * (hi / lo) ** w for (lo, hi), w in zip(bands, where)] + [10**e for e in extra]
+        rng = np.random.default_rng(seed)
+        kinds = rng.permutation(np.resize([0, 1, 2], len(norms)))
+        X = np.empty((len(norms), n, n))
+        for x, norm, kind in zip(X, norms, kinds):
+            if kind == 0:
+                x[:] = rng.normal(size=(n, n))
+            elif kind == 1:  # a rotation generator in the first plane
+                x[:] = 0.0
+                x[0, 1], x[1, 0] = 1.0, -1.0
+            else:  # strictly upper triangular, so nilpotent
+                x[:] = np.triu(rng.normal(size=(n, n)), 1)
+            x *= norm / np.abs(x).sum(axis=0).max()
+        E = propagator.expm(X)
+        for x, e, kind in zip(X, E, kinds):
+            assert np.array_equal(e, propagator.expm(x))
+            if kind == 1:
+                theta = x[0, 1]
+                ref = np.eye(n)
+                ref[:2, :2] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
+                assert np.max(np.abs(e - ref)) <= 2e-15 * max(1.0, theta)
+            elif kind == 2:
+                ref = np.eye(n) + x + x @ x / 2.0
+                assert np.max(np.abs(e - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_a_leg_has_the_same_bits_in_any_batch(self):
+        # leg [60, 61] has the larger 1-norms, which once set the degree of
+        # the whole stack
+        A = CoefficientMatrix.from_strings([["-0.1*t", "1"], ["0", "0.5"]])
+        (alone,) = propagator._magnus_legs(A, [(0.0, 1.0)])
+        shared, _ = propagator._magnus_legs(A, [(0.0, 1.0), (60.0, 61.0)])
+        assert np.array_equal(alone.ts, shared.ts) and np.array_equal(alone.Y, shared.Y)
+        s = np.linspace(0.0, 1.0, 7) + 0.01
+        assert np.array_equal(alone(s), shared(s))
+
 
 class TestMagnusLegs:
     @pytest.mark.parametrize("name", ["rotation", "trich_tanh", "arctan"])
@@ -272,9 +315,12 @@ class TestMagnusLegs:
         legs = op.solve_legs(spans)
         assert all(isinstance(leg, MagnusLeg) for leg in legs)
         assert all(op.solve_leg(*span) is leg for span, leg in zip(spans, legs))
+        # legs come with their nodes only, and one batched evaluation fits them all
+        assert all(leg.C is None for leg in legs)
+        op.leg_values(spans, np.arange(len(spans)), [t0 + 0.3 * (t1 - t0) for t0, t1 in spans])
         assert all(2 * propagator.FIRST_STEPS <= len(leg.C) - 1 <= propagator.MAX_STEPS
                    for leg in legs)
-        # a dense call takes no Magnus step
+        # a dense call on a fitted leg takes no Magnus step
         steps = []
         monkeypatch.setattr(propagator, "_magnus_steps", lambda *args: steps.append(args))
         rng = np.random.default_rng(0)
@@ -295,6 +341,31 @@ class TestMagnusLegs:
             assert np.array_equal(leg(t0), np.eye(A.n).reshape(-1))
         assert steps == []
 
+    def test_legs_are_fitted_on_first_use_off_their_nodes(self, monkeypatch, rotation_A):
+        fits = []
+        chebyshev_fits = propagator._chebyshev_fits
+        monkeypatch.setattr(propagator, "_chebyshev_fits",
+                            lambda A, t0, t1, nodes: fits.append(list(zip(t0, t1)))
+                            or chebyshev_fits(A, t0, t1, nodes))
+        op = TransitionOperator(rotation_A)
+        spans = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 2.5)]
+        legs = op.solve_legs(spans)
+        # node reads fit nothing
+        assert np.array_equal(op.matrix(0.0, 1.0), legs[0].Y[-1])
+        assert np.array_equal(legs[1](legs[1].ts), legs[1].Y.reshape(len(legs[1].ts), -1).T)
+        assert fits == [] and all(leg.C is None for leg in legs)
+        # one batch fits the legs asked off their nodes, and only those
+        which = np.array([0, 0, 2, 3, 1])
+        s = np.array([0.3, 1.0, 2.7, 2.9, 1.0])
+        first = op.leg_values(spans, which, s)
+        assert fits == [[(0.0, 1.0), (2.0, 3.0), (3.0, 2.5)]]
+        assert legs[1].C is None and all(legs[i].C is not None for i in (0, 2, 3))
+        assert np.array_equal(op.leg_values(spans, which, s), first)
+        assert len(fits) == 1
+        for k, (i, t) in enumerate(zip(which, s)):
+            one = legs[i](t)
+            assert np.max(np.abs(first[k].reshape(-1) - one)) <= 1e-14 * np.max(np.abs(one))
+
     def test_one_batch_per_call(self, monkeypatch, rotation_A):
         batches = []
         magnus_legs = propagator._magnus_legs
@@ -313,19 +384,22 @@ class TestMagnusLegs:
         leg = op.solve_leg(0.0, 1.0)
         assert len(leg.ts) - 1 > len(slow.solve_leg(0.0, 1.0).ts) - 1
         assert len(leg.ts) - 1 > 2 * propagator.FIRST_STEPS
-        assert 2 * propagator.FIRST_STEPS < len(leg.C) - 1 <= propagator.MAX_STEPS
         s = np.linspace(0.0, 1.0, 41)
         ref = np.exp(np.sin(40.0 * s) / 40.0)
         assert np.max(np.abs(leg(s)[0] - ref)) <= 1e-9 * np.max(ref)
+        assert 2 * propagator.FIRST_STEPS < len(leg.C) - 1 <= propagator.MAX_STEPS
 
     def test_unresolved_interpolant_raises(self, monkeypatch):
-        # the cos(40 t) leg resolves at 64 steps, and its interpolant at degree 128
+        # the cos(40 t) leg resolves at 64 steps, and its interpolant at degree 128;
+        # the fit, and so its refusal, waits for the first time off the nodes
         monkeypatch.setattr(propagator, "MAX_STEPS", 64)
         op = TransitionOperator(CoefficientMatrix.from_strings([["cos(40*t)"]]))
+        leg = op.solve_leg(0.0, 1.0)
+        assert np.array_equal(op.matrix(0.0, 1.0), leg.Y[-1]) and leg.C is None
         with pytest.raises(PropagationError, match=r"Magnus leg \[0, 1\] unresolved by its "
                            r"degree-64 Chebyshev interpolant: node error .* exceeds ATOL "
                            r"\+ RTOL \|Y\|"):
-            op.solve_leg(0.0, 1.0)
+            leg(0.5 + 1e-3)
 
     def test_unresolved_leg_raises(self):
         op = TransitionOperator(CoefficientMatrix.from_strings([["1000*cos(100000*t)"]]))

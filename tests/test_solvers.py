@@ -19,7 +19,7 @@ from trichotomy.hyperbolicity import (
     _build_half_family,
     build_trichotomy,
 )
-from trichotomy.propagator import RTOL, CoefficientMatrix, ExactLeg
+from trichotomy.propagator import RTOL, CoefficientMatrix, ExactLeg, TransitionOperator
 from trichotomy.solvers import (
     ContractionError,
     LipschitzSpec,
@@ -582,10 +582,10 @@ class TestQuadraturePlan:
         calls = count_dense_calls(monkeypatch)
         out = epsilon_continuation(K, f, Fspec, [1.0, 0.5], tol=1e-3)
         assert [dev > 0.0 for _, _, dev in out] == [True, True]
-        # the linear solve builds the one plan, one leg evaluation per block
-        # of legs; every Picard iterate of both eps reads it
-        (plan,) = K.plans.values()
-        assert len(calls) == math.ceil((plan.first.size - 1) / trichotomy.solvers._PLAN_LEGS)
+        # the linear solve builds the one plan from one leg evaluation; every
+        # Picard iterate of both eps reads it
+        assert len(K.plans) == 1
+        assert len(calls) == 1
 
     def test_constant_A_solves_without_plans_or_dense_evaluations(
         self, scalar_kernel, scalar_forcing, monkeypatch
@@ -650,6 +650,112 @@ class TestQuadraturePlan:
             ref, _ = picard_solve(fresh(scalar_kernel), scalar_forcing, Fspec.scaled(e))
             assert (phi.a, phi.b) == (ref.a, ref.b)
             assert np.max(np.abs(phi.values - ref.values)) <= 1e-12
+
+
+def per_point_leg_values(legs, which, s):
+    """Fitted Magnus legs' values as ``propagator._leg_values`` took them before layouts.
+
+    One cardinal row per time, each leg's rows padded to the longest, and
+    one batched product per interpolant degree; a time on a node takes the
+    node's matrix.
+    """
+    n = legs[0].Y.shape[-1]
+    t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
+    u = (s - t0[which]) / (t1[which] - t0[which])
+    out = np.empty((s.size, n, n))
+    degree = np.array([len(leg.C) - 1 for leg in legs])
+    for d in np.unique(degree[which]):
+        at = np.flatnonzero(degree[which] == d)
+        at = at[np.argsort(which[at], kind="stable")]
+        members, g = np.unique(which[at], return_inverse=True)
+        counts = np.bincount(g)
+        rank = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        B = np.zeros((members.size, counts.max(), d + 1))
+        B[g, rank] = trichotomy.propagator._cardinals(u[at], d)
+        C = np.stack([legs[i].C for i in members]).reshape(members.size, d + 1, n * n)
+        out[at] = (B @ C)[g, rank].reshape(-1, n, n)
+    M = np.array([len(leg.ts) - 1 for leg in legs])
+    first = np.cumsum(M + 1) - (M + 1)
+    j = first[which] + np.clip(np.rint(u * M[which]), 0, M[which]).astype(int)
+    on = np.concatenate([leg.ts for leg in legs])[j] == s
+    out[on] = np.concatenate([leg.Y for leg in legs])[j[on]]
+    return out
+
+
+class _RecordingOperator:
+    """An operator stand-in for a plan build that records its one ``leg_values`` call."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, []
+
+    def leg_values(self, spans, which, s):
+        vals = self.op.leg_values(spans, which, s)
+        self.calls.append((self.op.solve_legs(spans), which, s, vals))
+        return vals
+
+
+def recorded_plan_call(K, f, lo, hi):
+    """The legs, leg indices, times and values of the plan of [lo, hi] on a fresh kernel."""
+    K = fresh(K)
+    K.op = _RecordingOperator(K.op)
+    trichotomy.solvers._green_plan(K, f, lo, hi)
+    (call,) = K.op.calls
+    return call
+
+
+def assert_matches_per_point(legs, which, s, vals):
+    """Within 1e-14 of each leg's largest entry of the per-point values."""
+    ref = per_point_leg_values(legs, which, s)
+    for i in np.unique(which):
+        at = which == i
+        assert np.max(np.abs(vals[at] - ref[at])) <= 1e-14 * np.max(np.abs(ref[at]))
+
+
+class TestLegLayouts:
+    """A plan's legs asked at the same fractions of their spans share one cardinal matrix."""
+
+    def test_full_unit_legs_share_one_layout(self, rotation_kernel, monkeypatch):
+        # the CLI's grid: step 0.02 through the integer anchors
+        f = sweep_forcing(2, -13.0)
+        legs, which, s, vals = recorded_plan_call(rotation_kernel, f, -12.5, 12.5)
+        assert_matches_per_point(legs, which, s, vals)
+        rows = []
+        cardinals = trichotomy.propagator._cardinals
+        monkeypatch.setattr(trichotomy.propagator, "_cardinals",
+                            lambda u, d: rows.append(u.size) or cardinals(u, d))
+        assert np.array_equal(trichotomy.propagator._leg_values(legs, which, s), vals)
+        # the two clipped end legs, and one layout per degree of the 24 full unit legs
+        assert len(legs) == 26
+        assert len(rows) == 2 + len({len(leg.C) for leg in legs[1:-1]})
+
+    # grid origins and steps that put the anchors off the grid, and clipped
+    # windows, so that the legs' layouts differ
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-13.6, -13.0), st.one_of(st.just(0.02), st.floats(0.011, 0.09)),
+           st.floats(-12.9, -0.5), st.floats(0.5, 12.9))
+    def test_layouts_match_the_per_point_values(self, rotation_kernel, a, h, lo, hi):
+        f = GridFunction.from_callable(lambda t: np.cos(np.multiply.outer(t, [0.7, 2.0])),
+                                       a, a + h * math.ceil(27.0 / h), h)
+        assert_matches_per_point(*recorded_plan_call(rotation_kernel, f, lo, hi))
+
+    def test_first_plan_fits_its_window_and_a_second_solve_fits_nothing(self, rotation_A,
+                                                                         monkeypatch):
+        fits = []
+        chebyshev_fits = trichotomy.propagator._chebyshev_fits
+        monkeypatch.setattr(trichotomy.propagator, "_chebyshev_fits",
+                            lambda A, t0, t1, nodes: fits.append(list(zip(t0, t1)))
+                            or chebyshev_fits(A, t0, t1, nodes))
+        K = GreenKernel(build_trichotomy(TransitionOperator(rotation_A), 14.0))
+        assert fits == []
+        f = sweep_forcing(2, -13.0013)
+        solve_linear_bounded(K, f, tol=1e-4, check_residual=False)
+        (plan,) = K.plans.values()
+        (fitted,) = fits
+        legs = [(a0, a1) for a0, a1 in zip(K.anchors[:-1], K.anchors[1:])
+                if a1 > plan.pts[0] and a0 < plan.pts[-1]]
+        assert fitted == legs
+        solve_linear_bounded(K, f, tol=1e-4, out_window=(-2.0, 2.0), check_residual=False)
+        assert len(K.plans) == 2 and len(fits) == 1
 
 
 def _orthogonal(rng, n):
