@@ -10,13 +10,14 @@ this module carries its horizons explicitly and claims nothing beyond them.
 Every report reads one residual table per function: the sup of
 |phi(t + tau) - phi(t)| beyond each horizon, for every scanned tau, built
 once.  The residuals do not depend on eps, so each eps of a scan or of an
-audit's ladder is only a threshold on that table.  The table is built in
-blocks of taus sized to stay in cache: per block, phi at every shifted grid
-time, then one segment max per horizon cut of the grid, whatever the tau.
-A block whose taus are all whole multiples of the grid step reads the
-shifted samples by index; any other block evaluates phi.  GridFunction's
-knot rule makes phi at a grid point its sample exactly, so either way the
-table is the same one the per-tau formula gives, bit for bit.
+audit's ladder is only a threshold on that table.  The grid times whose
+shift t + tau stays in the window form one index range per tau, and the
+times beyond a horizon on one side another, so the table takes the max of
+squared norms over index ranges, block by block, and the square root of
+those maxima alone.  A block of whole-step taus reads the shifted samples
+by index, any other block evaluates phi; GridFunction's knot rule makes phi
+at a grid point its sample exactly, so the table is the per-tau formula's,
+bit for bit.
 
 The module also provides an empirical Lagrange stability report
 (boundedness plus modulus of continuity) and a compatibility audit
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import KNOT_STEPS, GridFunction, component_norm, write_rows
+from .grid import KNOT_STEPS, GridFunction, component_squares, write_rows
 from .hyperbolicity import WindowTooSmall
 
 __all__ = [
@@ -48,33 +49,77 @@ __all__ = [
 DEFAULT_T_SCHEDULE = (5.0, 10.0, 20.0, 40.0)
 
 # shifted samples (taus times grid points) per block of a residual table, so
-# that a block's shifted times, spline values and norms stay in cache
-_BLOCK_SAMPLES = 8192
+# that a block's shifted samples and squared norms stay in cache
+_BLOCK_SAMPLES = 16384
 
 # a scan holds one row of residuals per tau, so its tau count is capped
 _MAX_TAUS = 10**6
 
 
+def _edge(t, taus, bound, side: str) -> np.ndarray:
+    """``np.searchsorted(t + tau, bound, side)`` per tau, tested at two samples only.
+
+    A search of bound - tau in t rounds otherwise, so it is one sample off at most.
+    """
+    below = np.less if side == "left" else np.less_equal
+    found = np.searchsorted(t, bound - taus, side)
+    ends = np.concatenate([[-np.inf], t, [np.inf]])[found[:, None] + np.arange(2)]
+    return found - 1 + below(ends + taus[:, None], bound).sum(axis=1)
+
+
+def _max_squares(phi: GridFunction, taus, start, end) -> np.ndarray:
+    """Max of |phi(t + tau) - phi(t)|^2 over t[start:end], for each tau and column.
+
+    An empty range's entry is arbitrary.  A block of taus within half of
+    ``KNOT_STEPS`` grid steps of whole numbers j of steps reads phi at t[k] + tau
+    as ``phi.values[k + j]`` through a strided view of a zero-padded copy, as
+    GridFunction's knot rule does; other blocks evaluate phi, at the window's
+    edge for a time beyond it.  A block's squares lie flat with a spare slot
+    after them, so one ``maximum.reduceat`` over the (start, end) pairs takes every max.
+    """
+    m, n = phi.values.shape
+    whole = np.rint(taus / phi.h)
+    # half the knot tolerance, so the rounding of t + tau keeps each
+    # shifted time of an index read inside GridFunction's knot rule
+    on_grid = np.abs(taus / phi.h - whole) <= 0.5 * KNOT_STEPS
+    shift = np.where(on_grid, whole, 0).astype(np.intp)
+    pad = int(np.abs(shift).max(initial=0))
+    padded = np.zeros((m + 2 * pad, n))
+    padded[pad : pad + m] = phi.values
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (2 * pad + 1, m, n), padded.strides[:1] + padded.strides, writeable=False)
+    rows = max(1, _BLOCK_SAMPLES // m)
+    offset = (np.arange(taus.size) % rows * m)[:, None]  # of each tau in its block
+    pairs = np.stack([offset + start, offset + end], axis=-1).reshape(-1, 2 * start.shape[1])
+    out = np.empty(start.shape)
+    flat = np.zeros(min(rows, taus.size) * m + 1)
+    for b in range(0, taus.size, rows):
+        block = slice(b, b + rows)
+        if on_grid[block].all():
+            d = windows[pad + shift[block]]
+        else:
+            d = phi(np.clip(phi.times + taus[block, None], phi.a - 1e-12, phi.b + 1e-12))
+        d -= phi.values
+        size = d.shape[0] * m
+        component_squares(d, out=flat[:size].reshape(-1, m))
+        out[block].flat = np.maximum.reduceat(flat[: size + 1], pairs[block].ravel())[::2]
+    return out
+
+
 def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     """Sup of |phi(t + tau) - phi(t)| beyond each horizon, one row per tau.
 
-    Shape (len(taus), len(schedule)).  The taus are taken in blocks of about
-    ``_BLOCK_SAMPLES`` shifted samples: per block, phi is taken once at
-    t + tau for every grid time t and tau of the block, and a shift that
-    leaves the window scores -inf, which no norm beats.  When every tau of a
-    block is within half of ``KNOT_STEPS`` grid steps of a whole number j of
-    grid steps, phi at t[k] + tau is read as ``phi.values[k + j]``, which
-    skips the knot test of every shifted time: each of them is within
-    ``KNOT_STEPS`` of a step of grid point k + j, where GridFunction's knot
-    rule returns that sample exactly, so the index read equals the
-    evaluation bit for bit.  Other blocks evaluate phi.  The samples beyond
-    a horizon are t[first:] for t >= T ('+') and t[:count] for t <= -T ('-')
-    whatever tau is, so the horizons cut the grid into a few segments; one
-    ``maximum.reduceat`` takes each segment's max, and a running max over
-    those columns gives every horizon.  NaN marks a horizon with no sample
-    in the window; as T grows the sample sets shrink, so the NaNs of a row
-    fill its largest horizons.  A phi constant in t skips the spline: its
-    spline is that constant exactly, so every in-window residual is 0.
+    Shape (len(taus), len(schedule)).  The samples t with t + tau in the
+    window (within 1e-12) are one range t[lo:hi] per tau, as t + tau grows
+    with t, so the test is made at its two ends only.  Those beyond a
+    horizon are t[first:] for t >= T ('+') and t[:count] for t <= -T ('-'),
+    so each (tau, T, side) takes the max squared norm over one index range,
+    -inf when it is empty, and the square root is taken of the (taus,
+    horizons) table of maxima alone: the root is monotone, so the table has
+    the bits of the per-sample norms.  NaN marks a horizon with no sample in
+    the window; as T grows the sample sets shrink, so the NaNs of a row
+    fill its largest horizons.  A phi constant in t reads nothing: its
+    spline is that constant exactly, so every residual with samples is 0.
     """
     if side not in ("+", "-", "both"):
         raise ValueError(f"side must be '+', '-' or 'both', got {side!r}")
@@ -82,49 +127,24 @@ def _residual_table(phi: GridFunction, taus, schedule, side: str) -> np.ndarray:
     if np.any(horizons < 0):
         raise ValueError("horizon T must be nonnegative")
     t = phi.times
-    m = t.size
     taus = np.asarray(taus, dtype=float)
+    H = horizons.size
+    lo = _edge(t, taus, phi.a - 1e-12, "left")[:, None]
+    hi = _edge(t, taus, phi.b + 1e-12, "right")[:, None]
     first = np.searchsorted(t, horizons - 1e-12)  # first t >= T
-    count = np.searchsorted(t, -horizons + 1e-12, side="right")  # t <= -T
-    # segment j is t[cuts[j]:cuts[j + 1]]; a mask, not np.unique, which
-    # imports numpy.ma on its first call
-    starts = np.zeros(m + 1, dtype=bool)
-    starts[first] = starts[count] = starts[0] = True
-    cuts = np.flatnonzero(starts[:m])
-    plus = (first < m) & (side != "-")
-    minus = (count > 0) & (side != "+")
-    plus_seg = np.searchsorted(cuts, first[plus])  # the segment t[first:] starts
-    minus_seg = np.searchsorted(cuts, count[minus]) - 1  # the one t[:count] ends
-    table = np.full((taus.size, horizons.size), -np.inf)
-    rows = max(1, _BLOCK_SAMPLES // m)
-    constant = not np.ptp(phi.values, axis=0).any()
-    steps = taus / phi.h
-    whole = np.rint(steps)
-    # half the knot tolerance, so the rounding of t + tau keeps each shifted
-    # time of an index block inside GridFunction's knot rule
-    on_grid = np.abs(steps - whole) <= 0.5 * KNOT_STEPS
-    for lo in range(0, taus.size, rows):
-        shifted = t + taus[lo : lo + rows, None]
-        inside = (shifted <= phi.b + 1e-12) & (shifted >= phi.a - 1e-12)
-        if constant:
-            diff = np.where(inside, 0.0, -np.inf)
-        else:
-            if on_grid[lo : lo + rows].all():
-                index = np.arange(m) + whole[lo : lo + rows, None].astype(np.intp)
-                moved = phi.values.take(np.clip(index, 0, m - 1), axis=0)
-            else:
-                # a shift out of the window is evaluated at t instead
-                moved = phi(np.where(inside, shifted, t))
-            diff = component_norm(moved - phi.values)
-            diff[~inside] = -np.inf
-        seg = np.maximum.reduceat(diff, cuts, axis=1)
-        tail = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
-        head = np.maximum.accumulate(seg, axis=1)
-        block = table[lo : lo + rows]
-        block[:, plus] = tail[:, plus_seg]
-        block[:, minus] = np.maximum(block[:, minus], head[:, minus_seg])
+    count = np.searchsorted(t, -horizons[::-1] + 1e-12, side="right")  # t <= -T
+    # '-' ranges in reverse, so few samples lie between those of a row, then '+'
+    start = np.hstack([np.repeat(lo, H, axis=1), np.maximum(first, lo)])
+    end = np.hstack([np.minimum(count, hi), np.repeat(hi, H, axis=1)])
+    end[:, np.repeat([side == "+", side == "-"], H)] = 0
+    squares = np.zeros(start.shape)
+    live = (start < end).any(axis=1)
+    if np.ptp(phi.values, axis=0).any():
+        squares[live] = _max_squares(phi, taus[live], start[live], end[live])
+    squares[start >= end] = -np.inf
+    table = np.maximum(squares[:, H - 1 :: -1], squares[:, H:])
     table[table == -np.inf] = math.nan
-    return table
+    return np.sqrt(table)
 
 
 def remote_period_residual(phi: GridFunction, tau: float, T: float, side: str = "both") -> float:
@@ -309,22 +329,17 @@ def lagrange_report(phi: GridFunction) -> LagrangeReport:
     of edge growth (full-window sup within 20% of the middle-80% sup);
     uniform continuity is doubtful when omega_hat decays much slower than
     linearly (log-log slope below 0.5), which is what unresolved
-    oscillation looks like on a grid.
+    oscillation looks like on a grid.  Shift j pairs t[k] with t[k + j] for
+    k < m - j; each shift's max squared norm comes from the residual table's
+    reduction, and the root is taken of their running max alone.
     """
     h = phi.h
-    vals = phi.values
-    m = vals.shape[0]
+    m = phi.values.shape[0]
     ladder = [h * k for k in (1, 2, 4, 8, 16) if k < m]
-    omega = []
-    w = 0.0
-    steps = 0
-    for delta in ladder:
-        k = int(round(delta / h))
-        for j in range(steps + 1, k + 1):
-            d = float(component_norm(vals[j:] - vals[:-j]).max())
-            w = max(w, d)
-        steps = k
-        omega.append(w)
+    shift = np.arange(1, min(16, m - 1) + 1)[:, None]
+    squares = _max_squares(phi, h * shift[:, 0], 0 * shift, m - shift)
+    worst = np.sqrt(np.maximum.accumulate(squares[:, 0]))
+    omega = [float(worst[k - 1]) for k in (1, 2, 4, 8, 16) if k < m]
 
     sup = phi.sup_norm
     margin = 0.1 * (phi.b - phi.a)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +93,10 @@ class TestResidual:
 
 
 def _reference_residual(phi, tau, T, side):
-    """The residual formula as a masked loop over each side, one (tau, T) at a time."""
+    """The residual formula as a masked loop over each side, one (tau, T) at a time.
+
+    A NaN sample among those compared makes the residual NaN.
+    """
     t = phi.times
     worst, any_samples = 0.0, False
     for s in (["+", "-"] if side == "both" else [side]):
@@ -101,7 +105,7 @@ def _reference_residual(phi, tau, T, side):
         if mask.any():
             any_samples = True
             diff = phi(t[mask] + tau) - phi.values[mask]
-            worst = max(worst, float(np.linalg.norm(diff, axis=1).max()))
+            worst = float(np.maximum(worst, np.linalg.norm(diff, axis=1).max()))
     return worst if any_samples else math.nan
 
 
@@ -110,9 +114,53 @@ def _reference_table(phi, taus, schedule, side):
     for i, tau in enumerate(taus):
         for j, T in enumerate(schedule):
             table[i, j] = _reference_residual(phi, tau, T, side)
-            if math.isnan(table[i, j]):
-                break  # larger horizons have fewer samples still
     return table
+
+
+def _reference_omega(phi):
+    """``lagrange_report``'s modulus ladder as one norm pass per shift of 1 to 16 steps."""
+    h, vals = phi.h, phi.values
+    ladder = [h * k for k in (1, 2, 4, 8, 16) if k < vals.shape[0]]
+    omega, w, steps = [], 0.0, 0
+    for delta in ladder:
+        k = int(round(delta / h))
+        for j in range(steps + 1, k + 1):
+            w = max(w, float(np.linalg.norm(vals[j:] - vals[:-j], axis=-1).max()))
+        steps = k
+        omega.append(w)
+    return omega
+
+
+def _same_bits(got, expected):
+    """Equal arrays, NaN where the other has NaN, and the same bits everywhere else."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    nan = np.isnan(expected)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64)))
+
+
+@st.composite
+def _shifts(draw, length, h, m):
+    """Taus on the grid, off it, zero, and within 0.5e-9 steps of a whole step.
+
+    A whole-step shift puts a sample at the window's edge, so the nudged
+    ones are where a range judged by index alone and the 1e-12 window test
+    disagree.
+    """
+    whole = st.integers(-m - 2, m + 2)
+    kind = st.sampled_from(["grid", "off", "nudged", "zero"])
+    taus = []
+    for k in draw(st.lists(kind, min_size=1, max_size=24)):
+        if k == "grid":
+            taus.append(draw(whole) * h)
+        elif k == "off":
+            taus.append(draw(st.floats(-1.2 * length, 1.2 * length)))
+        elif k == "nudged":
+            nudge = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, math.log10(5e-10)))
+            taus.append((draw(whole) + nudge) * h)
+        else:
+            taus.append(0.0)
+    return np.array(taus)
 
 
 class TestResidualTable:
@@ -225,6 +273,48 @@ class TestResidualTable:
     def test_shift_past_the_window_is_all_nan(self, planar):
         table = rap._residual_table(planar, [40.0], (0.0, 5.0), "both")
         assert np.isnan(table).all()
+
+
+class TestDrawnTables:
+    """Residual tables and modulus ladders on drawn inputs, against their per-shift loops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_table_matches_the_masked_loop(self, data):
+        draw = data.draw
+        n = draw(st.sampled_from([1, 2, 3, 9]))
+        a, length = draw(st.floats(-40.0, 10.0)), draw(st.floats(0.5, 40.0))
+        m = draw(st.integers(2, 400))
+        # unit samples, samples whose differences square below the normal
+        # range, or a constant
+        scale = draw(st.sampled_from([1.0, 1e-156, 1e-170, 0.0]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        phi = GridFunction(a, a + length, scale * rng.standard_normal((m, n)) + (scale == 0.0))
+        # a spike at one end makes the shifts that reach that sample the largest
+        phi.values[draw(st.sampled_from([0, -1]))] += 8.0 * scale
+        if draw(st.booleans()):
+            phi.values[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = np.nan
+        taus = draw(_shifts(length, phi.h, m))
+        schedule = draw(st.lists(st.floats(0.0, abs(a) + length + 1.0), min_size=1, max_size=4))
+        side = draw(st.sampled_from(["+", "-", "both"]))
+        # one tau per block, two, or the default
+        block = draw(st.sampled_from([1, 2 * m, rap._BLOCK_SAMPLES]))
+        with mock.patch.object(rap, "_BLOCK_SAMPLES", block):
+            table = rap._residual_table(phi, taus, schedule, side)
+        assert _same_bits(table, _reference_table(phi, taus, schedule, side))
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")  # m = 2
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 60), st.sampled_from([1, 2, 3, 9]), st.sampled_from([1.0, 1e-156]),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 40, rap._BLOCK_SAMPLES]))
+    def test_modulus_ladder_matches_the_per_shift_loop(self, m, n, scale, seed, block):
+        rng = np.random.default_rng(seed)
+        phi = GridFunction(-3.0, 5.0, scale * rng.standard_normal((m, n)))
+        phi.values[-1] += 8.0 * scale  # the last pair of each shift is its largest
+        with mock.patch.object(rap, "_BLOCK_SAMPLES", block):
+            omega = lagrange_report(phi).omega_hat
+        assert len(omega) == len(_reference_omega(phi))
+        assert _same_bits(omega, _reference_omega(phi))
 
 
 class TestScan:
