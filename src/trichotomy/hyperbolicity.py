@@ -38,9 +38,12 @@ The Green quadrature on such a certificate applies the branch projectors and
 propagates leg by leg in the decaying direction, re-projecting at anchors to
 strip the exponentially growing error component.
 
-Two stages stay sequential.  The two QR sweeps and the passes of a chain
-walk (:func:`_walk`) are recurrences: each step needs the one before it.
-The Magnus legs are integrated in one batch per stage
+The two QR sweeps and the passes of a chain walk are recurrences: each step
+needs the one before it.  So every half's data-end sweep advances in
+lockstep, then every far-end sweep, each step one stacked matmul, solve and
+qr per basis width (:func:`_sweeps`); a walk (:func:`_walk`) finds every
+chain's lifetime before its first pass, so that a pass is only its gathers
+and matrix products.  The Magnus legs are integrated in one batch per stage
 (:func:`_integrate_lattices`): both estimate windows' legs, then all
 families' legs.  ``expm`` picks its Pade degree per matrix, so a leg's
 bits do not depend on its batch-mates.  Every other stage is one stacked
@@ -118,11 +121,6 @@ class WindowTooSmall(HyperbolicityError):
     def __init__(self, message, required: float):
         super().__init__(f"{message} (increase window T to >= {required:.6g})")
         self.required = required
-
-
-def _orth(basis: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(basis)
-    return q
 
 
 def _orth_complement(basis: np.ndarray) -> np.ndarray:
@@ -336,21 +334,6 @@ class ProjectorFamily:
         return np.linalg.solve(D.T, (D @ self.projectors[i]).T).T
 
 
-def _sweep_forward(legs, B0):
-    out = [B0]
-    for M in legs:
-        out.append(_orth(M @ out[-1]) if out[-1].shape[1] else out[-1])
-    return out
-
-
-def _sweep_backward(legs, Bm):
-    out = [Bm]
-    for M in reversed(legs):
-        out.append(_orth(np.linalg.solve(M, out[-1])) if out[-1].shape[1] else out[-1])
-    out.reverse()
-    return out
-
-
 def _family_anchors(lo: float, hi: float, rate: float) -> np.ndarray:
     """The anchors of a half family on [lo, hi], past its far end by a margin.
 
@@ -361,8 +344,40 @@ def _family_anchors(lo: float, hi: float, rate: float) -> np.ndarray:
     return _anchor_times(lo, hi + ext) if abs(lo) <= abs(hi) else _anchor_times(lo - ext, hi)
 
 
-def _build_half_family(op, lo, hi, P_seed, rate) -> ProjectorFamily:
-    """Forward-decaying projector family on [lo, hi] by two attracting sweeps.
+def _sweeps(legs, seeds, forward, orth=False):
+    """QR sweeps of every basis ``seeds[i]`` through the legs ``legs[i]``, all in lockstep.
+
+    Sweep i multiplies by its legs in anchor order when ``forward[i]``, else
+    solves with them in reverse order, and re-orthonormalizes after each
+    step (and the seeds first, in one stacked qr per width, when ``orth``);
+    a zero-width basis passes through.  A shorter sweep is padded with
+    identity legs after its last step, whose bases are dropped, so each
+    step is one stacked matmul of the forward sweeps and one stacked solve
+    of the backward ones per basis width, then one stacked qr per width.
+    Returns each sweep's (m, n, width) bases in anchor order.
+    """
+    n, steps = len(seeds[0]), max(len(M) for M in legs)
+    eye = np.broadcast_to(np.eye(n), (steps, n, n))
+    out = [np.broadcast_to(B, (steps + 1,) + B.shape) for B in seeds]
+    for w in {B.shape[1] for B in seeds} - {0}:
+        fwd = [i for i, B in enumerate(seeds) if B.shape[1] == w and forward[i]]
+        bwd = [i for i, B in enumerate(seeds) if B.shape[1] == w and not forward[i]]
+        M = np.stack([np.concatenate([legs[i] if forward[i] else legs[i][::-1], eye[len(legs[i]):]])
+                      for i in fwd + bwd], axis=1)
+        k, B = len(fwd), [np.stack([seeds[i] for i in fwd + bwd])]
+        if orth:
+            B = [np.linalg.qr(B[0])[0]]
+        for Ms in M:
+            Y = ([Ms[:k] @ B[-1][:k]] if fwd else []) + (
+                [np.linalg.solve(Ms[k:], B[-1][k:])] if bwd else [])
+            B.append(np.linalg.qr(np.concatenate(Y))[0])
+        for i, bases in zip(fwd + bwd, np.stack(B, axis=1)):
+            out[i] = bases
+    return [B[:len(M) + 1] if f else B[len(M)::-1] for B, M, f in zip(out, legs, forward)]
+
+
+def _build_families(op, halves, rate) -> list:
+    """Forward-decaying projector families on the half-lines (P_seed, lo, hi) of ``halves``.
 
     ``P_seed`` is the exact projector at the data end, the end nearer 0 (lo
     when |lo| <= |hi|).  The kernel, forward-dominant, is swept forward and
@@ -370,27 +385,29 @@ def _build_half_family(op, lo, hi, P_seed, rate) -> ProjectorFamily:
     seed's kernel starts the forward sweep at lo, or its range the backward
     sweep at hi; the other sweep starts, from the orthogonal complement of
     the first one's final value, past the far end by the margin of
-    :func:`_family_anchors`, which lets it converge first.
+    :func:`_family_anchors`, which lets it converge first.  All halves'
+    missing legs are integrated in one batch; every half's data-end sweep
+    then advances in lockstep with the others' (:func:`_sweeps`), and after
+    them every far-end sweep.
     """
-    at_lo = abs(lo) <= abs(hi)
-    anchors = _family_anchors(lo, hi, rate)
-    legs = _leg_matrices(op, anchors)
-    rank = int(round(np.trace(P_seed)))
-    # one SVD gives both seeds: the right singular vectors past the rank span
-    # the kernel of P_seed, the leading left ones its range (for an oblique
-    # P_seed the trailing left ones span the range's orthogonal complement)
-    U, _, Vt = np.linalg.svd(P_seed)
-    seed = Vt[rank:].T if at_lo else U[:, :rank]
-    seed = _orth(seed) if seed.size else seed
-    if at_lo:
-        K = _sweep_forward(legs, seed)
-        R = _sweep_backward(legs, _orth_complement(K[-1]))
-    else:
-        R = _sweep_backward(legs, seed)
-        K = _sweep_forward(legs, _orth_complement(R[0]))
-    projectors = _oblique_projectors(anchors, R, K)
-    seed_residual = float(np.linalg.norm(projectors[0 if at_lo else -1] - P_seed, 2))
-    return ProjectorFamily(op, anchors, projectors, legs, seed_residual)
+    at_lo = [abs(lo) <= abs(hi) for _, lo, hi in halves]
+    anchors = [_family_anchors(lo, hi, rate) for _, lo, hi in halves]
+    _integrate_lattices(op, anchors)
+    legs = [_leg_matrices(op, a) for a in anchors]
+    Ps = np.stack([P for P, _, _ in halves])
+    ranks = np.rint(np.trace(Ps, axis1=1, axis2=2)).astype(int)
+    # one SVD of each P gives both seeds: the right singular vectors past the
+    # rank span its kernel, the leading left ones its range (for an oblique P
+    # the trailing left ones span the range's complement)
+    U, _, Vt = np.linalg.svd(Ps)
+    seeds = [V[r:].T if f else u[:, :r] for u, V, r, f in zip(U, Vt, ranks, at_lo)]
+    data_end = _sweeps(legs, seeds, at_lo, orth=True)
+    far_end = _sweeps(legs, [_orth_complement(B[-1] if f else B[0]) for B, f in zip(data_end, at_lo)],
+                      [not f for f in at_lo])
+    projectors = [_oblique_projectors(a, *((F, D) if f else (D, F)))
+                  for a, f, D, F in zip(anchors, at_lo, data_end, far_end)]
+    return [ProjectorFamily(op, a, Pi, M, float(np.linalg.norm(Pi[0 if f else -1] - P, 2)))
+            for P, a, Pi, M, f in zip(Ps, anchors, projectors, legs, at_lo)]
 
 
 def _walk(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf):
@@ -404,32 +421,37 @@ def _walk(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf)
     drops out before its first anchor outside [lo, hi] (scalars, or one
     pair per chain), farther than ``cap`` from its start, or NaN.  Returns
     an (r, 4) array of rows (separation, ||Z||, anchor, start anchor), pass
-    after pass, and each row's chain i.  The passes are sequential; every
-    pass's 2-norms come from one stacked call after the last pass.
+    after pass, and each row's chain i.  A chain's lifetime depends on
+    these alone, so the schedule is computed before the first pass and the
+    chains sorted by lifetime: each pass carries a prefix of them, and is
+    only its gathers and matrix products.  Every pass's 2-norms come from
+    one stacked call after the last pass.
     """
     starts = np.asarray(starts)
-    lo, hi = np.broadcast_to(lo, starts.shape), np.broadcast_to(hi, starts.shape)
-    chain, j, Z = np.arange(len(starts)), starts + step, Z0
-    stacks, passes, chains = [Z0[:0]], [np.empty((0, 2))], [chain[:0]]
-    while True:
-        live = (j >= 0) & (j < len(anchors))
-        t = anchors[np.where(live, j, 0)]
-        sep = np.abs(t - anchors[starts[chain]])
-        live &= (t >= lo[chain] - 1e-9) & (t <= hi[chain] + 1e-9) & (sep <= cap + 1e-9)
-        if not live.any():
-            break
-        chain, j, Z, t, sep = chain[live], j[live], Z[live], t[live], sep[live]
-        Z = act(legs[np.minimum(j, j - step)], Z)
+    # (pass, chain) tables of the anchor each pass reaches; every chain has
+    # left the lattice by pass len(anchors)
+    j = starts + step * np.arange(1, len(anchors) + 1)[:, None]
+    inside = (j >= 0) & (j < len(anchors))
+    t = anchors[np.where(inside, j, 0)]
+    sep = np.abs(t - anchors[starts])
+    live = inside & (t >= lo - 1e-9) & (t <= hi + 1e-9) & (sep <= cap + 1e-9)
+    life = np.argmin(live, axis=0)
+    order = np.argsort(-life, kind="stable")
+    alive = np.arange(life.max(initial=0))[:, None] < life
+    counts = np.count_nonzero(alive, axis=1)
+    Z, stacks, j_sorted = Z0[order], [Z0[:0]], j[:, order]
+    for p, c in enumerate(counts):
+        jp = j_sorted[p, :c]
+        Z = act(legs[np.minimum(jp, jp - step)], Z[:c])
         if proj is not None:
-            Z = proj[j] @ Z
+            Z = proj[jp] @ Z
         stacks.append(Z)
-        passes.append(np.column_stack([sep, t]))
-        chains.append(chain)
-        j = j + step
-    sep, t = np.vstack(passes).T
-    chain = np.concatenate(chains)
-    norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))
-    return np.column_stack([sep, norms, t, anchors[starts[chain]]]), chain
+    # rows pass after pass, by chain within a pass; a chain's row in its
+    # pass's stack is its place in ``order``
+    p, chain = np.nonzero(alive)
+    row = (np.cumsum(counts) - counts)[p] + np.argsort(order)[chain]
+    norms = np.linalg.norm(np.concatenate(stacks), 2, axis=(1, 2))[row]
+    return np.column_stack([sep[p, chain], norms, t[p, chain], anchors[starts[chain]]]), chain
 
 
 def _chain_samples(families, spans):
@@ -552,18 +574,17 @@ def _direct_rows(family, P, lo, hi, cap):
 def _verify_halves(op, halves, rate, N=None, nu=None):
     """Check one pair (N, nu) on every half-line (P, lo, hi) of ``halves``.
 
-    Each half gets one family seeded with its P at the data end
-    (:func:`_build_half_family`, margin sized by ``rate``), all families'
-    missing legs integrated in one batch first, and the chain
-    samples of both branches from every anchor in [lo, hi].  A missing N or
-    nu is fitted to all halves' chains at once.  Separations up to 4.6/nu
-    are also measured by :func:`_direct_rows`, so that a wrong P cannot
-    hide behind the chains' stabilizing projections.  Returns (families,
-    N, nu, largest slack, its (t, tau) pair, pairs checked); among equal
-    slacks chains come first.
+    Each half gets one family seeded with its P at the data end, all from
+    one :func:`_build_families` (margin sized by ``rate``) whose sweeps
+    advance every half in lockstep, and the chain samples of both branches
+    from every anchor in [lo, hi], walked on a precomputed schedule
+    (:func:`_walk`).  A missing N or nu is fitted to all halves' chains at
+    once.  Separations up to 4.6/nu are also measured by
+    :func:`_direct_rows`, so that a wrong P cannot hide behind the chains'
+    stabilizing projections.  Returns (families, N, nu, largest slack, its
+    (t, tau) pair, pairs checked); among equal slacks chains come first.
     """
-    _integrate_lattices(op, [_family_anchors(lo, hi, rate) for _, lo, hi in halves])
-    families = [_build_half_family(op, lo, hi, P, rate) for P, lo, hi in halves]
+    families = _build_families(op, halves, rate)
     chains = _chain_samples(families, [(lo, hi) for _, lo, hi in halves])
     if N is None or nu is None:
         N, nu = _envelope_fit(chains)

@@ -584,14 +584,14 @@ class TestConstantsCoverTheirWindow:
                              ids=["heat8", "heat32", "slow-saddle"])
     def test_check_dichotomy_uses_the_closed_form(self, tmp_path, monkeypatch, A):
         calls = []
-        solve_leg, half = TransitionOperator.solve_leg, trichotomy.hyperbolicity._build_half_family
+        solve_leg, build = TransitionOperator.solve_leg, trichotomy.hyperbolicity._build_families
 
         def counting(name, fn):
             return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
         monkeypatch.setattr(TransitionOperator, "solve_leg", counting("solve_leg", solve_leg))
-        monkeypatch.setattr(trichotomy.hyperbolicity, "_build_half_family",
-                            counting("_build_half_family", half))
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_build_families",
+                            counting("_build_families", build))
         out = tmp_path / "out"
         assert run_cli(["check-dichotomy", _constant_problem(tmp_path / "A.json", A),
                         "--out", out]) == 0
@@ -669,11 +669,12 @@ class TestSuppliedProjectorIsVerified:
 
     def test_check_dichotomy_sweeps_each_half_line(self, tmp_path, monkeypatch):
         # a dichotomy is the trichotomy with no center, swept half by half
-        calls, half = [], trichotomy.hyperbolicity._build_half_family
-        monkeypatch.setattr(trichotomy.hyperbolicity, "_build_half_family",
-                            lambda *args: calls.append(args[1:3]) or half(*args))
+        calls, build = [], trichotomy.hyperbolicity._build_families
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_build_families",
+                            lambda *args: calls.append([half[1:] for half in args[1]])
+                            or build(*args))
         assert run_cli(["check-dichotomy", problem_path("rotation"), "--out", tmp_path]) == 0
-        assert calls == [(0.0, 10.0), (-10.0, 0.0)]
+        assert calls == [[(0.0, 10.0), (-10.0, 0.0)]]
 
     @pytest.mark.parametrize("N, nu", [(5, 0.5), (1, 0.9)])
     def test_true_projector_at_zero_certifies_a_dichotomy(self, tmp_path, capsys, N, nu):

@@ -24,12 +24,16 @@ from trichotomy.hyperbolicity import (
     HyperbolicityError,
     NoDichotomyDetected,
     NonHyperbolicError,
+    ProjectorFamily,
     TrichotomyCertificate,
     TrichotomyIncompatibility,
     WindowTooSmall,
     _anchor_times,
+    _build_families,
+    _family_anchors,
     _leg_matrices,
     _oblique_projectors,
+    _orth_complement,
     _scaled_product_svd,
     _walk,
     build_trichotomy,
@@ -202,24 +206,83 @@ def _assert_walks_match(*args, **kwargs):
     assert np.array_equal(rows, ref_rows) and np.array_equal(chain, ref_chain)
 
 
+def _orth(basis):
+    return np.linalg.qr(basis)[0]
+
+
+def _half_family_reference(op, lo, hi, P_seed, rate):
+    """Reference for :func:`_build_families`: one half's family, one sweep and one basis at a time."""
+    at_lo = abs(lo) <= abs(hi)
+    anchors = _family_anchors(lo, hi, rate)
+    legs = _leg_matrices(op, anchors)
+    rank = int(round(np.trace(P_seed)))
+    U, _, Vt = np.linalg.svd(P_seed)
+    seed = Vt[rank:].T if at_lo else U[:, :rank]
+    seed = _orth(seed) if seed.size else seed
+
+    def forward(B0):
+        out = [B0]
+        for M in legs:
+            out.append(_orth(M @ out[-1]) if out[-1].shape[1] else out[-1])
+        return out
+
+    def backward(Bm):
+        out = [Bm]
+        for M in reversed(legs):
+            out.append(_orth(np.linalg.solve(M, out[-1])) if out[-1].shape[1] else out[-1])
+        return out[::-1]
+
+    if at_lo:
+        K = forward(seed)
+        R = backward(_orth_complement(K[-1]))
+    else:
+        R = backward(seed)
+        K = forward(_orth_complement(R[0]))
+    projectors = _oblique_projectors(anchors, R, K)
+    seed_residual = float(np.linalg.norm(projectors[0 if at_lo else -1] - P_seed, 2))
+    return ProjectorFamily(op, anchors, projectors, legs, seed_residual)
+
+
+def _assert_families_match(op, halves, rate):
+    """The lockstep families equal the per-half loop's bit for bit, or both give the same refusal."""
+    try:
+        ref = [_half_family_reference(op, lo, hi, P, rate) for P, lo, hi in halves]
+    except NonHyperbolicError as exc:
+        with pytest.raises(NonHyperbolicError, match=f"^{re.escape(str(exc))}$"):
+            _build_families(op, halves, rate)
+        return
+    families = _build_families(op, halves, rate)
+    assert len(families) == len(ref)
+    for fam, fam_ref in zip(families, ref):
+        assert fam.op is op
+        assert np.array_equal(fam.anchors, fam_ref.anchors)
+        assert np.array_equal(fam.legs, fam_ref.legs)
+        assert np.array_equal(fam.projectors, fam_ref.projectors)
+        assert fam.seed_residual == fam_ref.seed_residual
+
+
 class TestStackedHelpers:
     """The swept certificate's stacked helpers against their per-anchor and per-pass forms."""
 
     @pytest.mark.parametrize("name", ["rotation", "trich_tanh"])
     def test_bundled_families_match_the_references(self, name, monkeypatch):
         module = trichotomy.hyperbolicity
-        projectors, walk = module._oblique_projectors, module._walk
-        proj_args, walk_args = [], []
+        build, projectors, walk = module._build_families, module._oblique_projectors, module._walk
+        build_args, proj_args, walk_args = [], [], []
 
         def spy(log, fn):
             return lambda *args, **kwargs: log.append((args, kwargs)) or fn(*args, **kwargs)
 
+        monkeypatch.setattr(module, "_build_families", spy(build_args, build))
         monkeypatch.setattr(module, "_oblique_projectors", spy(proj_args, projectors))
         monkeypatch.setattr(module, "_walk", spy(walk_args, walk))
         build_trichotomy(load_problem(problem_path(name)).A, 12.0)
-        # one family per half; both halves' chains of each branch in one
-        # walk, and three direct walks
-        assert (len(proj_args), len(walk_args)) == (2, 5)
+        # both halves' families from one lockstep build, one projector stack
+        # per half; both halves' chains of each branch in one walk, and three
+        # direct walks
+        assert (len(build_args), len(proj_args), len(walk_args)) == (1, 2, 5)
+        for args, _ in build_args:
+            _assert_families_match(*args)
         for args, _ in proj_args:
             _assert_projectors_match_the_per_anchor_loop(*args)
         for args, kwargs in walk_args:
@@ -244,19 +307,74 @@ class TestStackedHelpers:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1),
-           st.sampled_from([1, -1]), st.booleans(), st.booleans(), st.floats(0.5, 8.0))
-    def test_random_walks_match_the_per_pass_norms(self, n, m, seed, step, solve, project, cap):
-        """Chains with bounds of their own on a lattice that a NaN anchor may cut in two."""
+           st.sampled_from([1, -1]), st.booleans(), st.booleans(), st.floats(0.5, 8.0),
+           st.sampled_from(["random", "dead", "distinct"]))
+    def test_random_walks_match_the_per_pass_norms(self, n, m, seed, step, solve, project, cap,
+                                                   chains):
+        """Chains with bounds of their own on a lattice that a NaN anchor may cut in two.
+
+        ``dead`` adds chains that die at their first step (at the lattice's
+        end, or bounded to their start anchor), alone or beside the random
+        ones; ``distinct`` walks 40 or more chains, in shuffled order, whose
+        lifetimes are all distinct."""
         rng = np.random.default_rng(seed)
+        if chains == "distinct":
+            m, cap = m + 40, math.inf
         anchors = rng.uniform(-10.0, 0.0) + np.arange(m)
-        if rng.uniform() < 0.5:
+        if chains != "distinct" and rng.uniform() < 0.5:
             anchors[rng.integers(m)] = np.nan
         legs = rng.standard_normal((m - 1, n, n)) + 2.0 * np.eye(n)
         starts = rng.integers(0, m, size=rng.integers(1, 6))
         lo, hi = np.sort(rng.uniform(-10.5, m - 9.5, (2, len(starts))), axis=0)
+        if chains == "dead":
+            last, inner = (m - 1 if step == 1 else 0), rng.integers(0, m)
+            dead = (np.array([last, inner]), np.array([-np.inf, anchors[inner]]),
+                    np.array([np.inf, anchors[inner]]))
+            keep = rng.uniform() < 0.5
+            starts, lo, hi = (np.concatenate([old[:len(starts) * keep], new])
+                              for old, new in zip((starts, lo, hi), dead))
+        elif chains == "distinct":
+            starts = rng.permutation(m)[:m - rng.integers(0, 3)]
+            lo, hi = -np.inf, np.inf
         proj = rng.standard_normal((m, n, n)) if project else None
         _assert_walks_match(anchors, legs, starts, step, np.linalg.solve if solve else np.matmul,
                             rng.standard_normal((len(starts), n, n)), lo, hi, proj=proj, cap=cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_families_match_the_per_half_sweeps(self, data):
+        """Lockstep families against the per-half loop, on exact legs of a constant A (n 1-3)
+        or the Magnus legs of rotation (n 2) and trich_tanh (n 3): one half or two of unequal
+        spans, each seeded with a projector of any rank 0..n, so the two halves' sweep widths
+        may differ and a width may be 0.  On exact legs a seed may also take the unstable
+        eigenvectors as its range and the stable ones as its kernel, so that the swept range
+        and kernel can grow tangent: both forms must then give the same refusal."""
+        source = data.draw(st.sampled_from(["exact", "rotation", "trich_tanh"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if source == "exact":
+            n = data.draw(st.integers(1, 3))
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0] + 0.3 * rng.standard_normal((n, n))
+            lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 3.0, n)
+            A = CoefficientMatrix.from_strings(
+                [[repr(float(x)) for x in row] for row in V @ np.diag(lam) @ np.linalg.inv(V)])
+        else:
+            A = load_problem(problem_path(source)).A
+            n, V = A.n, np.eye(A.n)
+        op = TransitionOperator(A)
+        assert (op.eig is not None) == (source == "exact")
+        if data.draw(st.booleans()):
+            spans = [(0.0, data.draw(st.floats(0.5, 8.0))), (-data.draw(st.floats(0.5, 8.0)), 0.0)]
+        else:
+            spans = [(lo, lo + data.draw(st.floats(0.5, 8.0)))
+                     for lo in data.draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=2))]
+        halves = []
+        for lo, hi in spans:
+            seed = data.draw(st.sampled_from(["eigen", "random"] + ["wrong"] * (source == "exact")))
+            W = rng.standard_normal((n, n)) + 2.0 * np.eye(n) if seed == "random" else V
+            S = (np.flatnonzero(lam > 0.0) if seed == "wrong"
+                 else rng.permutation(n)[:data.draw(st.integers(0, n))])
+            halves.append((W[:, S] @ np.linalg.inv(W)[S], lo, hi))
+        _assert_families_match(op, halves, data.draw(st.floats(0.4, 3.0)))
 
     @pytest.mark.parametrize("name", ["rotation", "trich_tanh", "diag_cos"])
     def test_leg_matrices_are_the_dense_legs_at_their_ends(self, name):
@@ -481,7 +599,7 @@ class TestClosedFormCertificate:
         def refuse(name):
             return lambda *args, **kwargs: calls.append(name)
 
-        for name in ("estimate_stable_projector", "_build_half_family", "_envelope_fit",
+        for name in ("estimate_stable_projector", "_build_families", "_envelope_fit",
                      "_chain_samples", "_leg_matrices"):
             monkeypatch.setattr(trichotomy.hyperbolicity, name, refuse(name))
         monkeypatch.setattr(TransitionOperator, "solve_leg", refuse("solve_leg"))
