@@ -46,7 +46,6 @@ from .solvers import (
     ContractionError,
     LipschitzSpec,
     SolverError,
-    _deviation_bound,
     _sampled_lipschitz_ratio,
     _state_env,
     _tail_horizon,
@@ -482,12 +481,11 @@ def _cmd_continue_epsilon(spec, flags) -> int:
     eps_list = flags.eps if flags.eps else [0.4, 0.2, 0.1, 0.05]
     kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
     results = epsilon_continuation(kernel, f, Fspec, eps_list, tol=tol)
-    N, nu = cert.N, cert.nu
     rows = []
     print("eps continuation: deviation from the linear solution")
-    for i, (eps, phi_eps, dev) in enumerate(results):
+    for i, (eps, phi_eps, report) in enumerate(results):
         phi_r = phi_eps.restrict(-S_out, S_out)
-        bound = _deviation_bound(N, nu, abs(eps) * Fspec.L, f.sup_norm)
+        dev, bound = report.measured_deviation, report.r_bound
         rows.append({
             "eps": eps,
             "deviation": dev,
@@ -500,8 +498,8 @@ def _cmd_continue_epsilon(spec, flags) -> int:
     _write_json(flags.out, "continuation.json", {
         "eps": [r["eps"] for r in rows],
         "results": rows,
-        "N": N,
-        "nu": nu,
+        "N": cert.N,
+        "nu": cert.nu,
         "L": Fspec.L,
         "forcing_norm": f.sup_norm,
     })

@@ -12,6 +12,10 @@ Identifiers are either one of the known function names (called with
 parentheses), one of the constants ``pi``/``e``, or a free variable such as
 ``t`` or ``x1``.  Trees are immutable; evaluation is a pure function, so
 parsed expressions are safe to share across threads.
+
+Evaluation has one arithmetic, numpy's, for floats and arrays alike: a value
+at one time has the bits of that time's element of an evaluation over an
+array of times.  A domain error names the first offending value in C order.
 """
 
 from __future__ import annotations
@@ -238,87 +242,63 @@ def parse(source: str) -> Expr:
     return node
 
 
-def _is_integral(v) -> bool:
-    return float(v) == math.floor(v)
+def _first(v, bad) -> float:
+    """The first value of ``v`` (a float or an array, in C order) where ``bad`` holds."""
+    return float(np.broadcast_to(v, np.shape(bad))[bad][0])
 
 
 def _apply_fn(fn: str, v):
-    scalar = not isinstance(v, np.ndarray)
     if fn == "ln":
-        if scalar:
-            if v <= 0.0:
-                raise EvalError(f"ln of non-positive value {float(v):g}")
-            return math.log(v)
-        if np.any(v <= 0.0):
-            raise EvalError("ln of non-positive value in array argument")
+        bad = v <= 0.0
+        if np.any(bad):
+            raise EvalError(f"ln of non-positive value {_first(v, bad):g}")
         return np.log(v)
     if fn == "sqrt":
-        if scalar:
-            if v < 0.0:
-                raise EvalError(f"sqrt of negative value {float(v):g}")
-            return math.sqrt(v)
-        if np.any(v < 0.0):
-            raise EvalError("sqrt of negative value in array argument")
+        bad = v < 0.0
+        if np.any(bad):
+            raise EvalError(f"sqrt of negative value {_first(v, bad):g}")
         return np.sqrt(v)
-    if fn == "abs":
-        return abs(v) if scalar else np.abs(v)
-    if fn == "sign":
-        return float(np.sign(v)) if scalar else np.sign(v)
-    if fn == "atan":
-        return math.atan(v) if scalar else np.arctan(v)
-    try:
-        result = getattr(math if scalar else np, fn)(v)
-    except OverflowError as exc:
-        raise EvalError(f"overflow in {fn}") from exc
-    if scalar and not math.isfinite(result):
+    if fn in ("atan", "abs", "sign"):  # finite on finite input; NaN and inf pass on
+        return getattr(np, "arctan" if fn == "atan" else fn)(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = getattr(np, fn)(v)
+    if not np.all(np.isfinite(result)):
         raise EvalError(f"non-finite result from {fn}")
-    if not scalar and not np.all(np.isfinite(result)):
-        raise EvalError(f"non-finite result from {fn} in array argument")
     return result
 
 
 def _pow(a, b):
-    scalar = not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))
-    if scalar:
-        if a == 0.0 and b < 0.0:
-            raise EvalError("0 raised to a negative power")
-        if a < 0.0 and not _is_integral(b):
-            raise EvalError(f"negative base {float(a):g} with non-integer exponent {float(b):g}")
-        try:
-            result = math.pow(a, b)
-        except OverflowError as exc:
-            raise EvalError("overflow in ^") from exc
-        if not math.isfinite(result):
-            raise EvalError("non-finite result from ^")
-        return result
-    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.any((a_arr == 0.0) & (b_arr < 0.0)):
-        raise EvalError("0 raised to a negative power in array argument")
-    if np.any((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
-        raise EvalError("negative base with non-integer exponent in array argument")
-    result = np.power(a_arr, b_arr)
+    if np.any(np.equal(a, 0.0) & np.less(b, 0.0)):
+        raise EvalError("0 raised to a negative power")
+    bad = np.less(a, 0.0) & np.not_equal(b, np.floor(b))
+    if np.any(bad):
+        raise EvalError(f"negative base {_first(a, bad):g} "
+                        f"with non-integer exponent {_first(b, bad):g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = np.power(a, b, dtype=float)
     if not np.all(np.isfinite(result)):
-        raise EvalError("non-finite result from ^ in array argument")
+        raise EvalError("non-finite result from ^")
     return result
 
 
 def _div(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        if np.any(np.asarray(b) == 0.0):
-            raise EvalError("division by zero in array argument")
-        return a / b
-    if b == 0.0:
+    if np.any(np.equal(b, 0.0)):
         raise EvalError("division by zero")
-    return a / b
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.divide(a, b)
 
 
 def eval_expr(e: Expr, env: dict):
     """Evaluate ``e`` with variables bound by ``env``.
 
-    Values may be floats or numpy arrays (broadcast elementwise).  Domain
-    violations (``ln`` of a non-positive number, division by zero,
-    ``0^negative``, negative base with non-integer exponent) raise
-    :class:`EvalError` instead of producing non-finite numbers.
+    Values may be floats or numpy arrays (broadcast elementwise); every
+    function and operator is numpy's, so a float gives the bits of the
+    matching element of an array.  Domain violations (``ln`` of a
+    non-positive number, ``sqrt`` of a negative one, division by zero,
+    ``0^negative``, negative base with non-integer exponent) and non-finite
+    results of functions and ``^`` raise :class:`EvalError`; the message
+    names the first offending value as a plain float, for example
+    ``ln of non-positive value -5``.
     """
     if isinstance(e, Num):
         return e.value

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import EvalError
-
 __all__ = ["GridFunction", "KNOT_STEPS", "component_norm", "write_csv", "write_rows"]
 
 _RHO = 2.0 - np.sqrt(3.0)
@@ -56,20 +54,6 @@ def component_norm(d: np.ndarray) -> np.ndarray:
     return np.sqrt(component_squares(d))
 
 
-def _raise_first_failure(fn, times):
-    """Call ``fn`` at the first time whose prefix of ``times`` raises :class:`EvalError`."""
-    ok, bad = 0, len(times)
-    while bad - ok > 1:
-        mid = (ok + bad) // 2
-        try:
-            fn(times[:mid])
-        except EvalError:
-            bad = mid
-        else:
-            ok = mid
-    fn(times[bad - 1])
-
-
 class GridFunction:
     """Samples of a function ``[a, b] -> R^n`` on a uniform grid.
 
@@ -98,29 +82,18 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, step: float) -> "GridFunction":
-        """Sample ``fn`` (vectorized or not over t) at spacing <= ``step``.
+        """Sample ``fn`` at spacing <= ``step`` with one call on the array of times.
 
-        A callable that cannot take the time array (it raises ``TypeError``,
-        or does not give one row per time) is called point by point.  An
-        :class:`EvalError` of the array call is raised again from one scalar
-        call at the first failing time, which bisection over prefixes of the
-        array finds in O(log m) array calls.
+        ``fn`` must be vectorized over t: given the m+1 times it returns
+        shape (m+1,) or (m+1, n), and any other shape is refused with a
+        ``ValueError``.  An error of ``fn``, such as an expression's
+        :class:`~trichotomy.expr.EvalError`, propagates as it is.
         """
         m = max(1, int(np.ceil((b - a) / step - 1e-12)))
-        times = np.linspace(a, b, m + 1)
-        try:
-            out = fn(times)
-        except EvalError:
-            _raise_first_failure(fn, times)
-            raise
-        except TypeError:
-            out = None
-        try:
-            vals = np.asarray(out, dtype=float)
-        except ValueError:  # a ragged result
-            vals = None
-        if vals is None or vals.shape[:1] != times.shape:
-            vals = np.asarray([np.atleast_1d(fn(t)) for t in times], dtype=float)
+        vals = np.asarray(fn(np.linspace(a, b, m + 1)), dtype=float)
+        if vals.ndim not in (1, 2) or vals.shape[0] != m + 1:
+            raise ValueError(f"sampled values have shape {vals.shape}, "
+                             f"expected ({m + 1},) or ({m + 1}, n)")
         return cls(a, b, vals)
 
     @property

@@ -774,21 +774,14 @@ def epsilon_continuation(K, f, Fspec, eps_list, tol: float = 1e-6):
     """Solve the semilinear problem for each scaling eps of the nonlinearity.
 
     Every |eps|*L must be strictly below nu/(2N).  Returns a list of
-    (eps, phi_eps, ||phi_eps - phi_0||) tuples, where phi_0 is the linear
-    bounded solution; the runs share the kernel and phi_0.
+    (eps, phi_eps, PicardReport) tuples; each report's measured_deviation
+    is ||phi_eps - phi_0|| against the linear bounded solution phi_0, and
+    its r_bound the bound at |eps|*L.  The runs share the kernel and phi_0,
+    and eps = 0 is the Picard run that returns phi_0 after one iterate.
     """
     N, nu = K.cert.N, K.cert.nu
     for e in eps_list:
         _contraction_ratio(N, nu, abs(e) * Fspec.L, f"at eps = {e:.6g}, |eps|*L")
     phi0_full = solve_linear_bounded(K, f, tol=tol, clamp_edges=True)
-
-    def one(e):
-        if e == 0.0:
-            Tc = _tail_horizon(N, nu, f.sup_norm, tol)
-            return e, phi0_full.restrict(*_picard_window(phi0_full, Tc)), 0.0
-        phi, _ = picard_solve(K, f, Fspec.scaled(e), tol=tol, _phi0=phi0_full)
-        phi0_r = phi0_full.restrict(phi.a, phi.b)
-        dev = float(component_norm(phi.values - phi0_r.values).max())
-        return e, phi, dev
-
-    return [one(e) for e in eps_list]
+    return [(e, *picard_solve(K, f, Fspec.scaled(e), tol=tol, _phi0=phi0_full))
+            for e in eps_list]

@@ -152,11 +152,12 @@ def test_deviation_shrinks_with_the_nonlinearity(scalar_kernel, scalar_forcing):
     Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
     eps = [0.4, 0.2, 0.1, 0.05]
     results = epsilon_continuation(scalar_kernel, scalar_forcing, Fspec, eps)
-    devs = [dev for _, _, dev in results]
+    devs = [report.measured_deviation for _, _, report in results]
     assert all(a > b for a, b in zip(devs, devs[1:]))
-    for (e, _, dev) in results:
+    for (e, _, report) in results:
         bound = 0.2 * e / (1.0 - 0.2 * e)  # 4 e N^2 L |f| / (nu (nu - 2 N L e))
-        assert dev <= bound * (1 + 1e-3)
+        assert report.measured_deviation <= bound * (1 + 1e-3)
+        assert report.r_bound == pytest.approx(bound, rel=1e-3)
 
 
 def test_remote_period_reports(tmp_path):

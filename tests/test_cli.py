@@ -235,8 +235,8 @@ class TestSolveLinearCommand:
     @pytest.mark.parametrize("forcing, value", [("ln(t+5)", "-5"), ("ln(14-t)", "0")])
     def test_forcing_domain_error_prints_a_plain_float(self, tmp_path, capsys, monkeypatch,
                                                        forcing, value):
-        # the failing time is bisected with array calls, then one scalar call
-        # raises the error there: no point-by-point pass over the grid
+        # the array call raises the error itself, naming the first failing
+        # value: no scalar call and no point-by-point pass over the grid
         calls = []
         forcing_fn = trichotomy.cli.ProblemSpec.forcing_fn
 
@@ -250,9 +250,9 @@ class TestSolveLinearCommand:
         rc = run_cli(["solve-linear", prob, "--out", tmp_path / "out"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: ln of non-positive value {value}\n"
-        assert calls[-1] == () and () not in calls[:-1]
-        # at most a passing sup-norm sample and the failing call, then the bisection
-        assert len(calls) - 1 <= 2 + np.ceil(np.log2(max(shape[0] for shape in calls[:-1])))
+        assert () not in calls
+        # at most a passing sup-norm sample and the failing call
+        assert len(calls) <= 2
 
     def test_forcing_required(self, tmp_path):
         prob = tmp_path / "nof.json"

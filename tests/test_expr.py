@@ -5,20 +5,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trichotomy.expr import (
+    FUNCTIONS,
     Bin,
     Call,
+    Const,
     EvalError,
     ExprSyntaxError,
+    Neg,
     Num,
     Var,
     eval_expr,
     free_vars,
     parse,
 )
+from trichotomy.propagator import CoefficientMatrix
 
 from conftest import substitute, to_source
 
@@ -86,7 +90,7 @@ class TestErrors:
         ("t^0.5", "negative base -5 with non-integer exponent 0.5"),
     ])
     def test_messages_print_plain_floats(self, src, message):
-        # a numpy scalar, as GridFunction.from_callable's pointwise retry passes
+        # a numpy scalar, as a state component of LipschitzSpec's pointwise call
         with pytest.raises(EvalError) as err:
             ev(src, t=np.float64(-5.0))
         assert str(err.value) == message
@@ -172,3 +176,82 @@ def test_round_trip_is_evaluation_identical(tree, t, x1):
 def test_evaluation_is_deterministic(tree, t, x1):
     env = {"t": t, "x1": x1}
     assert eval_expr(tree, env) == eval_expr(tree, env)
+
+
+def _outcome(tree, t):
+    """``eval_expr`` of ``tree`` at ``t`` broadcast to t's shape, or its EvalError's message."""
+    try:
+        return np.broadcast_to(eval_expr(tree, {"t": t}), np.shape(t))
+    except EvalError as exc:
+        return str(exc)
+
+
+def _element(outcome, k):
+    return outcome if isinstance(outcome, str) else outcome[k]
+
+
+def _same(a, b) -> bool:
+    """Equal messages, or float arrays of one shape with equal bits (NaNs and signed zeros too)."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _trees(depth):
+    """Trees of at most ``depth`` operator levels over every function, operator and constant, in t."""
+    leaf = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, 3.0, 750.0]).map(Num),
+        st.floats(-4.0, 4.0).map(lambda v: Num(round(v, 3))),
+        st.sampled_from([Const("pi"), Const("e"), Var("t"), Var("t")]),
+    )
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda args: Bin(*args)),
+        st.tuples(st.sampled_from(FUNCTIONS), sub).map(lambda args: Call(*args)),
+        sub.map(Neg),
+    )
+
+
+drawn_trees = _trees(4)
+drawn_times = st.lists(st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-5.0, -2.0, 0.0, 2.0])),
+                       min_size=1, max_size=9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn_trees, drawn_times)
+@example(Call("ln", Var("t")), [2.0, -5.0, 0.0])
+@example(Bin("^", Var("t"), Num(0.5)), [2.0, -2.0])
+@example(Bin("/", Num(1.0), Bin("-", Var("t"), Num(2.0))), [0.0, 2.0])
+@example(Call("exp", Bin("*", Num(750.0), Var("t"))), [0.0, 2.0])
+@example(Call("tanh", Var("t")), [0.3, 1.7, -2.9])
+def test_scalar_evaluation_is_its_array_element(tree, ts):
+    # one arithmetic: a float t gives the bits of its element of the array
+    # evaluation (and of a one-element array), or the same error message; an
+    # array's error is the error of one of its times
+    times = np.array(ts)
+    whole = _outcome(tree, times)
+    scalars = [_outcome(tree, t) for t in ts]
+    for k in range(len(ts)):
+        assert _same(scalars[k], _element(_outcome(tree, times[k : k + 1]), 0))
+        if not isinstance(whole, str):
+            assert _same(scalars[k], whole[k])
+    if isinstance(whole, str):
+        assert whole in scalars
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(drawn_trees, min_size=4, max_size=4), st.floats(-6.0, 6.0))
+def test_coefficient_value_is_its_array_element(entries, t):
+    A = CoefficientMatrix([entries[:2], entries[2:]])
+
+    def outcome(fn, arg):
+        try:
+            return fn(arg)
+        except EvalError as exc:
+            return str(exc)
+
+    assert _same(outcome(A.value, t), _element(outcome(A.values, np.array([t])), 0))

@@ -31,10 +31,16 @@ class TestConstruction:
         assert gf.dim == 1
         assert gf.values.shape == (3, 1)
 
-    def test_nonvectorized_callable(self):
-        gf = GridFunction.from_callable(lambda t: [t, 2 * t], 0.0, 1.0, 0.5)
-        assert gf.dim == 2
-        assert np.allclose(gf.values[:, 1], 2 * gf.times)
+    @pytest.mark.parametrize("fn, shape", [
+        (lambda t: [t, 2 * t], "(2, 3)"),  # components first: not vectorized over t
+        (lambda t: 1.0, "()"),
+        (lambda t: t[1:], "(2,)"),
+        (lambda t: np.zeros((3, 2, 2)), "(3, 2, 2)"),
+    ], ids=["components-first", "scalar", "short", "three-axes"])
+    def test_wrong_shaped_result_is_refused(self, fn, shape):
+        with pytest.raises(ValueError) as err:
+            GridFunction.from_callable(fn, 0.0, 1.0, 0.5)
+        assert str(err.value) == f"sampled values have shape {shape}, expected (3,) or (3, n)"
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

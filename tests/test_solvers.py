@@ -25,6 +25,7 @@ from trichotomy.solvers import (
     LipschitzSpec,
     SolverError,
     _contraction_ratio,
+    _deviation_bound,
     epsilon_continuation,
     ode_residual,
     picard_solve,
@@ -179,7 +180,7 @@ class TestLipschitzSpec:
         vals = np.stack([np.cos(times), np.sin(times)], axis=-1)
         grid = spec.on_grid(times, vals)
         for k, t in enumerate(times):
-            assert np.allclose(grid[k], spec(t, vals[k]), atol=1e-15)
+            assert np.array_equal(grid[k], spec(t, vals[k]))
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +244,7 @@ class TestPicard:
                 picard_solve(scalar_kernel, f, Fspec)
         msg = str(exc.value)
         assert msg.startswith("Picard iteration stopped at iterate 4: F fails on psi_3 "
-                              "(non-finite result from exp in array argument); ")
+                              "(non-finite result from exp); ")
         assert "last finite step sup|psi_3 - psi_2| = " in msg
         assert msg.endswith("alpha = 0.26")
 
@@ -260,19 +261,27 @@ class TestContinuation:
         eps = [0.4, 0.2, 0.1, 0.05]
         out = epsilon_continuation(scalar_kernel, scalar_forcing, Fspec, eps)
         assert [e for e, _, _ in out] == eps
-        devs = [dev for _, _, dev in out]
+        devs = [report.measured_deviation for _, _, report in out]
         assert all(a > b for a, b in zip(devs, devs[1:]))
         N, nu = scalar_kernel.cert.N, scalar_kernel.cert.nu
         fn = scalar_forcing.sup_norm
-        for e, _, dev in out:
+        phi0 = solve_linear_bounded(scalar_kernel, scalar_forcing, clamp_edges=True)
+        for e, phi, report in out:
             bound = 4 * e * N**2 * 0.1 * fn / (nu * (nu - 2 * N * 0.1 * e))
-            assert dev <= bound * (1.0 + 1e-3)
+            assert report.measured_deviation <= bound * (1.0 + 1e-3)
+            # the report's bound is this one, computed once, at |eps| L
+            assert report.r_bound == _deviation_bound(N, nu, e * 0.1, fn)
+            assert report.r_bound == pytest.approx(bound, rel=1e-12)
+            # and its deviation is measured against the linear solution
+            phi0_r = phi0.restrict(phi.a, phi.b)
+            assert report.measured_deviation == float(np.max(np.abs(phi.values - phi0_r.values)))
 
     def test_zero_scaling_is_linear_solution(self, scalar_kernel, scalar_forcing):
         Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
         out = epsilon_continuation(scalar_kernel, scalar_forcing, Fspec, [0.0])
-        e, phi, dev = out[0]
-        assert e == 0.0 and dev == 0.0
+        e, phi, report = out[0]
+        assert e == 0.0 and report.measured_deviation == 0.0
+        assert report.r_bound == 0.0 and report.alpha == 0.0 and report.iterations == 1
         assert np.max(np.abs(phi.values - 0.5)) <= 1e-6
 
     def test_boundary_scaling_refused(self, scalar_kernel, scalar_forcing):
@@ -585,7 +594,7 @@ class TestQuadraturePlan:
         Fspec = LipschitzSpec(["0.1*sin(x1)", "0.1*sin(x2)"], L=0.1)
         calls = count_dense_calls(monkeypatch)
         out = epsilon_continuation(K, f, Fspec, [1.0, 0.5], tol=1e-3)
-        assert [dev > 0.0 for _, _, dev in out] == [True, True]
+        assert [report.measured_deviation > 0.0 for _, _, report in out] == [True, True]
         # the linear solve builds the one plan from one leg evaluation; every
         # Picard iterate of both eps reads it
         assert len(K.plans) == 1
