@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -48,7 +48,7 @@ from .solvers import (
     SolverError,
     _sampled_lipschitz_ratio,
     _state_env,
-    _tail_horizon,
+    _tail_margin,
     epsilon_continuation,
     ode_residual,
     picard_solve,
@@ -287,14 +287,6 @@ def _write_json(out_dir, name, data) -> str:
     return path
 
 
-def _tol(spec, flags) -> float:
-    return flags.tol if flags.tol is not None else spec.tol
-
-
-def _window(spec, flags) -> float:
-    return flags.window if flags.window is not None else spec.window
-
-
 def _certificate_args(spec):
     if spec.certificate is None:
         return {}
@@ -309,27 +301,26 @@ def _certificate_args(spec):
     }
 
 
-def _solve_pipeline(spec, flags, margin_factor=1.0):
-    """Shared two-pass solve: size windows, build kernel, sample forcing.
+def _solve_pipeline(spec, picard=False):
+    """Certify A and sample f on a forcing window wide enough for the solve.
 
-    Returns (kernel, cert, f).  ``margin_factor`` is 1 for the linear solve
-    and 2 for Picard (whose restriction step consumes twice the tail horizon).
-    The tail horizon Tc starts from a rough sup of f on the output window;
-    f is resampled on a wider [-W, W] while its sup there makes
-    S_out + margin_factor * Tc exceed W.
+    Returns (kernel, cert, f).  The forcing must reach past the output
+    window [-T, T] by the tail margin of :func:`solvers._tail_margin`: the
+    tail horizon Tc for a linear solve, 2*Tc for Picard (``picard``).  Tc
+    starts from a rough sup of f on the output window; f is resampled on a
+    wider [-W, W] while its sup there makes T plus the margin exceed W.
     """
-    tol = _tol(spec, flags)
-    S_out = _window(spec, flags)
+    S_out = spec.window
     cert = build_trichotomy(TransitionOperator(spec.A), max(S_out, 12.0),
                             **_certificate_args(spec))
     fnorm, W = 0.0, 0.0
     if spec.f_exprs is not None:
         fnorm = GridFunction.from_callable(spec.forcing_fn(), -S_out, S_out, 0.1).sup_norm
     while True:
-        Tc = _tail_horizon(cert.N, cert.nu, fnorm, tol)
-        if S_out + margin_factor * Tc <= W:
+        Tc, margin = _tail_margin(cert.N, cert.nu, fnorm, spec.tol, picard)
+        if S_out + margin <= W:
             break
-        W = math.ceil((S_out + margin_factor * Tc + 1.0) / OUTPUT_STEP - 1e-9) * OUTPUT_STEP
+        W = math.ceil((S_out + margin + 1.0) / OUTPUT_STEP - 1e-9) * OUTPUT_STEP
         if 2.0 * W / OUTPUT_STEP * spec.dim > MAX_GRID_VALUES:
             raise SolverError(f"forcing window [-{W:.6g}, {W:.6g}] (tail horizon {Tc:.6g}) needs "
                               f"over {MAX_GRID_VALUES:.4g} grid values at step {OUTPUT_STEP:g}")
@@ -341,6 +332,18 @@ def _solve_pipeline(spec, flags, margin_factor=1.0):
         given = {**_certificate_args(spec), "P": cert.P, "Q": cert.Q}
         cert = build_trichotomy(cert.op, W + 0.5, **given)
     return GreenKernel(cert), cert, f
+
+
+def _solve(spec, picard=False):
+    """(phi, report, cert, f): phi on [-T, T] from the linear solve (report None)
+    or, with ``picard``, the Picard solve of F and its report."""
+    Fspec = _lipschitz_spec(spec) if picard else None
+    kernel, cert, f = _solve_pipeline(spec, picard)
+    if picard:
+        phi, report = picard_solve(kernel, f, Fspec, tol=spec.tol)
+    else:
+        phi, report = solve_linear_bounded(kernel, f, tol=spec.tol), None
+    return phi.restrict(-spec.window, spec.window), report, cert, f
 
 
 def _lipschitz_spec(spec) -> LipschitzSpec:
@@ -365,7 +368,7 @@ def _lipschitz_spec(spec) -> LipschitzSpec:
 
 def _cmd_check_dichotomy(spec, flags) -> int:
     """A trichotomy certificate whose center R = PQ is 0 is a dichotomy on the line."""
-    T = _window(spec, flags)
+    T = spec.window
     try:
         cert = build_trichotomy(spec.A, T, **_certificate_args(spec))
         if center := int(round(np.trace(cert.R))):
@@ -401,7 +404,7 @@ def _cmd_check_dichotomy(spec, flags) -> int:
 
 
 def _cmd_check_trichotomy(spec, flags) -> int:
-    T = _window(spec, flags)
+    T = spec.window
     cert = build_trichotomy(spec.A, T, **_certificate_args(spec))
     _write_json(flags.out, "trichotomy.json", certificate_to_json(cert))
     res = cert.identity_residuals()
@@ -418,11 +421,8 @@ def _cmd_check_trichotomy(spec, flags) -> int:
 def _cmd_solve_linear(spec, flags) -> int:
     if spec.f_exprs is None:
         raise ProblemError("problem declares no forcing f")
-    tol = _tol(spec, flags)
-    S_out = _window(spec, flags)
-    kernel, cert, f = _solve_pipeline(spec, flags)
-    phi = solve_linear_bounded(kernel, f, tol=tol).restrict(-S_out, S_out)
-    residual = float(ode_residual(spec.A, phi, f.restrict(-S_out, S_out)).max())
+    phi, _, cert, f = _solve(spec)
+    residual = float(ode_residual(spec.A, phi, f.restrict(-spec.window, spec.window)).max())
     bound = 2.0 * cert.N / cert.nu * f.sup_norm
     if not phi.sup_norm <= bound * (1.0 + 1e-6):
         raise AccuracyError(
@@ -438,7 +438,7 @@ def _cmd_solve_linear(spec, flags) -> int:
         "ode_residual_max": residual,
         "N": cert.N,
         "nu": cert.nu,
-        "tol": tol,
+        "tol": spec.tol,
     }
     write_csv(os.path.join(flags.out, "sol.csv"), phi)
     _write_json(flags.out, "report.json", data)
@@ -453,12 +453,7 @@ def _cmd_solve_linear(spec, flags) -> int:
 
 
 def _cmd_solve_semilinear(spec, flags) -> int:
-    tol = _tol(spec, flags)
-    S_out = _window(spec, flags)
-    Fspec = _lipschitz_spec(spec)
-    kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
-    phi, report = picard_solve(kernel, f, Fspec, tol=tol)
-    phi = phi.restrict(-S_out, S_out)
+    phi, report, cert, _ = _solve(spec, picard=True)
     data = report.to_json()
     data["window"] = [phi.a, phi.b]
     data["sup_norm"] = phi.sup_norm
@@ -475,16 +470,14 @@ def _cmd_solve_semilinear(spec, flags) -> int:
 
 
 def _cmd_continue_epsilon(spec, flags) -> int:
-    tol = _tol(spec, flags)
-    S_out = _window(spec, flags)
     Fspec = _lipschitz_spec(spec)
     eps_list = flags.eps if flags.eps else [0.4, 0.2, 0.1, 0.05]
-    kernel, cert, f = _solve_pipeline(spec, flags, margin_factor=2.0)
-    results = epsilon_continuation(kernel, f, Fspec, eps_list, tol=tol)
+    kernel, cert, f = _solve_pipeline(spec, picard=True)
+    results = epsilon_continuation(kernel, f, Fspec, eps_list, tol=spec.tol)
     rows = []
     print("eps continuation: deviation from the linear solution")
     for i, (eps, phi_eps, report) in enumerate(results):
-        phi_r = phi_eps.restrict(-S_out, S_out)
+        phi_r = phi_eps.restrict(-spec.window, spec.window)
         dev, bound = report.measured_deviation, report.r_bound
         rows.append({
             "eps": eps,
@@ -520,18 +513,11 @@ def _single_eps(command, flags, default) -> float:
 
 
 def _solve_for_scan(spec, flags):
+    """The solution that solve-semilinear writes, or solve-linear's without F."""
     _tau_count(flags.tau_range[:2], flags.tau_range[2])  # refuse a bad range before solving
-    if spec.F_exprs is not None:
-        Fspec = _lipschitz_spec(spec)
-        kernel, _, f = _solve_pipeline(spec, flags, margin_factor=2.0)
-        phi, _ = picard_solve(kernel, f, Fspec, tol=_tol(spec, flags))
-    else:
-        if spec.f_exprs is None:
-            raise ProblemError("problem declares no forcing f to solve with")
-        kernel, _, f = _solve_pipeline(spec, flags)
-        phi = solve_linear_bounded(kernel, f, tol=_tol(spec, flags))
-    S_out = _window(spec, flags)
-    return phi.restrict(max(phi.a, -S_out), min(phi.b, S_out))
+    if spec.F_exprs is None and spec.f_exprs is None:
+        raise ProblemError("problem declares no forcing f to solve with")
+    return _solve(spec, picard=spec.F_exprs is not None)[0]
 
 
 def _cmd_rap_scan(spec, flags) -> int:
@@ -609,11 +595,15 @@ _COMMANDS = {
 
 
 def run(command: str, spec: ProblemSpec, flags: Flags) -> int:
-    """Execute one command against a loaded problem; returns the exit code."""
+    """Execute one command against a loaded problem; returns the exit code.
+
+    ``--window`` and ``--tol`` override the problem's window and tol here, once."""
     if command not in _COMMANDS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 1
     os.makedirs(flags.out, exist_ok=True)
+    spec = replace(spec, window=spec.window if flags.window is None else flags.window,
+                   tol=spec.tol if flags.tol is None else flags.tol)
     try:
         return _COMMANDS[command](spec, flags)
     except (NoDichotomyDetected, NonHyperbolicError, ContractionError) as exc:

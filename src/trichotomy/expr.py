@@ -281,25 +281,22 @@ def _pow(a, b):
     return result
 
 
-def _div(a, b):
-    if np.any(np.equal(b, 0.0)):
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _arithmetic(op: str, a, b):
+    """``a op b`` for + - * /, under :func:`eval_expr`'s raising errstate: an
+    overflow or an invalid operation (inf - inf, 0 * inf) is an EvalError
+    naming ``op``, while an infinite operand alone passes on, as through atan."""
+    if op == "/" and np.any(np.equal(b, 0.0)):
         raise EvalError("division by zero")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.divide(a, b)
+    try:
+        return _ARITHMETIC[op](a, b)
+    except FloatingPointError:
+        raise EvalError(f"non-finite result from {op}") from None
 
 
-def eval_expr(e: Expr, env: dict):
-    """Evaluate ``e`` with variables bound by ``env``.
-
-    Values may be floats or numpy arrays (broadcast elementwise); every
-    function and operator is numpy's, so a float gives the bits of the
-    matching element of an array.  Domain violations (``ln`` of a
-    non-positive number, ``sqrt`` of a negative one, division by zero,
-    ``0^negative``, negative base with non-integer exponent) and non-finite
-    results of functions and ``^`` raise :class:`EvalError`; the message
-    names the first offending value as a plain float, for example
-    ``ln of non-positive value -5``.
-    """
+def _eval(e: Expr, env: dict):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Const):
@@ -310,31 +307,43 @@ def eval_expr(e: Expr, env: dict):
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Neg):
-        return -eval_expr(e.arg, env)
+        return -_eval(e.arg, env)
     if isinstance(e, Call):
-        return _apply_fn(e.fn, eval_expr(e.arg, env))
+        return _apply_fn(e.fn, _eval(e.arg, env))
     if isinstance(e, Bin):
-        a = eval_expr(e.left, env)
-        b = eval_expr(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return _div(a, b)
+        a = _eval(e.left, env)
+        b = _eval(e.right, env)
         if e.op == "^":
             return _pow(a, b)
+        return _arithmetic(e.op, a, b)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def eval_expr(e: Expr, env: dict):
+    """Evaluate ``e`` with variables bound by ``env``.
+
+    Values may be floats or numpy arrays (broadcast elementwise); every
+    function and operator is numpy's, so a float gives the bits of the
+    matching element of an array.  Domain violations (``ln`` of a
+    non-positive number, ``sqrt`` of a negative one, division by zero,
+    ``0^negative``, negative base with non-integer exponent) and non-finite
+    results of functions, ``^`` and the operators ``+ - * /`` raise
+    :class:`EvalError`, with no warning; a domain message names the first
+    offending value as a plain float, for example ``ln of non-positive
+    value -5``, and a non-finite one its function or operator, for example
+    ``non-finite result from *``.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        return _eval(e, env)
 
 
 def eval_stack(exprs, env, shape) -> np.ndarray:
     """The expressions evaluated under ``env``, each broadcast to ``shape``
     as floats and stacked on a last axis: shape + (len(exprs),)."""
     out = np.empty(shape + (len(exprs),))
-    for i, e in enumerate(exprs):
-        out[..., i] = eval_expr(e, env)
+    with np.errstate(over="raise", invalid="raise"):
+        for i, e in enumerate(exprs):
+            out[..., i] = _eval(e, env)
     return out
 
 

@@ -935,9 +935,6 @@ class GreenKernel:
         # stacked arrays that both sweep directions read, its leg values from
         # one batched call
         self.plans = {}
-        # grid step h -> max ||A(t)||_1 sampled on the window at step h, which
-        # sizes the plans' panel rule
-        self.panel_scales = {}
 
     @property
     def n(self) -> int:

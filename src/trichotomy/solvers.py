@@ -30,7 +30,7 @@ sec. 2.7).  The integrand g is a propagator times the forcing's cubic, so
 relative error is about c_m (h a)^{2m}.  The rule takes the fewest nodes m
 in 4..16 with c_m (h a)^{2m} <= 2^-53: 4 nodes up to h a = 0.145, 8 up to
 2.67, 16 up to 16.  The plan path takes a as max ||A(t)||_1 sampled over the
-kernel's window at the grid step, once per kernel and step; the modal path
+kernel's window at the grid step, once per plan; the modal path
 takes max |lam|.  Above h a = 16 the 16-node rule stays, and the
 fourth-order residual gate 10*tol decides whether the solution stands; its
 finite-difference error grows like (h a)^4, so it refuses grids that coarse
@@ -138,10 +138,17 @@ def _snap(x: float, a: float, h: float, up: bool) -> float:
     return a + _snap_index(x, a, h, up) * h
 
 
-def _picard_window(phi0: GridFunction, Tc: float):
-    """Picard output window: phi0's window shrunk by 2*Tc, snapped to its grid."""
-    lo = _snap(phi0.a + 2.0 * Tc, phi0.a, phi0.h, up=True)
-    hi = _snap(phi0.b - 2.0 * Tc, phi0.a, phi0.h, up=False)
+def _tail_margin(N: float, nu: float, fnorm: float, tol: float, picard: bool):
+    """(Tc, margin): the forcing must reach the margin past the output window,
+    Tc for a linear solve and 2*Tc for Picard (:func:`_picard_window`)."""
+    Tc = _tail_horizon(N, nu, fnorm, tol)
+    return Tc, 2.0 * Tc if picard else Tc
+
+
+def _picard_window(phi0: GridFunction, margin: float):
+    """Picard output window: phi0's window shrunk by ``margin``, snapped to its grid."""
+    lo = _snap(phi0.a + margin, phi0.a, phi0.h, up=True)
+    hi = _snap(phi0.b - margin, phi0.a, phi0.h, up=False)
     return lo, hi
 
 
@@ -183,14 +190,11 @@ def _plan_rule(kernel: GreenKernel, h: float):
     """The panel rule of the kernel's plans on a grid of step h.
 
     a is max ||A(t)||_1 over the kernel's window sampled at step h, computed
-    once per kernel and step.
+    once per plan build.
     """
-    a = kernel.panel_scales.get(h)
-    if a is None:
-        lo, hi = kernel.window
-        t = np.linspace(lo, hi, math.ceil((hi - lo) / h) + 1)
-        norms = np.linalg.norm(kernel.A.values(t), 1, axis=(-2, -1))
-        a = kernel.panel_scales[h] = float(norms.max())
+    lo, hi = kernel.window
+    t = np.linspace(lo, hi, math.ceil((hi - lo) / h) + 1)
+    a = float(np.linalg.norm(kernel.A.values(t), 1, axis=(-2, -1)).max())
     return _panel_rule(h * a)
 
 
@@ -467,7 +471,6 @@ def solve_linear_bounded(
     K: GreenKernel,
     f: GridFunction,
     tol: float = 1e-6,
-    out_window=None,
     clamp_edges: bool = False,
     check_residual: bool = True,
 ) -> GridFunction:
@@ -477,9 +480,10 @@ def solve_linear_bounded(
     (N/nu) exp(-nu T_cut) ||f||_b <= tol/2 per side, and evaluated by
     Gauss-Legendre panels between grid points, of 4 to 16 nodes as
     :func:`_panel_rule` sizes them from h times the size of A.  The output
-    window defaults to the forcing window shrunk by T_cut on each truncated
-    side; ``clamp_edges=True`` instead keeps the full forcing window and lets
-    the truncation degrade toward the edges (used by the Picard iteration, whose
+    window is the forcing window shrunk by T_cut, snapped inward to the
+    grid; a caller restricts the result to a smaller one.
+    ``clamp_edges=True`` instead keeps the full forcing window and lets the
+    truncation degrade toward the edges (used by the Picard iteration, whose
     restriction step absorbs the edge error).  A fourth-order residual check
     |phi' - A phi - f| <= 10*tol guards the result, and when the output
     window contains 0 and the certificate has a centre (rank round(trace R)
@@ -493,10 +497,9 @@ def solve_linear_bounded(
     Tc = _tail_horizon(N, nu, fnorm, tol)
     k_lo, k_hi = K.window
 
-    default_out = (f.a, f.b) if clamp_edges else (f.a + Tc, f.b - Tc)
-    out_lo, out_hi = out_window if out_window is not None else default_out
-    i_lo = _snap_index(max(out_lo, f.a), f.a, h, up=True)
-    i_hi = _snap_index(min(out_hi, f.b), f.a, h, up=False)
+    shrink = 0.0 if clamp_edges else Tc
+    i_lo = _snap_index(f.a + shrink, f.a, h, up=True)
+    i_hi = _snap_index(f.b - shrink, f.a, h, up=False)
     out_lo, out_hi = f.a + i_lo * h, f.a + i_hi * h
     if i_hi <= i_lo:
         # an output needs two grid points; a forcing window [-Tc - h, Tc + h]
@@ -507,25 +510,15 @@ def solve_linear_bounded(
     if fnorm == 0.0:
         return GridFunction(out_lo, out_hi, np.zeros((i_hi - i_lo + 1, f.dim)))
 
-    lo_need = out_lo - Tc
-    hi_need = out_hi + Tc
-    if not clamp_edges:
-        if lo_need < f.a - 1e-9 or hi_need > f.b + 1e-9:
-            raise WindowTooSmall(
-                "forcing window too small for the tail horizon",
-                max(abs(lo_need), abs(hi_need)),
-            )
     # the sweeps never leave the forcing window, so the certificate only
     # has to cover the clipped ranges
-    lo_need = max(lo_need, f.a)
-    hi_need = min(hi_need, f.b)
+    lo_need = max(out_lo - Tc, f.a)
+    hi_need = min(out_hi + Tc, f.b)
     if lo_need < k_lo - 1e-9 or hi_need > k_hi + 1e-9:
         required = max(abs(lo_need), abs(hi_need))
         raise WindowTooSmall("certificate window too small", required)
 
-    sweep_lo = max(lo_need, k_lo)
-    sweep_hi = min(hi_need, k_hi)
-    window = (sweep_lo, sweep_hi)
+    window = (max(lo_need, k_lo), min(hi_need, k_hi))
     up = _sweep(K, f, window, out_hi, "up")
     down = _sweep(K, f, window, out_lo, "down")
     phi = GridFunction(out_lo, out_hi, up[i_lo : i_hi + 1] - down[i_lo : i_hi + 1])
@@ -674,32 +667,29 @@ def picard_solve(
     f: GridFunction,
     Fspec: LipschitzSpec,
     tol: float = 1e-6,
-    initial: Optional[GridFunction] = None,
     _phi0: Optional[GridFunction] = None,
 ):
     """Bounded solution of x' = A(t)x + f(t) + F(t, x) by Picard iteration.
 
-    Iterates psi_{k+1} = G(F(., psi_k + phi0)) around the linear bounded
-    solution phi0, where G is the Green integral of the certified kernel.
-    The map contracts at alpha = 2*N*L/nu; a declared constant with
-    alpha >= 1 is refused.  Iterations run on the full forcing window with
-    edge-clamped truncation; the returned solution is the restriction to
-    the window shrunk by twice the tail horizon, where the edge effects
-    are far below tolerance.  A measured deviation |phi - phi0| above the
-    bound r it reports raises :class:`AccuracyError`.  Returns (phi,
-    PicardReport).
+    Iterates psi_{k+1} = G(F(., psi_k + phi0)) from psi_0 = 0 around the
+    linear bounded solution phi0, where G is the Green integral of the
+    certified kernel.  The map contracts at alpha = 2*N*L/nu; a declared
+    constant with alpha >= 1 is refused.  Iterations run on the full
+    forcing window with edge-clamped truncation; the returned solution is
+    the restriction to the window shrunk by twice the tail horizon
+    (:func:`_tail_margin`), where the edge effects are far below tolerance.
+    A measured deviation |phi - phi0| above the bound r it reports raises
+    :class:`AccuracyError`.  Returns (phi, PicardReport).
     """
     N, nu = K.cert.N, K.cert.nu
     alpha = _contraction_ratio(N, nu, Fspec.L, Fspec.label)
     fnorm = f.sup_norm
-    Tc = _tail_horizon(N, nu, fnorm, tol)
+    margin = _tail_margin(N, nu, fnorm, tol, picard=True)[1]
     phi0 = _phi0
     if phi0 is None:
         phi0 = solve_linear_bounded(K, f, tol=tol, clamp_edges=True)
     times = phi0.times
-    psi = initial.values.copy() if initial is not None else np.zeros_like(phi0.values)
-    if initial is not None and (initial.a != phi0.a or initial.b != phi0.b):
-        raise ValueError("initial guess must live on the forcing window")
+    psi = np.zeros_like(phi0.values)
 
     ratios = []
     last_delta = None
@@ -735,12 +725,9 @@ def picard_solve(
         )
 
     full = GridFunction(phi0.a, phi0.b, psi + phi0.values)
-    out_lo, out_hi = _picard_window(phi0, Tc)
+    out_lo, out_hi = _picard_window(phi0, margin)
     if out_hi <= out_lo:
-        raise WindowTooSmall(
-            "forcing window too small for the Picard restriction",
-            4.0 * Tc,
-        )
+        raise WindowTooSmall("forcing window too small for the Picard restriction", 2.0 * margin)
     phi = full.restrict(out_lo, out_hi)
     phi0_r = phi0.restrict(out_lo, out_hi)
 

@@ -525,7 +525,7 @@ class TestOneOperatorPerCommand:
         # the constants are fitted on [-12, 12]; the grown families reach
         # past 30 and must still satisfy them at every chain sample
         spec = load_problem(problem_path("trich_tanh"))
-        _, cert, _ = trichotomy.cli._solve_pipeline(spec, trichotomy.cli.Flags())
+        _, cert, _ = trichotomy.cli._solve_pipeline(spec)
         S = cert.interval[1]
         assert S > 12.0
         fam_plus, fam_minus = cert.families
@@ -808,6 +808,16 @@ class TestScanCommands:
         rap = json.loads((out / "rap_report.json").read_text())
         assert rap["side"] == "+"
         assert rap["two_sided"] is False
+
+    @pytest.mark.parametrize("command", ["rap-scan", "audit"])
+    @pytest.mark.parametrize("name", ["diag_cos", "rotation", "trich_tanh", "atan_forced",
+                                      "scalar_sin"])
+    def test_scan_writes_the_solve_commands_solution(self, tmp_path, cli_runs, name, command):
+        # the sol.csv of solve-linear, or of solve-semilinear for the problem with F
+        out = tmp_path / "out"
+        assert run_cli([command, problem_path(name), "--out", out, "--tau-range", "6:6.5:0.25"]) == 0
+        assert cli_runs[name]["rc"] == 0
+        assert (out / "sol.csv").read_bytes() == (cli_runs[name]["out"] / "sol.csv").read_bytes()
 
     def test_scan_solves_semilinear_without_declared_L(self, tmp_path):
         # with F declared and L left out, the scan must still solve the

@@ -2,6 +2,7 @@
 substitution as oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,21 @@ class TestErrors:
         with pytest.raises(EvalError) as err:
             ev(src, t=np.float64(-5.0))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("src, op", [
+        ("1e200*1e200*sin(t)", "*"),
+        ("1e300/1e-300*sin(t)", "/"),
+        ("1e308 + 1e308*cos(t)", "+"),
+        ("-1e308 - 1e308*cos(t)", "-"),
+    ])
+    def test_non_finite_operator_result_names_the_operator(self, src, op):
+        # a float and an array give the one message, and numpy warns of nothing
+        for t in (0.5, np.linspace(-1.0, 1.0, 5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EvalError) as err:
+                    ev(src, t=t)
+            assert str(err.value) == f"non-finite result from {op}"
 
     def test_unbound_variable(self):
         with pytest.raises(EvalError, match="x2"):

@@ -612,7 +612,7 @@ class TestClosedFormCertificate:
         f = GridFunction.from_callable(
             lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1), -20.0, 20.0, 0.02
         )
-        phi = solve_linear_bounded(GreenKernel(cert), f, out_window=(-2.0, 2.0))
+        phi = solve_linear_bounded(GreenKernel(cert), f).restrict(-2.0, 2.0)
         c = np.linalg.solve(1j * np.eye(2) - A, [1.0, -1j])
         exact = (np.exp(1j * phi.times)[:, None] * c).real
         assert np.max(np.abs(phi.values - exact)) <= 1e-6

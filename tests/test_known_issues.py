@@ -6,6 +6,7 @@ issue makes its test pass, the suite report it as XPASS(strict), and that
 change removes the mark.  Run with ``-rxX`` to list each mark and its reason.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 from conftest import problem_path, read_solution_csv
 
 from trichotomy.cli import (
+    _COMMANDS,
     Flags,
     _cmd_audit,
+    _cmd_check_trichotomy,
     _cmd_solve_linear,
     _cmd_solve_semilinear,
     load_problem,
@@ -187,3 +190,55 @@ def test_audit_finds_the_inherited_periods(tmp_path):
     assert _cmd_audit(spec, flags) == 0
     report = json.loads((tmp_path / "audit.json").read_text())
     assert all(entry["compatible_evidence"] for entry in report["per_eps"].values())
+
+
+@pytest.mark.xfail(strict=True, raises=NonHyperbolicError, reason=(
+    "known issue: false certified negative on rotation with a long window; today "
+    "fitted decay rate -1 is not positive (directions 25 and 28)"))
+@pytest.mark.parametrize("command", ["check-trichotomy", "check-dichotomy", "solve-linear"])
+def test_rotation_with_window_40_certifies(tmp_path, command):
+    """``rotation --window 40``: the rates stay 1 in a frame rotating at 0.3, so N = 1, nu = 0.95."""
+    spec = dataclasses.replace(load_problem(problem_path("rotation")), window=40.0)
+    assert _COMMANDS[command](spec, Flags(out=str(tmp_path))) == 0
+    if command == "check-trichotomy":
+        cert = json.loads((tmp_path / "trichotomy.json").read_text())
+        assert cert["N"] == pytest.approx(1.0, rel=1e-6)
+        assert cert["nu"] == pytest.approx(0.95, rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=NonHyperbolicError, reason=(
+    "known issue: false certified negative on rotation with a long window; today "
+    "fitted decay rate -1 is not positive (direction 25)"))
+def test_rotation_with_window_200_certifies():
+    """The small singular value of the product over (0, 200) is rounding."""
+    build_trichotomy(load_problem(problem_path("rotation")).A, 200.0)
+
+
+@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError, reason=(
+    "known issue: fast or long diagonal saddles underflow the estimate's small "
+    "singular value; today a RuntimeWarning, then 'SVD did not converge', exit 1 "
+    "(direction 25; a = 60 needs its step 2)"))
+@pytest.mark.parametrize("a, window", [(12, 64.0), (2, 400.0), (60, 12.0)])
+def test_fast_or_long_diagonal_saddle_certifies(tmp_path, a, window):
+    """diag(-a + sin t, a + cos t) with f = (cos t, sin t): a dichotomy with P = diag(1, 0)."""
+    spec = load_problem({"dim": 2, "A": [[f"-{a} + sin(t)", "0"], ["0", f"{a} + cos(t)"]],
+                         "f": ["cos(t)", "sin(t)"], "window": window})
+    assert _cmd_check_trichotomy(spec, Flags(out=str(tmp_path))) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=TrichotomyIncompatibility, reason=(
+    "known issue: false certified negative on a constant non-normal saddle on the "
+    "swept path; today compatibility residual ||P+ P- - P-|| = 1 exceeds COMPAT_TOL "
+    "(directions 28, 14 and 3)"))
+def test_constant_non_normal_saddle_with_zero_t_certifies(tmp_path):
+    """A = [[-14 + 0*t, 28000], [0, 14]] = V diag(-14, 14) V^-1, V = [[1, 1], [0, 1e-3]], window 12.
+
+    Written with ``+ 0*t`` it takes the swept path; its spectral projector is
+    P = V diag(1, 0) V^-1 = [[1, -1000], [0, 0]].
+    """
+    spec = load_problem({"dim": 2, "A": [["-14 + 0*t", "28000"], ["0", "14"]],
+                         "f": ["cos(t)", "sin(t)"], "window": 12.0})
+    assert _cmd_check_trichotomy(spec, Flags(out=str(tmp_path))) == 0
+    P = np.asarray(json.loads((tmp_path / "trichotomy.json").read_text())["P"])
+    exact = np.array([[1.0, -1000.0], [0.0, 0.0]])
+    assert np.linalg.norm(P - exact) <= 1e-6 * np.linalg.norm(exact)

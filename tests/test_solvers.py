@@ -48,36 +48,20 @@ def saddle_solution(t):
     )
 
 
-def assert_hint_is_least_half_width(kernel, W, out_window):
-    """Forcing 0.5 on [-W, W] raises; the hinted half-width works and 0.95x of it not."""
-
-    def forcing(W):
-        return GridFunction.from_callable(lambda t: 0.5 + 0.0 * t, -W, W, 0.02)
-
-    with pytest.raises(WindowTooSmall) as exc:
-        solve_linear_bounded(kernel, forcing(W), out_window=out_window)
-    need = exc.value.required
-    assert str(exc.value).count("increase window") == 1
-    phi = solve_linear_bounded(kernel, forcing(need), out_window=out_window)
-    assert np.max(np.abs(phi.values - 0.5)) <= 1e-6
-    with pytest.raises(WindowTooSmall):
-        solve_linear_bounded(kernel, forcing(0.95 * need), out_window=out_window)
+def constant_forcing(W):
+    return GridFunction.from_callable(lambda t: 0.5 + 0.0 * t, -W, W, 0.02)
 
 
 class TestLinearSolve:
     def test_matches_closed_form(self, saddle_kernel, saddle_cos_forcing):
-        phi = solve_linear_bounded(
-            saddle_kernel, saddle_cos_forcing, out_window=(-10.0, 10.0)
-        )
+        phi = solve_linear_bounded(saddle_kernel, saddle_cos_forcing).restrict(-10.0, 10.0)
         assert phi.a == pytest.approx(-10.0) and phi.b == pytest.approx(10.0)
         err = np.max(np.abs(phi.values - saddle_solution(phi.times)))
         assert err <= 1e-6
         assert np.allclose(phi(0.0), [0.5, -0.5], atol=1e-6)
 
     def test_residual_is_small(self, saddle_kernel, saddle_cos_forcing):
-        phi = solve_linear_bounded(
-            saddle_kernel, saddle_cos_forcing, out_window=(-10.0, 10.0)
-        )
+        phi = solve_linear_bounded(saddle_kernel, saddle_cos_forcing).restrict(-10.0, 10.0)
         fr = saddle_cos_forcing.restrict(phi.a, phi.b)
         assert float(ode_residual(saddle_kernel.A, phi, fr).max()) <= 1e-5
 
@@ -92,10 +76,8 @@ class TestLinearSolve:
         combo = GridFunction(-35.0, 35.0, f1.values + 2.0 * f2.values)
         # tight tol so the tail truncation (which adapts to |f| and would
         # otherwise differ between the three solves) stays below the slack
-        w = (-5.0, 5.0)
-        p1 = solve_linear_bounded(scalar_kernel, f1, tol=1e-8, out_window=w)
-        p2 = solve_linear_bounded(scalar_kernel, f2, tol=1e-8, out_window=w)
-        pc = solve_linear_bounded(scalar_kernel, combo, tol=1e-8, out_window=w)
+        p1, p2, pc = (solve_linear_bounded(scalar_kernel, f, tol=1e-8).restrict(-5.0, 5.0)
+                      for f in (f1, f2, combo))
         diff = np.max(np.abs(pc.values - (p1.values + 2.0 * p2.values)))
         assert diff <= 1e-7 * max(1.0, pc.sup_norm)
 
@@ -109,16 +91,32 @@ class TestLinearSolve:
         assert pin <= 1e-4
 
     def test_window_too_small_for_tail(self, scalar_kernel):
-        assert_hint_is_least_half_width(scalar_kernel, 3.0, None)
+        # forcing 0.5 on [-3, 3] raises; the hinted half-width works and 0.95x of it not
+        with pytest.raises(WindowTooSmall) as exc:
+            solve_linear_bounded(scalar_kernel, constant_forcing(3.0))
+        need = exc.value.required
+        assert str(exc.value).count("increase window") == 1
+        phi = solve_linear_bounded(scalar_kernel, constant_forcing(need))
+        assert np.max(np.abs(phi.values - 0.5)) <= 1e-6
+        with pytest.raises(WindowTooSmall):
+            solve_linear_bounded(scalar_kernel, constant_forcing(0.95 * need))
 
-    def test_explicit_window_needs_margin(self, scalar_kernel):
-        assert_hint_is_least_half_width(scalar_kernel, 20.0, (-18.0, 18.0))
+    def test_certificate_window_covers_the_forcing(self, scalar_kernel):
+        # forcing on [-40, 40] past the certificate's [-36, 36]: the hint is
+        # the reach of the sweeps, within a grid step of 40, and a
+        # certificate of that half-width solves
+        with pytest.raises(WindowTooSmall) as exc:
+            solve_linear_bounded(scalar_kernel, constant_forcing(40.0))
+        assert str(exc.value).startswith("certificate window too small (increase window T to >= ")
+        assert 40.0 - 0.02 < exc.value.required <= 40.0
+        cert = build_trichotomy(scalar_kernel.A, exc.value.required,
+                                P=[[1.0]], Q=[[0.0]], N=1.0, nu=1.0)
+        phi = solve_linear_bounded(GreenKernel(cert), constant_forcing(40.0))
+        assert np.max(np.abs(phi.values - 0.5)) <= 1e-6
 
     def test_operator_norm_bound(self, saddle_kernel, saddle_cos_forcing):
         cert = saddle_kernel.cert
-        phi = solve_linear_bounded(
-            saddle_kernel, saddle_cos_forcing, out_window=(-10.0, 10.0)
-        )
+        phi = solve_linear_bounded(saddle_kernel, saddle_cos_forcing).restrict(-10.0, 10.0)
         bound = (2.0 * cert.N / cert.nu) * saddle_cos_forcing.sup_norm
         assert phi.sup_norm <= bound * (1.0 + 1e-6)
 
@@ -209,17 +207,16 @@ class TestPicard:
         _, report = sin_solution
         assert report.ode_residual <= 1e-5
 
-    def test_independent_of_initial_guess(
-        self, scalar_kernel, scalar_forcing, sin_solution
-    ):
+    def test_independent_of_the_forcing_window(self, scalar_kernel, sin_solution):
+        # a narrower forcing window moves the clamped edges, and with them
+        # every iterate, but not the fixed point on the common output window
         Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
-        m = scalar_forcing.values.shape[0]
-        guess = GridFunction(
-            scalar_forcing.a, scalar_forcing.b, np.full((m, 1), 1.0)
-        )
-        phi_b, _ = picard_solve(scalar_kernel, scalar_forcing, Fspec, initial=guess)
+        narrow = GridFunction.from_callable(lambda t: np.full(np.shape(t) + (1,), 0.5),
+                                            -33.0, 33.0, 0.02)
+        phi_b, _ = picard_solve(scalar_kernel, narrow, Fspec)
         phi_a, _ = sin_solution
-        assert np.max(np.abs(phi_a.values - phi_b.values)) <= 1e-6
+        assert phi_a.a < phi_b.a < 0.0 < phi_b.b < phi_a.b
+        assert np.max(np.abs(phi_a.restrict(phi_b.a, phi_b.b).values - phi_b.values)) <= 1e-6
 
     def test_contraction_violation_refused(self, scalar_kernel, scalar_forcing):
         Fspec = LipschitzSpec(["0.6*sin(x1)"], L=0.6)
@@ -247,12 +244,6 @@ class TestPicard:
                               "(non-finite result from exp); ")
         assert "last finite step sup|psi_3 - psi_2| = " in msg
         assert msg.endswith("alpha = 0.26")
-
-    def test_initial_guess_window_checked(self, scalar_kernel, scalar_forcing):
-        Fspec = LipschitzSpec(["0.1*sin(x1)"], L=0.1)
-        guess = GridFunction(-1.0, 1.0, np.zeros((101, 1)))
-        with pytest.raises(ValueError, match="window"):
-            picard_solve(scalar_kernel, scalar_forcing, Fspec, initial=guess)
 
 
 class TestContinuation:
@@ -648,11 +639,11 @@ class TestQuadraturePlan:
         grids = [(-W, W, 0.02), (-W, W, 0.05), (-W + 0.01, W + 0.01, 0.02)]
         for a, b, h in grids:
             f = cos_pair(a, b, h)
-            phi = solve_linear_bounded(saddle_kernel, f, out_window=(-10.0, 10.0))
+            phi = solve_linear_bounded(saddle_kernel, f).restrict(-10.0, 10.0)
             assert phi.h == pytest.approx(h)
             err = np.max(np.abs(phi.values - saddle_solution(phi.times)))
             assert err <= 1e-6
-            ref = solve_linear_bounded(fresh(saddle_kernel), f, out_window=(-10.0, 10.0))
+            ref = solve_linear_bounded(fresh(saddle_kernel), f).restrict(-10.0, 10.0)
             assert np.max(np.abs(phi.values - ref.values)) <= 1e-13
 
     def test_eps_ladder_matches_fresh_picard(self, scalar_kernel, scalar_forcing):
@@ -767,7 +758,8 @@ class TestLegLayouts:
         legs = [(a0, a1) for a0, a1 in zip(K.anchors[:-1], K.anchors[1:])
                 if a1 > plan.pts[0] and a0 < plan.pts[-1]]
         assert fitted == legs
-        solve_linear_bounded(K, f, tol=1e-4, out_window=(-2.0, 2.0), check_residual=False)
+        # a narrower forcing window sweeps a narrower window: a second plan
+        solve_linear_bounded(K, f.restrict(-12.5, 12.5), tol=1e-4, check_residual=False)
         assert len(K.plans) == 2 and len(fits) == 1
 
 
@@ -848,7 +840,7 @@ class TestModalQuadrature:
         assert K.modes is not None
         # the 4th-order residual gate cannot resolve 10*tol = 1e-8 here; the
         # closed form is the stronger check
-        phi = solve_linear_bounded(K, f, tol=1e-9, out_window=(-2.0, 2.0), check_residual=False)
+        phi = solve_linear_bounded(K, f, tol=1e-9, check_residual=False).restrict(-2.0, 2.0)
         assert np.max(np.abs(phi.values - exact(phi.times))) <= 1e-8 * max(1.0, phi.sup_norm)
         assert K.plans == {}
 
@@ -1049,12 +1041,11 @@ class TestPanelRule:
         monkeypatch.setattr(K.A, "values", lambda t: calls.append(np.ravel(t)) or values(t))
         f = trig_forcing(K.n, 0.02)
         trichotomy.solvers._green_plan(K, f, *PLAN_WINDOW)
-        assert trichotomy.solvers._plan_rule(K, f.h)[0].size == 4
-        # the Magnus legs' own calls aside, A is sampled once, over the window
+        # the Magnus legs' own calls aside, the plan build samples A once, over the window
         lo, hi = K.window
         samples = np.linspace(lo, hi, round((hi - lo) / 0.02) + 1)
         assert sum(t.size == samples.size and np.array_equal(t, samples) for t in calls) == 1
-        assert list(K.panel_scales) == [f.h]
+        assert trichotomy.solvers._plan_rule(K, f.h)[0].size == 4
 
     @pytest.mark.parametrize("h", RULE_GRIDS)
     @pytest.mark.parametrize("name", ["rotation", "tanh"])
