@@ -38,6 +38,8 @@ from .hyperbolicity import (
     NonHyperbolicError,
     TrichotomyIncompatibility,
     _check_spectral_constants,
+    _split_trichotomy,
+    _verify_split,
     build_trichotomy,
     certificate_to_json,
 )
@@ -307,31 +309,38 @@ def _solve_pipeline(spec, picard=False):
     Returns (kernel, cert, f).  The forcing must reach past the output
     window [-T, T] by the tail margin of :func:`solvers._tail_margin`: the
     tail horizon Tc for a linear solve, 2*Tc for Picard (``picard``).  Tc
-    starts from a rough sup of f on the output window; f is resampled on a
+    starts from a rough sup of f on the output window and the constants of
+    stage 1 of :func:`build_trichotomy` on max(T, 12); f is resampled on a
     wider [-W, W] while its sup there makes T plus the margin exceed W.
+    Stage 2 then verifies once, and again only if its constants need a wider W.
     """
-    S_out = spec.window
-    cert = build_trichotomy(TransitionOperator(spec.A), max(S_out, 12.0),
-                            **_certificate_args(spec))
-    fnorm, W = 0.0, 0.0
+    S_out, given = spec.window, _certificate_args(spec)
+    split = _split_trichotomy(TransitionOperator(spec.A), max(S_out, 12.0), **given)
+    N, nu, fnorm, W, cert = split.N, split.nu, 0.0, 0.0, None
     if spec.f_exprs is not None:
         fnorm = GridFunction.from_callable(spec.forcing_fn(), -S_out, S_out, 0.1).sup_norm
     while True:
-        Tc, margin = _tail_margin(cert.N, cert.nu, fnorm, spec.tol, picard)
-        if S_out + margin <= W:
-            break
-        W = math.ceil((S_out + margin + 1.0) / OUTPUT_STEP - 1e-9) * OUTPUT_STEP
-        if 2.0 * W / OUTPUT_STEP * spec.dim > MAX_GRID_VALUES:
-            raise SolverError(f"forcing window [-{W:.6g}, {W:.6g}] (tail horizon {Tc:.6g}) needs "
-                              f"over {MAX_GRID_VALUES:.4g} grid values at step {OUTPUT_STEP:g}")
-        f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
-        fnorm = max(fnorm, f.sup_norm)
-    if W > cert.interval[1]:
-        # the same operator and legs; P and Q are compatible on any window,
-        # and N and nu are the closed form's, refitted, or the file's checked
-        given = {**_certificate_args(spec), "P": cert.P, "Q": cert.Q}
-        cert = build_trichotomy(cert.op, W + 0.5, **given)
-    return GreenKernel(cert), cert, f
+        Tc, margin = _tail_margin(N, nu, fnorm, spec.tol, picard)
+        if S_out + margin > W:
+            steps = (S_out + margin + 1.0) / OUTPUT_STEP - 1e-9
+            grown = (math.ceil(steps) if steps < math.inf else steps) * OUTPUT_STEP
+            if 2.0 * grown / OUTPUT_STEP * spec.dim <= MAX_GRID_VALUES:
+                W = grown
+                f = GridFunction.from_callable(spec.forcing_fn(), -W, W, OUTPUT_STEP)
+                fnorm = max(fnorm, f.sup_norm)
+                continue
+            if cert is not None:  # a guess too slow to sample is verified before a refusal
+                raise SolverError(f"forcing window [-{grown:.6g}, {grown:.6g}] for the tail "
+                                  f"horizon {Tc:.6g} and the forcing sup norm {fnorm:.6g} needs "
+                                  f"over {MAX_GRID_VALUES:.4g} grid values at step "
+                                  f"{OUTPUT_STEP:g}")
+        elif cert is not None and W <= cert.interval[1]:
+            return GreenKernel(cert), cert, f
+        if W > split.T:  # the same operator and legs; P and Q are compatible on any window
+            Q = np.eye(spec.dim) - split.P_minus
+            split = _split_trichotomy(split.op, W + 0.5, **{**given, "P": split.P, "Q": Q})
+        cert = _verify_split(split, given.get("N"), given.get("nu"))
+        N, nu = cert.N, cert.nu
 
 
 def _solve(spec, picard=False):

@@ -110,8 +110,9 @@ class GridFunction:
 
     @property
     def sup_norm(self) -> float:
-        """Max over samples of the euclidean vector norm."""
-        return float(np.max(component_norm(self.values)))
+        """Max over samples of the euclidean vector norm; inf where a square overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.max(component_norm(self.values)))
 
     @property
     def coeffs(self) -> np.ndarray:

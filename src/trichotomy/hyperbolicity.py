@@ -59,6 +59,7 @@ per-anchor form.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -807,34 +808,13 @@ def _closed_form(op, T, projectors=(), N=None, nu=None):
     return modes, DichotomyCertificate((-T, T), P_s, float(N), float(nu), report)
 
 
-def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
-    """Assemble a trichotomy certificate on [-T, T].
+# stage 1 of build_trichotomy on [-T, T]: P+ and P- with their report, the
+# constants that size a window, and the rate hint that sizes the sweeps' margin
+_Split = namedtuple("_Split", "T op P P_minus N nu rate_hint report modes")
 
-    A constant A with a closed form (see :func:`_closed_form`) gets P = P_s,
-    Q = I - P_s and its constants; supplied ``P`` and ``I - Q`` must equal
-    P_s, and supplied constants must follow from it or pass its check.
 
-    Every other A is swept.  Both halves are estimated on ``op``'s legs,
-    integrated in one batch: P+ at the start of [0, T], P- = I - Q at the
-    end of [-T, 0] (``P_end``);
-    supplied idempotent ``P``/``Q``, read at t = 0, skip the estimate.
-    :func:`_verify_halves` checks P+ on [0, T] and P- on [-T, 0] with one
-    (N, nu), supplied or fitted to both halves: the largest slack must be
-    within ``SLACK_TOL`` and each seed residual within ``SEED_TOL``, and the
-    report names both.
-
-    Raises
-    ------
-    NoDichotomyDetected
-        If either half-line system has no singular-value gap.
-    TrichotomyIncompatibility
-        If the products P+ P- and P- P+ differ from P- by more than
-        ``COMPAT_TOL``: the halves do not mesh.
-    NonHyperbolicError
-        If A has an eigenvalue on the imaginary axis, or a projector, or
-        supplied or fitted constants, are rejected.
-    """
-    T = float(T)
+def _split_trichotomy(A, T, P=None, Q=None, N=None, nu=None) -> _Split:
+    """Stage 1 of :func:`build_trichotomy` on [-T, T]: P+ and P-, compatible, not verified."""
     op = _as_operator(A)
     n = op.A.n
     eye = np.eye(n)
@@ -847,8 +827,10 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
                 raise ValueError(f"candidate projector {name} is not idempotent")
 
     cf = _closed_form(op, T, (P_plus, P_minus) if supplied else (), N, nu)
+    modes = rate_hint = None
     if cf is not None:
         modes, spectral = cf
+        N, nu = spectral.N, spectral.nu
         if not supplied:
             P_plus = P_minus = spectral.P
     elif supplied:
@@ -859,6 +841,8 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
         est_minus = estimate_stable_projector(op, (-T, 0.0))
         P_plus, P_minus = est_plus.P, est_minus.P_end
         rate_hint = min(est_plus.rate_hint, est_minus.rate_hint)
+    if N is None or nu is None:
+        N, nu = 1.0, 0.95 * rate_hint
 
     residual = max(
         float(np.linalg.norm(P_plus @ P_minus - P_minus, 2)),
@@ -872,15 +856,21 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
     }
     if residual > COMPAT_TOL:
         raise TrichotomyIncompatibility((-T, T), P_plus, P_minus, residual, report)
-    Q_mat = eye - P_minus
-
     if cf is not None:
         report.update(spectral.report)
-        return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=spectral.N,
-                                     nu=spectral.nu, report=report, modes=modes, op=op)
+    return _Split(T, op, P_plus, P_minus, float(N), float(nu), rate_hint, report, modes)
+
+
+def _verify_split(split: _Split, N=None, nu=None) -> TrichotomyCertificate:
+    """Stage 2 of :func:`build_trichotomy`: the certificate of ``split`` on its window."""
+    T, op, report = split.T, split.op, dict(split.report)
+    P_plus, P_minus, Q = split.P, split.P_minus, np.eye(op.A.n) - split.P_minus
+    if split.modes is not None:
+        return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q, N=split.N, nu=split.nu,
+                                     report=report, modes=split.modes, op=op)
 
     families, N, nu, max_slack, worst, _ = _verify_halves(
-        op, [(P_plus, 0.0, T), (P_minus, -T, 0.0)], rate_hint, N, nu)
+        op, [(P_plus, 0.0, T), (P_minus, -T, 0.0)], split.rate_hint, N, nu)
     if max_slack > SLACK_TOL:
         raise NonHyperbolicError(
             f"certificate rejected: max slack = {max_slack:.6g} of ||Phi(t, tau) Pi(tau)|| - "
@@ -895,8 +885,43 @@ def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
             f"on the {('plus', 'minus')[side]} half exceeds SEED_TOL = {SEED_TOL:g}")
     report.update(seed_residual_plus=seeds[0], seed_residual_minus=seeds[1],
                   max_slack=max_slack, worst_pair=worst)
-    return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q_mat, N=N, nu=nu, report=report,
+    return TrichotomyCertificate(interval=(-T, T), P=P_plus, Q=Q, N=N, nu=nu, report=report,
                                  families=tuple(families), op=op)
+
+
+def build_trichotomy(A, T, P=None, Q=None, N=None, nu=None):
+    """Assemble a trichotomy certificate on [-T, T], in two stages.
+
+    Stage 1 (:func:`_split_trichotomy`): a constant A with a closed form
+    (see :func:`_closed_form`) gets P = P_s, Q = I - P_s and its constants;
+    supplied ``P`` and ``I - Q`` must equal P_s, and supplied constants must
+    follow from it or pass its check.  Every other A is swept.  Both halves
+    are estimated on ``op``'s legs, integrated in one batch: P+ at the start
+    of [0, T], P- = I - Q at the end of [-T, 0] (``P_end``); supplied
+    idempotent ``P``/``Q``, read at t = 0, skip the estimate.  The stage's N
+    and nu size a window before a swept A is verified: the supplied ones,
+    else N = 1 and nu = 0.95 times the estimates' rate hint.  The solve
+    pipeline runs this stage alone first, to size the window that it
+    verifies once.
+
+    Stage 2 (:func:`_verify_split`): :func:`_verify_halves` checks a swept
+    P+ on [0, T] and P- on [-T, 0] with one (N, nu), supplied or fitted to
+    both halves (both when either is missing): the largest slack must be
+    within ``SLACK_TOL`` and each seed residual within ``SEED_TOL``, and the
+    report names both.
+
+    Raises
+    ------
+    NoDichotomyDetected
+        If either half-line system has no singular-value gap.
+    TrichotomyIncompatibility
+        If the products P+ P- and P- P+ differ from P- by more than
+        ``COMPAT_TOL``: the halves do not mesh.
+    NonHyperbolicError
+        If A has an eigenvalue on the imaginary axis, or a projector, or
+        supplied or fitted constants, are rejected.
+    """
+    return _verify_split(_split_trichotomy(A, float(T), P, Q, N, nu), N, nu)
 
 
 class GreenKernel:

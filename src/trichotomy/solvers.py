@@ -106,9 +106,11 @@ class AccuracyError(SolverError):
 
 
 def _tail_horizon(N: float, nu: float, fnorm: float, tol: float) -> float:
-    """Truncation horizon with analytic tail (N/nu) e^{-nu*T} ||f|| <= tol/2."""
+    """Truncation horizon with analytic tail (N/nu) e^{-nu*T} ||f|| <= tol/2; inf for nu <= 0."""
     if fnorm <= 0.0:
         return 1.0
+    if nu <= 0.0:
+        return math.inf
     return max(1.0, math.log(max(1.0, 2.0 * N * fnorm / (nu * tol))) / nu)
 
 

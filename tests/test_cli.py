@@ -24,7 +24,7 @@ import trichotomy.hyperbolicity
 import trichotomy.propagator
 import trichotomy.rap
 import trichotomy.solvers
-from trichotomy import CoefficientMatrix, build_trichotomy
+from trichotomy import CoefficientMatrix, GridFunction, build_trichotomy
 from trichotomy.cli import ProblemError, load_problem
 from trichotomy.expr import parse
 from trichotomy.hyperbolicity import (
@@ -474,12 +474,23 @@ class TestCheckCommands:
         assert "= 1 exceeds COMPAT_TOL = 1e-06" in printed
 
 
+def _spy_verify_halves(monkeypatch):
+    """The (lo, hi) spans of every half in each ``_verify_halves`` call."""
+    calls, verify = [], trichotomy.hyperbolicity._verify_halves
+
+    def counting(op, halves, *args):
+        calls.append([(lo, hi) for _, lo, hi in halves])
+        return verify(op, halves, *args)
+
+    monkeypatch.setattr(trichotomy.hyperbolicity, "_verify_halves", counting)
+    return calls
+
+
 class TestOneOperatorPerCommand:
     @pytest.mark.parametrize("name", ["rotation", "trich_tanh"])
     def test_one_operator_and_no_leg_integrated_twice(self, tmp_path, monkeypatch, name):
-        built, spans, kernels = [], [], []
+        built, spans = [], []
         init, magnus_legs = TransitionOperator.__init__, trichotomy.propagator._magnus_legs
-        build = trichotomy.cli.build_trichotomy
 
         def counting_init(self, A):
             built.append(A)
@@ -489,18 +500,17 @@ class TestOneOperatorPerCommand:
             spans.extend(batch)
             return magnus_legs(A, batch)
 
-        def counting_build(op, S, **given):
-            kernels.append(S)
-            return build(op, S, **given)
-
         monkeypatch.setattr(TransitionOperator, "__init__", counting_init)
         monkeypatch.setattr(trichotomy.propagator, "_magnus_legs", counting_magnus_legs)
-        monkeypatch.setattr(trichotomy.cli, "build_trichotomy", counting_build)
+        verified = _spy_verify_halves(monkeypatch)
         assert run_cli(["solve-linear", problem_path(name), "--out", tmp_path]) == 0
         assert len(built) == 1
-        # the kernel grew, and the estimates, the families and the grown
-        # families all read the one operator's integer-anchored legs
-        assert len(kernels) == 2 and kernels[1] > kernels[0]
+        # one verified build, on the forcing window grown past 12 by the
+        # estimate's constants; the estimates and the families read the one
+        # operator's integer-anchored legs
+        S = json.loads((tmp_path / "trichotomy.json").read_text())["interval"][1]
+        assert S > 12.0
+        assert verified == [[(0.0, S), (-S, 0.0)]]
         assert spans and len(set(spans)) == len(spans)
 
     @pytest.mark.parametrize("command, name", [("solve-linear", "diag_cos"),
@@ -508,30 +518,105 @@ class TestOneOperatorPerCommand:
     def test_grown_closed_form_kernel_samples_no_constants(self, tmp_path, monkeypatch,
                                                            command, name):
         calls, kernels = [], []
-        build = trichotomy.cli.build_trichotomy
+        verify = trichotomy.cli._verify_split
 
-        def counting_build(op, S, **given):
-            kernels.append(S)
-            return build(op, S, **given)
+        def counting_verify(split, *given):
+            kernels.append(split.T)
+            return verify(split, *given)
 
         monkeypatch.setattr(trichotomy.hyperbolicity, "_check_spectral_constants",
                             lambda *args: calls.append(args))
-        monkeypatch.setattr(trichotomy.cli, "build_trichotomy", counting_build)
+        monkeypatch.setattr(trichotomy.cli, "_verify_split", counting_verify)
         assert run_cli([command, problem_path(name), "--out", tmp_path]) == 0
-        assert len(kernels) == 2
+        assert len(kernels) == 1 and kernels[0] > 12.0
         assert calls == []
 
-    def test_grown_window_keeps_the_fitted_constants(self):
-        # the constants are fitted on [-12, 12]; the grown families reach
-        # past 30 and must still satisfy them at every chain sample
+    def test_kernel_certificate_covers_the_forcing_window(self):
+        # the constants are fitted on the certificate's whole window, which
+        # holds the forcing window, and hold at every chain sample there
         spec = load_problem(problem_path("trich_tanh"))
-        _, cert, _ = trichotomy.cli._solve_pipeline(spec)
+        kernel, cert, f = trichotomy.cli._solve_pipeline(spec)
         S = cert.interval[1]
-        assert S > 12.0
+        assert kernel.cert is cert
+        assert cert.interval[0] <= f.a < f.b <= S and f.b > 12.0
         fam_plus, fam_minus = cert.families
         groups = _chain_samples([fam_plus, fam_minus], [(0.0, S), (-S, 0.0)])
         worst = max(_bound_violations(rows, cert.N, cert.nu, "chain")[0] for rows in groups)
         assert worst <= SLACK_TOL
+
+
+def _saddle_rows(a, b, om):
+    """A = R(om t) diag(-a, b) R(om t)^T + om J, as problem-file strings."""
+    h, g = (b - a) / 2.0, (a + b) / 2.0
+    c2, s2 = f"cos({2 * om!r}*t)", f"sin({2 * om!r}*t)"
+    return [[f"{h!r} - {g!r}*{c2}", f"{-g!r}*{s2} - {om!r}"],
+            [f"{-g!r}*{s2} + {om!r}", f"{h!r} + {g!r}*{c2}"]]
+
+
+def _tanh_rows(a, b, c):
+    return [[repr(-a), "0", "0"], ["0", repr(b), "0"], ["0", "0", f"{-c!r}*tanh({c!r}*t)"]]
+
+
+def _margin_covered(spec, cert, f):
+    """S_out + margin(N, nu) <= W <= the certificate's reach, with the pipeline's sup of f."""
+    fnorm = max(GridFunction.from_callable(spec.forcing_fn(), -spec.window, spec.window,
+                                           0.1).sup_norm, f.sup_norm)
+    margin = trichotomy.solvers._tail_margin(cert.N, cert.nu, fnorm, spec.tol, False)[1]
+    return spec.window + margin <= f.b <= cert.interval[1] and f.a == -f.b
+
+
+class TestOneCertificatePerSolve:
+    """The solve pipeline sizes its forcing window from stage 1's constants and verifies once."""
+
+    PROBLEMS = {
+        "rotation": json.loads(Path(problem_path("rotation")).read_text()),
+        "trich_tanh": json.loads(Path(problem_path("trich_tanh")).read_text()),
+        "saddle": {"dim": 2, "A": _saddle_rows(1.3, 0.95, 0.4), "f": ["cos(t)", "sin(0.7*t)"],
+                   "window": 11},
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("command", ["solve-linear", "solve-semilinear", "continue-epsilon",
+                                         "rap-scan", "audit"])
+    def test_each_solving_command_verifies_once(self, tmp_path, monkeypatch, name, command):
+        data = dict(self.PROBLEMS[name], F=["0.02*sin(x1)"] + ["0"] * (
+            self.PROBLEMS[name]["dim"] - 1), L=0.02)
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(data))
+        verified = _spy_verify_halves(monkeypatch)
+        assert run_cli([command, prob, "--out", tmp_path / "out", "--tau-range", "1:2:0.5"]) == 0
+        (halves,) = verified
+        S = halves[0][1]
+        assert halves == [(0.0, S), (-S, 0.0)] and S > data["window"] + 2.0
+        written = tmp_path / "out" / "trichotomy.json"
+        if written.exists():
+            assert json.loads(written.read_text())["interval"] == [-S, S]
+
+    def test_undershooting_constants_regrow_the_window_once(self, monkeypatch):
+        # S(t) diag(-1, 1) S(t)^-1 + S'(t) S(t)^-1 with S(t) = [[1, 6 sin t], [0, 1]]:
+        # the halves meet orthogonally at 0, where the estimate sees N = 1, but
+        # the frame shears them apart and the verified N is near 6
+        spec = load_problem({"dim": 2, "A": [["-1", "12*sin(t) + 6*cos(t)"], ["0", "1"]],
+                             "f": ["cos(t)", "sin(t)"], "window": 10})
+        verified = _spy_verify_halves(monkeypatch)
+        _, cert, f = trichotomy.cli._solve_pipeline(spec)
+        assert cert.N > 5.0
+        assert len(verified) == 2 and verified[1][0][1] > verified[0][0][1]
+        assert verified[1] == [(0.0, cert.interval[1]), (-cert.interval[1], 0.0)]
+        assert _margin_covered(spec, cert, f)
+
+    @settings(max_examples=8, deadline=None)
+    @given(a=st.floats(0.9, 1.4), b=st.floats(0.9, 1.4), c=st.floats(0.9, 1.4),
+           om=st.floats(0.1, 0.5), tanh=st.booleans(), window=st.floats(10.0, 14.0))
+    def test_estimate_sizes_the_window_without_a_regrow(self, a, b, c, om, tanh, window):
+        rows = _tanh_rows(a, b, c) if tanh else _saddle_rows(a, b, om)
+        spec = load_problem({"dim": len(rows), "A": rows, "window": window,
+                             "f": ["cos(t)", f"sin({om!r}*t)", "1"][:len(rows)]})
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_verify_halves(mp)
+            _, cert, f = trichotomy.cli._solve_pipeline(spec)
+        assert len(calls) == 1
+        assert _margin_covered(spec, cert, f)
 
 
 def _heat(n):
