@@ -218,6 +218,19 @@ class TestSolveLinearCommand:
                     for w, c, s in terms)
         assert np.max(np.abs(phi.values[:, 0] - exact)) <= 1e-5
 
+    def test_infinite_tail_horizon_is_refused_by_name(self, tmp_path, capsys):
+        # the squares of 1e300 t^3 overflow, so the sup norm and the tail
+        # horizon are inf: a refusal that names both, not an OverflowError
+        prob = tmp_path / "cube.json"
+        prob.write_text(json.dumps(minimal(f=["1e300*t*t*t"])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["solve-linear", prob, "--out", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: forcing window [-inf, inf] for the tail horizon inf and the forcing sup "
+            "norm inf needs over 2e+06 grid values at step 0.02\n")
+
     def test_forcing_grid_cap_refuses_before_sampling(self, tmp_path, capsys):
         # rate 1e-5 needs a tail horizon near 2.6e6: far more grid than the cap
         prob = tmp_path / "slow.json"
@@ -601,9 +614,19 @@ class TestOneCertificatePerSolve:
         verified = _spy_verify_halves(monkeypatch)
         _, cert, f = trichotomy.cli._solve_pipeline(spec)
         assert cert.N > 5.0
-        assert len(verified) == 2 and verified[1][0][1] > verified[0][0][1]
+        # both checks cover a forcing window: the guessed one, then the regrown one
+        assert len(verified) == 2 and 12.0 < verified[0][0][1] < verified[1][0][1]
         assert verified[1] == [(0.0, cert.interval[1]), (-cert.interval[1], 0.0)]
         assert _margin_covered(spec, cert, f)
+
+    def test_a_rate_hint_of_zero_is_verified_before_any_refusal(self, tmp_path, capsys):
+        # x2' = 0 gives the estimate a singular value of exactly 1, a rate hint
+        # of 0 and an infinite guessed horizon; the fit then refuses the centre
+        prob = tmp_path / "flat.json"
+        prob.write_text(json.dumps(minimal(dim=2, A=[["1 + 0.1*sin(t)", "0"], ["0", "0"]],
+                                           f=["cos(t)", "sin(t)"])))
+        assert run_cli(["solve-linear", prob, "--out", tmp_path / "out"]) == 2
+        assert "fitted decay rate -0 is not positive" in capsys.readouterr().out
 
     @settings(max_examples=8, deadline=None)
     @given(a=st.floats(0.9, 1.4), b=st.floats(0.9, 1.4), c=st.floats(0.9, 1.4),
