@@ -338,7 +338,9 @@ def _solve_pipeline(spec, picard=False):
             return GreenKernel(cert), cert, f
         if W > split.T:  # the same operator and legs; P and Q are compatible on any window
             Q = np.eye(spec.dim) - split.P_minus
-            split = _split_trichotomy(split.op, W + 0.5, **{**given, "P": split.P, "Q": Q})
+            grown = _split_trichotomy(split.op, W + 0.5, **{**given, "P": split.P, "Q": Q})
+            # P and Q go in as if supplied; the report keeps whether stage 1 estimated them
+            split = grown._replace(report={**grown.report, "estimated": split.report["estimated"]})
         cert = _verify_split(split, given.get("N"), given.get("nu"))
         N, nu = cert.N, cert.nu
 

@@ -957,8 +957,8 @@ class GreenKernel:
                                               self.fam_plus.projectors])
         # plans of the solver sweeps when ``modes`` is None, built on first
         # use: (sweep window lo, hi, grid origin, grid step) -> one plan of
-        # stacked arrays that both sweep directions read, its leg values from
-        # one batched call
+        # stacked arrays that both sweep directions read, its moments and its
+        # leg values each from one batched call
         self.plans = {}
 
     @property

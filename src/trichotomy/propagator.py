@@ -35,6 +35,14 @@ the flattened n*n matrix, an array of k times gives shape (n*n, k)):
   :meth:`TransitionOperator.leg_values` evaluates many legs at many times:
   it fits the unfitted ones in one batch, and legs asked at the same
   fractions of their spans share one cardinal matrix and one product.
+  A fit also inverts the leg's d + 1 Chebyshev samples and keeps them
+  (``MagnusLeg.C_inv``) when their interpolant meets the same entrywise test
+  against the inverse node matrices, at the same degree.  From them
+  :meth:`TransitionOperator.inverse_moments` takes weighted sums of
+  Phi(s, t0)^-1 with no leg value and no inverse at any s: legs asked at the
+  same fractions with the same weights share one cardinal-moment matrix and
+  one product with their stacked inverse samples.  An exact leg, or a Magnus
+  leg whose inverse samples missed, gives its inverse at s instead.
   No scipy is needed.
 
 Transition matrices over long windows are never assembled as a single
@@ -346,13 +354,15 @@ def _leg_samples(A: CoefficientMatrix, t0, t1, nodes, c) -> np.ndarray:
 
 
 def _chebyshev_fits(A: CoefficientMatrix, t0, t1, nodes) -> list:
-    """Each leg's samples at the Chebyshev-Lobatto points of [t0, t1] (:func:`_lobatto`).
+    """Each leg's samples at the Chebyshev-Lobatto points of [t0, t1] (:func:`_lobatto`),
+    with their inverses: a list of (C, C_inv).
 
     The degree d starts at 2 ``FIRST_STEPS`` and doubles for the legs whose
     barycentric interpolant misses a node matrix Y by more than
     ``ATOL`` + ``RTOL`` |Y| in some entry, the test the nodes passed.
     Raises :class:`PropagationError` for a leg that still misses past
-    degree ``MAX_STEPS``.
+    degree ``MAX_STEPS``.  A fitted leg's C_inv comes from
+    :func:`_inverse_samples` at its degree.
     """
     N = np.array([len(Y) - 1 for Y in nodes])
     fits = [None] * len(nodes)
@@ -364,14 +374,16 @@ def _chebyshev_fits(A: CoefficientMatrix, t0, t1, nodes) -> list:
         excess = np.empty(len(active))
         for m in np.unique(N[active]):
             sel = np.flatnonzero(N[active] == m)
-            Y = np.stack([nodes[i] for i in active[sel]]).reshape(len(sel), m + 1, -1)
-            err = np.abs(_cardinals(np.arange(m + 1) / m, d) @ S[sel].reshape(len(sel), d + 1, -1)
-                         - Y)
+            Y = np.stack([nodes[i] for i in active[sel]])
+            B = _cardinals(np.arange(m + 1) / m, d)
+            flat = Y.reshape(len(sel), m + 1, -1)
+            err = np.abs(B @ S[sel].reshape(len(sel), d + 1, -1) - flat)
             gap[sel] = err.max(axis=(1, 2))
-            excess[sel] = (err - (ATOL + RTOL * np.abs(Y))).max(axis=(1, 2))
+            excess[sel] = (err - (ATOL + RTOL * np.abs(flat))).max(axis=(1, 2))
+            ok = excess[sel] <= 0.0
+            for i, C, C_inv in zip(sel[ok], S[sel[ok]], _inverse_samples(B, S[sel[ok]], Y[ok])):
+                fits[active[i]] = (C, C_inv)
         done = excess <= 0.0
-        for i in np.flatnonzero(done):
-            fits[active[i]] = S[i]
         if done.all():
             return fits
         if 2 * d > MAX_STEPS:
@@ -385,6 +397,28 @@ def _chebyshev_fits(A: CoefficientMatrix, t0, t1, nodes) -> list:
         active, d = active[~done], 2 * d
 
 
+def _inverse_samples(B, C, Y) -> list:
+    """inv(C) of each leg of one degree and node count, or None for a leg whose
+    inverse interpolant misses the node test.
+
+    ``C`` holds the legs' Chebyshev samples, (L, d + 1, n, n), ``Y`` their
+    node matrices, (L, M + 1, n, n), and ``B`` the degree-d cardinals at the
+    node fractions k / M.  The barycentric interpolant of inv(C) must meet
+    every inverse node matrix entrywise, |B inv(C) - Y^-1| <= ``ATOL`` +
+    ``RTOL`` |Y^-1|, at the degree C was accepted at; a leg that misses, or
+    whose samples or nodes do not invert, gets None.
+    """
+    L, n = len(C), C.shape[-1]
+    try:
+        Z, Y_inv = np.linalg.inv(C), np.linalg.inv(Y).reshape(L, len(B), n * n)
+    except np.linalg.LinAlgError:  # a sample or node that underflowed to singular
+        return [None] * L
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(B @ Z.reshape(L, B.shape[1], n * n) - Y_inv)
+        ok = (err <= ATOL + RTOL * np.abs(Y_inv)).all(axis=(1, 2))
+    return [z if keep else None for z, keep in zip(Z, ok)]
+
+
 class MagnusLeg:
     """Phi(s, t0) of a Magnus-integrated leg of x' = ``A`` x.
 
@@ -394,12 +428,16 @@ class MagnusLeg:
     (:func:`_chebyshev_fits`), or None until the leg is first asked for a
     time off its nodes: :func:`_leg_values` fits it then, together with
     the other unfitted legs of that call.  At a node the leg returns its
-    matrix; elsewhere the barycentric interpolant of ``C``.
+    matrix; elsewhere the barycentric interpolant of ``C``.  ``C_inv``
+    holds inv(C), the samples of Phi(s, t0)^-1 whose interpolant the Green
+    moments read (:func:`_inverse_moments`), kept when that interpolant
+    meets the node test against the inverse node matrices
+    (:func:`_inverse_samples`); None on an unfitted leg or one that missed.
     """
 
     def __init__(self, A, ts, Y):
         self.A, self.ts, self.Y = A, ts, Y
-        self.C = None
+        self.C = self.C_inv = None
 
     def __call__(self, s):
         return _dense_call(self, s)
@@ -412,6 +450,27 @@ def _dense_call(leg, s):
     flat = s.reshape(-1)
     out = _leg_values([leg], np.zeros(flat.size, dtype=int), flat).reshape(flat.size, -1)
     return out.reshape(-1) if s.ndim == 0 else out.T
+
+
+def _exact_values(leg: ExactLeg, dt) -> np.ndarray:
+    """V e^{lam dt} V^-1 of the exact legs' eigendecomposition for every dt: (len(dt), n, n)."""
+    E = np.exp(np.multiply.outer(dt, leg.lam))
+    return ((leg.V * E[..., None, :]) @ leg.V_inv).real
+
+
+def _fit(legs) -> None:
+    """Fit the Magnus legs of ``legs`` without ``C`` in one :func:`_chebyshev_fits` batch."""
+    fit = [leg for leg in legs if isinstance(leg, MagnusLeg) and leg.C is None]
+    if fit:
+        t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in fit]).T
+        for leg, (C, C_inv) in zip(fit, _chebyshev_fits(fit[0].A, t0, t1, [leg.Y for leg in fit])):
+            leg.C, leg.C_inv = C, C_inv
+
+
+def _by_leg(which, count) -> list:
+    """The positions k with which[k] = i, in order, for each leg i < ``count``."""
+    return np.split(np.argsort(which, kind="stable"),
+                    np.cumsum(np.bincount(which, minlength=count))[:-1])
 
 
 def _leg_values(legs, which, s) -> np.ndarray:
@@ -430,9 +489,7 @@ def _leg_values(legs, which, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     which = np.asarray(which, dtype=int)
     if isinstance(legs[0], ExactLeg):
-        V, lam, V_inv = legs[0].V, legs[0].lam, legs[0].V_inv
-        E = np.exp(np.multiply.outer(s - np.array([leg.t0 for leg in legs])[which], lam))
-        return ((V * E[..., None, :]) @ V_inv).real
+        return _exact_values(legs[0], s - np.array([leg.t0 for leg in legs])[which])
     n = legs[0].Y.shape[-1]
     t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
     u = (s - t0[which]) / (t1[which] - t0[which])
@@ -444,14 +501,8 @@ def _leg_values(legs, which, s) -> np.ndarray:
     on = np.concatenate([leg.ts for leg in legs])[j] == s
     out = np.empty((s.size, n, n))
     read = np.unique(which[~on])
-    fit = [i for i in read if legs[i].C is None]
-    if fit:
-        fits = _chebyshev_fits(legs[0].A, t0[fit], t1[fit], [legs[i].Y for i in fit])
-        for i, C in zip(fit, fits):
-            legs[i].C = C
-    # each leg's times in the order asked
-    by_leg = np.split(np.argsort(which, kind="stable"),
-                      np.cumsum(np.bincount(which, minlength=len(legs)))[:-1])
+    _fit([legs[i] for i in read])
+    by_leg = _by_leg(which, len(legs))
     layouts = {}
     for i in read:
         layouts.setdefault((len(legs[i].C), u[by_leg[i]].tobytes()), []).append(i)
@@ -461,6 +512,61 @@ def _leg_values(legs, which, s) -> np.ndarray:
         out[pos] = (_cardinals(u[pos[:, 0]], size - 1) @ C).reshape(*pos.shape, n, n)
     if on.any():
         out[on] = np.concatenate([leg.Y for leg in legs])[j[on]]
+    return out
+
+
+def _inverse_moments(legs, which, s, weights) -> np.ndarray:
+    """sum_j weights[r, j, p] Phi(s[r, j], t0)^-1 on the leg ``legs[which[r]]``
+    for every row r: shape (rows, p, n, n).
+
+    ``s`` has shape (rows, m) and ``weights`` (rows, m, p).  Every row is
+    one contraction of a moment matrix with samples of the inverse leg.  A
+    Magnus leg with ``C_inv`` (fitted first, in one batch, if it is not)
+    takes the cardinal moments sum_j weights[r, j, p] l_k(x_j), l_k the
+    cardinals of its degree at the fractions x_j of its span, against
+    C_inv: the legs of one layout (degree, fractions and weights of their
+    rows, in order) share that matrix and one product with their stacked
+    C_inv, and no such leg is evaluated at any s.  Every other leg takes
+    the weights themselves against its inverse at s: V e^{-lam (s - t0)}
+    V^-1 on an exact leg, the inverse of its interpolant on a Magnus leg
+    whose C_inv missed the node test.
+    """
+    s = np.asarray(s, dtype=float)
+    which = np.asarray(which, dtype=int)
+    rows, m = s.shape
+    asked = np.unique(which)
+    _fit([legs[i] for i in asked])
+    exact = isinstance(legs[0], ExactLeg)
+    n = legs[0].V.shape[0] if exact else legs[0].A.n
+    out = np.empty((rows, weights.shape[-1], n, n))
+    by_leg = _by_leg(which, len(legs))
+    layouts, rest = {}, []
+    if not exact:
+        t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
+        x = (s - t0[which, None]) / (t1 - t0)[which, None]
+    for i in asked:
+        r = by_leg[i]
+        if exact or legs[i].C_inv is None:
+            rest.append(r)
+        else:
+            layouts.setdefault((len(legs[i].C_inv), x[r].tobytes(), weights[r].tobytes()),
+                               []).append(i)
+    for (size, _, _), members in layouts.items():
+        pos = np.stack([by_leg[i] for i in members], axis=1)  # (rows, legs)
+        B = _cardinals(x[pos[:, 0]].ravel(), size - 1).reshape(len(pos), m, size)
+        K = weights[pos[:, 0]].transpose(0, 2, 1) @ B
+        Z = np.stack([legs[i].C_inv for i in members], axis=1).reshape(size, -1)
+        out[pos] = (K.reshape(-1, size) @ Z).reshape(len(pos), -1, len(members), n, n
+                                                      ).transpose(0, 2, 1, 3, 4)
+    if rest:
+        r = np.concatenate(rest)
+        leg_of, t = np.repeat(which[r], m), s[r].ravel()
+        if exact:
+            samples = _exact_values(legs[0], np.array([leg.t0 for leg in legs])[leg_of] - t)
+        else:
+            samples = np.linalg.inv(_leg_values(legs, leg_of, t))
+        out[r] = (weights[r].transpose(0, 2, 1) @ samples.reshape(len(r), m, n * n)
+                  ).reshape(len(r), -1, n, n)
     return out
 
 
@@ -526,6 +632,16 @@ class TransitionOperator:
         Magnus legs asked off their nodes that are not yet fitted.
         """
         return _leg_values(self.solve_legs(spans), which, s)
+
+    def inverse_moments(self, spans, which, s, weights) -> np.ndarray:
+        """sum_j weights[r, j, p] Phi(s[r, j], t0)^-1 on the leg (t0, t1) =
+        ``spans[which[r]]`` for every row r: (rows, p, n, n).
+
+        The legs come from :meth:`solve_legs`, and the moments from one
+        :func:`_inverse_moments` call, which first fits the Magnus legs not
+        yet fitted.
+        """
+        return _inverse_moments(self.solve_legs(spans), which, s, weights)
 
     def matrix(self, t0: float, t1: float) -> np.ndarray:
         """Transition matrix Phi(t1, t0)."""

@@ -13,13 +13,17 @@ run in the local coordinates of the cached unit propagation legs, and what the
 quadrature needs of the legs besides the forcing (inverse leg values folded
 into per-panel moments of the forcing spline, projectors, grid indices) is
 one plan per kernel, grid and sweep window: one set of stacked arrays over
-every leg of the window, whose leg values come from one batched call
-(:meth:`TransitionOperator.leg_values`).  That call fits the window's
-Magnus legs not yet fitted, in one batch, and the full unit legs of the
-window, asked at the same fractions of their spans, share one cardinal
-matrix.  The plan is reused by every later solve on that kernel: both
-sweeps, each Picard iterate and each eps of a continuation, and its legs
-stay fitted for every later plan.
+every leg of the window.  Its moments come from one batched call
+(:meth:`TransitionOperator.inverse_moments`), which fits the window's Magnus
+legs not yet fitted, in one batch, and contracts each leg's inverse
+Chebyshev samples with the cardinal moments of its Gauss-Legendre nodes:
+the full unit legs of the window, asked at the same fractions of their
+spans with the same weights, share one cardinal-moment matrix, and no leg
+with inverse samples is evaluated or inverted at a node.  The leg values
+at the panel points come from one more call
+(:meth:`TransitionOperator.leg_values`).  The plan is reused by every later
+solve on that kernel: both sweeps, each Picard iterate and each eps of a
+continuation, and its legs stay fitted for every later plan.
 
 Each grid panel is integrated by a Gauss-Legendre rule that
 :func:`_panel_rule` sizes from h*a.  On a panel of width h the m-node rule
@@ -42,8 +46,8 @@ u^p moment errs like (h a)^{2m-p}: on a tanh trichotomy at h = 0.02 (h a = 0.02)
 the u^3 moment 4.8e-10 off the 16-node one, where c_3 (h a)^6 is 3e-17.
 The floor of 4 nodes is what covers it on the CLI grid: at 4 nodes that
 moment is within 1e-14, on closed-form legs as on Magnus legs.  Between
-its nodes a Magnus leg is one Chebyshev interpolant per leg, analytic
-across the leg, so a rule sees it as it sees a closed-form leg.
+its nodes a Magnus leg, and its inverse, is one Chebyshev interpolant per
+leg, analytic across the leg, so a rule sees it as it sees a closed-form leg.
 
 The semilinear equation x' = A(t)x + f(t) + F(t, x) is solved by Picard
 iteration around the linear solution, which contracts at rate
@@ -214,7 +218,10 @@ class _GreenPlan:
     lies in one grid interval, ``cell``, where the forcing is the cubic
     sum_p c_p u^p of its spline (u = tau - t_cell), so the panel sum of
     weight * D(node)^{-1} f(node) is sum_p W_p c_p with the moments
-    W_p = sum_j w_j u_j^p D(node_j)^{-1}, D the leg solution.  ``W`` holds
+    W_p = sum_j w_j u_j^p D(node_j)^{-1}, D the leg solution.  On a leg
+    with inverse Chebyshev samples Z_k, D^{-1} is their interpolant
+    sum_k l_k Z_k, so W_p = sum_k (sum_j w_j u_j^p l_k(x_j)) Z_k, x_j the
+    nodes' fractions of the leg's span.  ``W`` holds
     each panel's block row [W_0 W_1 W_2 W_3], shape (panels, n, 4n), so its
     panel sum is one product with the stacked (c_0, ..., c_3).  ``D`` is D
     at the panel points, ``P`` the stable projectors at the legs' anchors
@@ -234,15 +241,18 @@ class _GreenPlan:
 def _green_plan(kernel: GreenKernel, f: GridFunction, lo, hi) -> _GreenPlan:
     """The kernel's plan of the window [lo, hi] on f's grid, built from stacked arrays.
 
-    Every leg's panel points and Gauss-Legendre nodes are laid out at once.
-    All legs then take their leg values at the nodes and panel points in one
-    :meth:`TransitionOperator.leg_values` call, which fits the Magnus legs
-    not yet fitted, and the moments come from one ``np.linalg.inv`` and one
-    matrix product.  The times are asked in leg-local offsets, laid out so
-    that every full unit leg whose anchor is a grid point asks at the same
-    fractions of its span and shares one cardinal matrix.  Every panel
-    takes the rule :func:`_plan_rule` sizes for the kernel and f's grid
-    step, so the plan key needs no rule of its own.
+    Every leg's panel points and Gauss-Legendre nodes are laid out at once,
+    with each node's weights w_j u_j^p.  The moments of all legs then come
+    from one :meth:`TransitionOperator.inverse_moments` call, which fits
+    the Magnus legs not yet fitted and contracts their inverse samples, and
+    D at the panel points from one :meth:`TransitionOperator.leg_values`
+    call.  The times and the weights are taken from leg-local offsets, laid
+    out so that every full unit leg whose anchor is a grid point asks at
+    the same fractions of its span with the same weights: the legs of that
+    layout share one cardinal-moment matrix, and each layout's moments are
+    one product with its legs' stacked inverse samples.  Every panel takes
+    the rule :func:`_plan_rule` sizes for the kernel and f's grid step, so
+    the plan key needs no rule of its own.
     """
     key = (lo, hi, f.a, f.h)
     plan = kernel.plans.get(key)
@@ -275,30 +285,28 @@ def _green_plan(kernel: GreenKernel, f: GridFunction, lo, hi) -> _GreenPlan:
     # it, so the legs of one clipped span have the same offsets.  Rounded to
     # a multiple of the spacing q of the window's largest anchor, an offset
     # added to an integer a0 stays exact, so every full unit leg is asked at
-    # the same fractions of its span: one layout for leg_values
+    # the same fractions of its span, with the same weights: one layout
     a0 = anchors[j]
-    kappa = (a0 - a) / h
-    snap = (np.abs(kappa - np.rint(kappa)) < 1e-9)[leg]
+    kappa = np.rint((a0 - a) / h)
+    snapped = np.abs((a0 - a) / h - kappa) < 1e-9
+    snap = snapped[leg]
     off = pts - a0[point_leg]
-    off[inner[snap]] = h * (k[snap] - np.rint(kappa[leg[snap]]))
+    off[inner[snap]] = h * (k[snap] - kappa[leg[snap]])
     widths = np.diff(off)[left[:-1]]
     gl_nodes, gl_weights = _plan_rule(kernel, h)
-    m = gl_nodes.size
     q = np.spacing(np.abs(anchors[[j[0], j[-1] + 1]]).max())
-    local = off[left, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
-    nodes = a0[panel_leg, None] + np.rint(local / q) * q
+    local = np.rint((off[left, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)) / q) * q
     cell = np.floor((pts[left] + 0.5 * widths - a) / h).astype(int)
-    u = nodes - (a + cell[:, None] * h)
-    moments = np.outer(widths, gl_weights / 2.0)[..., None] * u[..., None] ** np.arange(4)
-    vals = kernel.op.leg_values(
-        list(zip(a0.tolist(), anchors[j + 1].tolist())),
-        np.concatenate([np.repeat(panel_leg, m), point_leg]),
-        np.concatenate([nodes.ravel(), a0[point_leg] + np.rint(off / q) * q]),
-    )
-    # (entries of D^-1 x nodes) @ (nodes x powers), then the blocks W_p side by side
-    D_inv = np.linalg.inv(vals[:nodes.size]).reshape(-1, m, n * n).transpose(0, 2, 1)
-    W = (D_inv @ moments).reshape(-1, n, n, 4).transpose(0, 1, 3, 2).reshape(-1, n, 4 * n)
-    D = vals[nodes.size:]
+    # u = node - t_cell, both as offsets from a0: on a grid-anchored leg the
+    # cell's start lies h (cell - kappa) past a0, as its grid points do
+    start = np.where(snapped[panel_leg], h * (cell - kappa[panel_leg]), a + h * cell - a0[panel_leg])
+    u = local - start[:, None]
+    weights = np.outer(widths, gl_weights / 2.0)[..., None] * u[..., None] ** np.arange(4)
+    spans = list(zip(a0.tolist(), anchors[j + 1].tolist()))
+    # (panels, 4, n, n), then the blocks W_p side by side
+    W = kernel.op.inverse_moments(spans, panel_leg, a0[panel_leg, None] + local, weights)
+    W = W.transpose(0, 2, 1, 3).reshape(-1, n, 4 * n)
+    D = kernel.op.leg_values(spans, point_leg, a0[point_leg] + np.rint(off / q) * q)
     r = np.rint((pts - a) / h)
     plan = kernel.plans[key] = _GreenPlan(
         pts=pts,

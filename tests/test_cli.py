@@ -605,6 +605,20 @@ class TestOneCertificatePerSolve:
         if written.exists():
             assert json.loads(written.read_text())["interval"] == [-S, S]
 
+    def test_grown_window_keeps_whether_p_and_q_were_estimated(self, tmp_path):
+        # both verify on a window grown past max(S_out, 12) + 0.5, whose stage 1
+        # takes stage 1's P and Q as given
+        rotation = self.PROBLEMS["rotation"]
+        supplied = dict(rotation, certificate={"P": [[1.0, 0.0], [0.0, 0.0]],
+                                               "Q": [[0.0, 0.0], [0.0, 1.0]], "N": 1.0, "nu": 0.95})
+        for data, estimated in ((rotation, True), (supplied, False)):
+            prob = tmp_path / "p.json"
+            prob.write_text(json.dumps(data))
+            assert run_cli(["solve-linear", prob, "--out", tmp_path / "out"]) == 0
+            cert = json.loads((tmp_path / "out" / "trichotomy.json").read_text())
+            assert cert["interval"][1] > 12.5
+            assert cert["report"]["estimated"] is estimated
+
     def test_undershooting_constants_regrow_the_window_once(self, monkeypatch):
         # S(t) diag(-1, 1) S(t)^-1 + S'(t) S(t)^-1 with S(t) = [[1, 6 sin t], [0, 1]]:
         # the halves meet orthogonally at 0, where the estimate sees N = 1, but

@@ -447,6 +447,50 @@ def test_rotating_saddle_legs_match_the_closed_form(omega, a, b, k):
             assert np.max(np.abs(leg(s) - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
+class TestInverseSamples:
+    """A fitted leg keeps inv(C) exactly when its interpolant meets the node test."""
+
+    # the rotating saddles of the closed-form test, whose inverse legs grow
+    # like e^5 over a unit leg where the legs decay, and cross zero as often
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.1, 12.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.integers(-20, 20))
+    def test_inverse_interpolant_matches_the_inverse_of_the_interpolant(self, omega, a, b, k):
+        """Off the nodes, within ATOL + RTOL max |D~^-1| of inv(D~), D~ the leg's interpolant.
+
+        The nodes Y pass the Richardson test ATOL + RTOL |Y|, and both
+        interpolants pass the node test, so each of Z~ (the interpolant of
+        inv(C)) and inv(D~) is Phi^-1 to the leg's own accuracy, RTOL at the
+        inverse leg's scale, between the nodes as at them.
+        """
+        op = TransitionOperator(_rotating_saddle(omega, a, b))
+        spans = [(float(k), k + 1.0), (k + 1.0, k + 2.0), (k + 2.0, k + 0.5)]
+        rng = np.random.default_rng(k + 20)
+        for (t0, t1), leg in zip(spans, op.solve_legs(spans)):
+            s = t0 + (t1 - t0) * rng.uniform(size=16)
+            D_inv = np.linalg.inv(leg(s).T.reshape(-1, 2, 2))
+            d, M = len(leg.C) - 1, len(leg.ts) - 1
+            Z = leg.C_inv if leg.C_inv is not None else np.linalg.inv(leg.C)
+            at_nodes = (propagator._cardinals(np.arange(M + 1) / M, d) @ Z.reshape(d + 1, 4))
+            Y_inv = np.linalg.inv(leg.Y).reshape(M + 1, 4)
+            meets = np.all(np.abs(at_nodes - Y_inv)
+                           <= propagator.ATOL + propagator.RTOL * np.abs(Y_inv))
+            assert meets == (leg.C_inv is not None)
+            if meets:
+                x = (s - t0) / (t1 - t0)
+                Z_s = (propagator._cardinals(x, d) @ Z.reshape(d + 1, 4)).reshape(-1, 2, 2)
+                tol = propagator.ATOL + propagator.RTOL * np.max(np.abs(D_inv))
+                assert np.max(np.abs(Z_s - D_inv)) <= tol
+
+
+    def test_singular_node_keeps_no_inverse_samples(self):
+        # e^{-800 t} underflows to 0 at the leg's end, so its last node does not invert
+        op = TransitionOperator(CoefficientMatrix.from_strings([["-800 + 0*t"]]))
+        leg = op.solve_leg(0.0, 1.0)
+        assert leg.Y[-1, 0, 0] == 0.0
+        assert leg(0.01)[0] == pytest.approx(np.exp(-8.0), rel=1e-9)
+        assert leg.C is not None and leg.C_inv is None
+
+
 def test_magnus_step_is_sixth_order():
     """On the rotating saddle, uniform legs of M = 8, 16, 32 steps err like M^-6.
 

@@ -1,6 +1,7 @@
 """Bounded linear/semilinear solvers, Picard iteration and eps continuation."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 import trichotomy.propagator
 import trichotomy.solvers
+from conftest import problem_path, run_cli
+from trichotomy.cli import load_problem
 from trichotomy.grid import GridFunction
 from trichotomy.hyperbolicity import (
     GreenKernel,
@@ -373,8 +376,28 @@ class _LegPlan:
     idx: np.ndarray
 
 
+def inverse_leg(leg, s):
+    """Phi(s, t0)^-1 on a leg at the times ``s`` as a plan reads it: (len(s), n, n).
+
+    The closed form V e^{-lam (s - t0)} V^-1 of an exact leg, the
+    interpolant of a fitted Magnus leg's inverse samples ``C_inv``, and the
+    inverse of the leg's value when it has none.
+    """
+    s = np.asarray(s, dtype=float)
+    if isinstance(leg, ExactLeg):
+        E = np.exp(np.multiply.outer(leg.t0 - s, leg.lam))
+        return ((leg.V * E[..., None, :]) @ leg.V_inv).real
+    n = leg.Y.shape[-1]
+    if leg.C_inv is None:
+        return np.linalg.inv(leg(s).T.reshape(-1, n, n))
+    d = len(leg.C_inv) - 1
+    x = (s - leg.ts[0]) / (leg.ts[-1] - leg.ts[0])
+    return (trichotomy.propagator._cardinals(x, d) @ leg.C_inv.reshape(d + 1, -1)).reshape(-1, n, n)
+
+
 def _leg_plan(kernel, f, a0, a1, s0, s1):
-    """The plan of leg (a0, a1) clipped to (s0, s1) on f's grid, from one dense call."""
+    """The plan of leg (a0, a1) clipped to (s0, s1) on f's grid, its D^-1 at the
+    nodes from :func:`inverse_leg`."""
     n = kernel.n
     sol = kernel.op.solve_leg(a0, a1)
     pts = _panel_points(s0, s1, f.a, f.h)
@@ -383,7 +406,7 @@ def _leg_plan(kernel, f, a0, a1, s0, s1):
     nodes = pts[:-1, None] + np.outer(widths, (gl_nodes + 1.0) / 2.0)
     wts = np.outer(widths, gl_weights / 2.0)
     D = sol(np.concatenate([nodes.ravel(), pts])).T.reshape(-1, n, n)
-    D_inv = np.linalg.inv(D[: nodes.size]).reshape(*nodes.shape, n, n)
+    D_inv = inverse_leg(sol, nodes.ravel()).reshape(*nodes.shape, n, n)
     cell = np.floor((pts[:-1] + 0.5 * widths - f.a) / f.h).astype(int)
     u = nodes - (f.a + cell[:, None] * f.h)
     moments = wts[..., None] * u[..., None] ** np.arange(4)
@@ -687,24 +710,32 @@ def per_point_leg_values(legs, which, s):
 
 
 class _RecordingOperator:
-    """An operator stand-in for a plan build that records its one ``leg_values`` call."""
+    """An operator stand-in for a plan build that records its one
+    ``inverse_moments`` and its one ``leg_values`` call."""
 
     def __init__(self, op):
-        self.op, self.calls = op, []
+        self.op, self.calls = op, {"inverse_moments": [], "leg_values": []}
+
+    def inverse_moments(self, spans, which, s, weights):
+        W = self.op.inverse_moments(spans, which, s, weights)
+        self.calls["inverse_moments"].append((self.op.solve_legs(spans), which, s, weights, W))
+        return W
 
     def leg_values(self, spans, which, s):
         vals = self.op.leg_values(spans, which, s)
-        self.calls.append((self.op.solve_legs(spans), which, s, vals))
+        self.calls["leg_values"].append((self.op.solve_legs(spans), which, s, vals))
         return vals
 
 
-def recorded_plan_call(K, f, lo, hi):
-    """The legs, leg indices, times and values of the plan of [lo, hi] on a fresh kernel."""
+def recorded_plan_calls(K, f, lo, hi):
+    """The plan of [lo, hi] on a fresh kernel: the legs, leg indices, times,
+    weights and moments of its ``inverse_moments`` call, and the legs, leg
+    indices, times and values of its ``leg_values`` call."""
     K = fresh(K)
     K.op = _RecordingOperator(K.op)
     trichotomy.solvers._green_plan(K, f, lo, hi)
-    (call,) = K.op.calls
-    return call
+    (moments,), (values,) = K.op.calls["inverse_moments"], K.op.calls["leg_values"]
+    return moments, values
 
 
 def assert_matches_per_point(legs, which, s, vals):
@@ -715,22 +746,50 @@ def assert_matches_per_point(legs, which, s, vals):
         assert np.max(np.abs(vals[at] - ref[at])) <= 1e-14 * np.max(np.abs(ref[at]))
 
 
+def per_point_inverse_moments(legs, which, s, weights):
+    """The moments of ``propagator._inverse_moments`` without layouts: each
+    node's inverse from its own cardinal row (:func:`inverse_leg`), then
+    the weighted sum of every row."""
+    n = legs[0].Y.shape[-1]
+    D_inv = np.empty((*s.shape, n, n))
+    for i in np.unique(which):
+        at = which == i
+        D_inv[at] = inverse_leg(legs[i], s[at].ravel()).reshape(*s[at].shape, n, n)
+    return np.einsum("rjp,rjab->rpab", weights, D_inv)
+
+
+def assert_moments_match_per_point(legs, which, s, weights, W):
+    """Within 1e-14 of each leg's largest entry of the per-point moments."""
+    assert all(leg.C_inv is not None for leg in legs)
+    ref = per_point_inverse_moments(legs, which, s, weights)
+    for i in np.unique(which):
+        at = which == i
+        assert np.max(np.abs(W[at] - ref[at])) <= 1e-14 * np.max(np.abs(ref[at]))
+
+
 class TestLegLayouts:
-    """A plan's legs asked at the same fractions of their spans share one cardinal matrix."""
+    """A plan's legs asked at the same fractions of their spans share one cardinal matrix,
+    and with the same weights one cardinal-moment matrix."""
 
     def test_full_unit_legs_share_one_layout(self, rotation_kernel, monkeypatch):
         # the CLI's grid: step 0.02 through the integer anchors
         f = sweep_forcing(2, -13.0)
-        legs, which, s, vals = recorded_plan_call(rotation_kernel, f, -12.5, 12.5)
-        assert_matches_per_point(legs, which, s, vals)
+        moments, values = recorded_plan_calls(rotation_kernel, f, -12.5, 12.5)
+        assert_moments_match_per_point(*moments)
+        assert_matches_per_point(*values)
         rows = []
         cardinals = trichotomy.propagator._cardinals
         monkeypatch.setattr(trichotomy.propagator, "_cardinals",
                             lambda u, d: rows.append(u.size) or cardinals(u, d))
+        legs, which, s, vals = values
         assert np.array_equal(trichotomy.propagator._leg_values(legs, which, s), vals)
         # the two clipped end legs, and one layout per degree of the 24 full unit legs
         assert len(legs) == 26
         assert len(rows) == 2 + len({len(leg.C) for leg in legs[1:-1]})
+        rows.clear()
+        legs, which, s, weights, W = moments
+        assert np.array_equal(trichotomy.propagator._inverse_moments(legs, which, s, weights), W)
+        assert len(rows) == 2 + len({len(leg.C_inv) for leg in legs[1:-1]})
 
     # grid origins and steps that put the anchors off the grid, and clipped
     # windows, so that the legs' layouts differ
@@ -740,7 +799,9 @@ class TestLegLayouts:
     def test_layouts_match_the_per_point_values(self, rotation_kernel, a, h, lo, hi):
         f = GridFunction.from_callable(lambda t: np.cos(np.multiply.outer(t, [0.7, 2.0])),
                                        a, a + h * math.ceil(27.0 / h), h)
-        assert_matches_per_point(*recorded_plan_call(rotation_kernel, f, lo, hi))
+        moments, values = recorded_plan_calls(rotation_kernel, f, lo, hi)
+        assert_moments_match_per_point(*moments)
+        assert_matches_per_point(*values)
 
     def test_first_plan_fits_its_window_and_a_second_solve_fits_nothing(self, rotation_A,
                                                                          monkeypatch):
@@ -948,35 +1009,37 @@ PLAN_WINDOW = (-2.9937, 2.9911)
 def plan_and_nodes(K, f, monkeypatch):
     """The plan of ``PLAN_WINDOW`` on a fresh kernel, and the nodes per panel it took.
 
-    A plan evaluates its legs once, at m nodes in each panel and at the
-    panel points, so m is read off the size of that call.
+    A plan takes its moments in one ``inverse_moments`` call, whose times
+    are m nodes per panel, so m is read off their shape.
     """
     K = fresh(K)
-    sizes = []
-    leg_values = K.op.leg_values
+    shapes = []
+    inverse_moments = K.op.inverse_moments
 
-    def counted(spans, which, s):
-        sizes.append(np.size(s))
-        return leg_values(spans, which, s)
+    def counted(spans, which, s, weights):
+        shapes.append(np.shape(s))
+        return inverse_moments(spans, which, s, weights)
 
     with monkeypatch.context() as m:
-        m.setattr(K.op, "leg_values", counted)
+        m.setattr(K.op, "inverse_moments", counted)
         plan = trichotomy.solvers._green_plan(K, f, *PLAN_WINDOW)
-    assert len(sizes) == 1
-    return plan, (sizes[0] - plan.pts.size) / plan.cell.size
+    ((panels, nodes),) = shapes
+    assert panels == plan.cell.size
+    return plan, nodes
 
 
-def exact_leg_values(legs, n):
-    """A ``leg_values`` that evaluates the closed-form leg ``legs(t0)`` of each span."""
+def exact_inverse_moments(legs, n):
+    """An ``inverse_moments`` that contracts the weights with the inverse of the
+    closed-form leg ``legs(t0)`` of each span."""
 
-    def values(spans, which, s):
-        out = np.empty((np.size(s), n * n))
+    def moments(spans, which, s, weights):
+        D_inv = np.empty((*np.shape(s), n, n))
         for i, (t0, _) in enumerate(spans):
             at = which == i
-            out[at] = legs(t0)(s[at]).T
-        return out.reshape(-1, n, n)
+            D_inv[at] = np.linalg.inv(legs(t0)(s[at].ravel()).T.reshape(*s[at].shape, n, n))
+        return np.einsum("rjp,rjab->rpab", weights, D_inv)
 
-    return values
+    return moments
 
 
 def assert_plans_match_nodes(K, h, monkeypatch, rtol, ref_nodes=16):
@@ -1053,7 +1116,7 @@ class TestPanelRule:
         # closed-form legs, so both rules integrate the same smooth D^-1
         K = fast_kernels[name]
         assert K.modes is None
-        monkeypatch.setattr(K.op, "leg_values", exact_leg_values(EXACT_LEGS[name], K.n))
+        monkeypatch.setattr(K.op, "inverse_moments", exact_inverse_moments(EXACT_LEGS[name], K.n))
         assert_plans_match_nodes(K, h, monkeypatch, 1e-13)
 
     @pytest.mark.parametrize("h", [0.5, 1.0])
@@ -1061,7 +1124,7 @@ class TestPanelRule:
     def test_coarse_grid_moments_match_40_nodes(self, fast_kernels, name, h, monkeypatch):
         # h ||A||_1 from 4 to 8.8: a fixed 8-node rule errs by up to 1.3e-8 here
         K = fast_kernels[name]
-        monkeypatch.setattr(K.op, "leg_values", exact_leg_values(EXACT_LEGS[name], K.n))
+        monkeypatch.setattr(K.op, "inverse_moments", exact_inverse_moments(EXACT_LEGS[name], K.n))
         sized = assert_plans_match_nodes(K, h, monkeypatch, 1e-13, ref_nodes=40)
         assert 9 <= sized < 16
 
@@ -1091,6 +1154,125 @@ class TestPanelRule:
         # one rule per sweep, sized by h max |lam|
         assert asked == [pytest.approx(h * np.hypot(1, 8))]
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def per_node_inverse_moments(K, spans, which, s, weights):
+    """The moments as the plan took them before inverse samples: every leg
+    evaluated at every node, each value inverted, then the weighted sum."""
+    D = K.op.leg_values(spans, np.repeat(which, s.shape[1]), s.ravel()).reshape(*s.shape, K.n, K.n)
+    return D, np.einsum("rjp,rjab->rpab", weights, np.linalg.inv(D))
+
+
+class TestInverseMoments:
+    """Green plan moments from each leg's inverse Chebyshev samples."""
+
+    @pytest.mark.parametrize("name", ["rotation", "tanh"])
+    def test_exact_legs_inverse_interpolant_matches_the_closed_form(self, fast_kernels, name):
+        """At random off-node times, within the node test's tolerance at the
+        inverse leg's scale, ATOL + RTOL max |Phi^-1|.  Entry by entry the
+        Magnus nodes themselves can miss ATOL + RTOL |Phi| of the closed form
+        by a factor 2.3 here (the Richardson estimate is an estimate), so the
+        tolerance is taken at the scale, as the legs' own RK45 test does."""
+        K = fast_kernels[name]
+        spans = list(zip(K.anchors[:-1], K.anchors[1:])) + [(2.5, 3.0), (4.0, 1.5)]
+        legs = K.op.solve_legs(spans)
+        K.op.leg_values(spans, np.arange(len(spans)), [t0 + 0.3 * (t1 - t0) for t0, t1 in spans])
+        rng = np.random.default_rng(3)
+        for (t0, t1), leg in zip(spans, legs):
+            assert leg.C_inv is not None and len(leg.C_inv) == len(leg.C)
+            s = t0 + (t1 - t0) * rng.uniform(size=64)
+            assert not np.isin(s, leg.ts).any()
+            ref = np.linalg.inv(EXACT_LEGS[name](t0)(s).T.reshape(-1, K.n, K.n))
+            tol = trichotomy.propagator.ATOL + RTOL * np.max(np.abs(ref))
+            assert np.max(np.abs(inverse_leg(leg, s) - ref)) <= tol
+
+    @pytest.mark.parametrize("name", ["rotation_kernel", "trich_kernel"])
+    def test_plan_moments_match_the_per_node_inverses(self, request, name):
+        """The moments against the per-node-inverse ones they replaced.
+
+        With D~ the leg's interpolant and Z~ the interpolant of its inverse
+        samples, Z~ - D~^-1 = D~^-1 (D~ Z~ - I), so at node j the two
+        inverses differ by at most ||D~_j^-1|| ||D~_j Z~_j - I|| (infinity
+        norms), and the moments W_p by the sum of |w_j u_j^p| times that.
+        Rounding adds about kappa_j eps ||D~_j^-1|| for the inverse of D~_j
+        (kappa_j its condition number), the same for the residual as
+        computed, and for Z~ a sum of d + 1 samples whose cardinal weights'
+        Lebesgue constant is below d + 1: at most (d + 1) kappa_j eps
+        ||D~_j^-1|| in all.  The sweep window cuts both end legs off the grid.
+        """
+        K = fresh(request.getfixturevalue(name))
+        K.op = _RecordingOperator(K.op)
+        f = sweep_forcing(K.n, -13.0013)
+        trichotomy.solvers._green_plan(K, f, -12.3456, 11.789)
+        ((legs, which, s, weights, W),) = K.op.calls["inverse_moments"]
+        K.op = K.op.op
+        spans = [(leg.ts[0], leg.ts[-1]) for leg in legs]
+        D, ref = per_node_inverse_moments(K, spans, which, s, weights)
+        Z = np.empty_like(D)
+        for i in np.unique(which):
+            at = which == i
+            Z[at] = inverse_leg(legs[i], s[at].ravel()).reshape(*s[at].shape, K.n, K.n)
+        D_inv = np.linalg.inv(D)
+
+        def norm(X):
+            return np.abs(X).sum(axis=-1).max(axis=-1)
+
+        residual = norm(D @ Z - np.eye(K.n))
+        kappa = norm(D) * norm(D_inv)
+        degree = np.array([len(leg.C_inv) - 1 for leg in legs])[which, None]
+        eps = np.finfo(float).eps
+        bound = np.einsum("rjp,rj->rp", np.abs(weights),
+                          norm(D_inv) * (residual + (degree + 1) * kappa * eps))
+        assert np.all(np.max(np.abs(W - ref), axis=(-2, -1)) <= bound)
+        assert np.max(np.abs(W - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["rotation", "trich_tanh"])
+    def test_plan_inverts_only_samples_and_nodes(self, name, monkeypatch):
+        # a fresh operator, so the plan fits every leg of its window
+        A = load_problem(problem_path(name)).A
+        K = GreenKernel(build_trichotomy(TransitionOperator(A), 14.0))
+        f = sweep_forcing(K.n, -13.0013)
+        inverted, evaluated = [], []
+        inv, leg_values = np.linalg.inv, trichotomy.propagator._leg_values
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda X: inverted.append(np.shape(X)[:-2]) or inv(X))
+        monkeypatch.setattr(trichotomy.propagator, "_leg_values",
+                            lambda legs, which, s: evaluated.append(np.size(s))
+                            or leg_values(legs, which, s))
+        plan = trichotomy.solvers._green_plan(K, f, -12.3456, 11.789)
+        legs = K.op.solve_legs([(a0, a1) for a0, a1 in zip(K.anchors[:-1], K.anchors[1:])
+                                if a1 > plan.pts[0] and a0 < plan.pts[-1]])
+        assert len(legs) == plan.first.size - 1
+        assert all(leg.C_inv is not None for leg in legs)
+        assert sum(math.prod(shape) for shape in inverted) <= sum(
+            len(leg.C) + len(leg.ts) for leg in legs)
+        # one leg evaluation, at the panel points alone
+        assert evaluated == [plan.pts.size]
+
+    @pytest.mark.parametrize("a, parent_residual", [(-20.0, 5.91e-9), (-23.0, 6.12e-7)])
+    def test_fallback_legs_solve_the_fast_scalar_problem(self, a, parent_residual, tmp_path,
+                                                         monkeypatch):
+        # x' = (a + sin t) x + cos t: e^{-a} over a unit leg, whose inverse
+        # interpolant misses the node test on some legs (a = -20) or all (-23)
+        fits = []
+        chebyshev_fits = trichotomy.propagator._chebyshev_fits
+
+        def fit(*args):
+            out = chebyshev_fits(*args)
+            fits.extend(out)
+            return out
+
+        monkeypatch.setattr(trichotomy.propagator, "_chebyshev_fits", fit)
+        prob = tmp_path / "fast.json"
+        prob.write_text(json.dumps({"dim": 1, "A": [[f"{a!r} + sin(t)"]], "f": ["cos(t)"],
+                                    "window": 5}))
+        assert run_cli(["solve-linear", prob, "--out", tmp_path / "out"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["ode_residual_max"] <= 2.0 * parent_residual
+        fallback = sum(C_inv is None for _, C_inv in fits)
+        assert fallback >= 1
+        if a == -20.0:
+            assert fallback < len(fits)
 
 
 class TestOdeResidual:
