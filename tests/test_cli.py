@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import re
 import shutil
@@ -25,7 +26,7 @@ import trichotomy.propagator
 import trichotomy.rap
 import trichotomy.solvers
 from trichotomy import CoefficientMatrix, GridFunction, build_trichotomy
-from trichotomy.cli import ProblemError, load_problem
+from trichotomy.cli import Flags, ProblemError, load_problem
 from trichotomy.expr import parse
 from trichotomy.hyperbolicity import (
     SLACK_TOL,
@@ -814,6 +815,57 @@ class TestSuppliedProjectorIsVerified:
         assert cert["report"]["N_half_line"] == N
         assert cert["P"] == [[1.0, 0.0], [0.0, 0.0]]
         assert cert["report"]["max_slack"] <= SLACK_TOL
+
+
+class TestNonFiniteRefusals:
+    """A norm, slack or seed residual that is NaN measured nothing: the run neither certifies
+    nor prints a certified negative, but exits 1 naming the quantity."""
+
+    @pytest.mark.parametrize("command", ["check-trichotomy", "check-dichotomy", "solve-linear"])
+    def test_a_chain_norm_that_is_not_finite_is_refused_by_its_pair(self, tmp_path, capsys,
+                                                                    command):
+        # the estimate underflows to P+ = P- = 0 here, so the unstable chains
+        # carry the decaying class backward until it overflows
+        spec = load_problem({"dim": 2, "A": [["-12 + sin(t)", "0"], ["0", "12 + cos(t)"]],
+                             "f": ["cos(t)", "sin(t)"], "window": 64.0})
+        out = tmp_path / "out"
+        assert trichotomy.cli.run(command, spec, Flags(out=str(out))) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: certificate unverified: the unstable chain norm "
+                            r"\|\|Phi\(t, tau\) Pi\(tau\)\|\| = nan at \(t, tau\) = "
+                            r"\(0, \d+\) is not finite\n", captured.err)
+        assert captured.out == ""
+        assert all("nan" not in path.read_text().lower() for path in out.iterdir())
+
+    @pytest.mark.parametrize("nan_kinds", [("stable", "unstable", "direct"), ("direct",)])
+    def test_a_nan_slack_is_refused_with_exit_1(self, tmp_path, capsys, monkeypatch, nan_kinds):
+        # a NaN in the last group checked must win over the finite slacks before it
+        violations = _bound_violations
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_bound_violations",
+                            lambda samples, N, nu, kind: (math.nan, {"t": 1.0, "tau": 0.0})
+                            if kind in nan_kinds else violations(samples, N, nu, kind))
+        spec = load_problem(problem_path("rotation"))
+        assert trichotomy.cli.run("check-trichotomy", spec, Flags(out=str(tmp_path))) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: certificate unverified: the max slack of ||Phi(t, tau) Pi(tau)|| - "
+            "N e^(-nu |t - tau|) at (t, tau) = (1, 0) is not a number\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_a_nan_seed_residual_is_refused_with_exit_1(self, tmp_path, capsys, monkeypatch):
+        build = trichotomy.hyperbolicity._build_families
+
+        def nan_minus(*args):
+            families = build(*args)
+            families[-1].seed_residual = math.nan
+            return families
+
+        monkeypatch.setattr(trichotomy.hyperbolicity, "_build_families", nan_minus)
+        spec = load_problem(problem_path("rotation"))
+        assert trichotomy.cli.run("check-trichotomy", spec, Flags(out=str(tmp_path))) == 1
+        assert capsys.readouterr().err == (
+            "error: certificate unverified: the seed residual ||P_swept(0) - P(0)|| on the "
+            "minus half is not a number\n")
 
 
 class TestDichotomyIsTrichotomyWithoutCenter:

@@ -1,5 +1,6 @@
 """Dichotomy/trichotomy estimation, verification, the Green kernel and its shift oracle."""
 
+import functools
 import json
 import math
 import re
@@ -31,7 +32,9 @@ from trichotomy.hyperbolicity import (
     _anchor_times,
     _build_families,
     _family_anchors,
+    _inverse_legs,
     _leg_matrices,
+    _norms,
     _oblique_projectors,
     _orth_complement,
     _scaled_product_svd,
@@ -177,7 +180,7 @@ def _assert_projectors_match_the_per_anchor_loop(anchors, R, K):
     assert np.array_equal(_oblique_projectors(anchors, R, K), np.array(out))
 
 
-def _walk_reference(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap=math.inf):
+def _walk_reference(anchors, legs, starts, step, Z0, lo, hi, proj=None, cap=math.inf):
     """Reference for :func:`_walk`: each pass takes its own 2-norms."""
     starts = np.asarray(starts)
     lo, hi = np.broadcast_to(lo, starts.shape), np.broadcast_to(hi, starts.shape)
@@ -191,10 +194,10 @@ def _walk_reference(anchors, legs, starts, step, act, Z0, lo, hi, proj=None, cap
         if not live.any():
             return np.vstack(rows), np.concatenate(chains)
         chain, j, Z, t, sep = chain[live], j[live], Z[live], t[live], sep[live]
-        Z = act(legs[np.minimum(j, j - step)], Z)
+        Z = legs[np.minimum(j, j - step)] @ Z
         if proj is not None:
             Z = proj[j] @ Z
-        norms = np.linalg.norm(Z, 2, axis=(1, 2))
+        norms = _norms(Z)
         rows.append(np.column_stack([sep, norms, t, anchors[starts[chain]]]))
         chains.append(chain)
         j = j + step
@@ -207,29 +210,41 @@ def _assert_walks_match(*args, **kwargs):
 
 
 def _orth(basis):
+    """One basis's orthonormal basis as the sweeps form it: a column over its norm, else qr."""
+    if basis.shape[1] == 1:
+        return basis / np.linalg.norm(basis, axis=0)
     return np.linalg.qr(basis)[0]
 
 
-def _half_family_reference(op, lo, hi, P_seed, rate):
-    """Reference for :func:`_build_families`: one half's family, one sweep and one basis at a time."""
+def _half_family_reference(op, lo, hi, P_seed, rate, lapack):
+    """Reference for :func:`_build_families`: one half's family, one sweep and one basis at a time.
+
+    With ``lapack`` every basis goes through qr and a backward step solves
+    with its leg, as the sweeps did before they multiplied by inverse legs;
+    else each half's legs are inverted on their own and the bases formed by
+    :func:`_orth`, the primitives of the lockstep sweeps.
+    """
     at_lo = abs(lo) <= abs(hi)
     anchors = _family_anchors(lo, hi, rate)
     legs = _leg_matrices(op, anchors)
+    inv_legs = np.linalg.inv(legs)
+    orth = (lambda B: np.linalg.qr(B)[0]) if lapack else _orth
     rank = int(round(np.trace(P_seed)))
     U, _, Vt = np.linalg.svd(P_seed)
     seed = Vt[rank:].T if at_lo else U[:, :rank]
-    seed = _orth(seed) if seed.size else seed
+    seed = orth(seed) if seed.size else seed
 
     def forward(B0):
         out = [B0]
         for M in legs:
-            out.append(_orth(M @ out[-1]) if out[-1].shape[1] else out[-1])
+            out.append(orth(M @ out[-1]) if out[-1].shape[1] else out[-1])
         return out
 
     def backward(Bm):
         out = [Bm]
-        for M in reversed(legs):
-            out.append(_orth(np.linalg.solve(M, out[-1])) if out[-1].shape[1] else out[-1])
+        for M, M_inv in zip(legs[::-1], inv_legs[::-1]):
+            B = out[-1]
+            out.append(orth(np.linalg.solve(M, B) if lapack else M_inv @ B) if B.shape[1] else B)
         return out[::-1]
 
     if at_lo:
@@ -240,13 +255,13 @@ def _half_family_reference(op, lo, hi, P_seed, rate):
         K = forward(_orth_complement(R[0]))
     projectors = _oblique_projectors(anchors, R, K)
     seed_residual = float(np.linalg.norm(projectors[0 if at_lo else -1] - P_seed, 2))
-    return ProjectorFamily(op, anchors, projectors, legs, seed_residual)
+    return ProjectorFamily(op, anchors, projectors, legs, inv_legs, seed_residual)
 
 
 def _assert_families_match(op, halves, rate):
     """The lockstep families equal the per-half loop's bit for bit, or both give the same refusal."""
     try:
-        ref = [_half_family_reference(op, lo, hi, P, rate) for P, lo, hi in halves]
+        ref = [_half_family_reference(op, lo, hi, P, rate, lapack=False) for P, lo, hi in halves]
     except NonHyperbolicError as exc:
         with pytest.raises(NonHyperbolicError, match=f"^{re.escape(str(exc))}$"):
             _build_families(op, halves, rate)
@@ -257,6 +272,7 @@ def _assert_families_match(op, halves, rate):
         assert fam.op is op
         assert np.array_equal(fam.anchors, fam_ref.anchors)
         assert np.array_equal(fam.legs, fam_ref.legs)
+        assert np.array_equal(fam.inv_legs, fam_ref.inv_legs)
         assert np.array_equal(fam.projectors, fam_ref.projectors)
         assert fam.seed_residual == fam_ref.seed_residual
 
@@ -309,9 +325,10 @@ class TestStackedHelpers:
     @given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1),
            st.sampled_from([1, -1]), st.booleans(), st.booleans(), st.floats(0.5, 8.0),
            st.sampled_from(["random", "dead", "distinct"]))
-    def test_random_walks_match_the_per_pass_norms(self, n, m, seed, step, solve, project, cap,
+    def test_random_walks_match_the_per_pass_norms(self, n, m, seed, step, inverse, project, cap,
                                                    chains):
-        """Chains with bounds of their own on a lattice that a NaN anchor may cut in two.
+        """Chains with bounds of their own on a lattice that a NaN anchor may cut in two,
+        walked on the legs or on their inverses.
 
         ``dead`` adds chains that die at their first step (at the lattice's
         end, or bounded to their start anchor), alone or beside the random
@@ -337,7 +354,7 @@ class TestStackedHelpers:
             starts = rng.permutation(m)[:m - rng.integers(0, 3)]
             lo, hi = -np.inf, np.inf
         proj = rng.standard_normal((m, n, n)) if project else None
-        _assert_walks_match(anchors, legs, starts, step, np.linalg.solve if solve else np.matmul,
+        _assert_walks_match(anchors, np.linalg.inv(legs) if inverse else legs, starts, step,
                             rng.standard_normal((len(starts), n, n)), lo, hi, proj=proj, cap=cap)
 
     @settings(max_examples=40, deadline=None)
@@ -399,6 +416,103 @@ class TestStackedHelpers:
                    rf"where its Frobenius norm, 1 before that leg, became {norm}$")
         with np.errstate(over="ignore"), pytest.raises(NonHyperbolicError, match=message):
             _scaled_product_svd([2.0 * np.eye(2), M, np.eye(2)], np.array([-2.0, -1.0, 0.0, 0.5]))
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_halves(name):
+    """The operator of a bundled problem and its certificate's P+ and P- at 0 (window 12)."""
+    cert = build_trichotomy(load_problem(problem_path(name)).A, 12.0)
+    return cert.op, cert.P, np.eye(cert.P.shape[0]) - cert.Q
+
+
+class TestStackedKernels:
+    """The swept certificate's kernels against the LAPACK calls they replace: closed-form
+    2-norms against the SVD, inverse legs against solve, one-column bases against qr."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from(["random", "rank-one", "zero"]),
+           st.integers(-300, 300), st.integers(-300, 300), st.integers(0, 2**32 - 1))
+    def test_norms_match_the_svd(self, n, kind, e0, e1, seed):
+        """Within 8 eps relative of ``np.linalg.norm(Z, 2, axis=(1, 2))``, on stacks whose
+        entries have magnitudes 10^e for e drawn between e0 and e1, from 1e-300 to 1e300."""
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted((e0, e1))
+
+        def entries(shape, half=False):
+            exps = rng.uniform(lo, hi, shape) / (2 if half else 1)
+            return rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape) * 10.0 ** exps
+
+        if kind == "random":
+            Z = entries((16, n, n))
+        elif kind == "rank-one":
+            Z = entries((16, n, 1), half=True) * entries((16, 1, n), half=True)
+        else:
+            Z = np.zeros((16, n, n))
+        Z[rng.uniform(size=16) < 0.2] = 0.0
+        ref = np.linalg.norm(Z, 2, axis=(1, 2))
+        assert np.all(np.abs(_norms(Z) - ref) <= 8.0 * np.finfo(float).eps * ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_norms_propagate_nan_and_inf(self, n):
+        Z = np.random.default_rng(n).standard_normal((5, n, n))
+        Z[0, 0, -1], Z[1, -1, 0], Z[2, 0, 0] = np.nan, np.inf, -np.inf
+        Z[3, 0, 0], Z[3, -1, -1] = np.inf, np.nan
+        norms = _norms(Z)
+        assert np.isnan(norms[0]) and norms[1] == norms[2] == np.inf and np.isnan(norms[3])
+        assert norms[4] == pytest.approx(np.linalg.norm(Z[4], 2), rel=8.0 * np.finfo(float).eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_families_match_the_qr_and_solve_sweeps(self, data):
+        """Within 1e-14 max|P| of the per-half sweeps through ``qr`` and ``solve``.
+
+        The seeds are true projectors, where the sweeps contract: the spectral
+        projector of a drawn constant A (n 1-3) on spans anywhere, or the
+        certificate's P+ on [0, s] and P- on [-s', 0] of rotation and
+        trich_tanh.  (A seed tangent to the repelling class is swept away
+        from it, growing the last bits by e^{2 nu} per leg, so no fixed
+        bound holds there; ``test_random_families_match_the_per_half_sweeps``
+        draws such seeds against the reference of the same primitives.)"""
+        source = data.draw(st.sampled_from(["exact", "rotation", "trich_tanh"]))
+        if source == "exact":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            n = data.draw(st.integers(1, 3))
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0] + 0.3 * rng.standard_normal((n, n))
+            lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 3.0, n)
+            op = TransitionOperator(CoefficientMatrix.from_strings(
+                [[repr(float(x)) for x in row] for row in V @ np.diag(lam) @ np.linalg.inv(V)]))
+            P = V[:, lam < 0.0] @ np.linalg.inv(V)[lam < 0.0]
+            halves = [(P, lo, lo + data.draw(st.floats(0.5, 8.0)))
+                      for lo in data.draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=2))]
+        else:
+            op, P_plus, P_minus = _bundled_halves(source)
+            halves = [(P_plus, 0.0, data.draw(st.floats(0.5, 12.0))),
+                      (P_minus, -data.draw(st.floats(0.5, 12.0)), 0.0)]
+        rate = data.draw(st.floats(0.4, 3.0))
+        families = _build_families(op, halves, rate)
+        for fam, (P, lo, hi) in zip(families, halves):
+            ref = _half_family_reference(op, lo, hi, P, rate, lapack=True)
+            assert np.array_equal(fam.anchors, ref.anchors)
+            bound = 1e-14 * np.abs(ref.projectors).max()
+            assert np.abs(fam.projectors - ref.projectors).max() <= bound
+            assert np.array_equal(fam.inv_legs, np.linalg.inv(ref.legs))
+
+    @pytest.mark.parametrize("leg", ["singular", "nan", "inf"])
+    def test_a_leg_that_does_not_invert_is_refused_by_its_span(self, leg):
+        eye = np.eye(2)
+        bad = {"singular": np.diag([1.0, 0.0]), "nan": np.full((2, 2), np.nan),
+               "inf": np.diag([np.inf, 1.0])}[leg]
+        lattices = [np.array([-2.0, -1.0, 0.0]), np.array([0.0, 0.5, 1.5])]
+        legs = [np.stack([2.0 * eye, eye]), np.stack([eye, bad])]
+        message = (r"^the transition matrix of the leg \[0\.5, 1\.5\] does not invert: it is "
+                   r"singular or not finite, or its inverse is not finite$")
+        with pytest.raises(HyperbolicityError, match=message):
+            _inverse_legs(lattices, legs)
+        legs[1][1] = 4.0 * eye
+        inverses = _inverse_legs(lattices, legs)
+        assert len(inverses) == 2
+        for M, M_inv in zip(legs, inverses):
+            assert np.array_equal(M_inv, np.linalg.inv(M))
 
 
 class TestEstimateConstants:

@@ -23,6 +23,7 @@ from trichotomy.cli import (
     load_problem,
 )
 from trichotomy.hyperbolicity import (
+    HyperbolicityError,
     NonHyperbolicError,
     TrichotomyIncompatibility,
     build_trichotomy,
@@ -96,7 +97,8 @@ def test_plan_path_solves_the_ill_conditioned_saddle(tmp_path):
 
 @pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
     "known issue: the residual gate refuses a correct fast-oscillating solution; "
-    "today linear solve residual 6.65e-05 exceeds 10*tol = 1e-05 (direction 15)"))
+    "today linear solve residual 0.000109 (at t = 17.06 of its window [-17.08, 17.08]; "
+    "6.65e-05 within [-10, 10]) exceeds 10*tol = 1e-05 (direction 15)"))
 def test_fast_rotating_saddle_solves(tmp_path):
     """R(6t) diag(-2, 2) R(6t)^T + 6J, f = (cos t, 0), window 10; its check-dichotomy certifies."""
     c, s = "cos(6*t)", "sin(6*t)"
@@ -214,10 +216,10 @@ def test_rotation_with_window_200_certifies():
     build_trichotomy(load_problem(problem_path("rotation")).A, 200.0)
 
 
-@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError, reason=(
+@pytest.mark.xfail(strict=True, raises=HyperbolicityError, reason=(
     "known issue: fast or long diagonal saddles underflow the estimate's small "
-    "singular value; today a RuntimeWarning, then 'SVD did not converge', exit 1 "
-    "(direction 25; a = 60 needs its step 2)"))
+    "singular value; today P+ = P- = 0, and the unstable chain norm that is not "
+    "finite is refused, exit 1 (direction 25; a = 60 needs its step 2)"))
 @pytest.mark.parametrize("a, window", [(12, 64.0), (2, 400.0), (60, 12.0)])
 def test_fast_or_long_diagonal_saddle_certifies(tmp_path, a, window):
     """diag(-a + sin t, a + cos t) with f = (cos t, sin t): a dichotomy with P = diag(1, 0)."""
