@@ -21,7 +21,6 @@ from .expr import (
 from .grid import GridFunction, write_csv
 from .propagator import (
     CoefficientMatrix,
-    ExactLeg,
     MagnusLeg,
     PropagationError,
     TransitionOperator,
@@ -77,7 +76,6 @@ __all__ = [
     "GridFunction",
     "write_csv",
     "CoefficientMatrix",
-    "ExactLeg",
     "MagnusLeg",
     "PropagationError",
     "TransitionOperator",

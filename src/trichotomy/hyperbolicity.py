@@ -12,13 +12,14 @@ Numerics
 Every command certifies through :func:`build_trichotomy`; a dichotomy on
 the line is a trichotomy with center R = PQ = 0 (Elaydi and Hajek, J. Math.
 Anal. Appl. 129, 1988).  A constant A with an eigendecomposition
-(``TransitionOperator.eig``) is certified in closed form, or refused for an
-eigenvalue on the imaginary axis (Coppel, Dichotomies in Stability Theory,
-LNM 629, 1978; see :func:`_closed_form`); every other A is estimated and
-swept.  One half-line check, :func:`_verify_halves`, certifies each half
-of a swept trichotomy: the printed constants are fitted, or supplied and
-checked, on the chain norms of the window they cover, and the candidate P
-itself must pass direct products and its seed residual.
+(``TransitionOperator.eig``) is certified in closed form, with no leg, or
+refused for an eigenvalue on the imaginary axis (Coppel, Dichotomies in
+Stability Theory, LNM 629, 1978; see :func:`_closed_form`); every other A
+is estimated and swept on Magnus legs.  One half-line check,
+:func:`_verify_halves`, certifies each half of a swept trichotomy: the
+printed constants are fitted, or supplied and checked, on the chain norms
+of the window they cover, and the candidate P itself must pass direct
+products and its seed residual.
 
 Transition matrices over long windows mix scales like exp(+nu*t) against
 exp(-nu*t), so the kernel is never evaluated by naked long products in the
@@ -47,7 +48,7 @@ a walk (:func:`_walk`) finds every chain's lifetime before its first pass,
 so that a pass is only its gathers and matrix products.  Nothing in a
 sweep or walk solves: a stage's legs are inverted once, by one stacked
 ``inv`` (:func:`_inverse_legs`), and backward sweeps and walks multiply by
-the inverse legs.  The Magnus legs are integrated in one batch per stage
+the inverse legs.  The legs are integrated in one batch per stage
 (:func:`_integrate_lattices`): both estimate windows' legs, then all
 families' legs.  ``expm`` picks its Pade degree per matrix, so a leg's
 bits do not depend on its batch-mates.  Every other stage is one stacked
@@ -79,7 +80,7 @@ from typing import Optional
 
 import numpy as np
 
-from .propagator import RTOL, ExactLeg, TransitionOperator
+from .propagator import RTOL, TransitionOperator
 
 __all__ = [
     "HyperbolicityError",
@@ -220,23 +221,17 @@ def _integrate_lattices(op: TransitionOperator, lattices) -> None:
     """Integrate the legs between consecutive anchors of every lattice in one batch.
 
     A stage that reads several lattices calls this first, so that their
-    missing Magnus legs share one :meth:`TransitionOperator.solve_legs`
-    batch; exact legs need no integration.
+    missing legs share one :meth:`TransitionOperator.solve_legs` batch.
     """
-    if op.eig is None:
-        op.solve_legs([span for anchors in lattices for span in zip(anchors[:-1], anchors[1:])])
+    op.solve_legs([span for anchors in lattices for span in zip(anchors[:-1], anchors[1:])])
 
 
 def _leg_matrices(op: TransitionOperator, anchors: np.ndarray) -> np.ndarray:
     """Phi(anchors[i + 1], anchors[i]) of every leg: (m - 1, n, n).
 
-    An exact leg depends on its length alone, so one :class:`ExactLeg` call
-    gives them all.  Otherwise the missing legs are integrated in one batch,
-    and each leg's matrix is its last node.
+    The missing legs are integrated in one batch, and each leg's matrix is
+    its last node.
     """
-    if op.eig is not None:
-        n = op.A.n
-        return ExactLeg(*op.eig, 0.0)(np.diff(anchors)).T.reshape(-1, n, n)
     return np.stack([leg.Y[-1] for leg in op.solve_legs(zip(anchors[:-1], anchors[1:]))])
 
 
@@ -316,7 +311,8 @@ def estimate_stable_projector(A, interval) -> SubspaceEstimate:
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi - lo < 10.0:
-        raise ValueError("estimation interval must be at least 10 time units")
+        raise ValueError(f"estimation interval [{lo:.6g}, {hi:.6g}] is {hi - lo:.6g} time units "
+                         "long, below the 10 an estimate needs")
     op = _as_operator(A)
     n = op.A.n
     anchors = _anchor_times(lo, hi)
@@ -353,32 +349,17 @@ class ProjectorFamily:
     backward.  ``legs`` is the (m - 1, n, n) stack of transition matrices
     from ``anchors[i]`` to ``anchors[i + 1]``, and ``inv_legs`` their
     inverses, from one stacked ``inv`` (:func:`_inverse_legs`), which every
-    backward sweep and walk multiplies by.  Between anchors the projector
-    is conjugated through the cached dense leg, a short sandwich that cannot
-    amplify error by more than exp(2*nu).  ``seed_residual`` is the
+    backward sweep and walk multiplies by.  ``seed_residual`` is the
     distance, at the data end, between the swept projector and the one the
     family was seeded with.
     """
 
-    def __init__(self, op, anchors, projectors, legs, inv_legs, seed_residual):
-        self.op = op
+    def __init__(self, anchors, projectors, legs, inv_legs, seed_residual):
         self.anchors = np.asarray(anchors, dtype=float)
         self.projectors = projectors
         self.legs = legs
         self.inv_legs = inv_legs
         self.seed_residual = seed_residual
-
-    def projector(self, s: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.anchors, s))
-        for j in (idx - 1, idx):
-            if 0 <= j < len(self.anchors) and abs(self.anchors[j] - s) < 1e-12:
-                return self.projectors[j]
-        if s < self.anchors[0] - 1e-9 or s > self.anchors[-1] + 1e-9:
-            raise WindowTooSmall("projector family does not cover t", abs(s))
-        i = min(max(idx - 1, 0), len(self.anchors) - 2)  # s is no anchor
-        D = self.op.solve_leg(self.anchors[i], self.anchors[i + 1])(s).reshape(self.op.A.n, -1)
-        # P(s) = D P_i D^{-1} solved as P(s) D = D P_i
-        return np.linalg.solve(D.T, (D @ self.projectors[i]).T).T
 
 
 def _family_anchors(lo: float, hi: float, rate: float) -> np.ndarray:
@@ -485,7 +466,7 @@ def _build_families(op, halves, rate) -> list:
                       [not f for f in at_lo])
     projectors = [_oblique_projectors(a, *((F, D) if f else (D, F)))
                   for a, f, D, F in zip(anchors, at_lo, data_end, far_end)]
-    return [ProjectorFamily(op, a, Pi, M, M_inv, float(np.linalg.norm(Pi[0 if f else -1] - P, 2)))
+    return [ProjectorFamily(a, Pi, M, M_inv, float(np.linalg.norm(Pi[0 if f else -1] - P, 2)))
             for P, a, Pi, M, M_inv, f in zip(Ps, anchors, projectors, legs, inv_legs, at_lo)]
 
 
@@ -551,7 +532,7 @@ def _chain_samples(families, spans):
     re-projection is an exact identity in exact arithmetic and strips the
     exponentially growing numerical error component.
     """
-    n = families[0].op.A.n
+    n = families[0].projectors.shape[-1]
     gap = np.full((1, n, n), np.nan)
     anchors = np.concatenate([np.append(fam.anchors, np.nan) for fam in families])
     legs = np.concatenate([M for fam in families for M in (fam.legs, gap, gap)])
@@ -791,11 +772,11 @@ class TrichotomyCertificate:
         eye = np.eye(P.shape[0])
         parts = [eye - Q, eye - P, P @ Q]
         # the three identities, then each product of parts against itself
-        # (i = j) or 0; all twelve 2-norms in one batched call
+        # (i = j) or 0; all twelve 2-norms in one stacked call
         stack = [P @ Q - Q @ P, P + Q - P @ Q - eye, sum(parts) - eye]
         stack += [a @ b - (a if i == j else 0.0)
                   for i, a in enumerate(parts) for j, b in enumerate(parts)]
-        norms = np.linalg.norm(np.stack(stack), 2, axis=(1, 2))
+        norms = _norms(np.stack(stack))
         return {
             "commute": float(norms[0]),
             "cover": float(norms[1]),
@@ -829,8 +810,9 @@ def _check_spectral_constants(op, modes, rate, N, nu, T):
     floating point) cannot see.  N must bound
     h(s) = ||e^{As} P|| e^{nu s} and ||e^{-As} (I - P)|| e^{nu s} within
     SLACK_TOL at 2001 separations s on [0, 2T], geometrically spaced to
-    resolve the transient.  Returns the largest slack (h(s) - N) e^{-nu s}
-    and its pair (stable from tau = -T, unstable from tau = T).
+    resolve the transient, each class's 2-norms from one :func:`_norms`
+    call.  Returns the largest slack (h(s) - N) e^{-nu s} and its pair
+    (stable from tau = -T, unstable from tau = T).
     """
     V, lam, V_inv, stable = modes
     health = op.eig_health
@@ -846,7 +828,7 @@ def _check_spectral_constants(op, modes, rate, N, nu, T):
         if not keep.any():
             continue
         E = np.exp(np.multiply.outer(t, sign * lam[keep] + nu))
-        h = np.linalg.norm(((V[:, keep] * E[:, None, :]) @ V_inv[keep]).real, 2, axis=(1, 2))
+        h = _norms(((V[:, keep] * E[:, None, :]) @ V_inv[keep]).real)
         sup = max(sup, float(h.max()))
         rows = np.column_stack([t, h * np.exp(-nu * t), sign * (t - T), np.full_like(t, -sign * T)])
         worst = max(worst, _bound_violations(rows, N, nu, kind), key=lambda c: c[0])
@@ -1063,11 +1045,10 @@ class GreenKernel:
         self.window = tuple(float(x) for x in cert.interval)
         self.modes = cert.modes
         if self.modes is None:
-            self.fam_plus, self.fam_minus = cert.families
-            self.anchors = np.concatenate([self.fam_minus.anchors[:-1], self.fam_plus.anchors])
-            # the stable projector at each anchor, as stable_projector gives it
-            self.projectors = np.concatenate([self.fam_minus.projectors[:-1],
-                                              self.fam_plus.projectors])
+            plus, minus = cert.families
+            self.anchors = np.concatenate([minus.anchors[:-1], plus.anchors])
+            # the stable projector at each anchor, the plus family's at 0
+            self.projectors = np.concatenate([minus.projectors[:-1], plus.projectors])
         # plans of the solver sweeps when ``modes`` is None, built on first
         # use: (sweep window lo, hi, grid origin, grid step) -> one plan of
         # stacked arrays that both sweep directions read, its moments and its
@@ -1077,14 +1058,6 @@ class GreenKernel:
     @property
     def n(self) -> int:
         return self.A.n
-
-    def stable_projector(self, s: float) -> np.ndarray:
-        """Projector whose image decays forward at time s (sweep map)."""
-        return (self.fam_plus if s >= 0.0 else self.fam_minus).projector(s)
-
-    def unstable_projector(self, s: float) -> np.ndarray:
-        """Projector whose image decays backward at time s."""
-        return np.eye(self.n) - self.stable_projector(s)
 
 
 def _matrix_list(M) -> list:

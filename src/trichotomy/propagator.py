@@ -1,49 +1,48 @@
 """Transition (Cauchy) operator of x' = A(t) x.
 
 A leg is the dense solution s -> Phi(s, t0) of the matrix equation on
-[t0, t1].  Two kinds of leg share one calling convention (a scalar s gives
-the flattened n*n matrix, an array of k times gives shape (n*n, k)):
+[t0, t1]: a scalar s gives the flattened n*n matrix, an array of k times
+gives shape (n*n, k).  Every leg is integrated by the sixth-order Magnus
+method with three Gauss points (Blanes, Casas and Ros, BIT 40, 2000;
+Iserles, Munthe-Kaas, Norsett and Zanna, Acta Numerica 9, 2000).  A step of
+length h from t is Y <- exp(Omega) Y, with Omega built from A at
+t + (1/2 -+ sqrt(15)/10) h and t + h/2 by two nested commutators
+(:func:`_magnus_steps`); for a constant A the commutators vanish and
+Omega = hA, so its nodes are exact to rounding.  The steps are independent
+given A at the Gauss points, so :meth:`TransitionOperator.solve_legs`
+integrates every missing leg of a sweep in one batch: A is evaluated over one
+time array (:meth:`CoefficientMatrix.values`) and the step exponentials by
+one batched :func:`expm`, which picks its Pade degree per matrix, so a leg's
+bits do not depend on which legs share its batch.  Each leg takes
+``FIRST_STEPS`` uniform steps, then twice as many; a leg whose Richardson
+estimate |Y_2M - Y_M| / 63 at the shared nodes exceeds ``ATOL`` +
+``RTOL`` |Y_2M| (entrywise, 1e-12 and 1e-9) is doubled again, up to
+``MAX_STEPS``.  Between its nodes a leg is the barycentric interpolant at
+its Chebyshev-Lobatto points (Berrut and Trefethen, SIAM Review 46, 2004),
+fitted once, when the leg is first asked for a time off its nodes (a
+certificate reads node matrices only, so it fits nothing): each point is
+one partial Magnus step from the node below, and the degree, from 2
+``FIRST_STEPS`` up to ``MAX_STEPS``, doubles until the interpolant meets
+the same entrywise test at every node.  A dense call on a fitted leg is
+then one small matrix product and takes no Magnus step, and
+:meth:`TransitionOperator.leg_values` evaluates many legs at many times: it
+fits the unfitted ones in one batch, and legs asked at the same fractions
+of their spans share one cardinal matrix and one product.  A fit also
+inverts the leg's d + 1 Chebyshev samples and keeps them
+(``MagnusLeg.C_inv``) when their interpolant meets the same entrywise test
+against the inverse node matrices, at the same degree.  From them
+:meth:`TransitionOperator.inverse_moments` takes weighted sums of
+Phi(s, t0)^-1 with no leg value and no inverse at any s: legs asked at the
+same fractions with the same weights share one cardinal-moment matrix and
+one product with their stacked inverse samples.  A leg whose inverse
+samples missed gives its inverse at s instead.  No scipy is needed.
 
-* Exact legs, when no entry of A mentions ``t`` and A = V diag(lam) V^-1
-  with cond(V) <= ``EXACT_COND_MAX`` = 1e6 and delta = ||AV - V diag(lam)||
-  ||V^-1|| <= ``EIG_RESIDUAL_MAX`` * max(1, ||A||): Phi(s, t0) = V exp(lam
-  (s - t0)) V^-1, whose rounding error (about cond(V) * machine eps <= 2e-10)
-  stays below the integrator's tolerance.  One eigendecomposition per operator.
-* Magnus legs otherwise (time-dependent A, or a defective or
-  ill-conditioned constant A such as a Jordan block): the sixth-order
-  Magnus method with three Gauss points (Blanes, Casas and Ros, BIT 40,
-  2000; Iserles, Munthe-Kaas, Norsett and Zanna, Acta Numerica 9, 2000).
-  A step of length h from t is Y <- exp(Omega) Y, with Omega built from A
-  at t + (1/2 -+ sqrt(15)/10) h and t + h/2 by two nested commutators
-  (:func:`_magnus_steps`).  The steps are independent given A
-  at the Gauss points, so :meth:`TransitionOperator.solve_legs` integrates
-  every missing leg of a sweep in one batch: A is evaluated over one time
-  array (:meth:`CoefficientMatrix.values`) and the step exponentials by one
-  batched :func:`expm`, which picks its Pade degree per matrix, so a leg's
-  bits do not depend on which legs share its batch.  Each leg takes
-  ``FIRST_STEPS`` uniform steps, then twice as many; a leg whose Richardson
-  estimate |Y_2M - Y_M| / 63 at the shared nodes exceeds ``ATOL`` +
-  ``RTOL`` |Y_2M| (entrywise, 1e-12 and 1e-9) is doubled again, up to
-  ``MAX_STEPS``.  Between its nodes a leg is the barycentric interpolant at
-  its Chebyshev-Lobatto points (Berrut and Trefethen, SIAM Review 46,
-  2004), fitted once, when the leg is first asked for a time off its nodes
-  (a certificate reads node matrices only, so it fits nothing): each point
-  is one partial Magnus step from the node below, and the degree, from 2
-  ``FIRST_STEPS`` up to ``MAX_STEPS``, doubles until the interpolant meets
-  the same entrywise test at every node.  A dense call on a fitted leg is
-  then one small matrix product and takes no Magnus step, and
-  :meth:`TransitionOperator.leg_values` evaluates many legs at many times:
-  it fits the unfitted ones in one batch, and legs asked at the same
-  fractions of their spans share one cardinal matrix and one product.
-  A fit also inverts the leg's d + 1 Chebyshev samples and keeps them
-  (``MagnusLeg.C_inv``) when their interpolant meets the same entrywise test
-  against the inverse node matrices, at the same degree.  From them
-  :meth:`TransitionOperator.inverse_moments` takes weighted sums of
-  Phi(s, t0)^-1 with no leg value and no inverse at any s: legs asked at the
-  same fractions with the same weights share one cardinal-moment matrix and
-  one product with their stacked inverse samples.  An exact leg, or a Magnus
-  leg whose inverse samples missed, gives its inverse at s instead.
-  No scipy is needed.
+A constant A = V diag(lam) V^-1 with cond(V) <= ``EXACT_COND_MAX`` = 1e6
+and delta = ||AV - V diag(lam)|| ||V^-1|| <= ``EIG_RESIDUAL_MAX`` *
+max(1, ||A||) keeps that eigendecomposition (``TransitionOperator.eig``).
+It is the input of the hyperbolicity module's closed-form certificate and
+of the solvers' eigen-coordinate sweeps, so no command propagates a leg of
+such an A.
 
 Transition matrices over long windows are never assembled as a single
 product chain in the growing direction; higher-level code (hyperbolicity
@@ -61,7 +60,6 @@ from .expr import eval_stack, free_vars, parse
 
 __all__ = [
     "CoefficientMatrix",
-    "ExactLeg",
     "MagnusLeg",
     "TransitionOperator",
     "PropagationError",
@@ -70,8 +68,8 @@ __all__ = [
 
 RTOL = 1e-9
 ATOL = 1e-12
-# largest eigenvector-matrix condition number for which constant-A legs are
-# computed from the eigendecomposition instead of integrated
+# largest eigenvector-matrix condition number for which a constant A keeps
+# its eigendecomposition, the input of its closed form
 EXACT_COND_MAX = 1e6
 # largest eigen-residual delta / max(1, ||A||_2) for which eig is kept
 EIG_RESIDUAL_MAX = 1e-10
@@ -187,16 +185,6 @@ class CoefficientMatrix:
         times = np.asarray(times, dtype=float)
         flat = eval_stack([e for row in self.entries for e in row], {"t": times}, times.shape)
         return flat.reshape(*times.shape, self.n, self.n)
-
-
-class ExactLeg:
-    """Phi(s, t0) = V exp(lam (s - t0)) V^-1 of a diagonalizable constant A."""
-
-    def __init__(self, V, lam, V_inv, t0: float):
-        self.V, self.lam, self.V_inv, self.t0 = V, lam, V_inv, t0
-
-    def __call__(self, s):
-        return _dense_call(self, s)
 
 
 def _magnus_steps(A: CoefficientMatrix, starts, h) -> np.ndarray:
@@ -440,27 +428,17 @@ class MagnusLeg:
         self.C = self.C_inv = None
 
     def __call__(self, s):
-        return _dense_call(self, s)
-
-
-def _dense_call(leg, s):
-    """A leg's value at the time or times ``s`` in the calling convention of
-    the module docstring, from :func:`_leg_values`."""
-    s = np.asarray(s, dtype=float)
-    flat = s.reshape(-1)
-    out = _leg_values([leg], np.zeros(flat.size, dtype=int), flat).reshape(flat.size, -1)
-    return out.reshape(-1) if s.ndim == 0 else out.T
-
-
-def _exact_values(leg: ExactLeg, dt) -> np.ndarray:
-    """V e^{lam dt} V^-1 of the exact legs' eigendecomposition for every dt: (len(dt), n, n)."""
-    E = np.exp(np.multiply.outer(dt, leg.lam))
-    return ((leg.V * E[..., None, :]) @ leg.V_inv).real
+        """The value at the time or times ``s`` in the calling convention of
+        the module docstring, from :func:`_leg_values`."""
+        s = np.asarray(s, dtype=float)
+        flat = s.reshape(-1)
+        out = _leg_values([self], np.zeros(flat.size, dtype=int), flat).reshape(flat.size, -1)
+        return out.reshape(-1) if s.ndim == 0 else out.T
 
 
 def _fit(legs) -> None:
-    """Fit the Magnus legs of ``legs`` without ``C`` in one :func:`_chebyshev_fits` batch."""
-    fit = [leg for leg in legs if isinstance(leg, MagnusLeg) and leg.C is None]
+    """Fit the legs of ``legs`` without ``C`` in one :func:`_chebyshev_fits` batch."""
+    fit = [leg for leg in legs if leg.C is None]
     if fit:
         t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in fit]).T
         for leg, (C, C_inv) in zip(fit, _chebyshev_fits(fit[0].A, t0, t1, [leg.Y for leg in fit])):
@@ -476,10 +454,8 @@ def _by_leg(which, count) -> list:
 def _leg_values(legs, which, s) -> np.ndarray:
     """Phi(s[k], t0) on the leg ``legs[which[k]]`` for every k: shape (len(s), n, n).
 
-    The legs are all exact or all Magnus, as one operator's are.  Exact legs
-    share V, lam and V^-1, so their values are one batched product.  A time
-    on a Magnus leg's node takes that node's matrix.  The Magnus legs asked
-    for a time off their nodes are first fitted, those without ``C`` in one
+    A time on a leg's node takes that node's matrix.  The legs asked for a
+    time off their nodes are first fitted, those without ``C`` in one
     :func:`_chebyshev_fits` batch; then each is read at all its times.  A
     leg's layout is its interpolant degree and the fractions of its span at
     which it is asked, in the order asked: the legs of one layout share one
@@ -488,8 +464,6 @@ def _leg_values(legs, which, s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     which = np.asarray(which, dtype=int)
-    if isinstance(legs[0], ExactLeg):
-        return _exact_values(legs[0], s - np.array([leg.t0 for leg in legs])[which])
     n = legs[0].Y.shape[-1]
     t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
     u = (s - t0[which]) / (t1[which] - t0[which])
@@ -521,32 +495,29 @@ def _inverse_moments(legs, which, s, weights) -> np.ndarray:
 
     ``s`` has shape (rows, m) and ``weights`` (rows, m, p).  Every row is
     one contraction of a moment matrix with samples of the inverse leg.  A
-    Magnus leg with ``C_inv`` (fitted first, in one batch, if it is not)
+    leg with ``C_inv`` (fitted first, in one batch, if it is not)
     takes the cardinal moments sum_j weights[r, j, p] l_k(x_j), l_k the
     cardinals of its degree at the fractions x_j of its span, against
     C_inv: the legs of one layout (degree, fractions and weights of their
     rows, in order) share that matrix and one product with their stacked
-    C_inv, and no such leg is evaluated at any s.  Every other leg takes
-    the weights themselves against its inverse at s: V e^{-lam (s - t0)}
-    V^-1 on an exact leg, the inverse of its interpolant on a Magnus leg
-    whose C_inv missed the node test.
+    C_inv, and no such leg is evaluated at any s.  A leg whose C_inv missed
+    the node test takes the weights themselves against the inverse of its
+    interpolant at s.
     """
     s = np.asarray(s, dtype=float)
     which = np.asarray(which, dtype=int)
     rows, m = s.shape
     asked = np.unique(which)
     _fit([legs[i] for i in asked])
-    exact = isinstance(legs[0], ExactLeg)
-    n = legs[0].V.shape[0] if exact else legs[0].A.n
+    n = legs[0].A.n
     out = np.empty((rows, weights.shape[-1], n, n))
     by_leg = _by_leg(which, len(legs))
     layouts, rest = {}, []
-    if not exact:
-        t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
-        x = (s - t0[which, None]) / (t1 - t0)[which, None]
+    t0, t1 = np.array([(leg.ts[0], leg.ts[-1]) for leg in legs]).T
+    x = (s - t0[which, None]) / (t1 - t0)[which, None]
     for i in asked:
         r = by_leg[i]
-        if exact or legs[i].C_inv is None:
+        if legs[i].C_inv is None:
             rest.append(r)
         else:
             layouts.setdefault((len(legs[i].C_inv), x[r].tobytes(), weights[r].tobytes()),
@@ -560,11 +531,7 @@ def _inverse_moments(legs, which, s, weights) -> np.ndarray:
                                                       ).transpose(0, 2, 1, 3, 4)
     if rest:
         r = np.concatenate(rest)
-        leg_of, t = np.repeat(which[r], m), s[r].ravel()
-        if exact:
-            samples = _exact_values(legs[0], np.array([leg.t0 for leg in legs])[leg_of] - t)
-        else:
-            samples = np.linalg.inv(_leg_values(legs, leg_of, t))
+        samples = np.linalg.inv(_leg_values(legs, np.repeat(which[r], m), s[r].ravel()))
         out[r] = (weights[r].transpose(0, 2, 1) @ samples.reshape(len(r), m, n * n)
                   ).reshape(len(r), -1, n, n)
     return out
@@ -573,12 +540,12 @@ def _inverse_moments(legs, which, s, weights) -> np.ndarray:
 class TransitionOperator:
     """Dense-output solution operator Phi(t, tau) with leg caching.
 
-    Cached legs map (t0, t1) to the dense solution of the matrix equation
-    Y' = A(t) Y, Y(t0) = I on [t0, t1]: an ``ExactLeg`` when A is constant
-    and well diagonalizable, a ``MagnusLeg`` otherwise.  ``constant`` tells
-    whether no entry of A mentions ``t``.  ``eig`` is the eigendecomposition
-    (V, lam, V^-1) the exact legs use, or None; ``eig_health`` then holds
-    delta (``eig_residual``), ``cond_V`` and ``norm_A``.
+    Cached legs map (t0, t1) to the :class:`MagnusLeg` of the matrix
+    equation Y' = A(t) Y, Y(t0) = I on [t0, t1].  ``constant`` tells whether
+    no entry of A mentions ``t``.  ``eig`` is the eigendecomposition
+    (V, lam, V^-1) of a constant, well diagonalizable A, the input of its
+    closed form, or None; ``eig_health`` then holds delta
+    (``eig_residual``), ``cond_V`` and ``norm_A``.
     """
 
     def __init__(self, A: CoefficientMatrix):
@@ -604,32 +571,28 @@ class TransitionOperator:
         key = (float(t0), float(t1))
         leg = self._legs.get(key)
         if leg is None:
-            if self.eig is not None:
-                leg = ExactLeg(*self.eig, key[0])
-            else:
-                (leg,) = _magnus_legs(self.A, [key])
+            (leg,) = _magnus_legs(self.A, [key])
             self._legs[key] = leg
         return leg
 
     def solve_legs(self, spans) -> list:
         """:meth:`solve_leg` of every (t0, t1) of ``spans``.
 
-        Without ``eig``, the legs missing from the cache are first
-        integrated together, in one batched Magnus pass.
+        The legs missing from the cache are first integrated together, in
+        one batched Magnus pass.
         """
         keys = [(float(t0), float(t1)) for t0, t1 in spans]
-        if self.eig is None:
-            missing = list(dict.fromkeys(k for k in keys if k not in self._legs))
-            if missing:
-                self._legs.update(zip(missing, _magnus_legs(self.A, missing)))
+        missing = list(dict.fromkeys(k for k in keys if k not in self._legs))
+        if missing:
+            self._legs.update(zip(missing, _magnus_legs(self.A, missing)))
         return [self.solve_leg(*key) for key in keys]
 
     def leg_values(self, spans, which, s) -> np.ndarray:
         """Phi(s[k], t0) on the leg (t0, t1) = ``spans[which[k]]`` for every k: (len(s), n, n).
 
         The legs come from :meth:`solve_legs`, and their values from one
-        batched evaluation (:func:`_leg_values`), which first fits the
-        Magnus legs asked off their nodes that are not yet fitted.
+        batched evaluation (:func:`_leg_values`), which first fits the legs
+        asked off their nodes that are not yet fitted.
         """
         return _leg_values(self.solve_legs(spans), which, s)
 
@@ -638,14 +601,7 @@ class TransitionOperator:
         ``spans[which[r]]`` for every row r: (rows, p, n, n).
 
         The legs come from :meth:`solve_legs`, and the moments from one
-        :func:`_inverse_moments` call, which first fits the Magnus legs not
-        yet fitted.
+        :func:`_inverse_moments` call, which first fits the legs not yet
+        fitted.
         """
         return _inverse_moments(self.solve_legs(spans), which, s, weights)
-
-    def matrix(self, t0: float, t1: float) -> np.ndarray:
-        """Transition matrix Phi(t1, t0)."""
-        n = self.A.n
-        if t0 == t1:
-            return np.eye(n)
-        return self.solve_leg(t0, t1)(t1).reshape(n, n)

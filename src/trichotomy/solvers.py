@@ -45,9 +45,10 @@ binom(2m, p) p! g^{(2m-p)}, so in units of h^p times the zeroth moment the
 u^p moment errs like (h a)^{2m-p}: on a tanh trichotomy at h = 0.02 (h a = 0.02), 3 nodes put
 the u^3 moment 4.8e-10 off the 16-node one, where c_3 (h a)^6 is 3e-17.
 The floor of 4 nodes is what covers it on the CLI grid: at 4 nodes that
-moment is within 1e-14, on closed-form legs as on Magnus legs.  Between
-its nodes a Magnus leg, and its inverse, is one Chebyshev interpolant per
-leg, analytic across the leg, so a rule sees it as it sees a closed-form leg.
+moment is within 1e-14, with the legs' closed form as with their Magnus
+legs.  Between its nodes a Magnus leg, and its inverse, is one Chebyshev
+interpolant per leg, analytic across the leg, so a rule sees it as it sees
+the closed form.
 
 The semilinear equation x' = A(t)x + f(t) + F(t, x) is solved by Picard
 iteration around the linear solution, which contracts at rate

@@ -5,6 +5,8 @@ session-scoped.  Tests that assert runtime budgets build their own objects
 and time them locally.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,37 @@ def shifted_coefficient(A, h):
     return CoefficientMatrix([[substitute(e, "t", shift) for e in row] for row in A.entries])
 
 
+def transition_matrix(op, t0, t1):
+    """Phi(t1, t0) of the operator ``op``: its leg (t0, t1) read at t1, I when t0 == t1."""
+    n = op.A.n
+    if t0 == t1:
+        return np.eye(n)
+    return op.solve_leg(t0, t1)(t1).reshape(n, n)
+
+
+def stable_projector(kernel, s):
+    """The projector of a swept ``kernel`` whose image decays forward at time s.
+
+    At an anchor it is that anchor's sample (``kernel.projectors``); between
+    anchors a_i < s < a_i+1 it is P(s) = D P_i D^-1 with D = Phi(s, a_i),
+    solved as P(s) D = D P_i.
+    """
+    anchors, n = kernel.anchors, kernel.n
+    near = np.flatnonzero(np.abs(anchors - s) < 1e-12)
+    if near.size:
+        return kernel.projectors[near[0]]
+    if s < anchors[0] - 1e-9 or s > anchors[-1] + 1e-9:
+        raise WindowTooSmall("projector family does not cover t", abs(s))
+    i = min(max(int(np.searchsorted(anchors, s)) - 1, 0), len(anchors) - 2)
+    D = kernel.op.solve_leg(anchors[i], anchors[i + 1])(s).reshape(n, n)
+    return np.linalg.solve(D.T, (D @ kernel.projectors[i]).T).T
+
+
+def unstable_projector(kernel, s):
+    """The projector of a swept ``kernel`` whose image decays backward at time s."""
+    return np.eye(kernel.n) - stable_projector(kernel, s)
+
+
 def _transport(kernel, Z, tau, t, proj_at):
     """Carry Z from tau to t leg by leg, re-projecting at anchors.
 
@@ -166,9 +199,8 @@ def green_matrix(kernel, t, tau, side=None):
         keep = stable if up else ~stable
         G = ((V[:, keep] * np.exp(lam[keep] * (t - tau))) @ V_inv[keep]).real
         return G if up else -G
-    if up:
-        return _transport(kernel, kernel.stable_projector(tau), tau, t, kernel.stable_projector)
-    return _transport(kernel, -kernel.unstable_projector(tau), tau, t, kernel.unstable_projector)
+    at = functools.partial(stable_projector if up else unstable_projector, kernel)
+    return _transport(kernel, at(tau) if up else -at(tau), tau, t, at)
 
 
 @pytest.fixture(scope="session")

@@ -437,6 +437,15 @@ class TestCheckCommands:
         assert run_cli(["solve-linear", prob, "--out", tmp_path / "sol"]) == 1
         assert "unresolved by its degree-4096 Chebyshev interpolant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check-trichotomy", "check-dichotomy"])
+    def test_short_estimation_window_names_its_interval(self, tmp_path, capsys, command):
+        spec = load_problem(problem_path("rotation"))
+        assert trichotomy.cli.run(command, spec, Flags(out=str(tmp_path), window=5.0)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: estimation interval [0, 5] is 5 time units long, "
+                                "below the 10 an estimate needs\n")
+        assert captured.out == ""
+
     def test_trichotomy_certified(self, tmp_path):
         out = tmp_path / "out"
         rc = run_cli(["check-trichotomy", problem_path("trich_tanh"), "--out", out])
@@ -526,6 +535,29 @@ class TestOneOperatorPerCommand:
         assert S > 12.0
         assert verified == [[(0.0, S), (-S, 0.0)]]
         assert spans and len(set(spans)) == len(spans)
+
+    # each bundled constant A with its exit codes, in trichotomy.cli.COMMANDS
+    # order; such an A is certified and solved in closed form, so no command
+    # integrates a leg or sweeps a family
+    @pytest.mark.parametrize("name, codes", [
+        ("atan_forced", [0, 0, 0, 1, 1, 0, 0]),
+        ("c1_cubic", [0, 0, 1, 2, 2, 2, 2]),
+        ("diag_cos", [0, 0, 0, 1, 1, 0, 0]),
+        ("scalar_sin", [0, 0, 0, 0, 0, 0, 0]),
+    ])
+    def test_constant_A_integrates_no_leg_and_sweeps_no_family(self, tmp_path, monkeypatch,
+                                                               name, codes):
+        calls = []
+        for owner, attr in ((trichotomy.propagator, "_magnus_legs"),
+                            (trichotomy.hyperbolicity, "_build_families")):
+            spied = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *args, attr=attr, spied=spied:
+                                calls.append(attr) or spied(*args))
+        assert TransitionOperator(load_problem(problem_path(name)).A).eig is not None
+        rcs = [run_cli([command, problem_path(name), "--out", tmp_path / command])
+               for command in trichotomy.cli.COMMANDS]
+        assert rcs == codes
+        assert calls == []
 
     @pytest.mark.parametrize("command, name", [("solve-linear", "diag_cos"),
                                                ("solve-semilinear", "scalar_sin")])

@@ -8,7 +8,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import green_matrix, problem_path, shifted_coefficient
+from conftest import (
+    green_matrix,
+    problem_path,
+    shifted_coefficient,
+    stable_projector,
+    transition_matrix,
+    unstable_projector,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -51,7 +58,7 @@ from trichotomy.solvers import solve_linear_bounded
 
 def _shifted_projector(op, P, h):
     """Projector of the shifted system at its time origin: P(h)."""
-    M = op.matrix(0.0, h)
+    M = transition_matrix(op, 0.0, h)
     return M @ P @ np.linalg.inv(M)
 
 
@@ -133,7 +140,8 @@ class TestEstimateProjector:
         assert np.max(np.abs(est.P - np.eye(2))) <= 1e-8
 
     def test_short_interval_rejected(self, saddle_A):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^estimation interval \[0, 5\] is 5 time units "
+                           r"long, below the 10 an estimate needs$"):
             estimate_stable_projector(saddle_A, (0.0, 5.0))
 
     def test_end_projector_annihilates_the_backward_decaying_class(self):
@@ -255,7 +263,7 @@ def _half_family_reference(op, lo, hi, P_seed, rate, lapack):
         K = forward(_orth_complement(R[0]))
     projectors = _oblique_projectors(anchors, R, K)
     seed_residual = float(np.linalg.norm(projectors[0 if at_lo else -1] - P_seed, 2))
-    return ProjectorFamily(op, anchors, projectors, legs, inv_legs, seed_residual)
+    return ProjectorFamily(anchors, projectors, legs, inv_legs, seed_residual)
 
 
 def _assert_families_match(op, halves, rate):
@@ -269,7 +277,6 @@ def _assert_families_match(op, halves, rate):
     families = _build_families(op, halves, rate)
     assert len(families) == len(ref)
     for fam, fam_ref in zip(families, ref):
-        assert fam.op is op
         assert np.array_equal(fam.anchors, fam_ref.anchors)
         assert np.array_equal(fam.legs, fam_ref.legs)
         assert np.array_equal(fam.inv_legs, fam_ref.inv_legs)
@@ -360,15 +367,15 @@ class TestStackedHelpers:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_families_match_the_per_half_sweeps(self, data):
-        """Lockstep families against the per-half loop, on exact legs of a constant A (n 1-3)
-        or the Magnus legs of rotation (n 2) and trich_tanh (n 3): one half or two of unequal
+        """Lockstep families against the per-half loop, on the legs of a constant A (n 1-3)
+        or of rotation (n 2) and trich_tanh (n 3): one half or two of unequal
         spans, each seeded with a projector of any rank 0..n, so the two halves' sweep widths
-        may differ and a width may be 0.  On exact legs a seed may also take the unstable
+        may differ and a width may be 0.  For a constant A a seed may also take the unstable
         eigenvectors as its range and the stable ones as its kernel, so that the swept range
         and kernel can grow tangent: both forms must then give the same refusal."""
-        source = data.draw(st.sampled_from(["exact", "rotation", "trich_tanh"]))
+        source = data.draw(st.sampled_from(["constant", "rotation", "trich_tanh"]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if source == "exact":
+        if source == "constant":
             n = data.draw(st.integers(1, 3))
             V = np.linalg.qr(rng.standard_normal((n, n)))[0] + 0.3 * rng.standard_normal((n, n))
             lam = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 3.0, n)
@@ -378,7 +385,7 @@ class TestStackedHelpers:
             A = load_problem(problem_path(source)).A
             n, V = A.n, np.eye(A.n)
         op = TransitionOperator(A)
-        assert (op.eig is not None) == (source == "exact")
+        assert (op.eig is not None) == (source == "constant")
         if data.draw(st.booleans()):
             spans = [(0.0, data.draw(st.floats(0.5, 8.0))), (-data.draw(st.floats(0.5, 8.0)), 0.0)]
         else:
@@ -386,7 +393,8 @@ class TestStackedHelpers:
                      for lo in data.draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=2))]
         halves = []
         for lo, hi in spans:
-            seed = data.draw(st.sampled_from(["eigen", "random"] + ["wrong"] * (source == "exact")))
+            seeds = ["eigen", "random"] + ["wrong"] * (source == "constant")
+            seed = data.draw(st.sampled_from(seeds))
             W = rng.standard_normal((n, n)) + 2.0 * np.eye(n) if seed == "random" else V
             S = (np.flatnonzero(lam > 0.0) if seed == "wrong"
                  else rng.permutation(n)[:data.draw(st.integers(0, n))])
@@ -398,7 +406,7 @@ class TestStackedHelpers:
         op = TransitionOperator(load_problem(problem_path(name)).A)
         assert (op.eig is not None) == (name == "diag_cos")
         anchors = _anchor_times(-3.5, 4.25)
-        expect = np.stack([op.matrix(a, b) for a, b in zip(anchors[:-1], anchors[1:])])
+        expect = np.stack([transition_matrix(op, a, b) for a, b in zip(anchors[:-1], anchors[1:])])
         assert np.array_equal(_leg_matrices(op, anchors), expect)
 
     def test_tangent_refusal_names_the_first_anchor_its_cond_and_the_limit(self):
@@ -473,8 +481,8 @@ class TestStackedKernels:
         from it, growing the last bits by e^{2 nu} per leg, so no fixed
         bound holds there; ``test_random_families_match_the_per_half_sweeps``
         draws such seeds against the reference of the same primitives.)"""
-        source = data.draw(st.sampled_from(["exact", "rotation", "trich_tanh"]))
-        if source == "exact":
+        source = data.draw(st.sampled_from(["constant", "rotation", "trich_tanh"]))
+        if source == "constant":
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
             n = data.draw(st.integers(1, 3))
             V = np.linalg.qr(rng.standard_normal((n, n)))[0] + 0.3 * rng.standard_normal((n, n))
@@ -917,17 +925,17 @@ class TestGreenKernel:
 
     def test_projector_split_at_time(self, trich_kernel):
         for s in (-7.0, -1.3, 0.0, 2.4, 9.0):
-            Ps = trich_kernel.stable_projector(s)
-            Us = trich_kernel.unstable_projector(s)
+            Ps = stable_projector(trich_kernel, s)
+            Us = unstable_projector(trich_kernel, s)
             assert np.max(np.abs(Ps + Us - np.eye(3))) <= 1e-9
             assert np.linalg.norm(Ps @ Ps - Ps, 2) <= 1e-9
 
     def test_projectors_are_invariant_on_time_dependent_system(self, rotation_kernel):
         # P(s1) Phi(s1, s0) = Phi(s1, s0) P(s0) on each half-line and across 0
-        P = rotation_kernel.stable_projector
+        K = rotation_kernel
         for s0, s1 in [(1.5, 4.0), (6.0, 2.2), (-6.2, -2.0), (-1.0, -5.5), (-3.0, 2.5), (2.5, -3.0)]:
-            Phi = rotation_kernel.op.matrix(s0, s1)
-            gap = P(s1) @ Phi - Phi @ P(s0)
+            Phi = transition_matrix(K.op, s0, s1)
+            gap = stable_projector(K, s1) @ Phi - Phi @ stable_projector(K, s0)
             assert np.linalg.norm(gap, 2) / max(1.0, np.linalg.norm(Phi, 2)) <= 1e-8
 
     def test_oblique_projectors_closed_form(self):

@@ -61,7 +61,7 @@ SCIPY_PROBE = textwrap.dedent(
     out = Path(sys.argv[1])
     import trichotomy.cli as cli
     assert scipy_modules() == [], scipy_modules()
-    # constant A (exact legs), then time-dependent A (Magnus legs)
+    # constant A (closed form), then time-dependent A (Magnus legs)
     for command, problem, code in (("solve-linear", "diag_cos", 0),
                                    ("solve-semilinear", "scalar_sin", 0),
                                    ("solve-linear", "rotation", 0),

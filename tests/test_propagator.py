@@ -13,17 +13,16 @@ from scipy.linalg import expm
 
 import trichotomy.propagator as propagator
 from trichotomy.cli import load_problem
-from trichotomy.expr import Bin, Num, Var, eval_expr, eval_stack
+from trichotomy.expr import eval_expr, eval_stack
 from trichotomy.propagator import (
     CoefficientMatrix,
-    ExactLeg,
     MagnusLeg,
     PropagationError,
     TransitionOperator,
 )
 from trichotomy.solvers import LipschitzSpec, _state_env
 
-from conftest import problem_path, rk45_leg, shifted_coefficient
+from conftest import problem_path, rk45_leg, shifted_coefficient, transition_matrix
 
 BUNDLED = sorted(path.stem for path in Path(problem_path("diag_cos")).parent.glob("*.json")
                  if path.stem != "problem.schema")
@@ -45,37 +44,37 @@ def _column_stacked(exprs, env, shape):
 
 class TestPropagate:
     def test_quarter_turn(self, rotor_A):
-        out = TransitionOperator(rotor_A).matrix(0.0, np.pi / 2) @ [1.0, 0.0]
+        out = transition_matrix(TransitionOperator(rotor_A), 0.0, np.pi / 2) @ [1.0, 0.0]
         assert np.allclose(out, [0.0, -1.0], atol=1e-8)
 
     def test_zero_length_is_identity(self, rotor_A):
         v = np.array([0.3, -1.2])
-        assert np.array_equal(TransitionOperator(rotor_A).matrix(1.5, 1.5) @ v, v)
+        assert np.array_equal(transition_matrix(TransitionOperator(rotor_A), 1.5, 1.5) @ v, v)
 
     def test_scalar_decay(self):
         A = CoefficientMatrix.from_strings([["-1"]])
-        out = TransitionOperator(A).matrix(0.0, 1.0) @ [1.0]
+        out = transition_matrix(TransitionOperator(A), 0.0, 1.0) @ [1.0]
         assert out[0] == pytest.approx(0.3678794412, abs=1e-9)
 
     def test_backward_inverts_forward(self, rotation_A):
         op = TransitionOperator(rotation_A)
         v = np.array([1.0, 2.0])
-        there = op.matrix(0.0, 3.0) @ v
-        back = op.matrix(3.0, 0.0) @ there
+        there = transition_matrix(op, 0.0, 3.0) @ v
+        back = transition_matrix(op, 3.0, 0.0) @ there
         assert np.linalg.norm(back - v) < 1e-7
 
 
 class TestTransitionMatrix:
     def test_diagonal_saddle(self, saddle_A):
-        M = TransitionOperator(saddle_A).matrix(0.0, 1.0)
+        M = transition_matrix(TransitionOperator(saddle_A), 0.0, 1.0)
         assert np.allclose(
             M, np.diag([np.exp(-1.0), np.exp(1.0)]), rtol=1e-8, atol=1e-10
         )
 
     def test_cocycle_identity(self, rotation_A):
         op = TransitionOperator(rotation_A)
-        lhs = op.matrix(1.0, 2.0) @ op.matrix(0.0, 1.0)
-        rhs = op.matrix(0.0, 2.0)
+        lhs = transition_matrix(op, 1.0, 2.0) @ transition_matrix(op, 0.0, 1.0)
+        rhs = transition_matrix(op, 0.0, 2.0)
         assert np.linalg.norm(lhs - rhs, 2) < 1e-8
 
     def test_liouville_determinant(self, rotation_A):
@@ -84,15 +83,15 @@ class TestTransitionMatrix:
 
         tr = lambda s: np.trace(rotation_A.value(s))
         t = 2.5
-        M = TransitionOperator(rotation_A).matrix(0.0, t)
+        M = transition_matrix(TransitionOperator(rotation_A), 0.0, t)
         expected = np.exp(quad(tr, 0.0, t, epsabs=1e-12)[0])
         assert abs(np.linalg.det(M) - expected) <= 1e-6 * abs(expected)
 
     def test_shifted_coefficient(self, rotation_A):
         sh = shifted_coefficient(rotation_A, 0.7)
         assert np.allclose(sh.value(1.0), rotation_A.value(1.7), atol=1e-14)
-        M1 = TransitionOperator(sh).matrix(0.0, 1.0)
-        M2 = TransitionOperator(rotation_A).matrix(0.7, 1.7)
+        M1 = transition_matrix(TransitionOperator(sh), 0.0, 1.0)
+        M2 = transition_matrix(TransitionOperator(rotation_A), 0.7, 1.7)
         assert np.linalg.norm(M1 - M2, 2) < 1e-7
 
 
@@ -149,15 +148,9 @@ class TestCoefficientMatrix:
 @given(st.floats(-4, 4), st.floats(-4, 4), st.floats(-4, 4))
 def test_cocycle_through_intermediate_time(rotor_A, a, b, c):
     op = TransitionOperator(rotor_A)
-    lhs = op.matrix(b, c) @ op.matrix(a, b)
-    rhs = op.matrix(a, c)
+    lhs = transition_matrix(op, b, c) @ transition_matrix(op, a, b)
+    rhs = transition_matrix(op, a, c)
     assert np.linalg.norm(lhs - rhs, 2) < 1e-7
-
-
-def with_zero_t(A):
-    """The same matrix with a syntactic ``0*t`` in each entry: a Magnus leg."""
-    zero_t = Bin("*", Num(0.0), Var("t"))
-    return CoefficientMatrix([[Bin("+", e, zero_t) for e in row] for row in A.entries])
 
 
 def seeded_matrix(seed):
@@ -182,38 +175,87 @@ CONSTANT_MATRICES = [
 ]
 
 
-class TestExactLegs:
+def drawn_modes(rng, n, pair, im):
+    """(V, lam) of a real diagonalizable A = V diag(lam) V^-1 of size ``n``.
+
+    V = W U with cond(W) <= 1e3 and U unitary, so cond(V) <= 1e3, and every
+    |Re lam| is in [0.2, 3].  With ``pair`` (n >= 2) the first two
+    eigenvalues are a +- i ``im``, whose eigenvectors W (1, +-i) / sqrt(2)
+    span a rotating plane.
+    """
+    while True:
+        W = rng.normal(size=(n, n))
+        if np.linalg.cond(W) <= 1e3:
+            break
+    lam = (rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)).astype(complex)
+    U = np.eye(n, dtype=complex)
+    if pair:
+        lam[1] = lam[0].real
+        lam[:2] += np.array([1j, -1j]) * im
+        U[:2, :2] = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
+    return W @ U, lam
+
+
+class TestConstantLegs:
+    """A constant A has Magnus legs too; Omega = hA, so they are exact to rounding."""
+
+    # the leg spans both directions; the times are its nodes and draws between them
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 3.0),
+           st.floats(-3.0, 3.0), st.floats(0.1, 2.0), st.booleans())
+    def test_constant_leg_matches_the_eigendecomposition(self, n, seed, pair, im, t0, length,
+                                                         backward):
+        rng = np.random.default_rng(seed)
+        V, lam = drawn_modes(rng, n, pair and n >= 2, im)
+        A = ((V * lam) @ np.linalg.inv(V)).real
+        coeff = CoefficientMatrix.from_strings([[repr(float(x)) for x in row] for row in A])
+        op = TransitionOperator(coeff)
+        assert op.eig is not None
+        t1 = t0 - length if backward else t0 + length
+        leg = op.solve_leg(t0, t1)
+        assert isinstance(leg, MagnusLeg)
+
+        def closed_form(s):
+            E = np.exp(np.multiply.outer(s - t0, lam))
+            return ((V * E[:, None, :]) @ np.linalg.inv(V)).real.reshape(len(s), -1).T
+
+        off = t0 + (t1 - t0) * rng.uniform(size=23)
+        assert not np.isin(off, leg.ts).any()
+        assert leg(off).shape == (n * n, off.size) and leg(t1).shape == (n * n,)
+        for s in (leg.ts, off):
+            ref = closed_form(s)
+            # the integrator runs at rel tol 1e-9, so its error scales with the entries
+            assert np.max(np.abs(leg(s) - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+
     @pytest.mark.parametrize("A", CONSTANT_MATRICES)
     @pytest.mark.parametrize("t0, t1", [(-0.4, 1.3), (2.0, 0.5)])
-    def test_exact_leg_matches_rk45_leg(self, A, t0, t1):
-        exact = TransitionOperator(A).solve_leg(t0, t1)
-        magnus = TransitionOperator(with_zero_t(A)).solve_leg(t0, t1)
+    def test_constant_leg_matches_rk45_leg(self, A, t0, t1):
+        leg = TransitionOperator(A).solve_leg(t0, t1)
         rk45 = rk45_leg(A, t0, t1)
-        assert isinstance(exact, ExactLeg)
-        assert isinstance(magnus, MagnusLeg)
+        assert isinstance(leg, MagnusLeg)
         assert isinstance(rk45, OdeSolution)
         s = np.linspace(t0, t1, 23)
-        assert exact(s).shape == magnus(s).shape == rk45(s).shape == (A.n**2, s.size)
-        assert exact(t1).shape == magnus(t1).shape == rk45(t1).shape == (A.n**2,)
+        assert leg(s).shape == rk45(s).shape == (A.n**2, s.size)
+        assert leg(t1).shape == rk45(t1).shape == (A.n**2,)
         # both integrators run at rel tol 1e-9, so their error scales with the entries
-        for leg in (rk45, magnus):
-            scale = max(1.0, np.max(np.abs(leg(s))))
-            assert np.max(np.abs(exact(s) - leg(s))) <= 1e-8 * scale
+        scale = max(1.0, np.max(np.abs(rk45(s))))
+        assert np.max(np.abs(leg(s) - rk45(s))) <= 1e-8 * scale
 
     @pytest.mark.parametrize("A", CONSTANT_MATRICES)
     @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0), (-2.5, 0.7), (3.0, -1.0)])
-    def test_matrix_is_the_matrix_exponential(self, A, t0, t1):
-        M = TransitionOperator(A).matrix(t0, t1)
+    def test_transition_matrix_is_the_matrix_exponential(self, A, t0, t1):
+        M = transition_matrix(TransitionOperator(A), t0, t1)
         ref = expm(A.value(0.0) * (t1 - t0))
         assert np.max(np.abs(M - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     def test_jordan_block_is_integrated(self):
         A = CoefficientMatrix.from_strings([["-1", "1"], ["0", "-1"]])
         op = TransitionOperator(A)
+        assert op.eig is None
         assert isinstance(op.solve_leg(0.0, 2.0), MagnusLeg)
         for t in (0.5, 1.0, 2.0):
             ref = np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
-            assert np.max(np.abs(op.matrix(0.0, t) - ref)) <= 1e-8
+            assert np.max(np.abs(transition_matrix(op, 0.0, t) - ref)) <= 1e-8
 
     def test_time_dependent_leg_is_integrated(self, rotation_A):
         assert isinstance(TransitionOperator(rotation_A).solve_leg(0.0, 1.0), MagnusLeg)
@@ -222,7 +264,7 @@ class TestExactLegs:
         # the benchmark tracer tells integrations from cache hits with a WeakSet
         op = TransitionOperator(saddle_A)
         leg = op.solve_leg(0.0, 1.0)
-        assert isinstance(leg, ExactLeg)
+        assert isinstance(leg, MagnusLeg)
         assert op.solve_leg(0.0, 1.0) is leg
         assert op.solve_leg(1.0, 0.0) is not leg
         seen = weakref.WeakSet([leg])
@@ -351,7 +393,7 @@ class TestMagnusLegs:
         spans = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 2.5)]
         legs = op.solve_legs(spans)
         # node reads fit nothing
-        assert np.array_equal(op.matrix(0.0, 1.0), legs[0].Y[-1])
+        assert np.array_equal(transition_matrix(op, 0.0, 1.0), legs[0].Y[-1])
         assert np.array_equal(legs[1](legs[1].ts), legs[1].Y.reshape(len(legs[1].ts), -1).T)
         assert fits == [] and all(leg.C is None for leg in legs)
         # one batch fits the legs asked off their nodes, and only those
@@ -395,7 +437,7 @@ class TestMagnusLegs:
         monkeypatch.setattr(propagator, "MAX_STEPS", 64)
         op = TransitionOperator(CoefficientMatrix.from_strings([["cos(40*t)"]]))
         leg = op.solve_leg(0.0, 1.0)
-        assert np.array_equal(op.matrix(0.0, 1.0), leg.Y[-1]) and leg.C is None
+        assert np.array_equal(transition_matrix(op, 0.0, 1.0), leg.Y[-1]) and leg.C is None
         with pytest.raises(PropagationError, match=r"Magnus leg \[0, 1\] unresolved by its "
                            r"degree-64 Chebyshev interpolant: node error .* exceeds ATOL "
                            r"\+ RTOL \|Y\|"):
